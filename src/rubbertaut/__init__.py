@@ -45,7 +45,7 @@ from .polyclasses import (
     hain_expand,
     interpolate,
 )
-from .series import series_coeff, series_log_sine, series_tau
+from .series import series_log_sine, series_tau
 from .tautring import RingContext, TautClass, boundary, psi1
 
 __version__ = "0.1.0"
@@ -68,7 +68,6 @@ __all__ = [
     "n_target",
     "series_tau",
     "series_log_sine",
-    "series_coeff",
     "enumerate_partitions",
     "enumerate_marked",
     "aut",

@@ -44,7 +44,7 @@ from .polyclasses import (
 )
 from .series import series_log_sine, series, series_exp, series_mul, series_to_json, series_tau
 from .tautring import TautClass
-from .util import fraction_str, parallel_map
+from .util import fraction_str
 
 __all__ = ["main"]
 
@@ -146,12 +146,12 @@ def _cmd_hurwitz(args: argparse.Namespace) -> int:
     if args.psi:
         value = rubber_psi_integral(alpha, beta)
         method = "rubber_psi"
-    elif args.convention == "multiply" and 1 in (len(alpha), len(beta)):
+    elif 1 in (len(alpha), len(beta)):
         nu, total = (beta, alpha[0]) if len(alpha) == 1 else (alpha, beta[0])
         value = hurwitz_one_part(nu, total)
         method = "one_part"
     else:
-        value = hurwitz_oracle(alpha, beta, convention=args.convention)
+        value = hurwitz_oracle(alpha, beta)
         method = "oracle"
     if args.format == "json":
         payload = {
@@ -404,7 +404,8 @@ def _check_series() -> None:
 
 def _check_scaling(g_max: int, d_max: int) -> None:
     for g in range(1, g_max + 1):
-        verify_scaling(g, d_max)
+        if not verify_scaling(g, d_max):
+            raise TheoremViolationError(f"log-sine targets do not scale as d^(2g) at g={g}")
 
 
 def _check_hurwitz(d_max: int) -> None:
@@ -426,7 +427,7 @@ def _check_hodge(g_max: int, d_max: int) -> None:
         if not solution.unique:
             raise InconsistencyError(f"genus-{g} system is underdetermined")
         for d in range(1, d_max + 1):
-            lhs = evaluate_form(hodge_linear_form(g, d), solution.values)
+            lhs = evaluate_form(hodge_linear_form(g, d, "partitions"), solution.values)
             if lhs != n_target(g, d):
                 raise TheoremViolationError(f"genus-{g} degree-{d} value differs")
 
@@ -480,13 +481,18 @@ def _check_divisor_solve() -> None:
 
 def _check_pclass() -> None:
     for t in (4, 5):
-        check_pullback_stability(t)
+        if not check_pullback_stability(t):
+            raise TheoremViolationError(f"pullback stability fails at t={t}")
     for t in (3, 4, 5):
-        check_equivariance(t)
+        if not check_equivariance(t):
+            raise TheoremViolationError(f"equivariance fails at t={t}")
     rng = random.Random(11)
     for t in (3, 4):
         point = tuple(Fraction(rng.randint(-5, 5)) for _ in range(t - 1))
-        check_homogeneity(t, Fraction(rng.randint(2, 5)), point)
+        scale = Fraction(rng.randint(2, 5))
+        if not check_homogeneity(t, scale, point):
+            coords = ", ".join(map(fraction_str, point))
+            raise TheoremViolationError(f"homogeneity fails at t={t}, scale {scale}, point ({coords})")
 
 
 def _check_hain() -> None:
@@ -526,23 +532,15 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
         ("hain", "anchor-and-weight-scaling", _check_hain),
         ("interp", "lagrange-round-trip", _check_interp),
     ]
-
-    def run(check: tuple[str, str, Callable[[], None]]) -> tuple[str, str, str | None]:
-        section, name, fn = check
+    status = 0
+    for section, name, fn in checks:
         try:
             fn()
         except RubberTautError as exc:
-            return section, name, str(exc)
-        return section, name, None
-
-    results = parallel_map(run, checks)
-    status = 0
-    for section, name, failure in results:
-        if failure is None:
-            print(f"PASS {section}: {name}")
-        else:
-            print(f"FAIL {section}: {name} — {failure}")
+            print(f"FAIL {section}: {name} — {exc}")
             status = 2
+        else:
+            print(f"PASS {section}: {name}")
     return status
 
 
@@ -558,7 +556,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("hurwitz", help="count covers of the line with two fixed profiles")
     p.add_argument("--alpha", required=True, help="comma-separated profile over zero")
     p.add_argument("--beta", required=True, help="comma-separated profile over infinity")
-    p.add_argument("--convention", default="multiply", choices=("multiply", "neither", "divide"))
     p.add_argument("--psi", action="store_true", help="divide by the branch factorial")
     p.add_argument("--format", default="table", choices=("table", "json", "csv"))
     p.set_defaults(fn=_cmd_hurwitz)

@@ -10,6 +10,13 @@ both as a rational linear form in the ``I(g, j)`` and as the coefficient of
 ``y^(2g)`` in ``log((d y / 2) / sin(d y / 2))``.  Solving the resulting
 (deliberately overdetermined) exact linear system yields the integrals and a
 strong internal consistency check.
+
+The linear form has two independent derivations.  The resummed route, a sum
+over the size of the distinguished part, is the production route that
+:func:`solve_hodge` runs.  The partition route, a sum over every
+ramification partition of ``d``, is slower and is kept as the oracle: the
+tests compare the two forms, and ``verify-all`` evaluates the partition-route
+form at the solved values.
 """
 
 from __future__ import annotations
@@ -101,12 +108,12 @@ def _resummed_route(g: int, d: int) -> LinearForm:
     return total or {0: Fraction(0)}
 
 
-def hodge_linear_form(g: int, d: int, method: str = "partitions") -> LinearForm:
+def hodge_linear_form(g: int, d: int, method: str = "resummed") -> LinearForm:
     """Linear form in ``I(g, *)`` whose value is the degree-``d`` rubber integral.
 
-    Two independent derivations are kept: ``"partitions"`` sums over
-    ramification partitions of ``d``; ``"resummed"`` sums over the size of
-    the distinguished part using tree-series power coefficients.  They agree
+    ``"resummed"`` (the default) sums over the size of the distinguished part
+    using tree-series power coefficients; ``"partitions"`` sums over
+    ramification partitions of ``d`` and serves as the oracle.  They agree
     identically and the test suite checks that.
     """
     if g < 1:

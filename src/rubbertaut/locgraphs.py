@@ -37,7 +37,7 @@ from .errors import (
 )
 from .hodge import LinearForm, n_target, solve_hodge
 from .hurwitz import rubber_psi_integral
-from .partitions import decorated_aut, enumerate_partitions
+from .partitions import decorated_aut, enumerate_marked, enumerate_partitions
 from .series import LaurentPoly, RingOps
 from .tautring import (
     RingContext,
@@ -261,32 +261,16 @@ def enumerate_graphs(d: int, lift: Lift) -> list[LocGraph]:
         raise InvalidArgumentError(f"need degree >= 1, got {d}")
     classes: set[LocGraph] = set()
     for nu in enumerate_partitions(d):
-        slots = list(nu)
-        mark_assignments: list[dict[int, int]] = [{}]
-        for mark in lift.zero_marks:
-            mark_assignments = [
-                {**assignment, mark: index}
-                for assignment in mark_assignments
-                for index in range(len(slots))
-            ]
-        for assignment in mark_assignments:
-            marks_by_slot: list[tuple[int, ...]] = [
-                tuple(sorted(m for m, idx in assignment.items() if idx == i))
-                for i in range(len(slots))
-            ]
-            classes.add(
-                LocGraph(
-                    "infinity",
-                    tuple(Part(s, ms) for s, ms in zip(slots, marks_by_slot)),
-                )
-            )
+        for marked, _ in enumerate_marked(nu, lift.zero_marks):
+            slots = marked.slots
+            classes.add(LocGraph("infinity", tuple(Part(s, ms) for s, ms in slots)))
             for genus_index in range(len(slots)):
                 classes.add(
                     LocGraph(
                         "zero",
                         tuple(
                             Part(s, ms, genus=(i == genus_index))
-                            for i, (s, ms) in enumerate(zip(slots, marks_by_slot))
+                            for i, (s, ms) in enumerate(slots)
                         ),
                     )
                 )
@@ -801,9 +785,31 @@ def _anchor_coefficient() -> Fraction:
     return n_target(1, 1) / solve_hodge(1).value(0)
 
 
-def _s_value(solution_a2p: TautClass, a3p: TautClass, bp: TautClass, sizes: tuple[int, int]) -> TautClass:
-    a, b = sizes
-    return (a * a) * solution_a2p + (b * b) * a3p + (a * b) * bp
+def _main_relation(
+    evaluated: EvaluatedRelation,
+    a2: TautClass,
+    a3: TautClass,
+    a2p: TautClass,
+    a3p: TautClass,
+    bp: TautClass,
+    degree: str,
+) -> tuple[TautClass, Fraction]:
+    """Everything in ``known + sum s * S + sum p * P`` but the mixed term.
+
+    Joint-mark atoms are ``S(a, b) = a^2 A2' + b^2 A3' + a b B'`` and
+    split-mark atoms are ``P(a, b) = a^2 A2 + b^2 A3 + a b B``; the relation
+    reads ``total + weight * B = 0`` for the returned ``(total, weight)``.
+    """
+    total = evaluated.known
+    for (sa, sb), coeff in evaluated.s_terms.items():
+        total = total + coeff * ((sa * sa) * a2p + (sb * sb) * a3p + (sa * sb) * bp)
+    weight = Fraction(0)
+    for (pa, pb), coeff in evaluated.p_terms.items():
+        total = total + coeff * ((pa * pa) * a2 + (pb * pb) * a3)
+        weight += coeff * pa * pb
+    if weight == 0:
+        raise TheoremViolationError(f"{degree} relation does not see the mixed coefficient")
+    return total, weight
 
 
 def _solve_degree2() -> Degree2Solution:
@@ -843,17 +849,7 @@ def _solve_degree2() -> Degree2Solution:
     # pushed_known + c11 * (a2p + a3p + bp) = 0
     bp = Fraction(-1, 1) / c11 * pushed_known - a2p - a3p
 
-    # Main relation: known + sum s * S(sizes) + sum p * P(sizes) = 0 with
-    # P(a, b) = a^2 A2 + b^2 A3 + a b B.
-    total = evaluated.known
-    for sizes, coeff in evaluated.s_terms.items():
-        total = total + coeff * _s_value(a2p, a3p, bp, sizes)
-    b_weight = Fraction(0)
-    for (pa, pb), coeff in evaluated.p_terms.items():
-        total = total + coeff * ((pa * pa) * a2 + (pb * pb) * a3)
-        b_weight += coeff * pa * pb
-    if b_weight == 0:
-        raise TheoremViolationError("degree-two relation does not see the mixed coefficient")
+    total, b_weight = _main_relation(evaluated, a2, a3, a2p, a3p, bp, "degree-two")
     b = (Fraction(-1) / b_weight) * total
     return Degree2Solution(
         anchor=anchor,
@@ -871,15 +867,9 @@ def _solve_degree3() -> Degree3Report:
     ctx3 = RingContext.standard(3)
     relation = relation_extract(3, LIFT_DIVISOR)
     evaluated = evaluate_relation(relation, ctx3)
-    total = evaluated.known
-    for sizes, coeff in evaluated.s_terms.items():
-        total = total + coeff * _s_value(base.a2p, base.a3p, base.bp, sizes)
-    b_weight = Fraction(0)
-    for (pa, pb), coeff in evaluated.p_terms.items():
-        total = total + coeff * ((pa * pa) * base.a2 + (pb * pb) * base.a3)
-        b_weight += coeff * pa * pb
-    if b_weight == 0:
-        raise TheoremViolationError("degree-three relation does not see the mixed coefficient")
+    total, b_weight = _main_relation(
+        evaluated, base.a2, base.a3, base.a2p, base.a3p, base.bp, "degree-three"
+    )
     b_again = ((Fraction(-1) / b_weight) * total).reduce()
     residual = (total + b_weight * base.b).reduce()
     return Degree3Report(base=base, b_again=b_again, residual=residual)

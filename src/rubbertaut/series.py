@@ -22,7 +22,6 @@ __all__ = [
     "PowerSeries",
     "series",
     "series_add",
-    "series_coeff",
     "series_mul",
     "series_scale",
     "series_pow",
@@ -84,11 +83,6 @@ def series(coeffs: Iterable[Fraction | int], order: int | None = None) -> PowerS
         raise InvalidArgumentError("more coefficients than the requested order allows")
     values.extend([Fraction(0)] * (order + 1 - len(values)))
     return PowerSeries(tuple(values))
-
-
-def series_coeff(f: PowerSeries, i: int) -> Fraction:
-    """Coefficient of ``x**i`` of ``f``; functional form of ``f.coefficient(i)``."""
-    return f.coefficient(i)
 
 
 def series_add(f: PowerSeries, g: PowerSeries) -> PowerSeries:

@@ -1,12 +1,9 @@
-"""Small shared helpers: rational formatting, combinatorics, worker pools."""
+"""Small shared helpers: rational formatting and combinatorics."""
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import InvalidArgumentError
 
@@ -15,15 +12,7 @@ __all__ = [
     "parse_fraction",
     "falling_factorial",
     "binomial",
-    "parallel_map",
-    "worker_count",
 ]
-
-T = TypeVar("T")
-U = TypeVar("U")
-
-#: Environment variable capping the worker pool used by ``parallel_map``.
-THREADS_ENV = "RUBBER_TAUT_THREADS"
 
 
 def fraction_str(value: Fraction | int) -> str:
@@ -53,32 +42,6 @@ def falling_factorial(n: int, k: int) -> int:
     for i in range(k):
         result *= n - i
     return result
-
-
-def worker_count() -> int:
-    """Worker pool size: ``RUBBER_TAUT_THREADS`` if set, else 1."""
-    raw = os.environ.get(THREADS_ENV, "")
-    if not raw:
-        return 1
-    try:
-        count = int(raw)
-    except ValueError as exc:
-        raise InvalidArgumentError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
-    return max(1, count)
-
-
-def parallel_map(fn: Callable[[T], U], items: Iterable[T]) -> list[U]:
-    """Map ``fn`` over ``items`` preserving order.
-
-    Uses a thread pool of ``worker_count()`` workers; with a single worker the
-    map runs inline, so results are deterministic either way.
-    """
-    seq: Sequence[T] = list(items)
-    workers = worker_count()
-    if workers == 1 or len(seq) <= 1:
-        return [fn(item) for item in seq]
-    with ThreadPoolExecutor(max_workers=min(workers, len(seq))) as pool:
-        return list(pool.map(fn, seq))
 
 
 def binomial(n: int, k: int) -> int:

@@ -8,11 +8,11 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from rubbertaut import cli, goldentables
-from rubbertaut.hurwitz import hurwitz_oracle
 
 
 def _run(argv: list[str], capsys: pytest.CaptureFixture[str]) -> tuple[int, str]:
@@ -62,16 +62,6 @@ def test_hurwitz_csv_is_a_one_row_table(capsys: pytest.CaptureFixture[str]) -> N
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["alpha", "beta", "method", "value"]
     assert rows[1] == ["2,1", "1,1,1", "oracle", "24"]
-
-
-def test_hurwitz_nondefault_convention_matches_library(
-    capsys: pytest.CaptureFixture[str],
-) -> None:
-    code, out = _run(
-        ["hurwitz", "--alpha", "2", "--beta", "1,1", "--convention", "neither"], capsys
-    )
-    assert code == 0
-    assert out.strip() == str(hurwitz_oracle((2,), (1, 1), convention="neither"))
 
 
 def test_hurwitz_profile_mismatch_exits_one(capsys: pytest.CaptureFixture[str]) -> None:
@@ -255,9 +245,55 @@ def test_verify_all_fails_loudly_on_a_doctored_table(
     assert any(line.startswith("FAIL localize:") for line in out.strip().splitlines())
 
 
+@pytest.mark.parametrize(
+    "predicate, section, witness",
+    [
+        ("verify_scaling", "series", "g=1"),
+        ("check_pullback_stability", "pclass", "t=4"),
+        ("check_equivariance", "pclass", "t=3"),
+        ("check_homogeneity", "pclass", "t=3"),
+    ],
+)
+def test_verify_all_fails_when_a_predicate_is_false(
+    predicate: str,
+    section: str,
+    witness: str,
+    capsys: pytest.CaptureFixture[str],
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    monkeypatch.setattr(cli, predicate, lambda *args: False)
+    code, out = _run(["verify-all", "--g-max", "1", "--d-max", "2"], capsys)
+    assert code == 2
+    failures = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    assert len(failures) == 1
+    assert failures[0].startswith(f"FAIL {section}:")
+    assert witness in failures[0]
+
+
 def test_verify_all_is_byte_identical_across_runs() -> None:
     command = [sys.executable, "-m", "rubbertaut.cli", "verify-all", "--g-max", "2", "--d-max", "3"]
-    first = subprocess.run(command, capture_output=True, check=True)
-    second = subprocess.run(command, capture_output=True, check=True)
+    # Run from the directory holding the imported package, so the child
+    # interpreter finds it without PYTHONPATH or an install.
+    package_root = Path(cli.__file__).parents[1]
+    first = subprocess.run(command, capture_output=True, check=True, cwd=package_root)
+    second = subprocess.run(command, capture_output=True, check=True, cwd=package_root)
     assert first.stdout == second.stdout
     assert first.stdout.count(b"PASS") == 11
+
+
+# ---------------------------------------------------------------------------
+# Transcripts: stdout and exit codes frozen in tests/data/cli
+# ---------------------------------------------------------------------------
+
+TRANSCRIPTS = Path(__file__).parent / "data" / "cli"
+TRANSCRIPT_CASES = json.loads((TRANSCRIPTS / "cases.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(TRANSCRIPT_CASES))
+def test_cli_output_matches_the_frozen_transcript(
+    name: str, capsys: pytest.CaptureFixture[str]
+) -> None:
+    case = TRANSCRIPT_CASES[name]
+    code, out = _run(case["argv"], capsys)
+    assert code == case["exit"]
+    assert out.encode() == (TRANSCRIPTS / f"{name}.out").read_bytes()

@@ -8,7 +8,6 @@ import pytest
 
 from rubbertaut.errors import InvalidArgumentError, ResourceLimitError
 from rubbertaut.hurwitz import (
-    CONVENTIONS,
     MAX_DEGREE,
     MAX_SIMPLE_BRANCH,
     hurwitz_one_part,
@@ -109,22 +108,6 @@ def test_one_part_closed_form_up_to_degree_six() -> None:
             )
             assert hurwitz_one_part(nu, d) == expected
             assert hurwitz_oracle((d,), nu) == expected
-
-
-def test_only_the_default_convention_survives_calibration() -> None:
-    assert "multiply" in CONVENTIONS
-    for convention in CONVENTIONS:
-        agrees_everywhere = all(
-            hurwitz_oracle((d,), nu, convention=convention) == hurwitz_one_part(nu, d)
-            for d in range(1, 5)
-            for nu in enumerate_partitions(d)
-        )
-        assert agrees_everywhere == (convention == "multiply")
-
-
-def test_unknown_convention_rejected() -> None:
-    with pytest.raises(InvalidArgumentError):
-        hurwitz_oracle((2,), (1, 1), convention="no-such-normalization")
 
 
 def test_symmetry_in_the_two_profiles() -> None:

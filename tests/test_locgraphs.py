@@ -38,8 +38,13 @@ from rubbertaut.tautring import RingContext, boundary, psi1
 
 
 def test_divisor_lift_enumeration_counts() -> None:
-    assert len(enumerate_graphs(2, LIFT_DIVISOR)) == 8
-    assert len(enumerate_graphs(3, LIFT_DIVISOR)) == 19
+    expected = {
+        LIFT_DIVISOR: [2, 8, 19, 39, 69, 113, 173, 252, 352],
+        lift_pair(1): [2, 3, 5, 7, 10, 13, 17, 21, 26],
+        lift_pair(3): [2, 3, 5, 8, 13, 20, 31, 45, 65],
+    }
+    for lift, counts in expected.items():
+        assert [len(enumerate_graphs(d, lift)) for d in range(1, 10)] == counts
     rows2 = enumerate_rows(2, LIFT_DIVISOR)
     rows3 = enumerate_rows(3, LIFT_DIVISOR)
     assert [row.index for row in rows2] == list(range(1, 8))

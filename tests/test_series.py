@@ -13,7 +13,6 @@ from rubbertaut.series import (
     LaurentPoly,
     series,
     series_add,
-    series_coeff,
     series_compose,
     series_exp,
     series_from_json,
@@ -88,8 +87,8 @@ def test_series_tau_low_order_values() -> None:
         Fraction(125, 24),
         Fraction(54, 5),
     ]
-    assert series_coeff(tau, 2) == Fraction(1)
-    assert series_coeff(tau, 4) == Fraction(8, 3)
+    assert tau.coefficient(2) == Fraction(1)
+    assert tau.coefficient(4) == Fraction(8, 3)
 
 
 def test_series_tau_satisfies_functional_equation() -> None:
