@@ -27,6 +27,7 @@ from . import goldentables, locgraphs
 from .errors import (
     InconsistencyError,
     InvalidArgumentError,
+    ResourceLimitError,
     RubberTautError,
     TheoremViolationError,
 )
@@ -515,6 +516,8 @@ def _check_interp() -> None:
 
 def _cmd_verify_all(args: argparse.Namespace) -> int:
     g_max, d_max = args.g_max, args.d_max
+    if g_max < 1 or d_max < 1:
+        raise InvalidArgumentError(f"--g-max and --d-max must be at least 1, got {g_max} and {d_max}")
     checks: list[tuple[str, str, Callable[[], None]]] = [
         ("series", "tau-functional-equation", _check_series),
         ("series", f"log-sine-scaling-g<={g_max}-d<={d_max}", lambda: _check_scaling(g_max, d_max)),
@@ -536,6 +539,9 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
     for section, name, fn in checks:
         try:
             fn()
+        except ResourceLimitError as exc:
+            print(f"LIMIT {section}: {name} — {exc}")
+            status = max(status, 1)
         except RubberTautError as exc:
             print(f"FAIL {section}: {name} — {exc}")
             status = 2

@@ -1,17 +1,26 @@
-"""Genus-zero double Hurwitz numbers by exact enumeration.
+"""Genus-zero double Hurwitz numbers by an exact cut-and-join recursion.
 
 The count fixes a permutation ``sigma0`` of cycle type ``alpha`` and counts
 tuples of transpositions ``(tau_1, ..., tau_r)``, ``r = len(alpha) +
 len(beta) - 2``, whose product ``tau_r ... tau_1 sigma0`` has cycle type
-``beta`` and which, together with ``sigma0``, act transitively.  The tuples
-are enumerated exactly, but level by level with equal intermediate states
-(permutation, connectivity partition) collapsed into one weighted entry, so
-the worst cases inside the documented caps stay fast.
+``beta`` and which, together with ``sigma0``, act transitively.  Which
+transpositions can follow depends only on cycle lengths, so the tuples are
+counted over component states (Goulden-Jackson-Vakil, math/0309440;
+Cavalieri-Johnson-Markwig, arXiv:0804.0579): a state is the sorted multiset
+of connected components, each the sorted cycle lengths of the current
+product inside it, and it starts as one component ``(a,)`` per part of
+``alpha``.  One transposition either cuts an ``n``-cycle into ``{m, n - m}``,
+which ``n`` transpositions do (``n / 2`` when ``m = n - m``), or joins an
+``a``-cycle and a ``b``-cycle, which ``a * b`` transpositions do, merging
+their components when they differ.  Level by level, each state carries the
+exact integer number of tuples reaching it; states that can no longer reach
+``len(beta)`` cycles in one component within the remaining steps are
+dropped.  The count is the weight of the single-component state ``(beta,)``.
 
 Normalization: with ``N`` the tuple count above, the number returned is
 ``N * aut(beta) / prod(alpha)``.  It is symmetric in the two profiles and
 reproduces the one-part closed form ``H((d), nu) = (l - 1)! * d ** (l - 2)``,
-``l = len(nu)``, for every ``nu`` up to degree six.  Calibration against that
+``l = len(nu)``, for every ``nu`` up to ``MAX_DEGREE``.  Calibration against that
 closed form singles it out among the weightings ``N / (prod(alpha) *
 aut(alpha)) * (aut(alpha) * aut(beta)) ** k``: ``k = 1`` is this one, while
 ``k = 0`` and ``k = -1`` both miss it already below degree five.
@@ -21,7 +30,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import InvalidArgumentError, ResourceLimitError
 from .partitions import aut
@@ -34,76 +43,14 @@ __all__ = [
     "rubber_psi_integral",
 ]
 
-#: Largest total degree the exact enumeration accepts.
-MAX_DEGREE = 7
-#: Largest number of simple branch points the exact enumeration accepts.
-MAX_SIMPLE_BRANCH = 8
+#: Largest total degree the exact count accepts.
+MAX_DEGREE = 10
+#: Most simple branch points a profile pair within ``MAX_DEGREE`` can have.
+MAX_SIMPLE_BRANCH = 2 * MAX_DEGREE - 2
 
-
-# -- permutation helpers (tuples of images, 0-based) ------------------------
-
-
-def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """Composite ``p after q``: ``x -> p[q[x]]``."""
-    return tuple(p[q[x]] for x in range(len(q)))
-
-
-def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
-    seen = [False] * len(perm)
-    lengths: list[int] = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = perm[x]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
-
-
-def _cycle_count(perm: tuple[int, ...]) -> int:
-    return len(_cycle_type(perm))
-
-
-def _canonical_of_type(alpha: Sequence[int]) -> tuple[int, ...]:
-    """The permutation cycling consecutive blocks of sizes ``alpha``."""
-    perm = list(range(sum(alpha)))
-    start = 0
-    for part in alpha:
-        for offset in range(part):
-            perm[start + offset] = start + (offset + 1) % part
-        start += part
-    return tuple(perm)
-
-
-def _initial_blocks(perm: tuple[int, ...]) -> tuple[int, ...]:
-    """Connectivity code: each element mapped to the least element of its cycle."""
-    code = list(range(len(perm)))
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        cycle = []
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            cycle.append(x)
-            x = perm[x]
-        least = min(cycle)
-        for y in cycle:
-            code[y] = least
-    return tuple(code)
-
-
-def _join(code: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
-    a, b = code[i], code[j]
-    if a == b:
-        return code
-    lo, hi = (a, b) if a < b else (b, a)
-    return tuple(lo if c == hi else c for c in code)
+#: A search state: the connected components, each the sorted cycle lengths
+#: of the current product inside it.
+_State = tuple[tuple[int, ...], ...]
 
 
 def _validate_profile(name: str, profile: Sequence[int]) -> tuple[int, ...]:
@@ -113,42 +60,50 @@ def _validate_profile(name: str, profile: Sequence[int]) -> tuple[int, ...]:
     return parts
 
 
+def _component_moves(state: _State) -> Iterator[tuple[_State, int]]:
+    """Each state one transposition away, with the number of transpositions."""
+    for c, comp in enumerate(state):
+        rest = state[:c] + state[c + 1 :]
+        for i, n in enumerate(comp):
+            others = comp[:i] + comp[i + 1 :]
+            for m in range(1, n // 2 + 1):
+                ways = n // 2 if 2 * m == n else n
+                yield _normal(rest, others + (m, n - m)), ways
+            for j in range(i + 1, len(comp)):
+                joined = others[: j - 1] + others[j:] + (n + comp[j],)
+                yield _normal(rest, joined), n * comp[j]
+        for c2 in range(c + 1, len(state)):
+            comp2 = state[c2]
+            rest2 = rest[: c2 - 1] + rest[c2:]
+            for i, a in enumerate(comp):
+                for j, b in enumerate(comp2):
+                    merged = comp[:i] + comp[i + 1 :] + comp2[:j] + comp2[j + 1 :] + (a + b,)
+                    yield _normal(rest2, merged), a * b
+
+
+def _normal(rest: _State, comp: tuple[int, ...]) -> _State:
+    """The state ``rest`` plus the component ``comp``, both sorted."""
+    return tuple(sorted(rest + (tuple(sorted(comp, reverse=True)),), reverse=True))
+
+
 def _count_tuples(alpha: tuple[int, ...], beta: tuple[int, ...]) -> int:
     """Number of transposition tuples completing a fixed ``alpha``-permutation."""
-    d = sum(alpha)
     r = len(alpha) + len(beta) - 2
-    sigma0 = _canonical_of_type(alpha)
-    transpositions: list[tuple[int, int, tuple[int, ...]]] = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            perm = list(range(d))
-            perm[i], perm[j] = j, i
-            transpositions.append((i, j, tuple(perm)))
     target_cycles = len(beta)
-    states: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {
-        (sigma0, _initial_blocks(sigma0)): 1
-    }
+    states: dict[_State, int] = {tuple((a,) for a in alpha): 1}
     for step in range(r):
         remaining = r - step
-        next_states: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-        for (perm, code), weight in states.items():
-            distance = abs(_cycle_count(perm) - target_cycles)
+        next_states: dict[_State, int] = {}
+        for state, weight in states.items():
+            distance = abs(sum(map(len, state)) - target_cycles)
             if distance > remaining or (remaining - distance) % 2:
                 continue
-            if len(set(code)) - 1 > remaining:
+            if len(state) - 1 > remaining:
                 continue
-            for i, j, tau in transpositions:
-                key = (_compose(tau, perm), _join(code, i, j))
-                next_states[key] = next_states.get(key, 0) + weight
+            for successor, ways in _component_moves(state):
+                next_states[successor] = next_states.get(successor, 0) + weight * ways
         states = next_states
-    total = 0
-    for (perm, code), weight in states.items():
-        if _cycle_type(perm) != beta:
-            continue
-        if len(set(code)) != 1:
-            continue
-        total += weight
-    return total
+    return states.get((beta,), 0)
 
 
 def hurwitz_oracle(alpha: Sequence[int], beta: Sequence[int]) -> Fraction:
@@ -162,11 +117,6 @@ def hurwitz_oracle(alpha: Sequence[int], beta: Sequence[int]) -> Fraction:
     d = sum(alpha_t)
     if d > MAX_DEGREE:
         raise ResourceLimitError(f"degree {d} exceeds the exact-count cap {MAX_DEGREE}")
-    r = len(alpha_t) + len(beta_t) - 2
-    if r > MAX_SIMPLE_BRANCH:
-        raise ResourceLimitError(
-            f"{r} simple branch points exceed the exact-count cap {MAX_SIMPLE_BRANCH}"
-        )
     return Fraction(_count_tuples(alpha_t, beta_t) * aut(beta_t), math.prod(alpha_t))
 
 

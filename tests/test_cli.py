@@ -71,7 +71,7 @@ def test_hurwitz_profile_mismatch_exits_one(capsys: pytest.CaptureFixture[str]) 
 
 
 def test_hurwitz_resource_cap_exits_one(capsys: pytest.CaptureFixture[str]) -> None:
-    code, _ = _run(["hurwitz", "--alpha", "4,4", "--beta", "4,4"], capsys)
+    code, _ = _run(["hurwitz", "--alpha", "6,5", "--beta", "6,5"], capsys)
     assert code == 1
 
 
@@ -268,6 +268,40 @@ def test_verify_all_fails_when_a_predicate_is_false(
     assert len(failures) == 1
     assert failures[0].startswith(f"FAIL {section}:")
     assert witness in failures[0]
+
+
+def test_verify_all_reports_a_resource_limit_as_a_limit(
+    capsys: pytest.CaptureFixture[str],
+) -> None:
+    code, out = _run(["verify-all", "--g-max", "1", "--d-max", "11"], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    assert [line for line in lines if not line.startswith("PASS ")] == [
+        "LIMIT hurwitz: one-part-and-symmetry-d<=11 — degree 11 exceeds the exact-count cap 10"
+    ]
+
+
+def test_verify_all_violation_outranks_a_limit(
+    capsys: pytest.CaptureFixture[str], monkeypatch: pytest.MonkeyPatch
+) -> None:
+    monkeypatch.setattr(cli, "verify_scaling", lambda *args: False)
+    code, out = _run(["verify-all", "--g-max", "1", "--d-max", "11"], capsys)
+    assert code == 2
+    statuses = [line.split(":")[0] for line in out.splitlines() if not line.startswith("PASS ")]
+    assert statuses == ["FAIL series", "LIMIT hurwitz"]
+
+
+@pytest.mark.parametrize(
+    "bounds", [["--g-max", "0", "--d-max", "0"], ["--g-max", "-3"]], ids=["zero", "negative"]
+)
+def test_verify_all_rejects_a_vacuous_sweep(
+    bounds: list[str], capsys: pytest.CaptureFixture[str]
+) -> None:
+    code = cli.main(["verify-all", *bounds])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "must be at least 1" in captured.err
 
 
 def test_verify_all_is_byte_identical_across_runs() -> None:

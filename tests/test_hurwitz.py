@@ -79,6 +79,83 @@ def _brute_force_count(alpha: tuple[int, ...], beta: tuple[int, ...]) -> Fractio
     return Fraction(aut(alpha) * aut(beta) * total, math.factorial(d))
 
 
+# ---------------------------------------------------------------------------
+# Independent oracle: the retired production search.  It fixes one
+# permutation of cycle type alpha and walks transposition tuples level by
+# level, collapsing equal (permutation, connectivity) states, so it counts
+# the same integer as the cycle-length engine from explicit permutations.
+# ---------------------------------------------------------------------------
+
+
+def _canonical_of_type(alpha: tuple[int, ...]) -> tuple[int, ...]:
+    perm = list(range(sum(alpha)))
+    start = 0
+    for part in alpha:
+        for offset in range(part):
+            perm[start + offset] = start + (offset + 1) % part
+        start += part
+    return tuple(perm)
+
+
+def _cycle_blocks(perm: tuple[int, ...]) -> tuple[int, ...]:
+    """Each element mapped to the least element of its cycle."""
+    code = list(range(len(perm)))
+    for start in range(len(perm)):
+        x = perm[start]
+        while x != start:
+            code[x] = min(code[x], start)
+            x = perm[x]
+    return tuple(code)
+
+
+def _join(code: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
+    lo, hi = sorted((code[i], code[j]))
+    return tuple(lo if c == hi else c for c in code)
+
+
+def _search_count(alpha: tuple[int, ...], beta: tuple[int, ...]) -> int:
+    d = sum(alpha)
+    r = len(alpha) + len(beta) - 2
+    transpositions = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            t = list(range(d))
+            t[i], t[j] = j, i
+            transpositions.append((i, j, tuple(t)))
+    sigma0 = _canonical_of_type(alpha)
+    states = {(sigma0, _cycle_blocks(sigma0)): 1}
+    for step in range(r):
+        remaining = r - step
+        next_states: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+        for (perm, code), weight in states.items():
+            distance = abs(len(_cycle_type(perm)) - len(beta))
+            if distance > remaining or (remaining - distance) % 2:
+                continue
+            if len(set(code)) - 1 > remaining:
+                continue
+            for i, j, tau in transpositions:
+                key = (_compose(tau, perm), _join(code, i, j))
+                next_states[key] = next_states.get(key, 0) + weight
+        states = next_states
+    return sum(
+        weight
+        for (perm, code), weight in states.items()
+        if _cycle_type(perm) == beta and len(set(code)) == 1
+    )
+
+
+def _search_pairs() -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every ordered pair with d <= 5, and those at d = 6 with r <= 5."""
+    pairs = []
+    for d in range(1, 7):
+        profiles = [tuple(p) for p in enumerate_partitions(d)]
+        for alpha in profiles:
+            for beta in profiles:
+                if d <= 5 or len(alpha) + len(beta) - 2 <= 5:
+                    pairs.append((alpha, beta))
+    return pairs
+
+
 def test_counts_match_brute_force_up_to_degree_four() -> None:
     for d in range(1, 5):
         for alpha in enumerate_partitions(d):
@@ -100,8 +177,29 @@ def test_frozen_small_counts() -> None:
     assert hurwitz_oracle((4,), (4,)) == Fraction(1, 4)
 
 
-def test_one_part_closed_form_up_to_degree_six() -> None:
-    for d in range(1, 7):
+def test_counts_match_the_permutation_search() -> None:
+    for alpha, beta in _search_pairs():
+        expected = Fraction(_search_count(alpha, beta) * aut(beta), math.prod(alpha))
+        assert hurwitz_oracle(alpha, beta) == expected, (alpha, beta)
+
+
+def test_hurwitz_formula_against_the_trivial_profile() -> None:
+    # Hurwitz's closed form for covers with one arbitrary and one unramified
+    # fibre: d! * r! * d^(l-3) * prod(mu_i^mu_i / mu_i!), r = d + l - 2.
+    for d in range(1, 10):
+        for mu in enumerate_partitions(d):
+            l = len(mu)
+            expected = (
+                math.factorial(d)
+                * math.factorial(d + l - 2)
+                * Fraction(d) ** (l - 3)
+                * math.prod(Fraction(m**m, math.factorial(m)) for m in mu)
+            )
+            assert hurwitz_oracle(mu, (1,) * d) == expected, mu
+
+
+def test_one_part_closed_form_up_to_max_degree() -> None:
+    for d in range(1, MAX_DEGREE + 1):
         for nu in enumerate_partitions(d):
             expected = Fraction(math.factorial(len(nu) - 1)) * Fraction(d) ** (
                 len(nu) - 2
@@ -111,11 +209,9 @@ def test_one_part_closed_form_up_to_degree_six() -> None:
 
 
 def test_symmetry_in_the_two_profiles() -> None:
-    for d in range(1, 6):
+    for d in range(1, 7):
         for alpha in enumerate_partitions(d):
             for beta in enumerate_partitions(d):
-                if len(alpha) + len(beta) - 2 > MAX_SIMPLE_BRANCH:
-                    continue
                 assert hurwitz_oracle(alpha, beta) == hurwitz_oracle(beta, alpha)
 
 
@@ -132,8 +228,12 @@ def test_resource_caps_are_enforced() -> None:
     big = MAX_DEGREE + 1
     with pytest.raises(ResourceLimitError):
         hurwitz_oracle((big,), tuple([1] * big))
-    with pytest.raises(ResourceLimitError):
-        hurwitz_oracle(tuple([1] * 6), tuple([1] * 6))
+    # (1^d, 1^d) has the most branch points of any pair of degree d, and
+    # Hurwitz's formula gives d! * r! * d^(d-3) for it.
+    ones = (1,) * MAX_DEGREE
+    assert len(ones) + len(ones) - 2 == MAX_SIMPLE_BRANCH
+    expected = math.factorial(MAX_DEGREE) * math.factorial(MAX_SIMPLE_BRANCH)
+    assert hurwitz_oracle(ones, ones) == expected * MAX_DEGREE ** (MAX_DEGREE - 3)
 
 
 def test_rubber_integrals_divide_by_branch_count() -> None:
