@@ -10,24 +10,23 @@ generic in the value type.
 
 from __future__ import annotations
 
-import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import combinations, permutations, product
 from typing import Any, Callable, Mapping, Sequence
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, ResourceLimitError
 from .tautring import (
+    _PSI_KEY,
     RingContext,
     TautClass,
-    boundary,
-    psi1,
     pullback_forget,
     relabel,
 )
 
 __all__ = [
+    "MAX_MARKS",
+    "MAX_HAIN_MONOMIALS",
     "MultiPoly",
     "genus1_polynomial",
     "check_pullback_stability",
@@ -87,8 +86,12 @@ class MultiPoly:
             scale = Fraction(1)
             for base, exp in zip(values, exponents):
                 scale *= base**exp
-            term = scale * value
-            total = term if total is None else total + term
+            # ``scale * value`` is a new value, so summing in place never
+            # touches a stored coefficient.
+            if total is None:
+                total = scale * value
+            else:
+                total += scale * value
         return total
 
     def __eq__(self, other: object) -> bool:
@@ -111,27 +114,37 @@ class MultiPoly:
 # The genus-one divisor quadric
 # ---------------------------------------------------------------------------
 
+#: Most marks :func:`genus1_polynomial` builds, and so the most that
+#: ``pclass`` and the ``check_*`` predicates accept.  Each coefficient has up
+#: to ``2**t`` divisor terms; at 11 marks ``pclass`` takes about 0.6 s and
+#: ``check_pullback_stability`` about 0.5 s, at 12 marks 1.4 s and 1.1 s
+#: (2-vCPU VM, Python 3.11).  ``check_equivariance`` also walks all
+#: ``(t - 1)!`` relabelings, so it is practical only to about 7 marks.
+MAX_MARKS = 11
+
+_MINUS_ONE = Fraction(-1)
+
 
 def _pure_square_class(ctx: RingContext, i: int) -> TautClass:
     """Coefficient of ``alpha_i**2``: psi1 minus divisors separating 1 from i."""
-    cls = psi1(ctx)
+    coeffs = {_PSI_KEY: Fraction(1)}
     for size in range(2, ctx.t):
         for genus0 in combinations(ctx.marks, size):
             if 1 in genus0 and i not in genus0:
-                cls = cls - boundary(ctx, [m for m in ctx.marks if m not in genus0])
-    return cls
+                coeffs[("D", tuple(m for m in ctx.marks if m not in genus0))] = _MINUS_ONE
+    return TautClass(ctx, coeffs)
 
 
 def _mixed_class(ctx: RingContext, i: int, j: int) -> TautClass:
     """Coefficient of ``alpha_i alpha_j``: psi1 minus two families of divisors."""
-    cls = psi1(ctx)
+    coeffs = {_PSI_KEY: Fraction(1)}
     for size in range(2, ctx.t):
         for genus0 in combinations(ctx.marks, size):
             separates = 1 in genus0 and i not in genus0 and j not in genus0
             joins = 1 not in genus0 and i in genus0 and j in genus0
             if separates or joins:
-                cls = cls - boundary(ctx, [m for m in ctx.marks if m not in genus0])
-    return cls
+                coeffs[("D", tuple(m for m in ctx.marks if m not in genus0))] = _MINUS_ONE
+    return TautClass(ctx, coeffs)
 
 
 def genus1_polynomial(t: int) -> MultiPoly:
@@ -143,6 +156,8 @@ def genus1_polynomial(t: int) -> MultiPoly:
     """
     if t < 3:
         raise InvalidArgumentError(f"need at least 3 marks, got {t}")
+    if t > MAX_MARKS:
+        raise ResourceLimitError(f"{t} marks exceed the weight-polynomial cap {MAX_MARKS}")
     ctx = RingContext.standard(t)
     free_marks = list(range(2, t + 1))
     coeffs: dict[tuple[int, ...], TautClass] = {}
@@ -284,6 +299,28 @@ def interpolate(
 # Formal normal-function square expansion
 # ---------------------------------------------------------------------------
 
+#: Most monomials :func:`hain_expand` enumerates.  At this size the ``hain``
+#: command takes about 1 s, most of it rendering rows, and the expansion
+#: alone about 0.2 s (2-vCPU VM, Python 3.11).
+MAX_HAIN_MONOMIALS = 50_000
+
+
+def _check_monomial_cap(symbols: int, g: int, t: int) -> None:
+    """Raise when ``comb(symbols + g - 1, g)``, the number of degree-``g``
+    monomials in ``symbols`` symbols, exceeds :data:`MAX_HAIN_MONOMIALS`.
+
+    The running product after ``i + 1`` factors is ``comb(symbols + i, i + 1)``,
+    which never decreases in ``i``, so the walk stops at the first one over
+    the cap and costs little even for a huge ``g``.
+    """
+    count = 1
+    for i in range(g):
+        count = count * (symbols + i) // (i + 1)
+        if count > MAX_HAIN_MONOMIALS:
+            raise ResourceLimitError(
+                f"genus {g} over {t} marks needs more than {MAX_HAIN_MONOMIALS} monomials"
+            )
+
 
 def hain_expand(
     g: int, t: int, weights: Sequence[Fraction | int]
@@ -305,6 +342,12 @@ def hain_expand(
         raise InvalidArgumentError(f"need {t} weights, got {len(k)}")
     if sum(k) != 0:
         raise InvalidArgumentError("weights must sum to zero")
+    if not any(k):
+        return {}
+    # With a nonzero weight k_i, a subset and its union with {i} never both
+    # sum to zero, so at least 2**(t-1) subsets carry g - 1 symbols each.
+    # This bounds t and g before the 2**t subsets are walked.
+    _check_monomial_cap(2 ** (t - 1) * (g - 1), g, t)
     marks = list(range(1, t + 1))
     base: dict[tuple, Fraction] = {}
     for index, mark in enumerate(marks):
@@ -322,16 +365,27 @@ def hain_expand(
             for h in range(1, g):
                 scaled = Fraction(2 * h - 1, 2 * g - 2) * k_sum
                 base[("delta", h, j_key)] = -(scaled**2) / 2
-    support = sorted(base)
+    _check_monomial_cap(len(base), g, t)
+    symbols = sorted(base)
+    numerators = [base[symbol].numerator for symbol in symbols]
+    denominators = [base[symbol].denominator for symbol in symbols]
     result: dict[tuple[tuple, ...], Fraction] = {}
-    for monomial in combinations_with_replacement(support, g):
-        coeff = Fraction(1)
-        for symbol in monomial:
-            coeff *= base[symbol]
-        if not coeff:
-            continue
-        denom = 1
-        for count in Counter(monomial).values():
-            denom *= math.factorial(count)
-        result[monomial] = coeff / denom
+
+    # Monomials in combinations_with_replacement order.  A prefix carries the
+    # numerator and denominator of its coefficient as plain integers, the
+    # denominator including the factorial of each multiplicity; ``run``
+    # counts the trailing copies of ``symbols[last]``.  Each monomial then
+    # costs one reduced ``Fraction``.
+    def extend(prefix: tuple, last: int, num: int, den: int, run: int) -> None:
+        for index in range(max(last, 0), len(symbols)):
+            repeat = run + 1 if index == last else 1
+            monomial = prefix + (symbols[index],)
+            num_next = num * numerators[index]
+            den_next = den * denominators[index] * repeat
+            if len(monomial) == g:
+                result[monomial] = Fraction(num_next, den_next)
+            else:
+                extend(monomial, index, num_next, den_next, repeat)
+
+    extend((), -1, 1, 1, 0)
     return result

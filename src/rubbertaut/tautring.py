@@ -75,7 +75,11 @@ def _d_key(ctx: RingContext, genus1_side: Iterable[int]) -> tuple:
 
 
 class TautClass:
-    """An exact rational combination of ``psi1`` and boundary divisors."""
+    """An exact rational combination of ``psi1`` and boundary divisors.
+
+    ``coeffs`` maps ``("psi",)`` and ``("D", side)``, with ``side`` the sorted
+    genus-one side of a valid divisor, to rationals; zero values are dropped.
+    """
 
     __slots__ = ("ctx", "_coeffs")
 
@@ -84,9 +88,10 @@ class TautClass:
         self._coeffs: dict[tuple, Fraction] = {}
         if coeffs:
             for key, value in coeffs.items():
-                frac = Fraction(value)
-                if frac != 0:
-                    self._coeffs[key] = frac
+                if not isinstance(value, Fraction):
+                    value = Fraction(value)
+                if value:
+                    self._coeffs[key] = value
 
     # -- inspection -----------------------------------------------------
 
@@ -115,11 +120,21 @@ class TautClass:
             )
 
     def __add__(self, other: "TautClass") -> "TautClass":
+        out = TautClass(self.ctx, self._coeffs)
+        out += other
+        return out
+
+    def __iadd__(self, other: "TautClass") -> "TautClass":
+        """Add ``other`` into this class in place; a cancelled key is dropped."""
         self._check_ctx(other)
-        out = dict(self._coeffs)
+        coeffs = self._coeffs
         for key, value in other._coeffs.items():
-            out[key] = out.get(key, Fraction(0)) + value
-        return TautClass(self.ctx, out)
+            total = coeffs.get(key, 0) + value
+            if total:
+                coeffs[key] = total
+            else:
+                del coeffs[key]
+        return self
 
     def __neg__(self) -> "TautClass":
         return TautClass(self.ctx, {k: -v for k, v in self._coeffs.items()})
@@ -169,7 +184,8 @@ class TautClass:
         out.pop(_PSI_KEY)
         for side in _psi_boundary_sides(self.ctx):
             key = ("D", side)
-            out[key] = out.get(key, Fraction(0)) + psi
+            value = out.get(key)
+            out[key] = psi if value is None else value + psi
         return TautClass(self.ctx, out)
 
 
@@ -218,16 +234,19 @@ def pullback_forget(cls: TautClass, new_mark: int) -> TautClass:
     if new_mark < 1:
         raise InvalidArgumentError(f"marks are positive integers, got {new_mark}")
     big = RingContext(tuple(sorted(ctx.marks + (new_mark,))))
-    out = zero_class(big)
+    out: dict[tuple, Fraction] = {}
     psi = cls.coefficient_psi1()
     if psi:
-        correction = boundary(big, [m for m in big.marks if m not in (1, new_mark)])
-        out = out + psi * (psi1(big) - correction)
-    for side, value in cls.boundary_terms():
-        out = out + value * (
-            boundary(big, side + (new_mark,)) + boundary(big, side)
-        )
-    return out
+        out[_PSI_KEY] = psi
+        out[_d_key(big, [m for m in big.marks if m not in (1, new_mark)])] = -psi
+    # Both lifts of a valid side are valid, and no two lifts coincide: one
+    # side holds the new mark, the other does not, and neither is the
+    # correction side (which would leave mark 1 alone on the genus-zero side).
+    for key, value in cls._coeffs.items():
+        if key != _PSI_KEY:
+            out[("D", tuple(sorted(key[1] + (new_mark,))))] = value
+            out[key] = value
+    return TautClass(big, out)
 
 
 def pushforward_forget(cls: TautClass, forgotten: int) -> Fraction:
@@ -277,14 +296,13 @@ def relabel(cls: TautClass, mapping: Mapping[int, int]) -> TautClass:
     if mapping.get(1) != 1:
         raise InvalidArgumentError("relabeling must fix the reference mark 1")
     new_ctx = RingContext(tuple(images))
+    # A bijection sends distinct sides to distinct sides: no key collides.
     out: dict[tuple, Fraction] = {}
     for key, value in cls._coeffs.items():
         if key == _PSI_KEY:
-            out[_PSI_KEY] = out.get(_PSI_KEY, Fraction(0)) + value
+            out[_PSI_KEY] = value
         else:
-            new_side = tuple(sorted(mapping[m] for m in key[1]))
-            new_key = ("D", new_side)
-            out[new_key] = out.get(new_key, Fraction(0)) + value
+            out[("D", tuple(sorted(mapping[m] for m in key[1])))] = value
     return TautClass(new_ctx, out)
 
 

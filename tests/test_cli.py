@@ -7,6 +7,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -65,9 +66,12 @@ def test_hurwitz_csv_is_a_one_row_table(capsys: pytest.CaptureFixture[str]) -> N
 
 
 def test_hurwitz_profile_mismatch_exits_one(capsys: pytest.CaptureFixture[str]) -> None:
-    code, _ = _run(["hurwitz", "--alpha", "9,9", "--beta", "1"], capsys)
+    code = cli.main(["hurwitz", "--alpha", "9,9", "--beta", "1"])
+    captured = capsys.readouterr()
     assert code == 1
-    assert "error" in capsys.readouterr().err or True
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "(9, 9) does not sum to degree 1" in captured.err
 
 
 def test_hurwitz_resource_cap_exits_one(capsys: pytest.CaptureFixture[str]) -> None:
@@ -196,6 +200,39 @@ def test_pclass_latex_renders_generators(capsys: pytest.CaptureFixture[str]) -> 
 def test_pclass_rejects_too_few_marks(capsys: pytest.CaptureFixture[str]) -> None:
     code, _ = _run(["pclass", "--marks", "2"], capsys)
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["pclass", "--marks", "12"], "12 marks exceed the weight-polynomial cap 11"),
+        (["pclass", "--marks", "14"], "14 marks exceed the weight-polynomial cap 11"),
+        (
+            ["hain", "--genus", "8", "--weights", "1,2,-3"],
+            "genus 8 over 3 marks needs more than 50000 monomials",
+        ),
+        (
+            ["hain", "--genus", "3", "--weights", "1,2,4,8,-15"],
+            "genus 3 over 5 marks needs more than 50000 monomials",
+        ),
+        (
+            ["hain", "--genus", "2", "--weights", ",".join(["1"] * 40 + ["-40"])],
+            "genus 2 over 41 marks needs more than 50000 monomials",
+        ),
+    ],
+    ids=["pclass-12", "pclass-14", "hain-g8", "hain-g3-t5", "hain-t41"],
+)
+def test_weight_class_caps_exit_one_at_once(
+    argv: list[str], message: str, capsys: pytest.CaptureFixture[str]
+) -> None:
+    start = time.perf_counter()
+    code = cli.main(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert elapsed < 1.0
 
 
 def test_hain_csv_parses_and_leads_with_the_frozen_monomial(

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import math
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from rubbertaut.errors import InvalidArgumentError
+from rubbertaut.errors import InvalidArgumentError, ResourceLimitError
 from rubbertaut.locgraphs import evaluate_and_solve
 from rubbertaut.polyclasses import (
+    MAX_HAIN_MONOMIALS,
+    MAX_MARKS,
     MultiPoly,
     check_equivariance,
     check_homogeneity,
@@ -16,7 +21,7 @@ from rubbertaut.polyclasses import (
     hain_expand,
     interpolate,
 )
-from rubbertaut.tautring import RingContext, boundary, psi1
+from rubbertaut.tautring import RingContext, TautClass, boundary, psi1
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +72,55 @@ def test_four_mark_mixed_coefficient_literal() -> None:
     assert poly.coefficient((1, 1, 0)) == expected
 
 
+def _subtracted_polynomial(t: int) -> dict[tuple[int, ...], TautClass]:
+    """The quadric built one divisor at a time from public arithmetic.
+
+    ``alpha_i**2`` gets psi1 minus every divisor whose genus-zero side holds
+    1 but not i; ``alpha_i alpha_j`` gets psi1 minus every divisor whose
+    genus-zero side holds 1 but neither i nor j, or both i and j but not 1.
+    """
+    ctx = RingContext.standard(t)
+    free = list(range(2, t + 1))
+    genus0_sides = [g0 for size in range(2, t) for g0 in combinations(ctx.marks, size)]
+
+    def build(removed) -> TautClass:
+        cls = psi1(ctx)
+        for genus0 in genus0_sides:
+            if removed(genus0):
+                cls = cls - boundary(ctx, [m for m in ctx.marks if m not in genus0])
+        return cls
+
+    coeffs = {}
+    for i in free:
+        exponents = tuple(2 if m == i else 0 for m in free)
+        coeffs[exponents] = build(lambda g0: 1 in g0 and i not in g0)
+    for i, j in combinations(free, 2):
+        exponents = tuple(1 if m in (i, j) else 0 for m in free)
+        coeffs[exponents] = build(
+            lambda g0: (1 in g0 and i not in g0 and j not in g0)
+            or (1 not in g0 and i in g0 and j in g0)
+        )
+    return coeffs
+
+
+@pytest.mark.parametrize("t", range(3, 8))
+def test_polynomial_matches_the_divisor_by_divisor_construction(t: int) -> None:
+    assert genus1_polynomial(t).coeffs == _subtracted_polynomial(t)
+
+
+def test_evaluate_leaves_the_coefficients_untouched() -> None:
+    poly = genus1_polynomial(5)
+    point = (Fraction(1, 2), Fraction(-2), Fraction(3), Fraction(5, 7))
+    first = poly.evaluate(point)
+    assert poly == genus1_polynomial(5)
+    assert poly.evaluate(point) == first
+    expected = None
+    for exponents, value in poly.coeffs.items():
+        scale = math.prod(p**e for p, e in zip(point, exponents))
+        expected = scale * value if expected is None else expected + scale * value
+    assert first == expected
+
+
 def test_pullback_stability() -> None:
     assert check_pullback_stability(4)
     assert check_pullback_stability(5)
@@ -83,6 +137,18 @@ def test_degree_two_homogeneity() -> None:
         point = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(t - 1)]
         assert check_homogeneity(t, Fraction(3, 2), point)
         assert check_homogeneity(t, -2, point)
+
+
+def test_mark_cap_bounds_the_polynomial_and_its_checks() -> None:
+    assert len(genus1_polynomial(MAX_MARKS).coeffs) == (MAX_MARKS - 1) * MAX_MARKS // 2
+    with pytest.raises(ResourceLimitError, match=f"cap {MAX_MARKS}"):
+        genus1_polynomial(MAX_MARKS + 1)
+    with pytest.raises(ResourceLimitError):
+        check_pullback_stability(MAX_MARKS + 1)
+    with pytest.raises(ResourceLimitError):
+        check_equivariance(MAX_MARKS + 1)
+    with pytest.raises(ResourceLimitError):
+        check_homogeneity(MAX_MARKS + 1, 2, [1] * MAX_MARKS)
 
 
 def test_polynomial_rejects_too_few_marks() -> None:
@@ -230,6 +296,63 @@ def test_hain_zero_weight_symbols_are_dropped() -> None:
                 assert symbol[1] != 2
             else:
                 assert symbol[2] != (2,)
+
+
+def _hain_by_multiset_count(g: int, t: int, weights) -> dict:
+    """The expansion with every monomial's product and multiplicities redone."""
+    k = [Fraction(w) for w in weights]
+    base = {}
+    for mark in range(1, t + 1):
+        if k[mark - 1]:
+            base[("psi+", mark)] = k[mark - 1] ** 2 / 2
+    for size in range(1, t + 1):
+        for subset in combinations(range(1, t + 1), size):
+            k_sum = sum(k[m - 1] for m in subset)
+            if k_sum == 0:
+                continue
+            if size >= 2:
+                base[("delta", 0, subset)] = -(k_sum**2)
+            for h in range(1, g):
+                base[("delta", h, subset)] = -((Fraction(2 * h - 1, 2 * g - 2) * k_sum) ** 2) / 2
+    result = {}
+    for monomial in combinations_with_replacement(sorted(base), g):
+        coeff = math.prod((base[symbol] for symbol in monomial), start=Fraction(1))
+        denom = math.prod(math.factorial(c) for c in Counter(monomial).values())
+        result[monomial] = coeff / denom
+    return result
+
+
+@pytest.mark.parametrize(
+    "g, weights",
+    [
+        (2, (1, -1)),
+        (3, (1, -1)),
+        (5, (3, -3)),
+        (2, (1, 2, -3)),
+        (3, (1, 0, -1)),
+        (4, (Fraction(1, 2), Fraction(-3, 4), Fraction(1, 4))),
+        (2, (1, 1, -1, -1)),
+        (3, (2, -1, 5, -6)),
+        (2, (1, 2, 4, 8, -15)),
+    ],
+)
+def test_hain_matches_the_multiset_count(g: int, weights) -> None:
+    result = hain_expand(g, len(weights), weights)
+    expected = _hain_by_multiset_count(g, len(weights), weights)
+    assert result == expected
+    assert list(result) == list(expected)
+
+
+def test_hain_monomial_cap() -> None:
+    # (1, 2, -3) has 6 * g symbols for g >= 2: comb(7g - 1, g) monomials.
+    assert math.comb(6 * 4 + 3, 4) <= MAX_HAIN_MONOMIALS < math.comb(6 * 5 + 4, 5)
+    assert len(hain_expand(4, 3, (1, 2, -3))) == math.comb(6 * 4 + 3, 4)
+    for g in (5, 8, 10**9):
+        with pytest.raises(ResourceLimitError, match=str(MAX_HAIN_MONOMIALS)):
+            hain_expand(g, 3, (1, 2, -3))
+    with pytest.raises(ResourceLimitError):
+        hain_expand(2, 41, (1,) * 40 + (-40,))
+    assert hain_expand(10**9, 30, (0,) * 30) == {}
 
 
 def test_hain_validates_arguments() -> None:

@@ -79,6 +79,37 @@ def test_class_arithmetic_and_zero() -> None:
     assert a.coefficient_boundary(()) == 0
 
 
+def test_cancelled_sums_store_no_zero_key() -> None:
+    rng = random.Random(7)
+    for t in (3, 4, 5):
+        ctx = RingContext.standard(t)
+        x = _random_class(ctx, rng)
+        assert not x.is_zero()
+        total = x + (-x)
+        assert total == zero_class(ctx)
+        assert total.is_zero()
+        assert repr(total) == "TautClass(0)"
+        partial = x + (-x + psi1(ctx))
+        assert partial == psi1(ctx)
+        assert partial.boundary_terms() == []
+
+
+def test_in_place_sum_matches_the_sum_and_leaves_the_operand() -> None:
+    rng = random.Random(8)
+    ctx = RingContext.standard(4)
+    a, b = _random_class(ctx, rng), _random_class(ctx, rng)
+    b_before = Fraction(1) * b
+    expected = a + b
+    total = Fraction(1) * a
+    total += b
+    assert total == expected
+    assert b == b_before
+    total += -expected
+    assert total.is_zero()
+    with pytest.raises(InvalidArgumentError):
+        total += psi1(RingContext.standard(3))
+
+
 # ---------------------------------------------------------------------------
 # Linear reduction to the boundary basis
 # ---------------------------------------------------------------------------
@@ -162,6 +193,25 @@ def test_pullback_then_reduce_matches_reduce_then_pullback() -> None:
     assert route_a == route_b
 
 
+def test_pullback_matches_the_term_wise_formula_on_random_classes() -> None:
+    # Oracle: psi * (psi1 - D(others)) + sum of value * (D(S + new) + D(S)),
+    # assembled one term at a time with public arithmetic.
+    rng = random.Random(20261018)
+    cases = [((1, 2, 3), 4), ((1, 2, 4), 3), ((1, 3, 5, 6), 2), ((1, 2, 3, 4), 5), ((1, 4, 7), 9)]
+    for marks, new_mark in cases:
+        ctx = RingContext(marks)
+        big = RingContext(tuple(sorted(marks + (new_mark,))))
+        others = [m for m in big.marks if m not in (1, new_mark)]
+        for _ in range(5):
+            cls = _random_class(ctx, rng)
+            expected = cls.coefficient_psi1() * (psi1(big) - boundary(big, others))
+            for side, value in cls.boundary_terms():
+                expected = expected + value * (
+                    boundary(big, side + (new_mark,)) + boundary(big, side)
+                )
+            assert pullback_forget(cls, new_mark) == expected
+
+
 def test_pushforward_integrates_over_the_fiber() -> None:
     ctx = RingContext.standard(3)
     assert pushforward_forget(psi1(ctx), 3) == 1
@@ -204,6 +254,20 @@ def test_relabel_permutes_boundary_sides() -> None:
     assert relabel(psi1(ctx), swap) == psi1(ctx)
     cls = psi1(ctx) - boundary(ctx, (2,))
     assert relabel(relabel(cls, swap), swap) == cls
+
+
+def test_relabel_matches_the_term_wise_image_on_random_classes() -> None:
+    rng = random.Random(5)
+    for marks, images in (((1, 2, 3, 4), (1, 2, 3, 4)), ((1, 2, 3, 4, 5), (1, 3, 6, 8, 9))):
+        ctx = RingContext(marks)
+        target = RingContext(images)
+        for _ in range(5):
+            mapping = dict(zip(marks, (1,) + tuple(rng.sample(images[1:], len(images) - 1))))
+            cls = _random_class(ctx, rng)
+            expected = cls.coefficient_psi1() * psi1(target)
+            for side, value in cls.boundary_terms():
+                expected = expected + value * boundary(target, [mapping[m] for m in side])
+            assert relabel(cls, mapping) == expected
 
 
 def test_relabel_validates_the_mapping() -> None:
