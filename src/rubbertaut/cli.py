@@ -342,10 +342,11 @@ def _render_hain_symbol(symbol: tuple) -> str:
 def _cmd_hain(args: argparse.Namespace) -> int:
     weights = tuple(Fraction(chunk) for chunk in args.weights.split(","))
     expansion = hain_expand(args.genus, len(weights), weights)
-    rows = []
-    for monomial in sorted(expansion):
-        label = "*".join(_render_hain_symbol(sym) for sym in monomial)
-        rows.append([label, fraction_str(expansion[monomial])])
+    names = {sym: _render_hain_symbol(sym) for sym in set().union(*expansion)}
+    rows = [
+        ["*".join([names[sym] for sym in monomial]), fraction_str(expansion[monomial])]
+        for monomial in sorted(expansion)
+    ]
     header = ["monomial", "coefficient"]
     if args.format == "json":
         print(json.dumps([{"monomial": r[0], "coefficient": r[1]} for r in rows], sort_keys=True))

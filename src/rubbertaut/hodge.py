@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 
 from .errors import InvalidArgumentError, InconsistencyError, TheoremViolationError
 from .linalg import solve_linear_system
-from .partitions import aut, enumerate_partitions, tau_power_coefficient
+from .partitions import aut, enumerate_partitions
 from .series import series_log_sine
 from .util import binomial
 
@@ -87,24 +87,33 @@ def _partition_route(g: int, d: int) -> LinearForm:
 
 
 def _resummed_route(g: int, d: int) -> LinearForm:
-    """Resummation over the size of the distinguished part via tree-series powers."""
-    form: LinearForm = {}
+    """Resummation over the size ``e`` of the distinguished part, in integers.
+
+    With ``n = d - e`` the tree-series power is ``[x^n] tau^l =
+    l n^(n-l-1) / (n-l)!`` (1 at ``l = n``).  Writing ``1/(l! (n-l)!) =
+    C(n, l)/n!`` makes each inner sum an integer over ``n!``, and
+    ``1/(e! n!) = C(d, e)/d!`` leaves one denominator ``d^(d-1) d!`` for the
+    whole form.
+    """
+    sums = [0] * g
     for e in range(1, d + 1):
-        inner = Fraction(0)
-        for l in range(0, 2 * g + 1):
-            tau_coeff = tau_power_coefficient(d - e, l)
-            if tau_coeff == 0:
-                continue
-            inner += (
-                Fraction(math.factorial(2 * g + d - l - 1), math.factorial(2 * g - l))
-                * Fraction((-d) ** l, math.factorial(l))
-                * tau_coeff
-            )
+        n = d - e
+        inner = 0
+        for l in range(min(n, 2 * g) + 1):
+            tree = 1 if l == n else l * math.comb(n, l) * n ** (n - l - 1)
+            inner += math.perm(2 * g + d - l - 1, d - 1) * (-d) ** l * tree
         if inner == 0:
             continue
-        scale = Fraction(e ** (e + 1), math.factorial(e)) * inner
-        _form_add(form, q_form(g, e), scale)
-    total = {j: v / Fraction(d ** (d - 1)) for j, v in form.items() if v != 0}
+        term = math.comb(d, e) * inner * e ** (e + 1)
+        for j in range(g - 1, -1, -1):
+            sums[j] += term
+            term *= e
+    denominator = d ** (d - 1) * math.factorial(d)
+    total = {
+        j: Fraction((-1) ** j * value, denominator)
+        for j, value in enumerate(sums)
+        if value != 0
+    }
     return total or {0: Fraction(0)}
 
 

@@ -136,8 +136,9 @@ def enumerate_marked(
 def tau_power_coefficient(n: int, l: int) -> Fraction:
     """Coefficient of ``x**n`` in the ``l``-th power of the tree series.
 
-    Computed as a sum over partitions ``nu`` of ``n`` with exactly ``l``
-    parts: ``l!/aut(nu) * prod(nu_i^(nu_i - 1) / nu_i!)``.
+    Lagrange inversion of ``tau = x * exp(tau)`` gives the closed form
+    ``[x^n] tau^l = l * n^(n-l-1) / (n-l)!`` for ``1 <= l <= n`` (it is 1 at
+    ``l = n``).
     """
     if n < 0 or l < 0:
         raise InvalidArgumentError(f"need n, l >= 0, got n={n}, l={l}")
@@ -145,12 +146,6 @@ def tau_power_coefficient(n: int, l: int) -> Fraction:
         return Fraction(1 if l == 0 else 0)
     if l == 0 or l > n:
         return Fraction(0)
-    total = Fraction(0)
-    for nu in enumerate_partitions(n, max_length=l):
-        if len(nu) != l:
-            continue
-        weight = Fraction(math.factorial(l), aut(nu))
-        for part in nu:
-            weight *= Fraction(part ** (part - 1), math.factorial(part))
-        total += weight
-    return total
+    if l == n:
+        return Fraction(1)
+    return Fraction(l * n ** (n - l - 1), math.factorial(n - l))

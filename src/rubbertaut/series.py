@@ -137,7 +137,8 @@ def series_log(f: PowerSeries) -> PowerSeries:
     for n in range(1, n_max + 1):
         acc = Fraction(0)
         for k in range(1, n):
-            acc += k * g[k] * f.coeffs[n - k]
+            if g[k] != 0 and f.coeffs[n - k] != 0:
+                acc += k * g[k] * f.coeffs[n - k]
         g[n] = f.coeffs[n] - acc / n
     return PowerSeries(tuple(g))
 
@@ -190,20 +191,23 @@ def series_tau(order: int) -> PowerSeries:
 def series_log_sine(d: int, order: int) -> PowerSeries:
     """The even series ``log((d y / 2) / sin(d y / 2))`` to the given order.
 
-    Built by expanding ``sin(z)/z`` at ``z = d y / 2`` and taking ``-log`` of
-    the result, so every coefficient is an exact rational.
+    ``sin(z)/z`` at ``z = d y / 2`` is the series in ``w = y^2`` with
+    coefficients ``(-d^2/4)^k / (2k+1)!``; its ``-log`` is taken in ``w`` and
+    spread back onto the even powers of ``y``, so every coefficient is an
+    exact rational and the odd ones are exact zeros.
     """
     if d < 1:
         raise InvalidArgumentError(f"scale d must be >= 1, got {d}")
     if order < 0:
         raise InvalidArgumentError(f"order must be >= 0, got {order}")
-    half = Fraction(d, 2)
+    step = Fraction(-d * d, 4)
+    sinc = PowerSeries(
+        tuple(step**k / math.factorial(2 * k + 1) for k in range(order // 2 + 1))
+    )
     coeffs = [Fraction(0)] * (order + 1)
-    coeffs[0] = Fraction(1)
-    for k in range(1, order // 2 + 1):
-        coeffs[2 * k] = (-1) ** k * half ** (2 * k) / math.factorial(2 * k + 1)
-    sinc = PowerSeries(tuple(coeffs))
-    return series_scale(series_log(sinc), -1)
+    for k, c in enumerate(series_log(sinc).coeffs):
+        coeffs[2 * k] = -c
+    return PowerSeries(tuple(coeffs))
 
 
 def series_to_json(f: PowerSeries) -> dict[str, Any]:

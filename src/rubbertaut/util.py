@@ -17,7 +17,7 @@ __all__ = [
 
 def fraction_str(value: Fraction | int) -> str:
     """Render an exact rational as ``p`` or ``p/q`` (never a float)."""
-    frac = Fraction(value)
+    frac = value if isinstance(value, Fraction) else Fraction(value)
     if frac.denominator == 1:
         return str(frac.numerator)
     return f"{frac.numerator}/{frac.denominator}"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from rubbertaut.hodge import (
     solve_hodge,
 )
 from rubbertaut.linalg import solve_linear_system
+from rubbertaut.partitions import tau_power_coefficient
 
 
 # ---------------------------------------------------------------------------
@@ -26,12 +28,36 @@ from rubbertaut.linalg import solve_linear_system
 # ---------------------------------------------------------------------------
 
 
-def test_partition_and_resummed_routes_agree() -> None:
-    for g in range(1, 5):
-        for d in range(1, 7):
-            assert hodge_linear_form(g, d, method="partitions") == hodge_linear_form(
-                g, d, method="resummed"
+def _resummed_route_in_fractions(g: int, d: int) -> dict[int, Fraction]:
+    """The retired resummed route: one ``Fraction`` form per part size ``e``."""
+    form: dict[int, Fraction] = {}
+    for e in range(1, d + 1):
+        inner = Fraction(0)
+        for l in range(0, 2 * g + 1):
+            inner += (
+                Fraction(math.factorial(2 * g + d - l - 1), math.factorial(2 * g - l))
+                * Fraction((-d) ** l, math.factorial(l))
+                * tau_power_coefficient(d - e, l)
             )
+        scale = Fraction(e ** (e + 1), math.factorial(e)) * inner
+        for j, value in q_form(g, e).items():
+            form[j] = form.get(j, Fraction(0)) + scale * value
+    total = {j: v / d ** (d - 1) for j, v in form.items() if v != 0}
+    return total or {0: Fraction(0)}
+
+
+def test_partition_and_resummed_routes_agree() -> None:
+    pairs = [(g, d) for g in range(1, 5) for d in range(1, 7)] + [(5, 10), (8, 16)]
+    for g, d in pairs:
+        assert hodge_linear_form(g, d, method="partitions") == hodge_linear_form(
+            g, d, method="resummed"
+        ), (g, d)
+
+
+def test_integer_resummed_route_matches_the_fraction_route() -> None:
+    for g in range(1, 12):
+        for d in sorted({1, g, (3 * g + 1) // 2, 2 * g}):
+            assert hodge_linear_form(g, d) == _resummed_route_in_fractions(g, d), (g, d)
 
 
 def test_unknown_method_rejected() -> None:
@@ -54,6 +80,19 @@ def test_targets_scale_with_the_degree() -> None:
         assert verify_scaling(g, 6)
 
 
+def test_scaling_check_fails_on_a_doctored_target(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    honest = hodge.n_target
+
+    def doctored(g: int, d: int) -> Fraction:
+        return honest(g, d) + (1 if d == 3 else 0)
+
+    monkeypatch.setattr(hodge, "n_target", doctored)
+    assert verify_scaling(2, 2)
+    assert not verify_scaling(2, 3)
+
+
 def test_target_frozen_values() -> None:
     assert n_target(1, 1) == Fraction(1, 24)
     assert n_target(2, 1) == Fraction(1, 2880)
@@ -74,6 +113,24 @@ def test_solved_integrals_match_frozen_values() -> None:
     assert two.unique
     assert two.value(0) == Fraction(1, 2880)
     assert two.value(1) == 0
+
+
+def _bernoulli(m_max: int) -> list[Fraction]:
+    """Bernoulli numbers from the defining recurrence (independent route)."""
+    numbers = [Fraction(1)]
+    for m in range(1, m_max + 1):
+        total = sum(Fraction(math.comb(m + 1, j)) * numbers[j] for j in range(m))
+        numbers.append(-total / (m + 1))
+    return numbers
+
+
+def test_lambda_g_lambda_g_minus_1_closed_form() -> None:
+    # I(g, 0) = |B_2g| / (2^(2g-1) (2g-1)!! 2g)  (Getzler-Pandharipande; Faber).
+    bernoulli = _bernoulli(22)
+    for g in range(1, 12):
+        double_factorial = math.prod(range(1, 2 * g, 2))
+        expected = abs(bernoulli[2 * g]) / (2 ** (2 * g - 1) * double_factorial * 2 * g)
+        assert solve_hodge(g).value(0) == expected, g
 
 
 def test_overdetermined_systems_stay_consistent() -> None:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -101,6 +102,29 @@ def test_enumerate_marked_orbit_sizes_sum_to_all_assignments() -> None:
 def test_enumerate_marked_reject_duplicate_labels() -> None:
     with pytest.raises(InvalidArgumentError):
         enumerate_marked((2, 1), (2, 2))
+
+
+def _tau_power_by_partitions(n: int, l: int) -> Fraction:
+    """The retired partition sum: ``l!/aut(nu) * prod(nu_i^(nu_i-1)/nu_i!)``
+    over partitions ``nu`` of ``n`` with exactly ``l`` parts."""
+    if n == 0:
+        return Fraction(1 if l == 0 else 0)
+    total = Fraction(0)
+    for nu in enumerate_partitions(n, max_length=l):
+        if len(nu) != l:
+            continue
+        weight = Fraction(math.factorial(l), aut(nu))
+        for part in nu:
+            weight *= Fraction(part ** (part - 1), math.factorial(part))
+        total += weight
+    return total
+
+
+def test_tau_power_closed_form_matches_partition_sum() -> None:
+    for n in range(0, 17):
+        for l in range(0, n + 1):
+            assert tau_power_coefficient(n, l) == _tau_power_by_partitions(n, l), (n, l)
+    assert tau_power_coefficient(3, 4) == 0
 
 
 def test_tau_power_coefficient_matches_series_route() -> None:

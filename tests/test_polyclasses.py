@@ -4,10 +4,11 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
+from rubbertaut import polyclasses
 from rubbertaut.errors import InvalidArgumentError, ResourceLimitError
 from rubbertaut.locgraphs import evaluate_and_solve
 from rubbertaut.polyclasses import (
@@ -21,7 +22,7 @@ from rubbertaut.polyclasses import (
     hain_expand,
     interpolate,
 )
-from rubbertaut.tautring import RingContext, TautClass, boundary, psi1
+from rubbertaut.tautring import RingContext, TautClass, boundary, psi1, relabel
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +130,38 @@ def test_pullback_stability() -> None:
 def test_equivariance_under_mark_permutations() -> None:
     for t in (3, 4, 5):
         assert check_equivariance(t)
+
+
+def _equivariant_under_every_relabeling(poly: MultiPoly, t: int) -> bool:
+    """The retired check: walk all ``(t-1)!`` relabelings of marks 2..t."""
+    free_marks = list(range(2, t + 1))
+    for image in permutations(free_marks):
+        mapping = {1: 1, **dict(zip(free_marks, image))}
+        for exponents, value in poly.coeffs.items():
+            moved = [0] * (t - 1)
+            for mark, power in zip(free_marks, exponents):
+                moved[mapping[mark] - 2] = power
+            if relabel(value, mapping) != poly.coefficient(moved):
+                return False
+    return True
+
+
+def test_equivariance_catches_two_swapped_coefficients(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    honest = genus1_polynomial
+    for t in (3, 4, 5):
+        poly = honest(t)
+        assert _equivariant_under_every_relabeling(poly, t)
+        for a, b in combinations(sorted(poly.coeffs), 2):
+            coeffs = dict(poly.coeffs)
+            coeffs[a], coeffs[b] = coeffs[b], coeffs[a]
+            swapped = MultiPoly(t - 1, coeffs)
+            monkeypatch.setattr(polyclasses, "genus1_polynomial", lambda _t: swapped)
+            verdict = check_equivariance(t)
+            assert verdict == _equivariant_under_every_relabeling(swapped, t), (t, a, b)
+            # At three marks, swapping a_2^2 and a_3^2 is itself equivariant.
+            assert verdict == (t == 3 and {a, b} == {(2, 0), (0, 2)}), (t, a, b)
 
 
 def test_degree_two_homogeneity() -> None:

@@ -11,6 +11,7 @@ from rubbertaut.errors import InvalidArgumentError, TruncationExceededError
 from rubbertaut.series import (
     FRACTION_OPS,
     LaurentPoly,
+    PowerSeries,
     series,
     series_add,
     series_compose,
@@ -102,6 +103,23 @@ def test_series_log_sine_matches_bernoulli_oracle() -> None:
         f = series_log_sine(d, 8)
         for g in (1, 2, 3, 4):
             assert f.coefficient(2 * g) == _log_sine_coefficient_oracle(g, d)
+
+
+def _log_sine_full_order(d: int, order: int) -> PowerSeries:
+    """The retired route: ``-log`` of ``sin(z)/z`` expanded in ``y`` itself,
+    odd zeros and all."""
+    half = Fraction(d, 2)
+    coeffs = [Fraction(0)] * (order + 1)
+    coeffs[0] = Fraction(1)
+    for k in range(1, order // 2 + 1):
+        coeffs[2 * k] = (-1) ** k * half ** (2 * k) / math.factorial(2 * k + 1)
+    return series_scale(series_log(PowerSeries(tuple(coeffs))), -1)
+
+
+def test_series_log_sine_matches_the_full_order_route() -> None:
+    for d in range(1, 13):
+        for order in range(0, 25):
+            assert series_log_sine(d, order) == _log_sine_full_order(d, order), (d, order)
 
 
 def test_series_log_sine_frozen_values() -> None:
