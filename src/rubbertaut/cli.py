@@ -200,7 +200,6 @@ def _localize_rows(d: int) -> list[dict]:
     by_row = locgraphs.relation_by_row(relation, rows)
     out = []
     for row in rows:
-        contribution = locgraphs.assemble_contribution(row.representative, lift)
         out.append(
             {
                 "row": row.index,
@@ -208,7 +207,7 @@ def _localize_rows(d: int) -> list[dict]:
                 "side": "genus-over-zero"
                 if row.representative.side == "zero"
                 else "genus-over-infinity",
-                "prefactor": fraction_str(contribution.prefactor),
+                "prefactor": fraction_str(locgraphs.graph_prefactor(row.representative)),
                 "multiplicity": row.multiplicity,
                 "locus": _render_locus(locgraphs.locus_descriptor(row.representative, lift)),
                 "pole": {
@@ -524,11 +523,7 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
         ("series", f"log-sine-scaling-g<={g_max}-d<={d_max}", lambda: _check_scaling(g_max, d_max)),
         ("hurwitz", f"one-part-and-symmetry-d<={d_max}", lambda: _check_hurwitz(d_max)),
         ("hodge", f"linear-system-g<={g_max}-d<={d_max}", lambda: _check_hodge(g_max, d_max)),
-        (
-            "hodge",
-            f"graph-sum-cross-check-g<={min(g_max, 2)}-d<={min(d_max, 4)}",
-            lambda: _check_hodge_engine(min(g_max, 2), min(d_max, 4)),
-        ),
+        ("hodge", f"graph-sum-cross-check-g<={g_max}-d<={d_max}", lambda: _check_hodge_engine(g_max, d_max)),
         ("localize", "degree-2-and-3-tables", _check_tables),
         ("localize", f"pair-lift-rubber-totals-d<={d_max}", lambda: _check_pair_totals(d_max)),
         ("divisors", "degree-2-solve-and-degree-3-residual", _check_divisor_solve),

@@ -8,10 +8,15 @@ rubber over the infinity end), one vertex per ramification part over zero,
 and a single edge per part.  Each graph contributes a product of explicitly
 known factors — an exact Laurent polynomial in the equivariant weight ``t``
 with coefficients in a small symbol algebra (powers of three cotangent
-symbols and one Hodge symbol).  Summing the ``1/t`` coefficients over all
-graphs yields an exact relation; evaluating its terms through the boundary
-catalogue and solving gives the divisor-class coefficients of the
-genus-one weight quadric.
+symbols and one Hodge symbol).  Only the ``1/t`` coefficient of the graph
+sum carries the relation, and all but three factors of a graph are a
+scalar times a power of ``t``, so the relation is read by a residue walk
+over the genus-node cotangent power and the Hodge index, with the rubber
+cotangent power fixed by the power of ``t``.  The full Laurent product
+(:func:`assemble_contribution`) stays as the oracle for that walk and for
+the frozen degree-2 and degree-3 tables.  Evaluating the relation's terms
+through the boundary catalogue and solving gives the divisor-class
+coefficients of the genus-one weight quadric.
 
 Two lifts of the action are used:
 
@@ -65,6 +70,7 @@ __all__ = [
     "locus_descriptor",
     "render_graph",
     "Contribution",
+    "graph_prefactor",
     "assemble_contribution",
     "Relation",
     "relation_extract",
@@ -232,6 +238,12 @@ class Lift:
     branch_twist: int
     insertion: str
 
+    def __post_init__(self) -> None:
+        if self.genus < 1:
+            raise InvalidArgumentError(f"need genus >= 1, got {self.genus}")
+        if self.insertion not in ("hodge-1", "hodge-pair"):
+            raise InvalidArgumentError(f"unknown insertion {self.insertion!r}")
+
 
 #: Divisor lift: genus one, marks 2 and 3 over zero, one Hodge insertion.
 LIFT_DIVISOR = Lift(genus=1, zero_marks=(2, 3), branch_twist=2, insertion="hodge-1")
@@ -239,8 +251,6 @@ LIFT_DIVISOR = Lift(genus=1, zero_marks=(2, 3), branch_twist=2, insertion="hodge
 
 def lift_pair(genus: int) -> Lift:
     """Pair lift at the given genus: no extra marks, top Hodge pair inserted."""
-    if genus < 1:
-        raise InvalidArgumentError(f"need genus >= 1, got {genus}")
     return Lift(genus=genus, zero_marks=(), branch_twist=1, insertion="hodge-pair")
 
 
@@ -274,7 +284,11 @@ def enumerate_graphs(d: int, lift: Lift) -> list[LocGraph]:
                         ),
                     )
                 )
-    kept = [g for g in classes if _branch_data(g, lift)[0] >= _branch_data(g, lift)[1]]
+    kept = []
+    for graph in classes:
+        b0, k = _branch_data(graph, lift)
+        if b0 >= k:
+            kept.append(graph)
     return sorted(kept, key=sort_key)
 
 
@@ -473,7 +487,7 @@ class Contribution:
         return SYM_OPS.scale(self.product.coefficient(power), self.prefactor)
 
 
-def _prefactor(graph: LocGraph) -> Fraction:
+def graph_prefactor(graph: LocGraph) -> Fraction:
     """Automorphism weight; the unexpanded one-part graph also divides by ``d``.
 
     With a rubber factor present the graph automorphisms permute equal
@@ -488,7 +502,12 @@ def _prefactor(graph: LocGraph) -> Fraction:
 
 
 def assemble_contribution(graph: LocGraph, lift: Lift) -> Contribution:
-    """Build the exact contribution of one graph under the given lift."""
+    """Build the exact contribution of one graph under the given lift.
+
+    The full Laurent product is the oracle for :func:`relation_extract`,
+    which reads the ``1/t`` coefficient without it, and it backs the frozen
+    degree-2 and degree-3 tables.
+    """
     specs: list[FactorSpec] = []
     for p in graph.parts:
         if p.genus:
@@ -515,7 +534,59 @@ def assemble_contribution(graph: LocGraph, lift: Lift) -> Contribution:
     product = _scalar(Fraction(1), 0)
     for spec in specs:
         product = product.mul(build_factor(spec))
-    return Contribution(graph, lift, _prefactor(graph), tuple(specs), product)
+    return Contribution(graph, lift, graph_prefactor(graph), tuple(specs), product)
+
+
+def _residue(graph: LocGraph, lift: Lift) -> SymExpr:
+    """The ``t^-1`` coefficient of the contribution, without its product.
+
+    Every factor but three is a scalar times a power of ``t``: the
+    prefactor, the edge coefficient, ``1/size`` per free part, ``size`` per
+    two-mark part (with its ``1/t``), ``t`` per lifted mark and the branch
+    factor.  The three series are the genus node's (cotangent power ``a``),
+    the Hodge class's (index ``j``) and the rubber node's (cotangent power
+    ``b``), so the residue is a sum over ``(a, j)`` with ``b`` fixed by the
+    power of ``t``.  It equals
+    ``assemble_contribution(graph, lift).coefficient_at(-1)``.
+    """
+    b0, k = _branch_data(graph, lift)
+    if b0 < k:
+        raise InvalidArgumentError("graph does not meet the branch twist")
+    num, den = falling_factorial(b0, k), 1
+    power = k + len(lift.zero_marks) - graph.degree
+    for p in graph.parts:
+        num *= p.size**p.size
+        den *= math.factorial(p.size)
+        if p.genus:
+            continue
+        if len(p.marks) == 2:
+            num *= p.size
+            power -= 1
+        elif not p.marks:
+            den *= p.size
+            power += 1
+    scalar = graph_prefactor(graph) * Fraction(num, den)
+    genus = graph.genus_part()
+    # (a, j, coefficient, power of t) of the genus node and Hodge series
+    terms: list[tuple[int, int | None, int, int]] = [(0, None, 1, 0)]
+    if genus is not None:
+        g = lift.genus
+        terms = [
+            (a, j, genus.size ** (a + 1) * (-1) ** j, g - j - 1 - a)
+            for a in range(_genus_vertex_dim(graph, lift) + 1)
+            for j in range(g + 1)
+        ]
+    rubber_cap = _rubber_dim(graph, lift) if graph.has_rubber() else None
+    out: SymExpr = {}
+    for a, j, coeff, shift in terms:
+        # the rubber term psi^b t^(-b-1) turns t^b into 1/t
+        b = power + shift
+        if rubber_cap is None:
+            if b == -1:
+                out[Monomial(a, 0, 0, j)] = scalar * coeff
+        elif 0 <= b <= rubber_cap:
+            out[Monomial(a, 0, b, j)] = scalar * (coeff * (-1) ** (b + 1))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -575,16 +646,14 @@ def _keep_pair_term(graph: LocGraph, lift: Lift, mono: Monomial) -> bool:
 
 def relation_extract(d: int, lift: Lift) -> Relation:
     """Extract the exact relation carried by the ``1/t`` coefficients."""
+    keep = _keep_divisor_term if lift.insertion == "hodge-1" else _keep_pair_term
     terms: dict[LocGraph, dict[Monomial, Fraction]] = {}
     for graph in enumerate_graphs(d, lift):
-        sym = assemble_contribution(graph, lift).coefficient_at(-1)
-        kept: dict[Monomial, Fraction] = {}
-        for mono, coeff in sym.items():
-            if lift.insertion == "hodge-1" and not _keep_divisor_term(graph, lift, mono):
-                continue
-            if lift.insertion == "hodge-pair" and not _keep_pair_term(graph, lift, mono):
-                continue
-            kept[mono] = coeff
+        kept = {
+            mono: coeff
+            for mono, coeff in _residue(graph, lift).items()
+            if keep(graph, lift, mono)
+        }
         if kept:
             terms[graph] = kept
     return Relation(d, lift, terms)

@@ -12,10 +12,12 @@ from rubbertaut.errors import (
 from rubbertaut.hodge import hodge_linear_form, n_target, solve_hodge
 from rubbertaut.locgraphs import (
     LIFT_DIVISOR,
+    Lift,
     LocGraph,
     Monomial,
     Part,
     Relation,
+    _residue,
     assemble_contribution,
     enumerate_graphs,
     enumerate_rows,
@@ -96,6 +98,15 @@ def test_graph_validation() -> None:
         LocGraph("sideways", (Part(2, (2, 3), True),))
 
 
+@pytest.mark.parametrize(
+    "genus, insertion",
+    [(1, "hodge-2"), (2, ""), (0, "hodge-pair"), (-1, "hodge-1")],
+)
+def test_lift_validation(genus: int, insertion: str) -> None:
+    with pytest.raises(InvalidArgumentError):
+        Lift(genus=genus, zero_marks=(), branch_twist=1, insertion=insertion)
+
+
 def test_graph_accessors() -> None:
     graph = LocGraph("zero", (Part(1, (), False), Part(2, (2, 3), True)))
     assert graph.degree == 3
@@ -132,11 +143,26 @@ def test_noncontributing_rows_have_no_residue(d: int, silent: set[int]) -> None:
     rows = enumerate_rows(d, LIFT_DIVISOR)
     for row in rows:
         for graph in row.graphs:
-            residue = assemble_contribution(graph, LIFT_DIVISOR).coefficient_at(-1)
+            laurent = assemble_contribution(graph, LIFT_DIVISOR).coefficient_at(-1)
+            residue = _residue(graph, LIFT_DIVISOR)
+            assert residue == laurent
             if row.index in silent:
                 assert residue == {}
             else:
                 assert residue != {}
+
+
+def test_residue_walk_matches_the_laurent_product() -> None:
+    # The full Laurent product is the oracle for the residue walk.
+    cases = [(LIFT_DIVISOR, d) for d in range(2, 10)]
+    cases += [(lift_pair(g), d) for g in range(1, 5) for d in range(1, 10)]
+    checked = 0
+    for lift, d in cases:
+        for graph in enumerate_graphs(d, lift):
+            expected = assemble_contribution(graph, lift).coefficient_at(-1)
+            assert _residue(graph, lift) == expected, (render_graph(graph), lift)
+            checked += 1
+    assert checked == 1688
 
 
 def test_degree_two_relation_coefficients() -> None:
