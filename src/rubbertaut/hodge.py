@@ -7,9 +7,11 @@ For each genus ``g >= 1`` the unknowns are the ``g`` integrals
 over the moduli of one-pointed genus-``g`` curves, ``j = 0..g-1``.  For every
 degree ``d >= 1`` a localization identity expresses the same rubber integral
 both as a rational linear form in the ``I(g, j)`` and as the coefficient of
-``y^(2g)`` in ``log((d y / 2) / sin(d y / 2))``.  Solving the resulting
-(deliberately overdetermined) exact linear system yields the integrals and a
-strong internal consistency check.
+``y^(2g)`` in ``log((d y / 2) / sin(d y / 2))``, which is ``d^(2g)
+n_target(g, 1)``: :func:`solve_hodge` scales the one series, and
+:func:`verify_scaling` and ``verify-all`` check each degree's own series.
+Solving the resulting (deliberately overdetermined) exact linear system
+yields the integrals and a strong internal consistency check.
 
 The linear form has two independent derivations.  The resummed route, a sum
 over the size of the distinguished part, is the production route that
@@ -177,20 +179,22 @@ def solve_hodge(g: int, d_max: int | None = None) -> HodgeSolution:
 
     Uses all degrees ``1..max(g, d_max)`` — at least ``g`` equations for the
     ``g`` unknowns, and deliberately more when ``d_max`` exceeds ``g`` so the
-    system is overdetermined.  An inconsistent system raises
-    ``TheoremViolationError``; a consistent but rank-deficient one is
-    reported through a nonempty ``nullspace``.
+    system is overdetermined.  Targets are ``d^(2g) n_target(g, 1)``, which
+    :func:`verify_scaling` and ``verify-all`` check per degree.  An
+    inconsistent system raises ``TheoremViolationError``; a consistent but
+    rank-deficient one is reported through a nonempty ``nullspace``.
     """
     if g < 1:
         raise InvalidArgumentError(f"need genus >= 1, got {g}")
     top = max(g, d_max if d_max is not None else g)
     degrees = tuple(range(1, top + 1))
+    base = n_target(g, 1)
     matrix: list[list[Fraction]] = []
     rhs: list[Fraction] = []
     for d in degrees:
         form = hodge_linear_form(g, d)
         matrix.append([form.get(j, Fraction(0)) for j in range(g)])
-        rhs.append(n_target(g, d))
+        rhs.append(d ** (2 * g) * base)
     try:
         solution = solve_linear_system(matrix, rhs)
     except InconsistencyError as exc:

@@ -3,10 +3,12 @@
 Only what the solvers in this package need: reduced row echelon form and a
 solver for (possibly overdetermined or rank-deficient) systems that either
 proves inconsistency or returns a particular solution plus a nullspace basis.
+Elimination is fraction-free on integer rows (Bareiss-style; see :func:`rref`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -33,13 +35,22 @@ class LinearSolution:
 
 
 def rref(matrix: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form and pivot column indices (exact)."""
-    rows = [[Fraction(v) for v in row] for row in matrix]
-    if not rows:
+    """Reduced row echelon form and pivot column indices (exact).
+
+    Rows are scaled to integers and eliminated fraction-free: against pivot
+    ``p`` in column ``c`` a row becomes ``p * row - row[c] * pivot_row``,
+    divided by its gcd.  Only the reduced rows are turned into ``Fraction``s.
+    """
+    if not matrix:
         return [], []
-    width = len(rows[0])
-    if any(len(row) != width for row in rows):
+    width = len(matrix[0])
+    if any(len(row) != width for row in matrix):
         raise InvalidArgumentError("ragged matrix")
+    rows: list[list[int]] = []
+    for row in matrix:
+        values = [Fraction(v) for v in row]
+        scale = math.lcm(*(v.denominator for v in values))
+        rows.append([v.numerator * (scale // v.denominator) for v in values])
     pivots: list[int] = []
     r = 0
     for col in range(width):
@@ -47,17 +58,19 @@ def rref(matrix: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], li
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivot = rows[r]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                p, factor = pivot[col], row[col]
+                row = [p * a - factor * b for a, b in zip(row, pivot)]
+                divisor = math.gcd(*row)
+                rows[i] = [v // divisor for v in row] if divisor > 1 else row
         pivots.append(col)
         r += 1
         if r == len(rows):
             break
-    return rows, pivots
+    reduced = [[Fraction(v, row[col]) for v in row] for row, col in zip(rows, pivots)]
+    return reduced + [[Fraction(0)] * width for _ in rows[r:]], pivots
 
 
 def solve_linear_system(

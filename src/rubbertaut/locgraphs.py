@@ -646,6 +646,8 @@ def _keep_pair_term(graph: LocGraph, lift: Lift, mono: Monomial) -> bool:
 
 def relation_extract(d: int, lift: Lift) -> Relation:
     """Extract the exact relation carried by the ``1/t`` coefficients."""
+    if d < lift.branch_twist:
+        raise InvalidArgumentError(f"this lift needs degree >= {lift.branch_twist}, got {d}")
     keep = _keep_divisor_term if lift.insertion == "hodge-1" else _keep_pair_term
     terms: dict[LocGraph, dict[Monomial, Fraction]] = {}
     for graph in enumerate_graphs(d, lift):

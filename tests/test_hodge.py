@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from rubbertaut import hodge
+from rubbertaut import cli, hodge, linalg
 from rubbertaut.errors import (
     InconsistencyError,
     InvalidArgumentError,
     TheoremViolationError,
 )
 from rubbertaut.hodge import (
+    HodgeSolution,
     verify_scaling,
     evaluate_form,
     hodge_linear_form,
@@ -21,6 +22,7 @@ from rubbertaut.hodge import (
 )
 from rubbertaut.linalg import solve_linear_system
 from rubbertaut.partitions import tau_power_coefficient
+from test_linalg import fraction_rref
 
 
 # ---------------------------------------------------------------------------
@@ -81,16 +83,23 @@ def test_targets_scale_with_the_degree() -> None:
 
 
 def test_scaling_check_fails_on_a_doctored_target(
-    monkeypatch: pytest.MonkeyPatch,
+    monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture[str]
 ) -> None:
     honest = hodge.n_target
 
     def doctored(g: int, d: int) -> Fraction:
         return honest(g, d) + (1 if d == 3 else 0)
 
-    monkeypatch.setattr(hodge, "n_target", doctored)
+    for module in (hodge, cli):
+        monkeypatch.setattr(module, "n_target", doctored)
     assert verify_scaling(2, 2)
     assert not verify_scaling(2, 3)
+    assert cli.main(["verify-all", "--g-max", "1", "--d-max", "3"]) == 2
+    failures = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL ")]
+    assert [line.split(" —")[0] for line in failures] == [
+        "FAIL series: log-sine-scaling-g<=1-d<=3",
+        "FAIL hodge: linear-system-g<=1-d<=3",
+    ]
 
 
 def test_target_frozen_values() -> None:
@@ -164,15 +173,38 @@ def test_genus_zero_is_rejected() -> None:
         hodge_linear_form(1, 0)
 
 
-def test_doctored_targets_raise_theorem_violation(
+def test_doctored_forms_raise_theorem_violation(
     monkeypatch: pytest.MonkeyPatch,
 ) -> None:
-    def fake_target(g: int, d: int) -> Fraction:
-        return Fraction(d)
+    # The targets are one series scaled by d^(2g), so doctoring the series
+    # only rescales a consistent system; one degree's form is read per degree.
+    honest = hodge.hodge_linear_form
 
-    monkeypatch.setattr(hodge, "n_target", fake_target)
+    def doctored(g: int, d: int, method: str = "resummed") -> dict[int, Fraction]:
+        form = honest(g, d, method)
+        return {0: form[0] + 1} if d == 2 else form
+
+    monkeypatch.setattr(hodge, "hodge_linear_form", doctored)
     with pytest.raises(TheoremViolationError):
         solve_hodge(1, d_max=3)
+
+
+def _retired_solve_hodge(g: int, d_max: int, monkeypatch: pytest.MonkeyPatch) -> HodgeSolution:
+    """The retired solve: per-degree log-sine targets and the Fraction rref."""
+    degrees = tuple(range(1, max(g, d_max) + 1))
+    matrix = [[hodge_linear_form(g, d).get(j, Fraction(0)) for j in range(g)] for d in degrees]
+    rhs = [n_target(g, d) for d in degrees]
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "rref", fraction_rref)
+        solution = solve_linear_system(matrix, rhs)
+    return HodgeSolution(g, solution.particular, degrees, solution.nullspace)
+
+
+def test_solve_matches_the_retired_route(monkeypatch: pytest.MonkeyPatch) -> None:
+    pairs = [(g, d) for g in range(3, 11) for d in sorted({g, (3 * g + 1) // 2, 2 * g})]
+    pairs += [(11, 11), (12, 24), (16, 32)]
+    for g, d in pairs:
+        assert solve_hodge(g, d) == _retired_solve_hodge(g, d, monkeypatch), (g, d)
 
 
 def test_inconsistent_linear_system_is_detected() -> None:

@@ -1,0 +1,190 @@
+"""Exact linear algebra: the integer elimination against the Fraction route."""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from typing import Sequence
+
+import pytest
+
+from rubbertaut.errors import InconsistencyError, InvalidArgumentError
+from rubbertaut.linalg import rref, solve_linear_system
+
+Matrix = list[list[Fraction]]
+
+
+def fraction_rref(matrix: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
+    """The retired Gauss-Jordan elimination over ``Fraction`` (oracle)."""
+    rows = [[Fraction(v) for v in row] for row in matrix]
+    if not rows:
+        return [], []
+    width = len(rows[0])
+    pivots: list[int] = []
+    r = 0
+    for col in range(width):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = 1 / rows[r][col]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                factor = rows[i][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def _entry(rng: random.Random) -> Fraction:
+    if rng.random() < 0.3:
+        return Fraction(0)
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+
+
+def _mixed_entry(rng: random.Random) -> int | Fraction:
+    if rng.random() < 0.5:
+        return rng.randint(-5, 5)
+    return Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+
+
+def _random_matrix(rng: random.Random, height: int, width: int) -> Matrix:
+    return [[_entry(rng) for _ in range(width)] for _ in range(height)]
+
+
+def _combination(rng: random.Random, rows: Matrix) -> list[Fraction]:
+    """A random rational combination of the given rows."""
+    out = [Fraction(0)] * len(rows[0])
+    for row in rows:
+        scale = _entry(rng)
+        out = [a + scale * b for a, b in zip(out, row)]
+    return out
+
+
+def _doctor(rng: random.Random, matrix: Matrix, kind: str) -> Matrix:
+    """Give a random matrix the structure named by ``kind``."""
+    height, width = len(matrix), len(matrix[0])
+    if kind == "zero-rows":
+        for i in rng.sample(range(height), k=max(1, height // 2)):
+            matrix[i] = [Fraction(0)] * width
+    elif kind == "zero-columns":
+        for c in rng.sample(range(width), k=max(1, width // 2)):
+            for row in matrix:
+                row[c] = Fraction(0)
+    elif kind == "duplicate-rows":
+        for i in range(1, height, 2):
+            matrix[i] = list(matrix[rng.randrange(i)])
+    elif kind == "rank-deficient":
+        basis = matrix[: max(1, height // 3)]
+        matrix = basis + [_combination(rng, basis) for _ in range(height - len(basis))]
+        rng.shuffle(matrix)
+    return matrix
+
+
+SHAPES = {
+    "square": (5, 5),
+    "tall": (9, 4),
+    "wide": (3, 8),
+    "single-row": (1, 6),
+    "single-column": (6, 1),
+}
+KINDS = ("plain", "zero-rows", "zero-columns", "duplicate-rows", "rank-deficient")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_integer_rref_matches_the_fraction_rref(shape: str, kind: str) -> None:
+    rng = random.Random(f"{shape}/{kind}")
+    height, width = SHAPES[shape]
+    for _ in range(100):
+        h, w = rng.randint(1, height), rng.randint(1, width)
+        matrix = _doctor(rng, _random_matrix(rng, h, w), kind)
+        assert rref(matrix) == fraction_rref(matrix), matrix
+
+
+def test_integer_rref_matches_on_integer_and_mixed_entries() -> None:
+    rng = random.Random(7)
+    for _ in range(100):
+        matrix = [[_mixed_entry(rng) for _ in range(4)] for _ in range(rng.randint(1, 6))]
+        reduced, pivots = rref(matrix)
+        assert (reduced, pivots) == fraction_rref(matrix)
+        assert all(type(v) is Fraction for row in reduced for v in row)
+
+
+def test_integer_rref_matches_on_an_inconsistent_augmented_column() -> None:
+    rng = random.Random(11)
+    inconsistent = 0
+    for _ in range(100):
+        matrix = _doctor(rng, _random_matrix(rng, 6, 3), "rank-deficient")
+        augmented = [row + [_entry(rng)] for row in matrix]
+        augmented[rng.randrange(len(augmented))][-1] += 1
+        reduced, pivots = rref(augmented)
+        assert (reduced, pivots) == fraction_rref(augmented)
+        inconsistent += 3 in pivots
+    assert inconsistent > 50
+
+
+def test_rref_edge_shapes() -> None:
+    assert rref([]) == ([], [])
+    assert rref([[], []]) == ([[], []], [])
+    assert rref([[Fraction(0), Fraction(0)]]) == ([[Fraction(0), Fraction(0)]], [])
+    assert rref([[Fraction(-3, 4)]]) == ([[Fraction(1)]], [0])
+    with pytest.raises(InvalidArgumentError):
+        rref([[Fraction(1)], [Fraction(1), Fraction(2)]])
+
+
+# ---------------------------------------------------------------------------
+# solve_linear_system by properties
+# ---------------------------------------------------------------------------
+
+
+def _apply(matrix: Matrix, vector: Sequence[Fraction]) -> list[Fraction]:
+    return [sum((a * x for a, x in zip(row, vector)), Fraction(0)) for row in matrix]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_solutions_satisfy_the_system(kind: str) -> None:
+    rng = random.Random(f"solve/{kind}")
+    for _ in range(60):
+        h, w = rng.randint(1, 7), rng.randint(1, 6)
+        matrix = _doctor(rng, _random_matrix(rng, h, w), kind)
+        rhs = _apply(matrix, [_entry(rng) for _ in range(w)])
+        solution = solve_linear_system(matrix, rhs)
+        assert _apply(matrix, solution.particular) == rhs
+        for vector in solution.nullspace:
+            assert not any(_apply(matrix, vector))
+        rank = len(fraction_rref(matrix)[1])
+        assert len(solution.nullspace) == w - rank
+        assert solution.unique == (rank == w)
+
+
+def test_systems_without_a_solution_raise() -> None:
+    rng = random.Random(13)
+    raised = 0
+    for _ in range(60):
+        shape = rng.randint(2, 7), rng.randint(1, 4)
+        matrix = _doctor(rng, _random_matrix(rng, *shape), "rank-deficient")
+        if len(fraction_rref(matrix)[1]) == len(matrix):
+            continue
+        # A vector outside the column space: the augmented rref gains a pivot.
+        rhs = _apply(matrix, [_entry(rng) for _ in range(len(matrix[0]))])
+        for k in range(len(matrix)):
+            shifted = [b + (1 if i == k else 0) for i, b in enumerate(rhs)]
+            augmented = [row + [b] for row, b in zip(matrix, shifted)]
+            if len(matrix[0]) in fraction_rref(augmented)[1]:
+                with pytest.raises(InconsistencyError):
+                    solve_linear_system(matrix, shifted)
+                raised += 1
+                break
+    assert raised > 30
+
+
+def test_solver_rejects_malformed_systems() -> None:
+    with pytest.raises(InvalidArgumentError):
+        solve_linear_system([[Fraction(1)]], [Fraction(1), Fraction(2)])
+    with pytest.raises(InvalidArgumentError):
+        solve_linear_system([], [])

@@ -107,6 +107,14 @@ def test_lift_validation(genus: int, insertion: str) -> None:
         Lift(genus=genus, zero_marks=(), branch_twist=1, insertion=insertion)
 
 
+def test_relation_extract_rejects_degrees_below_the_twist() -> None:
+    with pytest.raises(InvalidArgumentError, match="needs degree >= 2, got 1"):
+        relation_extract(1, LIFT_DIVISOR)
+    with pytest.raises(InvalidArgumentError, match="needs degree >= 1, got 0"):
+        relation_extract(0, lift_pair(2))
+    assert relation_extract(2, LIFT_DIVISOR).terms
+
+
 def test_graph_accessors() -> None:
     graph = LocGraph("zero", (Part(1, (), False), Part(2, (2, 3), True)))
     assert graph.degree == 3
