@@ -609,10 +609,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.fn(args)
     except (TheoremViolationError, InconsistencyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return 2
     except RubberTautError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return 1
 
 

@@ -20,6 +20,8 @@ from .tautring import (
     _PSI_KEY,
     RingContext,
     TautClass,
+    _trusted_class,
+    linear_combination,
     pullback_forget,
     relabel,
 )
@@ -75,23 +77,33 @@ class MultiPoly:
         return self.coeffs.get(tuple(int(e) for e in exponents))
 
     def evaluate(self, point: Sequence[Fraction | int]) -> Any:
-        """Value at an exact rational point (None when the sum is empty)."""
+        """Value at an exact rational point (None when the sum is empty).
+
+        Class values are summed by :func:`~rubbertaut.tautring.linear_combination`
+        over one integer denominator; other values by plain addition.
+        """
         if len(point) != self.nvars:
             raise InvalidArgumentError(
                 f"point has {len(point)} entries for {self.nvars} variables"
             )
         values = [Fraction(p) for p in point]
-        total: Any = None
+        terms = []
         for exponents, value in self.coeffs.items():
-            scale = Fraction(1)
+            num = den = 1
             for base, exp in zip(values, exponents):
-                scale *= base**exp
-            # ``scale * value`` is a new value, so summing in place never
-            # touches a stored coefficient.
-            if total is None:
-                total = scale * value
-            else:
-                total += scale * value
+                if exp:
+                    num *= base.numerator**exp
+                    den *= base.denominator**exp
+            terms.append((Fraction(num, den), value))
+        if not terms:
+            return None
+        if all(isinstance(value, TautClass) for _, value in terms):
+            return linear_combination(terms)
+        # ``scale * value`` is a new value, so summing in place never
+        # touches a stored coefficient.
+        total = terms[0][0] * terms[0][1]
+        for scale, value in terms[1:]:
+            total += scale * value
         return total
 
     def __eq__(self, other: object) -> bool:
@@ -116,35 +128,14 @@ class MultiPoly:
 
 #: Most marks :func:`genus1_polynomial` builds, and so the most that
 #: ``pclass`` and the ``check_*`` predicates accept.  Each coefficient has up
-#: to ``2**t`` divisor terms; at 11 marks ``pclass`` takes about 0.6 s and
-#: ``check_pullback_stability`` about 0.5 s, at 12 marks 1.4 s and 1.1 s
-#: (2-vCPU VM, Python 3.11).  ``check_equivariance`` also walks all
-#: ``(t - 1)!`` relabelings, so it is practical only to about 7 marks.
+#: to ``2**t`` divisor terms.  At 11 marks the polynomial takes about 0.02 s,
+#: ``check_pullback_stability`` about 0.12 s and ``check_equivariance`` about
+#: 0.6 s, and ``pclass`` about 0.6 s, most of it rendering the classes; at 12
+#: marks 0.04 s, 0.4 s, 1.7 s and about 1 s (2-vCPU VM, Python 3.11).
 MAX_MARKS = 11
 
+_ONE = Fraction(1)
 _MINUS_ONE = Fraction(-1)
-
-
-def _pure_square_class(ctx: RingContext, i: int) -> TautClass:
-    """Coefficient of ``alpha_i**2``: psi1 minus divisors separating 1 from i."""
-    coeffs = {_PSI_KEY: Fraction(1)}
-    for size in range(2, ctx.t):
-        for genus0 in combinations(ctx.marks, size):
-            if 1 in genus0 and i not in genus0:
-                coeffs[("D", tuple(m for m in ctx.marks if m not in genus0))] = _MINUS_ONE
-    return TautClass(ctx, coeffs)
-
-
-def _mixed_class(ctx: RingContext, i: int, j: int) -> TautClass:
-    """Coefficient of ``alpha_i alpha_j``: psi1 minus two families of divisors."""
-    coeffs = {_PSI_KEY: Fraction(1)}
-    for size in range(2, ctx.t):
-        for genus0 in combinations(ctx.marks, size):
-            separates = 1 in genus0 and i not in genus0 and j not in genus0
-            joins = 1 not in genus0 and i in genus0 and j in genus0
-            if separates or joins:
-                coeffs[("D", tuple(m for m in ctx.marks if m not in genus0))] = _MINUS_ONE
-    return TautClass(ctx, coeffs)
 
 
 def genus1_polynomial(t: int) -> MultiPoly:
@@ -152,7 +143,10 @@ def genus1_polynomial(t: int) -> MultiPoly:
 
     Variable ``i`` of the result corresponds to mark ``i + 2``; the
     coefficient of ``alpha_i**2`` and of ``alpha_i alpha_j`` are degree-one
-    classes on the ``t``-mark space.
+    classes on the ``t``-mark space.  Each is ``psi1`` minus a family of
+    divisors: ``alpha_i**2`` loses the divisors whose genus-zero side holds
+    1 but not i, and ``alpha_i alpha_j`` those whose genus-zero side holds 1
+    but neither i nor j, or both i and j but not 1.
     """
     if t < 3:
         raise InvalidArgumentError(f"need at least 3 marks, got {t}")
@@ -160,15 +154,31 @@ def genus1_polynomial(t: int) -> MultiPoly:
         raise ResourceLimitError(f"{t} marks exceed the weight-polynomial cap {MAX_MARKS}")
     ctx = RingContext.standard(t)
     free_marks = list(range(2, t + 1))
-    coeffs: dict[tuple[int, ...], TautClass] = {}
+    squares = {i: {_PSI_KEY: _ONE} for i in free_marks}
+    mixed = {pair: {_PSI_KEY: _ONE} for pair in combinations(free_marks, 2)}
+    # One walk over the genus-zero sides; each divisor is written only into
+    # the coefficients it enters.
+    for size in range(2, t):
+        for genus0 in combinations(ctx.marks, size):
+            side = tuple(m for m in ctx.marks if m not in genus0)
+            key = ("D", side)
+            if genus0[0] == 1:
+                for i in side:
+                    squares[i][key] = _MINUS_ONE
+                for pair in combinations(side, 2):
+                    mixed[pair][key] = _MINUS_ONE
+            else:
+                for pair in combinations(genus0, 2):
+                    mixed[pair][key] = _MINUS_ONE
 
     def exponents(pairs: Mapping[int, int]) -> tuple[int, ...]:
         return tuple(pairs.get(m, 0) for m in free_marks)
 
-    for i in free_marks:
-        coeffs[exponents({i: 2})] = _pure_square_class(ctx, i)
-    for i, j in combinations(free_marks, 2):
-        coeffs[exponents({i: 1, j: 1})] = _mixed_class(ctx, i, j)
+    coeffs: dict[tuple[int, ...], TautClass] = {}
+    for i, terms in squares.items():
+        coeffs[exponents({i: 2})] = _trusted_class(ctx, terms)
+    for (i, j), terms in mixed.items():
+        coeffs[exponents({i: 1, j: 1})] = _trusted_class(ctx, terms)
     return MultiPoly(t - 1, coeffs)
 
 
@@ -304,9 +314,10 @@ def interpolate(
 # Formal normal-function square expansion
 # ---------------------------------------------------------------------------
 
-#: Most monomials :func:`hain_expand` enumerates.  At this size the ``hain``
-#: command takes about 1 s, most of it rendering rows, and the expansion
-#: alone about 0.2 s (2-vCPU VM, Python 3.11).
+#: Most monomials :func:`hain_expand` enumerates.  At 37,820 monomials
+#: (genus 3, weights ``-3,-3,0,3,3``) the ``hain`` command takes about 0.25 s
+#: after start-up, most of it rendering rows, and the expansion alone about
+#: 0.04 s (2-vCPU VM, Python 3.11).
 MAX_HAIN_MONOMIALS = 50_000
 
 
@@ -375,12 +386,15 @@ def hain_expand(
     numerators = [base[symbol].numerator for symbol in symbols]
     denominators = [base[symbol].denominator for symbol in symbols]
     result: dict[tuple[tuple, ...], Fraction] = {}
+    # A subset and its complement carry the same squared weight, so many
+    # monomials share one unreduced (numerator, denominator) pair; each pair
+    # becomes one immutable ``Fraction``, shared by all of them.
+    shared: dict[tuple[int, int], Fraction] = {}
 
     # Monomials in combinations_with_replacement order.  A prefix carries the
     # numerator and denominator of its coefficient as plain integers, the
     # denominator including the factorial of each multiplicity; ``run``
-    # counts the trailing copies of ``symbols[last]``.  Each monomial then
-    # costs one reduced ``Fraction``.
+    # counts the trailing copies of ``symbols[last]``.
     def extend(prefix: tuple, last: int, num: int, den: int, run: int) -> None:
         for index in range(max(last, 0), len(symbols)):
             repeat = run + 1 if index == last else 1
@@ -388,7 +402,11 @@ def hain_expand(
             num_next = num * numerators[index]
             den_next = den * denominators[index] * repeat
             if len(monomial) == g:
-                result[monomial] = Fraction(num_next, den_next)
+                pair = (num_next, den_next)
+                value = shared.get(pair)
+                if value is None:
+                    value = shared[pair] = Fraction(num_next, den_next)
+                result[monomial] = value
             else:
                 extend(monomial, index, num_next, den_next, repeat)
 

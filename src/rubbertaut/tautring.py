@@ -11,8 +11,10 @@ term; :meth:`TautClass.reduce` computes it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Any, Iterable, Mapping
 
@@ -29,6 +31,7 @@ __all__ = [
     "pushforward_forget",
     "section_pushforward",
     "relabel",
+    "linear_combination",
     "class_to_json",
     "class_from_json",
 ]
@@ -177,29 +180,45 @@ class TautClass:
         sides ``S`` avoiding mark 1 (with the genus-zero side of size at
         least two, i.e. ``len(S) <= T - 2``).
         """
-        psi = self.coefficient_psi1()
-        if psi == 0:
-            return TautClass(self.ctx, self._coeffs)
         out = dict(self._coeffs)
-        out.pop(_PSI_KEY)
-        for side in _psi_boundary_sides(self.ctx):
-            key = ("D", side)
-            value = out.get(key)
-            out[key] = psi if value is None else value + psi
-        return TautClass(self.ctx, out)
+        psi = out.pop(_PSI_KEY, None)
+        if psi is not None:
+            for key in _psi_boundary_keys(self.ctx):
+                value = out.get(key)
+                if value is None:
+                    out[key] = psi
+                else:
+                    total = value + psi
+                    if total:
+                        out[key] = total
+                    else:
+                        del out[key]
+        return _trusted_class(self.ctx, out)
 
 
-def _psi_boundary_sides(ctx: RingContext) -> list[tuple[int, ...]]:
-    """Genus-one sides in the boundary expression for ``psi1``.
+def _trusted_class(ctx: RingContext, coeffs: dict[tuple, Fraction]) -> TautClass:
+    """A class that takes ``coeffs`` as its own without checking it.
+
+    ``coeffs`` must hold valid keys and only nonzero ``Fraction`` values, and
+    the caller must not keep it.
+    """
+    cls = object.__new__(TautClass)
+    cls.ctx = ctx
+    cls._coeffs = coeffs
+    return cls
+
+
+@lru_cache(maxsize=32)
+def _psi_boundary_keys(ctx: RingContext) -> tuple[tuple, ...]:
+    """Keys of the genus-one sides in the boundary expression for ``psi1``.
 
     These are the subsets of the non-reference marks small enough to leave a
     genus-zero side of size at least two, i.e. of size up to ``T - 2``.
     """
     others = [m for m in ctx.marks if m != 1]
-    sides: list[tuple[int, ...]] = []
-    for size in range(ctx.t - 1):
-        sides.extend(tuple(sorted(c)) for c in combinations(others, size))
-    return sorted(sides, key=lambda s: (len(s), s))
+    return tuple(
+        ("D", side) for size in range(ctx.t - 1) for side in combinations(others, size)
+    )
 
 
 # -- constructors --------------------------------------------------------
@@ -217,6 +236,35 @@ def psi1(ctx: RingContext) -> TautClass:
 def boundary(ctx: RingContext, genus1_side: Iterable[int]) -> TautClass:
     """The boundary divisor with the given marks on the genus-one side."""
     return TautClass(ctx, {_d_key(ctx, genus1_side): Fraction(1)})
+
+
+def linear_combination(pairs: Iterable[tuple[Fraction | int, TautClass]]) -> TautClass:
+    """The class ``sum(scale * cls for scale, cls in pairs)``, summed in integers.
+
+    Every term is brought over one denominator, the lcm of the scales'
+    denominators times the lcm of the coefficients' denominators, so the sum
+    runs over plain ints and each nonzero key costs one ``Fraction``.
+    """
+    pairs = [(Fraction(scale), cls) for scale, cls in pairs]
+    if not pairs:
+        raise InvalidArgumentError("a linear combination needs at least one class")
+    ctx = pairs[0][1].ctx
+    for _, cls in pairs:
+        if cls.ctx != ctx:
+            raise InvalidArgumentError(f"mark sets differ: {ctx.marks} vs {cls.ctx.marks}")
+    pairs = [(scale, cls) for scale, cls in pairs if scale]
+    scale_den = math.lcm(*(scale.denominator for scale, _ in pairs))
+    coeff_den = math.lcm(
+        *{value.denominator for _, cls in pairs for value in cls._coeffs.values()}
+    )
+    sums: dict[tuple, int] = {}
+    for scale, cls in pairs:
+        factor = scale.numerator * (scale_den // scale.denominator)
+        for key, value in cls._coeffs.items():
+            term = factor * value.numerator * (coeff_den // value.denominator)
+            sums[key] = sums.get(key, 0) + term
+    den = scale_den * coeff_den
+    return _trusted_class(ctx, {key: Fraction(num, den) for key, num in sums.items() if num})
 
 
 # -- functoriality ---------------------------------------------------------
@@ -246,7 +294,7 @@ def pullback_forget(cls: TautClass, new_mark: int) -> TautClass:
         if key != _PSI_KEY:
             out[("D", tuple(sorted(key[1] + (new_mark,))))] = value
             out[key] = value
-    return TautClass(big, out)
+    return _trusted_class(big, out)
 
 
 def pushforward_forget(cls: TautClass, forgotten: int) -> Fraction:
@@ -303,7 +351,7 @@ def relabel(cls: TautClass, mapping: Mapping[int, int]) -> TautClass:
             out[_PSI_KEY] = value
         else:
             out[("D", tuple(sorted(mapping[m] for m in key[1])))] = value
-    return TautClass(new_ctx, out)
+    return _trusted_class(new_ctx, out)
 
 
 # -- serialization -----------------------------------------------------------

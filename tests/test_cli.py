@@ -70,7 +70,7 @@ def test_hurwitz_profile_mismatch_exits_one(capsys: pytest.CaptureFixture[str]) 
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    assert captured.err.startswith("error[invalid-argument]: ")
     assert "(9, 9) does not sum to degree 1" in captured.err
 
 
@@ -231,7 +231,7 @@ def test_weight_class_caps_exit_one_at_once(
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err == f"error: {message}\n"
+    assert captured.err == f"error[resource-limit]: {message}\n"
     assert elapsed < 1.0
 
 

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import math
 import random
+import types
 from fractions import Fraction
 from typing import Sequence
 
 import pytest
 
+from rubbertaut import linalg
 from rubbertaut.errors import InconsistencyError, InvalidArgumentError
 from rubbertaut.linalg import rref, solve_linear_system
 
@@ -126,6 +129,29 @@ def test_integer_rref_matches_on_an_inconsistent_augmented_column() -> None:
         assert (reduced, pivots) == fraction_rref(augmented)
         inconsistent += 3 in pivots
     assert inconsistent > 50
+
+
+def test_integer_rref_keeps_its_rows_primitive(monkeypatch: pytest.MonkeyPatch) -> None:
+    # Divided by its gcd, each row of a partial Gauss-Jordan form is the
+    # primitive multiple of a vector of minors, so its entries are at most the
+    # Hadamard bound H (a product of row norms).  An eliminated row
+    # ``p * a - f * b`` is then at most 2 * H**2.  Without the gcd division
+    # the sizes double at each step.
+    rng = random.Random(16)
+    matrix = [[rng.randint(-9, 9) for _ in range(16)] for _ in range(16)]
+    hadamard = math.prod(math.isqrt(sum(v * v for v in row)) + 1 for row in matrix)
+    bound = (2 * hadamard**2).bit_length()
+    operands: list[int] = []
+
+    def gcd(*values: int) -> int:
+        operands.extend(values)
+        return math.gcd(*values)
+
+    monkeypatch.setattr(linalg, "math", types.SimpleNamespace(gcd=gcd, lcm=math.lcm))
+    _, pivots = rref(matrix)
+    assert pivots == list(range(16))
+    assert operands, "the eliminated rows were never divided by their gcd"
+    assert max(abs(v) for v in operands).bit_length() <= bound
 
 
 def test_rref_edge_shapes() -> None:

@@ -22,7 +22,14 @@ from rubbertaut.polyclasses import (
     hain_expand,
     interpolate,
 )
-from rubbertaut.tautring import RingContext, TautClass, boundary, psi1, relabel
+from rubbertaut.tautring import (
+    RingContext,
+    TautClass,
+    boundary,
+    psi1,
+    pullback_forget,
+    relabel,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -104,9 +111,24 @@ def _subtracted_polynomial(t: int) -> dict[tuple[int, ...], TautClass]:
     return coeffs
 
 
-@pytest.mark.parametrize("t", range(3, 8))
+@pytest.mark.parametrize("t", range(3, 10))
 def test_polynomial_matches_the_divisor_by_divisor_construction(t: int) -> None:
     assert genus1_polynomial(t).coeffs == _subtracted_polynomial(t)
+
+
+def _evaluate_term_by_term(poly: MultiPoly, point) -> object:
+    """The retired evaluation: one ``Fraction`` product and sum per term."""
+    total = None
+    for exponents, value in poly.coeffs.items():
+        scale = Fraction(1)
+        for base, exp in zip(point, exponents):
+            scale *= Fraction(base) ** exp
+        total = scale * value if total is None else total + scale * value
+    return total
+
+
+def _stores_no_zero(cls: TautClass) -> bool:
+    return all(type(v) is Fraction and v != 0 for v in cls._coeffs.values())
 
 
 def test_evaluate_leaves_the_coefficients_untouched() -> None:
@@ -115,11 +137,81 @@ def test_evaluate_leaves_the_coefficients_untouched() -> None:
     first = poly.evaluate(point)
     assert poly == genus1_polynomial(5)
     assert poly.evaluate(point) == first
-    expected = None
-    for exponents, value in poly.coeffs.items():
-        scale = math.prod(p**e for p, e in zip(point, exponents))
-        expected = scale * value if expected is None else expected + scale * value
-    assert first == expected
+    assert first == _evaluate_term_by_term(poly, point)
+
+
+def _seeded_point(rng: random.Random, nvars: int) -> list[Fraction]:
+    """Signed rationals with at least one zero entry."""
+    point = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(nvars)]
+    point[rng.randrange(nvars)] = Fraction(0)
+    return point
+
+
+@pytest.mark.parametrize("t", range(3, MAX_MARKS + 1))
+def test_evaluate_matches_the_term_by_term_sum(t: int) -> None:
+    rng = random.Random(f"evaluate/{t}")
+    poly = genus1_polynomial(t)
+    for _ in range(2):
+        point = _seeded_point(rng, t - 1)
+        value = poly.evaluate(point)
+        assert value == _evaluate_term_by_term(poly, point)
+        assert _stores_no_zero(value)
+    zero = poly.evaluate([0] * (t - 1))
+    assert zero.is_zero() and zero.ctx == RingContext.standard(t)
+
+
+def test_evaluate_matches_on_non_integer_class_coefficients() -> None:
+    # Distinct denominators on the coefficients and on the point exercise
+    # both lcms of the integer kernel.
+    rng = random.Random(3)
+    scales = [Fraction(2, 3), Fraction(-5, 7), Fraction(1, 4), Fraction(9, 10)]
+    for t in (3, 5, 7):
+        quadric = genus1_polynomial(t)
+        ctx = RingContext.standard(t)
+        two_thirds = MultiPoly(
+            t - 1, {e: Fraction(2, 3) * value for e, value in quadric.coeffs.items()}
+        )
+        mixed = {
+            exponents: scales[index % len(scales)] * value
+            for index, (exponents, value) in enumerate(quadric.coeffs.items())
+        }
+        mixed[(0,) * (t - 1)] = Fraction(1, 6) * psi1(ctx) - Fraction(3, 5) * boundary(ctx, ())
+        for poly in (two_thirds, MultiPoly(t - 1, mixed)):
+            for _ in range(3):
+                point = _seeded_point(rng, t - 1)
+                value = poly.evaluate(point)
+                assert value == _evaluate_term_by_term(poly, point)
+                assert _stores_no_zero(value)
+        point = _seeded_point(rng, t - 1)
+        assert two_thirds.evaluate(point) == Fraction(2, 3) * quadric.evaluate(point)
+
+
+def test_evaluate_matches_on_rational_values() -> None:
+    rng = random.Random(4)
+    for nvars in (2, 3, 4):
+        coeffs = {}
+        for _ in range(6):
+            exponents = tuple(rng.randint(0, 3) for _ in range(nvars))
+            coeffs[exponents] = Fraction(rng.randint(-9, 9), rng.randint(1, 8))
+        poly = MultiPoly(nvars, coeffs)
+        for _ in range(5):
+            point = _seeded_point(rng, nvars)
+            value = poly.evaluate(point)
+            assert type(value) is Fraction
+            assert value == _evaluate_term_by_term(poly, point)
+
+
+def test_class_operations_store_no_zero_coefficient() -> None:
+    rng = random.Random(5)
+    for t in (3, 5, 8):
+        poly = genus1_polynomial(t)
+        mapping = {1: 1, **dict(zip(range(2, t + 1), rng.sample(range(2, t + 1), t - 1)))}
+        for value in poly.coeffs.values():
+            assert _stores_no_zero(value)
+            assert _stores_no_zero(value.reduce())
+            assert _stores_no_zero(pullback_forget(value, t + 1))
+            assert _stores_no_zero(relabel(value, mapping))
+        assert _stores_no_zero(poly.evaluate(_seeded_point(rng, t - 1)))
 
 
 def test_pullback_stability() -> None:

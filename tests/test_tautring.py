@@ -13,6 +13,7 @@ from rubbertaut.tautring import (
     boundary,
     class_from_json,
     class_to_json,
+    linear_combination,
     psi1,
     pullback_forget,
     pushforward_forget,
@@ -110,6 +111,49 @@ def test_in_place_sum_matches_the_sum_and_leaves_the_operand() -> None:
         total += psi1(RingContext.standard(3))
 
 
+def _stores_no_zero(cls: TautClass) -> bool:
+    return all(type(v) is Fraction and v != 0 for v in cls._coeffs.values())
+
+
+def test_linear_combination_matches_the_term_by_term_sum() -> None:
+    rng = random.Random(9)
+    for t in (3, 4, 5):
+        ctx = RingContext.standard(t)
+        for _ in range(10):
+            pairs = [
+                (Fraction(rng.randint(-6, 6), rng.randint(1, 9)), _random_class(ctx, rng))
+                for _ in range(rng.randint(1, 5))
+            ]
+            pairs.append((rng.randint(-3, 3), _random_class(ctx, rng)))
+            expected = zero_class(ctx)
+            for scale, cls in pairs:
+                expected = expected + Fraction(scale) * cls
+            total = linear_combination(pairs)
+            assert total == expected
+            assert total.ctx == ctx
+            assert _stores_no_zero(total)
+
+
+def test_linear_combination_drops_cancelled_keys() -> None:
+    ctx = RingContext.standard(4)
+    x = _random_class(ctx, random.Random(10))
+    assert linear_combination([(Fraction(2, 3), x), (Fraction(-4, 6), x)]) == zero_class(ctx)
+    assert linear_combination([(0, x)]).is_zero()
+    a = Fraction(1, 2) * psi1(ctx) + Fraction(1, 3) * boundary(ctx, (2,))
+    b = Fraction(3, 4) * boundary(ctx, (2,)) - boundary(ctx, (3,))
+    total = linear_combination([(Fraction(9, 4), a), (-1, b)])
+    assert total == Fraction(9, 8) * psi1(ctx) + boundary(ctx, (3,))
+    assert _stores_no_zero(total) and total.coefficient_boundary((2,)) == 0
+
+
+def test_linear_combination_validates_its_classes() -> None:
+    with pytest.raises(InvalidArgumentError):
+        linear_combination([])
+    small, big = psi1(RingContext.standard(3)), psi1(RingContext.standard(4))
+    with pytest.raises(InvalidArgumentError):
+        linear_combination([(1, small), (1, big)])
+
+
 # ---------------------------------------------------------------------------
 # Linear reduction to the boundary basis
 # ---------------------------------------------------------------------------
@@ -141,6 +185,21 @@ def test_reduce_is_idempotent_and_linear_on_random_classes() -> None:
             assert (a + b).reduce() == a.reduce() + b.reduce()
             scaled = Fraction(-3, 2) * a
             assert scaled.reduce() == Fraction(-3, 2) * a.reduce()
+
+
+def test_reduce_drops_a_boundary_key_that_psi_cancels() -> None:
+    ctx = RingContext.standard(4)
+    cls = Fraction(3, 2) * psi1(ctx) - Fraction(3, 2) * boundary(ctx, (2, 3)) + boundary(ctx, (1,))
+    reduced = cls.reduce()
+    expected = boundary(ctx, (1,))
+    for side in ((), (2,), (3,), (4,), (2, 4), (3, 4)):
+        expected = expected + Fraction(3, 2) * boundary(ctx, side)
+    assert reduced == expected
+    assert reduced.coefficient_boundary((2, 3)) == 0
+    assert _stores_no_zero(reduced)
+    assert (boundary(ctx, ()) - psi1(ctx)).reduce().boundary_terms() == [
+        (side, Fraction(-1)) for side in ((2,), (3,), (4,), (2, 3), (2, 4), (3, 4))
+    ]
 
 
 def test_reduce_eliminates_psi_entirely() -> None:
