@@ -44,7 +44,7 @@ from .polyclasses import (
     interpolate,
 )
 from .series import series_log_sine, series, series_exp, series_mul, series_to_json, series_tau
-from .tautring import TautClass
+from .tautring import RingContext, TautClass
 from .util import fraction_str
 
 __all__ = ["main"]
@@ -68,27 +68,40 @@ def _parse_profile(text: str) -> tuple[int, ...]:
     return parts
 
 
-def _render_class(cls: TautClass) -> str:
-    """Stable text form of a boundary/psi combination, e.g. ``psi_1 - D(2|13)``."""
-    terms: list[tuple[str, Fraction]] = []
-    psi = cls.coefficient_psi1()
-    if psi:
-        terms.append(("psi_1", psi))
-    for side, coeff in cls.boundary_terms():
-        rest = tuple(m for m in cls.ctx.marks if m not in side)
-        label = "D({}|{})".format("".join(map(str, side)), "".join(map(str, rest)))
-        terms.append((label, coeff))
-    if not terms:
-        return "0"
-    chunks: list[str] = []
-    for label, coeff in terms:
-        magnitude = abs(coeff)
-        body = label if magnitude == 1 else f"{fraction_str(magnitude)}*{label}"
-        if not chunks:
-            chunks.append(body if coeff > 0 else f"-{body}")
-        else:
-            chunks.append(("+ " if coeff > 0 else "- ") + body)
-    return " ".join(chunks)
+def _render_classes(classes: Sequence[TautClass]) -> list[str]:
+    """Stable text forms of boundary/psi combinations, e.g. ``psi_1 - D(2|13)``.
+
+    Each side's ``D(side|rest)`` label is built once per mark set, not once
+    per term of every class.
+    """
+    labels_by_ctx: dict[RingContext, dict[tuple[int, ...], str]] = {}
+    rendered: list[str] = []
+    for cls in classes:
+        labels = labels_by_ctx.setdefault(cls.ctx, {})
+        terms: list[tuple[str, Fraction]] = []
+        psi = cls.coefficient_psi1()
+        if psi:
+            terms.append(("psi_1", psi))
+        for side, coeff in cls.boundary_terms():
+            label = labels.get(side)
+            if label is None:
+                rest = "".join(str(m) for m in cls.ctx.marks if m not in side)
+                label = labels[side] = "D({}|{})".format("".join(map(str, side)), rest)
+            terms.append((label, coeff))
+        chunks: list[str] = []
+        for label, coeff in terms:
+            num, den = coeff.numerator, coeff.denominator
+            magnitude = -num if num < 0 else num
+            if den != 1:
+                body = f"{magnitude}/{den}*{label}"
+            else:
+                body = label if magnitude == 1 else f"{magnitude}*{label}"
+            if chunks:
+                chunks.append(("- " if num < 0 else "+ ") + body)
+            else:
+                chunks.append(f"-{body}" if num < 0 else body)
+        rendered.append(" ".join(chunks) if chunks else "0")
+    return rendered
 
 
 def _render_locus(locus: tuple[tuple, ...]) -> str:
@@ -298,32 +311,33 @@ def _pclass_entries(t: int) -> list[tuple[tuple[int, ...], TautClass]]:
 
 def _cmd_pclass(args: argparse.Namespace) -> int:
     entries = _pclass_entries(args.marks)
+    rendered = _render_classes([cls for _, cls in entries])
     if args.format == "json":
         data = [
-            {"exponents": list(expo), "class": _render_class(cls)}
-            for expo, cls in entries
+            {"exponents": list(expo), "class": text}
+            for (expo, _), text in zip(entries, rendered)
         ]
         print(json.dumps(data, sort_keys=True))
         return 0
     if args.format == "latex":
         lines = []
-        for expo, cls in entries:
+        for (expo, _), text in zip(entries, rendered):
             monomial = " ".join(
                 f"x_{{{i + 2}}}^{{{e}}}" if e > 1 else f"x_{{{i + 2}}}"
                 for i, e in enumerate(expo)
                 if e
             )
-            body = _render_class(cls).replace("psi_1", r"\psi_1")
+            body = text.replace("psi_1", r"\psi_1")
             lines.append(rf"\left({body}\right)\, {monomial}")
         print(" + ".join(lines))
         return 0
     header = ["monomial", "class"]
     rows = []
-    for expo, cls in entries:
+    for (expo, _), text in zip(entries, rendered):
         monomial = "*".join(
             f"x{i + 2}^{e}" if e > 1 else f"x{i + 2}" for i, e in enumerate(expo) if e
         )
-        rows.append([monomial, _render_class(cls)])
+        rows.append([monomial, text])
     if args.format == "csv":
         sys.stdout.write(_emit_csv(rows, header))
     else:

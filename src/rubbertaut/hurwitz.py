@@ -24,10 +24,17 @@ reproduces the one-part closed form ``H((d), nu) = (l - 1)! * d ** (l - 2)``,
 closed form singles it out among the weightings ``N / (prod(alpha) *
 aut(alpha)) * (aut(alpha) * aut(beta)) ** k``: ``k = 1`` is this one, while
 ``k = 0`` and ``k = -1`` both miss it already below degree five.
+
+Counts are memoized on the validated, descending profile pair, after the
+degree cap is checked, so a capped pair raises on every call.  The
+localization graph sums ask for the same rubber integral over and over
+(about 90% of their calls repeat one), and every pair within the cap fits
+in the memo.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -47,6 +54,9 @@ __all__ = [
 MAX_DEGREE = 10
 #: Most simple branch points a profile pair within ``MAX_DEGREE`` can have.
 MAX_SIMPLE_BRANCH = 2 * MAX_DEGREE - 2
+#: Profile pairs whose counts are remembered: more than the 3,582 ordered
+#: pairs of partitions of equal degree up to ``MAX_DEGREE``.
+MEMO_SIZE = 4096
 
 #: A search state: the connected components, each the sorted cycle lengths
 #: of the current product inside it.
@@ -117,7 +127,13 @@ def hurwitz_oracle(alpha: Sequence[int], beta: Sequence[int]) -> Fraction:
     d = sum(alpha_t)
     if d > MAX_DEGREE:
         raise ResourceLimitError(f"degree {d} exceeds the exact-count cap {MAX_DEGREE}")
-    return Fraction(_count_tuples(alpha_t, beta_t) * aut(beta_t), math.prod(alpha_t))
+    return _hurwitz_number(alpha_t, beta_t)
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _hurwitz_number(alpha: tuple[int, ...], beta: tuple[int, ...]) -> Fraction:
+    """The count for validated, descending profiles within the degree cap."""
+    return Fraction(_count_tuples(alpha, beta) * aut(beta), math.prod(alpha))
 
 
 def hurwitz_one_part(nu: Sequence[int], d: int) -> Fraction:

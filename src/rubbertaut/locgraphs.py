@@ -5,14 +5,17 @@ The setup localizes a one-parameter torus action on a space of maps to a
 rigidified rational curve.  Every fixed locus is described by a graph with
 one vertex of positive genus (either over the zero end or carried by the
 rubber over the infinity end), one vertex per ramification part over zero,
-and a single edge per part.  Each graph contributes a product of explicitly
-known factors — an exact Laurent polynomial in the equivariant weight ``t``
-with coefficients in a small symbol algebra (powers of three cotangent
-symbols and one Hodge symbol).  Only the ``1/t`` coefficient of the graph
+and a single edge per part; only graphs with at most ``2g`` plus the twist
+parts contribute (:func:`enumerate_graphs`).  Each graph contributes a
+product of explicitly known factors — an exact Laurent polynomial in the
+equivariant weight ``t`` with coefficients in a small symbol algebra (powers
+of three cotangent symbols and one Hodge symbol).  Only the ``1/t`` coefficient of the graph
 sum carries the relation, and all but three factors of a graph are a
 scalar times a power of ``t``, so the relation is read by a residue walk
 over the genus-node cotangent power and the Hodge index, with the rubber
-cotangent power fixed by the power of ``t``.  The full Laurent product
+cotangent power fixed by the power of ``t``, in integers over one
+denominator per graph.  The repeated rubber integrals are memoized in
+:mod:`rubbertaut.hurwitz`.  The full Laurent product
 (:func:`assemble_contribution`) stays as the oracle for that walk and for
 the frozen degree-2 and degree-3 tables.  Evaluating the relation's terms
 through the boundary catalogue and solving gives the divisor-class
@@ -265,17 +268,25 @@ def enumerate_graphs(d: int, lift: Lift) -> list[LocGraph]:
     """All isomorphism classes of contributing graphs, in display order.
 
     Graphs whose branch weight cannot absorb the required twist (``B0 < k``)
-    have no fixed points in the twisted space and are omitted.
+    have no fixed points in the twisted space and are omitted.  With ``l``
+    parts, ``B0 = 2g + d - l`` over zero and ``d - l`` over infinity, while
+    ``k = d - twist``, so a contributing graph has ``l <= 2g + twist`` parts
+    (``l <= twist`` over infinity); only partitions that short are marked.
+    Equal slots of a marked partition give the same graph, so the genus is
+    flagged only on the first of them and every graph is built once.
     """
     if d < 1:
         raise InvalidArgumentError(f"need degree >= 1, got {d}")
-    classes: set[LocGraph] = set()
-    for nu in enumerate_partitions(d):
+    max_parts = max(0, 2 * lift.genus + lift.branch_twist)
+    kept = []
+    for nu in enumerate_partitions(d, max_parts):
         for marked, _ in enumerate_marked(nu, lift.zero_marks):
             slots = marked.slots
-            classes.add(LocGraph("infinity", tuple(Part(s, ms) for s, ms in slots)))
+            candidates = [LocGraph("infinity", tuple(Part(s, ms) for s, ms in slots))]
             for genus_index in range(len(slots)):
-                classes.add(
+                if genus_index and slots[genus_index] == slots[genus_index - 1]:
+                    continue
+                candidates.append(
                     LocGraph(
                         "zero",
                         tuple(
@@ -284,11 +295,10 @@ def enumerate_graphs(d: int, lift: Lift) -> list[LocGraph]:
                         ),
                     )
                 )
-    kept = []
-    for graph in classes:
-        b0, k = _branch_data(graph, lift)
-        if b0 >= k:
-            kept.append(graph)
+            for graph in candidates:
+                b0, k = _branch_data(graph, lift)
+                if b0 >= k:
+                    kept.append(graph)
     return sorted(kept, key=sort_key)
 
 
@@ -487,6 +497,14 @@ class Contribution:
         return SYM_OPS.scale(self.product.coefficient(power), self.prefactor)
 
 
+def _prefactor_denominator(graph: LocGraph) -> int:
+    slots = [(p.size, p.marks, p.genus) for p in graph.parts]
+    denominator = decorated_aut(slots)
+    if not graph.has_rubber():
+        denominator *= graph.degree
+    return denominator
+
+
 def graph_prefactor(graph: LocGraph) -> Fraction:
     """Automorphism weight; the unexpanded one-part graph also divides by ``d``.
 
@@ -494,11 +512,7 @@ def graph_prefactor(graph: LocGraph) -> Fraction:
     decorated parts.  Without one (single part, genus over zero) the edge's
     cyclic deck transformations act as well, contributing ``1/d``.
     """
-    slots = [(p.size, p.marks, p.genus) for p in graph.parts]
-    weight = Fraction(1, decorated_aut(slots))
-    if not graph.has_rubber():
-        weight /= graph.degree
-    return weight
+    return Fraction(1, _prefactor_denominator(graph))
 
 
 def assemble_contribution(graph: LocGraph, lift: Lift) -> Contribution:
@@ -537,7 +551,7 @@ def assemble_contribution(graph: LocGraph, lift: Lift) -> Contribution:
     return Contribution(graph, lift, graph_prefactor(graph), tuple(specs), product)
 
 
-def _residue(graph: LocGraph, lift: Lift) -> SymExpr:
+def _residue(graph: LocGraph, lift: Lift) -> tuple[dict[Monomial, int], int]:
     """The ``t^-1`` coefficient of the contribution, without its product.
 
     Every factor but three is a scalar times a power of ``t``: the
@@ -546,13 +560,15 @@ def _residue(graph: LocGraph, lift: Lift) -> SymExpr:
     factor.  The three series are the genus node's (cotangent power ``a``),
     the Hodge class's (index ``j``) and the rubber node's (cotangent power
     ``b``), so the residue is a sum over ``(a, j)`` with ``b`` fixed by the
-    power of ``t``.  It equals
+    power of ``t``.  It is returned as integer numerators over one common
+    denominator, so a caller builds a ``Fraction`` only for the monomials it
+    keeps; divided out, it equals
     ``assemble_contribution(graph, lift).coefficient_at(-1)``.
     """
     b0, k = _branch_data(graph, lift)
     if b0 < k:
         raise InvalidArgumentError("graph does not meet the branch twist")
-    num, den = falling_factorial(b0, k), 1
+    num, den = falling_factorial(b0, k), _prefactor_denominator(graph)
     power = k + len(lift.zero_marks) - graph.degree
     for p in graph.parts:
         num *= p.size**p.size
@@ -565,7 +581,6 @@ def _residue(graph: LocGraph, lift: Lift) -> SymExpr:
         elif not p.marks:
             den *= p.size
             power += 1
-    scalar = graph_prefactor(graph) * Fraction(num, den)
     genus = graph.genus_part()
     # (a, j, coefficient, power of t) of the genus node and Hodge series
     terms: list[tuple[int, int | None, int, int]] = [(0, None, 1, 0)]
@@ -577,16 +592,16 @@ def _residue(graph: LocGraph, lift: Lift) -> SymExpr:
             for j in range(g + 1)
         ]
     rubber_cap = _rubber_dim(graph, lift) if graph.has_rubber() else None
-    out: SymExpr = {}
+    out: dict[Monomial, int] = {}
     for a, j, coeff, shift in terms:
         # the rubber term psi^b t^(-b-1) turns t^b into 1/t
         b = power + shift
         if rubber_cap is None:
             if b == -1:
-                out[Monomial(a, 0, 0, j)] = scalar * coeff
+                out[Monomial(a, 0, 0, j)] = num * coeff
         elif 0 <= b <= rubber_cap:
-            out[Monomial(a, 0, b, j)] = scalar * (coeff * (-1) ** (b + 1))
-    return out
+            out[Monomial(a, 0, b, j)] = num * coeff * (-1) ** (b + 1)
+    return out, den
 
 
 # ---------------------------------------------------------------------------
@@ -651,9 +666,10 @@ def relation_extract(d: int, lift: Lift) -> Relation:
     keep = _keep_divisor_term if lift.insertion == "hodge-1" else _keep_pair_term
     terms: dict[LocGraph, dict[Monomial, Fraction]] = {}
     for graph in enumerate_graphs(d, lift):
+        numerators, den = _residue(graph, lift)
         kept = {
-            mono: coeff
-            for mono, coeff in _residue(graph, lift).items()
+            mono: Fraction(num, den)
+            for mono, num in numerators.items()
             if keep(graph, lift, mono)
         }
         if kept:

@@ -130,8 +130,8 @@ class MultiPoly:
 #: ``pclass`` and the ``check_*`` predicates accept.  Each coefficient has up
 #: to ``2**t`` divisor terms.  At 11 marks the polynomial takes about 0.02 s,
 #: ``check_pullback_stability`` about 0.12 s and ``check_equivariance`` about
-#: 0.6 s, and ``pclass`` about 0.6 s, most of it rendering the classes; at 12
-#: marks 0.04 s, 0.4 s, 1.7 s and about 1 s (2-vCPU VM, Python 3.11).
+#: 0.6 s, and ``pclass`` about 0.07 s after start-up; at 12 marks 0.04 s,
+#: 0.4 s, 1.7 s and 0.16 s (2-vCPU VM, Python 3.11).
 MAX_MARKS = 11
 
 _ONE = Fraction(1)

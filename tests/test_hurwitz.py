@@ -6,6 +6,7 @@ from itertools import permutations, product
 
 import pytest
 
+from rubbertaut import hurwitz
 from rubbertaut.errors import InvalidArgumentError, ResourceLimitError
 from rubbertaut.hurwitz import (
     MAX_DEGREE,
@@ -234,6 +235,51 @@ def test_resource_caps_are_enforced() -> None:
     assert len(ones) + len(ones) - 2 == MAX_SIMPLE_BRANCH
     expected = math.factorial(MAX_DEGREE) * math.factorial(MAX_SIMPLE_BRANCH)
     assert hurwitz_oracle(ones, ones) == expected * MAX_DEGREE ** (MAX_DEGREE - 3)
+
+
+# ---------------------------------------------------------------------------
+# The memo of counts
+# ---------------------------------------------------------------------------
+
+
+def test_repeated_calls_return_equal_values() -> None:
+    first = hurwitz_oracle((2, 1, 1), (3, 1))
+    assert hurwitz_oracle((2, 1, 1), (3, 1)) == first
+    assert first == _brute_force_count((2, 1, 1), (3, 1))
+
+
+def test_memo_is_keyed_on_the_sorted_profiles(monkeypatch: pytest.MonkeyPatch) -> None:
+    searches = []
+    count_tuples = hurwitz._count_tuples
+
+    def counting(alpha: tuple[int, ...], beta: tuple[int, ...]) -> int:
+        searches.append((alpha, beta))
+        return count_tuples(alpha, beta)
+
+    monkeypatch.setattr(hurwitz, "_count_tuples", counting)
+    hurwitz._hurwitz_number.cache_clear()
+    value = hurwitz_oracle((1, 2), (1, 2))
+    assert hurwitz_oracle([2, 1], [2, 1]) == value
+    assert value == _brute_force_count((2, 1), (2, 1))
+    # The second spelling of the same pair reads the first one's count.
+    assert searches == [((2, 1), (2, 1))]
+
+
+def test_capped_degrees_raise_on_every_call() -> None:
+    big = (MAX_DEGREE + 1,)
+    for _ in range(2):
+        with pytest.raises(ResourceLimitError):
+            hurwitz_oracle(big, big)
+
+
+def test_the_cap_is_checked_before_the_memo(monkeypatch: pytest.MonkeyPatch) -> None:
+    # A pair counted under a wider cap is refused again once the cap is back.
+    big = (MAX_DEGREE + 1,)
+    monkeypatch.setattr(hurwitz, "MAX_DEGREE", MAX_DEGREE + 1)
+    assert hurwitz_oracle(big, big) == Fraction(1, MAX_DEGREE + 1)
+    monkeypatch.setattr(hurwitz, "MAX_DEGREE", MAX_DEGREE)
+    with pytest.raises(ResourceLimitError):
+        hurwitz_oracle(big, big)
 
 
 def test_rubber_integrals_divide_by_branch_count() -> None:

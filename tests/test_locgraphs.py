@@ -17,6 +17,8 @@ from rubbertaut.locgraphs import (
     Monomial,
     Part,
     Relation,
+    _keep_divisor_term,
+    _keep_pair_term,
     _residue,
     assemble_contribution,
     enumerate_graphs,
@@ -30,13 +32,73 @@ from rubbertaut.locgraphs import (
     relation_by_row,
     relation_extract,
     render_graph,
+    sort_key,
 )
+from rubbertaut.partitions import enumerate_marked, enumerate_partitions
 from rubbertaut.tautring import RingContext, boundary, psi1
 
 
 # ---------------------------------------------------------------------------
 # Graph enumeration
 # ---------------------------------------------------------------------------
+
+
+def _oracle_graphs(d: int, lift: Lift) -> list[LocGraph]:
+    """Every partition, a graph per genus position, deduplicated, then filtered.
+
+    No bound on the number of parts: the branch condition ``B0 >= k`` is
+    tested on every graph of every marked partition.
+    """
+    classes: set[LocGraph] = set()
+    for nu in enumerate_partitions(d):
+        for marked, _ in enumerate_marked(nu, lift.zero_marks):
+            slots = marked.slots
+            classes.add(LocGraph("infinity", tuple(Part(s, ms) for s, ms in slots)))
+            for genus_index in range(len(slots)):
+                parts = tuple(
+                    Part(s, ms, genus=(i == genus_index)) for i, (s, ms) in enumerate(slots)
+                )
+                classes.add(LocGraph("zero", parts))
+    kept = []
+    for graph in classes:
+        b0 = (2 * lift.genus if graph.side == "zero" else 0) + d - len(graph.parts)
+        if b0 >= d - lift.branch_twist:
+            kept.append(graph)
+    return sorted(kept, key=sort_key)
+
+
+_ORACLE_CASES = [(lift_pair(g), d) for g in range(1, 6) for d in range(1, 11)]
+_ORACLE_CASES += [(LIFT_DIVISOR, d) for d in range(1, 11)]
+
+
+def test_enumeration_matches_the_unbounded_oracle() -> None:
+    for lift, d in _ORACLE_CASES:
+        assert enumerate_graphs(d, lift) == _oracle_graphs(d, lift), (lift, d)
+
+
+def _residue_fractions(graph: LocGraph, lift: Lift) -> dict[Monomial, Fraction]:
+    numerators, den = _residue(graph, lift)
+    return {mono: Fraction(num, den) for mono, num in numerators.items()}
+
+
+def test_relation_keeps_the_filtered_residue_of_every_graph() -> None:
+    for lift, d in _ORACLE_CASES:
+        if d < lift.branch_twist:
+            continue
+        keep = _keep_divisor_term if lift.insertion == "hodge-1" else _keep_pair_term
+        expected = {}
+        for graph in _oracle_graphs(d, lift):
+            kept = {
+                mono: coeff
+                for mono, coeff in _residue_fractions(graph, lift).items()
+                if keep(graph, lift, mono)
+            }
+            if kept:
+                expected[graph] = kept
+        terms = relation_extract(d, lift).terms
+        assert [(g, list(m.items())) for g, m in terms.items()] == [
+            (g, list(m.items())) for g, m in expected.items()
+        ], (lift, d)
 
 
 def test_divisor_lift_enumeration_counts() -> None:
@@ -152,7 +214,7 @@ def test_noncontributing_rows_have_no_residue(d: int, silent: set[int]) -> None:
     for row in rows:
         for graph in row.graphs:
             laurent = assemble_contribution(graph, LIFT_DIVISOR).coefficient_at(-1)
-            residue = _residue(graph, LIFT_DIVISOR)
+            residue = _residue_fractions(graph, LIFT_DIVISOR)
             assert residue == laurent
             if row.index in silent:
                 assert residue == {}
@@ -168,7 +230,7 @@ def test_residue_walk_matches_the_laurent_product() -> None:
     for lift, d in cases:
         for graph in enumerate_graphs(d, lift):
             expected = assemble_contribution(graph, lift).coefficient_at(-1)
-            assert _residue(graph, lift) == expected, (render_graph(graph), lift)
+            assert _residue_fractions(graph, lift) == expected, (render_graph(graph), lift)
             checked += 1
     assert checked == 1688
 
