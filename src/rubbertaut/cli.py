@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -35,6 +36,7 @@ from .hodge import verify_scaling, evaluate_form, hodge_linear_form, n_target, s
 from .hurwitz import hurwitz_one_part, hurwitz_oracle, rubber_psi_integral
 from .partitions import enumerate_partitions
 from .polyclasses import (
+    MAX_INTERP_POINTS,
     MultiPoly,
     check_equivariance,
     check_homogeneity,
@@ -45,7 +47,7 @@ from .polyclasses import (
 )
 from .series import series_log_sine, series, series_exp, series_mul, series_to_json, series_tau
 from .tautring import RingContext, TautClass
-from .util import fraction_str
+from .util import combine, fraction_str, parse_fraction
 
 __all__ = ["main"]
 
@@ -58,13 +60,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _parse_profile(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     try:
         parts = tuple(int(chunk) for chunk in text.split(",") if chunk.strip())
     except ValueError as exc:
-        raise InvalidArgumentError(f"bad profile {text!r}") from exc
+        raise InvalidArgumentError(f"bad {what} {text!r}") from exc
     if not parts:
-        raise InvalidArgumentError(f"bad profile {text!r}")
+        raise InvalidArgumentError(f"bad {what} {text!r}")
     return parts
 
 
@@ -117,19 +119,6 @@ def _render_locus(locus: tuple[tuple, ...]) -> str:
     return " x ".join(pieces)
 
 
-def _render_pole_terms(terms: dict[tuple[int, int], Fraction]) -> str:
-    chunks = []
-    for (a, b), coeff in sorted(terms.items()):
-        symbols = []
-        if a:
-            symbols.append("psi_N" if a == 1 else f"psi_N^{a}")
-        if b:
-            symbols.append("psi" if b == 1 else f"psi^{b}")
-        body = "*".join([fraction_str(coeff)] + symbols)
-        chunks.append(body)
-    return " + ".join(chunks) if chunks else "0"
-
-
 def _emit_table(rows: list[list[str]], header: list[str]) -> str:
     widths = [
         max(len(header[i]), *(len(row[i]) for row in rows)) if rows else len(header[i])
@@ -149,14 +138,20 @@ def _emit_csv(rows: list[list[str]], header: list[str]) -> str:
     return buffer.getvalue()
 
 
+def _write_rows(rows: list[list[str]], header: list[str], fmt: str) -> None:
+    """Write ``rows`` as CSV when ``fmt`` is ``csv``, else as an aligned table."""
+    emit = _emit_csv if fmt == "csv" else _emit_table
+    sys.stdout.write(emit(rows, header))
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 
 def _cmd_hurwitz(args: argparse.Namespace) -> int:
-    alpha = _parse_profile(args.alpha)
-    beta = _parse_profile(args.beta)
+    alpha = _parse_ints(args.alpha, "profile")
+    beta = _parse_ints(args.beta, "profile")
     if args.psi:
         value = rubber_psi_integral(alpha, beta)
         method = "rubber_psi"
@@ -198,11 +193,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
         [str(power), fraction_str(series_obj.coefficient(power))]
         for power in range(series_obj.order + 1)
     ]
-    header = ["power", "coefficient"]
-    if args.format == "csv":
-        sys.stdout.write(_emit_csv(rows, header))
-    else:
-        sys.stdout.write(_emit_table(rows, header))
+    _write_rows(rows, ["power", "coefficient"], args.format)
     return 0
 
 
@@ -239,9 +230,9 @@ def _golden_diff(d: int) -> list[str]:
     expected_relation = dict(goldentables.R2_RELATION if d == 2 else goldentables.L3_RELATION_DISPLAYED)
     if d == 3:
         row_index, key, total = goldentables.L3_OMITTED_TERM
-        bucket = dict(expected_relation.get(row_index, {}))
-        bucket[key] = bucket.get(key, Fraction(0)) + total
-        expected_relation[row_index] = bucket
+        expected_relation[row_index] = combine(
+            ((1, expected_relation.get(row_index, {})), (1, {key: total}))
+        )
     problems: list[str] = []
     if len(rows) != len(table):
         problems.append(f"row count {len(rows)} != {len(table)}")
@@ -297,20 +288,12 @@ def _cmd_localize(args: argparse.Namespace) -> int:
         ]
         for item in data
     ]
-    if args.format == "csv":
-        sys.stdout.write(_emit_csv(rows, header))
-    else:
-        sys.stdout.write(_emit_table(rows, header))
+    _write_rows(rows, header, args.format)
     return 0
 
 
-def _pclass_entries(t: int) -> list[tuple[tuple[int, ...], TautClass]]:
-    poly = genus1_polynomial(t)
-    return sorted(poly.coeffs.items())
-
-
 def _cmd_pclass(args: argparse.Namespace) -> int:
-    entries = _pclass_entries(args.marks)
+    entries = sorted(genus1_polynomial(args.marks).coeffs.items())
     rendered = _render_classes([cls for _, cls in entries])
     if args.format == "json":
         data = [
@@ -331,17 +314,13 @@ def _cmd_pclass(args: argparse.Namespace) -> int:
             lines.append(rf"\left({body}\right)\, {monomial}")
         print(" + ".join(lines))
         return 0
-    header = ["monomial", "class"]
     rows = []
     for (expo, _), text in zip(entries, rendered):
         monomial = "*".join(
             f"x{i + 2}^{e}" if e > 1 else f"x{i + 2}" for i, e in enumerate(expo) if e
         )
         rows.append([monomial, text])
-    if args.format == "csv":
-        sys.stdout.write(_emit_csv(rows, header))
-    else:
-        sys.stdout.write(_emit_table(rows, header))
+    _write_rows(rows, ["monomial", "class"], args.format)
     return 0
 
 
@@ -353,20 +332,17 @@ def _render_hain_symbol(symbol: tuple) -> str:
 
 
 def _cmd_hain(args: argparse.Namespace) -> int:
-    weights = tuple(Fraction(chunk) for chunk in args.weights.split(","))
+    weights = tuple(parse_fraction(chunk) for chunk in args.weights.split(","))
     expansion = hain_expand(args.genus, len(weights), weights)
     names = {sym: _render_hain_symbol(sym) for sym in set().union(*expansion)}
     rows = [
         ["*".join([names[sym] for sym in monomial]), fraction_str(expansion[monomial])]
         for monomial in sorted(expansion)
     ]
-    header = ["monomial", "coefficient"]
     if args.format == "json":
         print(json.dumps([{"monomial": r[0], "coefficient": r[1]} for r in rows], sort_keys=True))
-    elif args.format == "csv":
-        sys.stdout.write(_emit_csv(rows, header))
     else:
-        sys.stdout.write(_emit_table(rows, header))
+        _write_rows(rows, ["monomial", "coefficient"], args.format)
     return 0
 
 
@@ -394,9 +370,14 @@ def _all_exponents(degrees: tuple[int, ...]):
 
 
 def _cmd_interp(args: argparse.Namespace) -> int:
-    degrees = tuple(int(chunk) for chunk in args.degrees.split(","))
+    degrees = _parse_ints(args.degrees, "degrees")
     if len(degrees) != args.nvars:
         raise InvalidArgumentError("need one degree bound per variable")
+    grid = math.prod(d + 1 for d in degrees)
+    if args.trials * grid > MAX_INTERP_POINTS:
+        raise ResourceLimitError(
+            f"{args.trials} round trips of {grid} grid points exceed the cap {MAX_INTERP_POINTS}"
+        )
     failures = _interp_round_trip(args.nvars, degrees, args.seed, args.trials)
     if failures:
         print(f"FAIL interp: {failures} of {args.trials} round-trips differ")

@@ -32,7 +32,7 @@ from .errors import InvalidArgumentError, InconsistencyError, TheoremViolationEr
 from .linalg import solve_linear_system
 from .partitions import aut, enumerate_partitions
 from .series import series_log_sine
-from .util import binomial
+from .util import combine
 
 __all__ = [
     "q_form",
@@ -57,21 +57,16 @@ def q_form(g: int, e: int) -> LinearForm:
     return {j: Fraction((-1) ** j * e ** (g - 1 - j)) for j in range(g)}
 
 
-def _form_add(target: LinearForm, other: Mapping[int, Fraction], scale: Fraction) -> None:
-    for j, value in other.items():
-        target[j] = target.get(j, Fraction(0)) + scale * value
-
-
 def _partition_route(g: int, d: int) -> LinearForm:
     """Sum over ramification partitions of the degree (one term per part)."""
-    form: LinearForm = {}
+    pairs: list[tuple[Fraction, LinearForm]] = []
     prefactor = Fraction(math.factorial(d), d ** (d - 1))
     for nu in enumerate_partitions(d):
         l = len(nu)
         if l > 2 * g + 1:
             continue
         sign = Fraction((-1) ** (l - 1))
-        branch = binomial(2 * g + d - l, d - 1)
+        branch = math.comb(2 * g + d - l, d - 1)
         weight = Fraction(1)
         for part in nu:
             weight *= Fraction(part ** (part - 1), math.factorial(part))
@@ -83,9 +78,8 @@ def _partition_route(g: int, d: int) -> LinearForm:
             / aut(nu)
             * weight
         )
-        for part in nu:
-            _form_add(form, q_form(g, part), common * part * part)
-    return {j: v for j, v in form.items() if v != 0} or {0: Fraction(0)}
+        pairs += [(common * part * part, q_form(g, part)) for part in nu]
+    return combine(pairs) or {0: Fraction(0)}
 
 
 def _resummed_route(g: int, d: int) -> LinearForm:

@@ -19,7 +19,9 @@ denominator per graph.  The repeated rubber integrals are memoized in
 (:func:`assemble_contribution`) stays as the oracle for that walk and for
 the frozen degree-2 and degree-3 tables.  Evaluating the relation's terms
 through the boundary catalogue and solving gives the divisor-class
-coefficients of the genus-one weight quadric.
+coefficients of the genus-one weight quadric.  Every sum here, from the
+symbol algebra's ring operations to the per-row relations and the solve,
+runs through :func:`rubbertaut.util.combine`.
 
 Two lifts of the action are used:
 
@@ -51,6 +53,7 @@ from .tautring import (
     RingContext,
     TautClass,
     boundary,
+    linear_combination,
     psi1,
     pullback_forget,
     pushforward_forget,
@@ -58,7 +61,7 @@ from .tautring import (
     section_pushforward,
     zero_class,
 )
-from .util import falling_factorial
+from .util import combine, falling_factorial
 
 __all__ = [
     "Monomial",
@@ -114,17 +117,6 @@ UNIT = Monomial()
 SymExpr = dict[Monomial, Fraction]
 
 
-def _sym_add(a: SymExpr, b: SymExpr) -> SymExpr:
-    out = dict(a)
-    for mono, coeff in b.items():
-        total = out.get(mono, Fraction(0)) + coeff
-        if total:
-            out[mono] = total
-        else:
-            out.pop(mono, None)
-    return out
-
-
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     if a.hodge_j is not None and b.hodge_j is not None:
         raise InvalidArgumentError("two Hodge factors met in one monomial")
@@ -137,25 +129,20 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
 
 
 def _sym_mul(a: SymExpr, b: SymExpr) -> SymExpr:
-    out: SymExpr = {}
-    for mono_a, coeff_a in a.items():
-        for mono_b, coeff_b in b.items():
-            mono = _mono_mul(mono_a, mono_b)
-            total = out.get(mono, Fraction(0)) + coeff_a * coeff_b
-            if total:
-                out[mono] = total
-            else:
-                out.pop(mono, None)
-    return out
+    # For a fixed ``mono_a`` the products with distinct ``mono_b`` differ.
+    return combine(
+        (coeff_a, {_mono_mul(mono_a, mono_b): coeff_b for mono_b, coeff_b in b.items()})
+        for mono_a, coeff_a in a.items()
+    )
 
 
 SYM_OPS: RingOps[SymExpr] = RingOps(
     zero=dict,
-    add=_sym_add,
-    neg=lambda a: {m: -c for m, c in a.items()},
+    add=lambda a, b: combine(((1, a), (1, b))),
+    neg=lambda a: combine(((-1, a),)),
     mul=_sym_mul,
     is_zero=lambda a: not a,
-    scale=lambda a, q: {m: q * c for m, c in a.items()} if q else {},
+    scale=lambda a, q: combine(((q, a),)),
 )
 
 
@@ -682,18 +669,13 @@ def relation_by_row(relation: Relation, rows: Sequence[Row]) -> dict[int, dict[t
 
     Keys are ``(psi_genus, psi_rubber)`` pairs; mirror graphs in a row sum.
     """
-    out: dict[int, dict[tuple[int, int], Fraction]] = {}
     graph_to_row = {graph: row.index for row in rows for graph in row.graphs}
+    pairs: dict[int, list[tuple[Fraction, dict[tuple[int, int], int]]]] = {}
     for graph, monos in relation.terms.items():
-        index = graph_to_row[graph]
-        bucket = out.setdefault(index, {})
-        for mono, coeff in monos.items():
-            key = (mono.psi_genus, mono.psi_rubber)
-            total = bucket.get(key, Fraction(0)) + coeff
-            if total:
-                bucket[key] = total
-            else:
-                bucket.pop(key, None)
+        pairs.setdefault(graph_to_row[graph], []).extend(
+            (coeff, {(mono.psi_genus, mono.psi_rubber): 1}) for mono, coeff in monos.items()
+        )
+    out = {index: combine(terms) for index, terms in pairs.items()}
     return {index: bucket for index, bucket in out.items() if bucket}
 
 
@@ -706,7 +688,7 @@ def hodge_form_from_graphs(g: int, d: int) -> LinearForm:
     """
     lift = lift_pair(g)
     relation = relation_extract(d, lift)
-    form: LinearForm = {}
+    pairs: list[tuple[Fraction, dict[int, int]]] = []
     rubber_coeff = Fraction(0)
     for graph, monos in relation.terms.items():
         for mono, coeff in monos.items():
@@ -714,14 +696,13 @@ def hodge_form_from_graphs(g: int, d: int) -> LinearForm:
                 weight = coeff
                 if graph.has_rubber():
                     weight *= rubber_psi_integral(graph.partition, (d,))
-                j = mono.hodge_j
-                assert j is not None
-                form[j] = form.get(j, Fraction(0)) + weight
+                assert mono.hodge_j is not None
+                pairs.append((weight, {mono.hodge_j: 1}))
             else:
                 rubber_coeff += coeff
     if rubber_coeff == 0:
         raise TheoremViolationError(f"no rubber term in the degree-{d} pair relation")
-    return {j: -v / rubber_coeff for j, v in form.items() if v}
+    return {j: -v / rubber_coeff for j, v in combine(pairs).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -815,20 +796,20 @@ def evaluate_relation(relation: Relation, ctx: RingContext) -> EvaluatedRelation
     """Push every term of a divisor-lift relation to the three-mark space."""
     if relation.lift.insertion != "hodge-1":
         raise InvalidArgumentError("only divisor-lift relations evaluate to classes")
-    known = zero_class(ctx)
-    p_terms: dict[tuple[int, int], Fraction] = {}
-    s_terms: dict[tuple[int, int], Fraction] = {}
+    known = [(1, zero_class(ctx))]
+    atoms: dict[str, list[tuple[Fraction, dict[tuple[int, int], int]]]] = {"P": [], "S": []}
     for graph, monos in relation.terms.items():
         for mono, coeff in monos.items():
             if graph.side == "zero":
                 value = _evaluate_zero_side(graph, mono, ctx)
                 if value is not None:
-                    known = known + coeff * value
+                    known.append((coeff, value))
             else:
                 kind, sizes = _marked_sizes(graph, relation.lift)
-                bucket = p_terms if kind == "P" else s_terms
-                bucket[sizes] = bucket.get(sizes, Fraction(0)) + coeff
-    return EvaluatedRelation(known, p_terms, s_terms)
+                atoms[kind].append((coeff, {sizes: 1}))
+    return EvaluatedRelation(
+        linear_combination(known), combine(atoms["P"]), combine(atoms["S"])
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -887,31 +868,37 @@ def _main_relation(
     split-mark atoms are ``P(a, b) = a^2 A2 + b^2 A3 + a b B``; the relation
     reads ``total + weight * B = 0`` for the returned ``(total, weight)``.
     """
-    total = evaluated.known
+    pairs = [(1, evaluated.known)]
     for (sa, sb), coeff in evaluated.s_terms.items():
-        total = total + coeff * ((sa * sa) * a2p + (sb * sb) * a3p + (sa * sb) * bp)
+        pairs += [(coeff * sa * sa, a2p), (coeff * sb * sb, a3p), (coeff * sa * sb, bp)]
     weight = Fraction(0)
     for (pa, pb), coeff in evaluated.p_terms.items():
-        total = total + coeff * ((pa * pa) * a2 + (pb * pb) * a3)
+        pairs += [(coeff * pa * pa, a2), (coeff * pb * pb, a3)]
         weight += coeff * pa * pb
     if weight == 0:
         raise TheoremViolationError(f"{degree} relation does not see the mixed coefficient")
-    return total, weight
+    return linear_combination(pairs), weight
 
 
-def _solve_degree2() -> Degree2Solution:
+def evaluate_and_solve(d: int) -> Degree2Solution | Degree3Report:
+    """Solve the divisor-lift relation in degree ``d`` (2 or 3).
+
+    Degree 2 determines all six coefficients; degree 3 re-derives the mixed
+    coefficient from its own relation, given the degree-2 solution, and
+    returns the exact residual of the full relation.
+    """
+    if d not in (2, 3):
+        raise InvalidArgumentError(
+            f"the divisor pipeline is implemented for degrees 2 and 3, not {d}"
+        )
     ctx3 = RingContext.standard(3)
     anchor = _anchor_coefficient()
     seed = anchor * boundary(RingContext((1, 2)), ())
     a2 = pullback_forget(seed, 3).reduce()
-    a3_via_pullback = pullback_forget(relabel(seed, {1: 1, 2: 3}), 2).reduce()
-    a3_via_swap = relabel(a2, {1: 1, 2: 3, 3: 2}).reduce()
-    if a3_via_pullback != a3_via_swap:
+    a3 = pullback_forget(relabel(seed, {1: 1, 2: 3}), 2).reduce()
+    if a3 != relabel(a2, {1: 1, 2: 3, 3: 2}).reduce():
         raise TheoremViolationError("the two routes to the second pure coefficient differ")
-    a3 = a3_via_pullback
-
-    relation = relation_extract(2, LIFT_DIVISOR)
-    evaluated = evaluate_relation(relation, ctx3)
+    evaluated = evaluate_relation(relation_extract(2, LIFT_DIVISOR), ctx3)
 
     # Joint-mark companions by restriction: forget the third mark, then glue
     # it back onto the second.
@@ -925,51 +912,33 @@ def _solve_degree2() -> Degree2Solution:
     pushed_known = section_pushforward(
         pushforward_forget(evaluated.known, 3), 2, 3, ctx3
     )
-    joint_coeffs: dict[tuple[int, int], Fraction] = dict(evaluated.s_terms)
-    for sizes, coeff in evaluated.p_terms.items():
-        joint_coeffs[sizes] = joint_coeffs.get(sizes, Fraction(0)) + coeff
+    joint_coeffs = combine(((1, evaluated.s_terms), (1, evaluated.p_terms)))
     if set(joint_coeffs) != {(1, 1)}:
         raise UnsupportedGraphError(
             f"unexpected joint-mark atoms {sorted(joint_coeffs)} in degree 2"
         )
-    c11 = joint_coeffs[(1, 1)]
     # pushed_known + c11 * (a2p + a3p + bp) = 0
-    bp = Fraction(-1, 1) / c11 * pushed_known - a2p - a3p
-
+    bp = linear_combination(
+        ((-1 / joint_coeffs[(1, 1)], pushed_known), (-1, a2p), (-1, a3p))
+    )
     total, b_weight = _main_relation(evaluated, a2, a3, a2p, a3p, bp, "degree-two")
-    b = (Fraction(-1) / b_weight) * total
-    return Degree2Solution(
+    solution = Degree2Solution(
         anchor=anchor,
         a2=a2,
         a3=a3,
-        b=b.reduce(),
+        b=((-1 / b_weight) * total).reduce(),
         a2p=a2p.reduce(),
         a3p=a3p.reduce(),
         bp=bp.reduce(),
     )
-
-
-def _solve_degree3() -> Degree3Report:
-    base = _solve_degree2()
-    ctx3 = RingContext.standard(3)
-    relation = relation_extract(3, LIFT_DIVISOR)
-    evaluated = evaluate_relation(relation, ctx3)
-    total, b_weight = _main_relation(
-        evaluated, base.a2, base.a3, base.a2p, base.a3p, base.bp, "degree-three"
-    )
-    b_again = ((Fraction(-1) / b_weight) * total).reduce()
-    residual = (total + b_weight * base.b).reduce()
-    return Degree3Report(base=base, b_again=b_again, residual=residual)
-
-
-def evaluate_and_solve(d: int):
-    """Solve the divisor-lift relation in degree ``d`` (2 or 3).
-
-    Degree 2 determines all six coefficients; degree 3 re-derives the mixed
-    coefficient and returns the exact residual of the full relation.
-    """
     if d == 2:
-        return _solve_degree2()
-    if d == 3:
-        return _solve_degree3()
-    raise InvalidArgumentError(f"the divisor pipeline is implemented for degrees 2 and 3, not {d}")
+        return solution
+    evaluated = evaluate_relation(relation_extract(3, LIFT_DIVISOR), ctx3)
+    total, b_weight = _main_relation(
+        evaluated, a2, a3, solution.a2p, solution.a3p, solution.bp, "degree-three"
+    )
+    return Degree3Report(
+        base=solution,
+        b_again=((-1 / b_weight) * total).reduce(),
+        residual=linear_combination(((1, total), (b_weight, solution.b))).reduce(),
+    )

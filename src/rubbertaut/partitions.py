@@ -100,13 +100,6 @@ class MarkedPartition:
         )
         return MarkedPartition(slots)
 
-    @property
-    def partition(self) -> tuple[int, ...]:
-        return tuple(size for size, _ in self.slots)
-
-    def labels(self) -> tuple[int, ...]:
-        return tuple(sorted(label for _, ms in self.slots for label in ms))
-
 
 def enumerate_marked(
     nu: Sequence[int], labels: Sequence[int]

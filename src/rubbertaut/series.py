@@ -1,11 +1,12 @@
-"""Exact truncated power series and Laurent polynomials over rational-like rings.
+"""Exact truncated power series and finite Laurent polynomials.
 
-Everything here is exact: coefficients are ``fractions.Fraction`` (or, for
-Laurent polynomials, elements of any user-supplied commutative ring described
-by a :class:`RingOps` table).  Power series carry an explicit truncation
-order; asking for a coefficient beyond it raises ``TruncationExceededError``
-rather than returning a silent zero.  Laurent polynomials are finite by
-construction and never truncate.
+Power series have ``fractions.Fraction`` coefficients and an explicit
+truncation order; asking for a coefficient beyond it raises
+``TruncationExceededError`` rather than returning a silent zero.  Laurent
+polynomials are finite by construction and never truncate; their
+coefficients live in a ring described by a :class:`RingOps` table, and the
+one such ring in the package is the graph layer's symbol algebra
+(:data:`rubbertaut.locgraphs.SYM_OPS`).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from typing import Any, Callable, Generic, Iterable, Mapping, TypeVar
 
 from .errors import InvalidArgumentError, TruncationExceededError
-from .util import fraction_str, parse_fraction
+from .util import fraction_str
 
 __all__ = [
     "PowerSeries",
@@ -27,13 +28,10 @@ __all__ = [
     "series_pow",
     "series_log",
     "series_exp",
-    "series_compose",
     "series_tau",
     "series_log_sine",
     "series_to_json",
-    "series_from_json",
     "RingOps",
-    "FRACTION_OPS",
     "LaurentPoly",
 ]
 
@@ -162,18 +160,6 @@ def series_exp(f: PowerSeries) -> PowerSeries:
     return PowerSeries(tuple(h))
 
 
-def series_compose(f: PowerSeries, g: PowerSeries) -> PowerSeries:
-    """Composition ``f(g(x))`` for ``g`` with constant term 0 (Horner form)."""
-    if g.coeffs[0] != 0:
-        raise InvalidArgumentError("series_compose needs inner constant term 0")
-    order = min(f.order, g.order)
-    result = series([f.coeffs[f.order]], order)
-    for i in range(f.order - 1, -1, -1):
-        result = series_mul(result, PowerSeries(g.coeffs[: order + 1]))
-        result = series_add(result, series([f.coeffs[i]], order))
-    return result
-
-
 def series_tau(order: int) -> PowerSeries:
     """The tree series ``sum_{r>=1} r^(r-1)/r! x^r`` to the given order.
 
@@ -215,20 +201,6 @@ def series_to_json(f: PowerSeries) -> dict[str, Any]:
     return {"order": f.order, "coeffs": [fraction_str(c) for c in f.coeffs]}
 
 
-def series_from_json(data: Mapping[str, Any]) -> PowerSeries:
-    """Inverse of :func:`series_to_json`."""
-    try:
-        order = int(data["order"])
-        coeffs = [parse_fraction(str(c)) for c in data["coeffs"]]
-    except (KeyError, TypeError) as exc:
-        raise InvalidArgumentError(f"malformed series payload: {data!r}") from exc
-    if len(coeffs) != order + 1:
-        raise InvalidArgumentError(
-            f"series payload lists {len(coeffs)} coefficients for order {order}"
-        )
-    return PowerSeries(tuple(coeffs))
-
-
 # ---------------------------------------------------------------------------
 # Laurent polynomials over a duck-typed coefficient ring
 # ---------------------------------------------------------------------------
@@ -248,16 +220,6 @@ class RingOps(Generic[C]):
     mul: Callable[[C, C], C]
     is_zero: Callable[[C], bool]
     scale: Callable[[C, Fraction], C]
-
-
-FRACTION_OPS: RingOps[Fraction] = RingOps(
-    zero=lambda: Fraction(0),
-    add=lambda a, b: a + b,
-    neg=lambda a: -a,
-    mul=lambda a, b: a * b,
-    is_zero=lambda a: a == 0,
-    scale=lambda a, q: a * q,
-)
 
 
 class LaurentPoly(Generic[C]):
@@ -292,16 +254,6 @@ class LaurentPoly(Generic[C]):
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    def min_degree(self) -> int:
-        if not self._coeffs:
-            raise InvalidArgumentError("zero Laurent polynomial has no degree")
-        return min(self._coeffs)
-
-    def max_degree(self) -> int:
-        if not self._coeffs:
-            raise InvalidArgumentError("zero Laurent polynomial has no degree")
-        return max(self._coeffs)
-
     # -- arithmetic -----------------------------------------------------
 
     def add(self, other: "LaurentPoly[C]") -> "LaurentPoly[C]":
@@ -334,10 +286,6 @@ class LaurentPoly(Generic[C]):
     def scale(self, q: Fraction | int) -> "LaurentPoly[C]":
         frac = Fraction(q)
         return LaurentPoly(self.ops, {k: self.ops.scale(v, frac) for k, v in self._coeffs.items()})
-
-    def shift(self, k: int) -> "LaurentPoly[C]":
-        """Multiply by ``t**k``."""
-        return LaurentPoly(self.ops, {e + k: v for e, v in self._coeffs.items()})
 
     # -- comparison -----------------------------------------------------
 

@@ -6,20 +6,20 @@ spanned by the cotangent class at mark 1 (``psi1``) and boundary divisors
 ``D(S | S')`` recorded by their genus-one side ``S`` (the genus-zero side
 ``S'`` must carry at least two marks).  A single relation expresses ``psi1``
 through boundary divisors, so every class has a normal form with no ``psi1``
-term; :meth:`TautClass.reduce` computes it.
+term; :meth:`TautClass.reduce` computes it.  Sums and linear combinations
+of classes run through :func:`rubbertaut.util.combine`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Any, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .errors import InvalidArgumentError
-from .util import fraction_str, parse_fraction
+from .util import combine, fraction_str
 
 __all__ = [
     "RingContext",
@@ -32,8 +32,6 @@ __all__ = [
     "section_pushforward",
     "relabel",
     "linear_combination",
-    "class_to_json",
-    "class_from_json",
 ]
 
 _PSI_KEY = ("psi",)
@@ -116,28 +114,8 @@ class TautClass:
 
     # -- linear structure -------------------------------------------------
 
-    def _check_ctx(self, other: "TautClass") -> None:
-        if self.ctx != other.ctx:
-            raise InvalidArgumentError(
-                f"mark sets differ: {self.ctx.marks} vs {other.ctx.marks}"
-            )
-
     def __add__(self, other: "TautClass") -> "TautClass":
-        out = TautClass(self.ctx, self._coeffs)
-        out += other
-        return out
-
-    def __iadd__(self, other: "TautClass") -> "TautClass":
-        """Add ``other`` into this class in place; a cancelled key is dropped."""
-        self._check_ctx(other)
-        coeffs = self._coeffs
-        for key, value in other._coeffs.items():
-            total = coeffs.get(key, 0) + value
-            if total:
-                coeffs[key] = total
-            else:
-                del coeffs[key]
-        return self
+        return linear_combination(((1, self), (1, other)))
 
     def __neg__(self) -> "TautClass":
         return TautClass(self.ctx, {k: -v for k, v in self._coeffs.items()})
@@ -239,32 +217,16 @@ def boundary(ctx: RingContext, genus1_side: Iterable[int]) -> TautClass:
 
 
 def linear_combination(pairs: Iterable[tuple[Fraction | int, TautClass]]) -> TautClass:
-    """The class ``sum(scale * cls for scale, cls in pairs)``, summed in integers.
-
-    Every term is brought over one denominator, the lcm of the scales'
-    denominators times the lcm of the coefficients' denominators, so the sum
-    runs over plain ints and each nonzero key costs one ``Fraction``.
-    """
-    pairs = [(Fraction(scale), cls) for scale, cls in pairs]
+    """The class ``sum(scale * cls for scale, cls in pairs)``, summed by
+    :func:`~rubbertaut.util.combine` over one integer denominator."""
+    pairs = list(pairs)
     if not pairs:
         raise InvalidArgumentError("a linear combination needs at least one class")
     ctx = pairs[0][1].ctx
     for _, cls in pairs:
         if cls.ctx != ctx:
             raise InvalidArgumentError(f"mark sets differ: {ctx.marks} vs {cls.ctx.marks}")
-    pairs = [(scale, cls) for scale, cls in pairs if scale]
-    scale_den = math.lcm(*(scale.denominator for scale, _ in pairs))
-    coeff_den = math.lcm(
-        *{value.denominator for _, cls in pairs for value in cls._coeffs.values()}
-    )
-    sums: dict[tuple, int] = {}
-    for scale, cls in pairs:
-        factor = scale.numerator * (scale_den // scale.denominator)
-        for key, value in cls._coeffs.items():
-            term = factor * value.numerator * (coeff_den // value.denominator)
-            sums[key] = sums.get(key, 0) + term
-    den = scale_den * coeff_den
-    return _trusted_class(ctx, {key: Fraction(num, den) for key, num in sums.items() if num})
+    return _trusted_class(ctx, combine((scale, cls._coeffs) for scale, cls in pairs))
 
 
 # -- functoriality ---------------------------------------------------------
@@ -352,31 +314,3 @@ def relabel(cls: TautClass, mapping: Mapping[int, int]) -> TautClass:
         else:
             out[("D", tuple(sorted(mapping[m] for m in key[1])))] = value
     return _trusted_class(new_ctx, out)
-
-
-# -- serialization -----------------------------------------------------------
-
-
-def class_to_json(cls: TautClass) -> dict[str, Any]:
-    """Serialize as ``{"marks": [...], "psi1": "p/q", "D": [...]}``."""
-    return {
-        "marks": list(cls.ctx.marks),
-        "psi1": fraction_str(cls.coefficient_psi1()),
-        "D": [
-            {"genus1_side": list(side), "coeff": fraction_str(value)}
-            for side, value in cls.boundary_terms()
-        ],
-    }
-
-
-def class_from_json(data: Mapping[str, Any]) -> TautClass:
-    """Inverse of :func:`class_to_json`."""
-    try:
-        ctx = RingContext(tuple(int(m) for m in data["marks"]))
-        coeffs: dict[tuple, Fraction] = {_PSI_KEY: parse_fraction(str(data["psi1"]))}
-        for entry in data["D"]:
-            side = tuple(int(m) for m in entry["genus1_side"])
-            coeffs[_d_key(ctx, side)] = parse_fraction(str(entry["coeff"]))
-    except (KeyError, TypeError) as exc:
-        raise InvalidArgumentError(f"malformed class payload: {data!r}") from exc
-    return TautClass(ctx, coeffs)

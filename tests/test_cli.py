@@ -329,6 +329,58 @@ def test_verify_all_violation_outranks_a_limit(
     assert statuses == ["FAIL series", "LIMIT hurwitz", "LIMIT hodge"]
 
 
+def _run_process(argv: list[str]) -> subprocess.CompletedProcess:
+    """Run the CLI in a child interpreter, so an uncaught error shows as a traceback."""
+    # Run from the directory holding the imported package, so the child
+    # interpreter finds it without PYTHONPATH or an install.
+    package_root = Path(cli.__file__).parents[1]
+    command = [sys.executable, "-m", "rubbertaut.cli", *argv]
+    return subprocess.run(command, capture_output=True, text=True, cwd=package_root)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["hain", "--genus", "2", "--weights", "1,x"], "not a rational: 'x'"),
+        (["hain", "--genus", "2", "--weights", "1/0,1"], "not a rational: '1/0'"),
+        (["interp", "--degrees", "2,x"], "bad degrees '2,x'"),
+    ],
+    ids=["hain-word", "hain-zero-denominator", "interp-word"],
+)
+def test_malformed_numbers_exit_one_without_a_traceback(argv: list[str], message: str) -> None:
+    result = _run_process(argv)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == f"error[invalid-argument]: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["interp", "--nvars", "3", "--degrees", "30,30,30", "--trials", "1"],
+            "1 round trips of 29791 grid points exceed the cap 125",
+        ),
+        (
+            ["interp", "--trials", "100000000"],
+            "100000000 round trips of 9 grid points exceed the cap 125",
+        ),
+    ],
+    ids=["grid", "trials"],
+)
+def test_interp_cap_exits_one_at_once(
+    argv: list[str], message: str, capsys: pytest.CaptureFixture[str]
+) -> None:
+    start = time.perf_counter()
+    code = cli.main(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error[resource-limit]: {message}\n"
+    assert elapsed < 1.0
+
+
 @pytest.mark.parametrize(
     "bounds", [["--g-max", "0", "--d-max", "0"], ["--g-max", "-3"]], ids=["zero", "negative"]
 )

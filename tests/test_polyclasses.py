@@ -13,6 +13,7 @@ from rubbertaut.errors import InvalidArgumentError, ResourceLimitError
 from rubbertaut.locgraphs import evaluate_and_solve
 from rubbertaut.polyclasses import (
     MAX_HAIN_MONOMIALS,
+    MAX_INTERP_POINTS,
     MAX_MARKS,
     MultiPoly,
     check_equivariance,
@@ -345,6 +346,21 @@ def test_interpolation_handles_class_values() -> None:
     poly = genus1_polynomial(3)
     rebuilt = interpolate(poly.evaluate, 2, (2, 2))
     assert rebuilt == poly
+
+
+def test_interpolation_cap_is_checked_before_any_evaluation() -> None:
+    calls: list[tuple] = []
+
+    def fn(point: tuple) -> Fraction:
+        calls.append(point)
+        return Fraction(1)
+
+    for degrees in ((MAX_INTERP_POINTS,), (30, 30, 30), (10**30,)):
+        with pytest.raises(ResourceLimitError, match=f"more than {MAX_INTERP_POINTS} grid points"):
+            interpolate(fn, len(degrees), degrees)
+    assert calls == []
+    assert interpolate(fn, 3, (4, 4, 4)) == MultiPoly(3, {(0, 0, 0): Fraction(1)})
+    assert len(calls) == 125 == MAX_INTERP_POINTS
 
 
 def test_interpolation_validates_arguments() -> None:

@@ -11,8 +11,6 @@ from rubbertaut.tautring import (
     RingContext,
     TautClass,
     boundary,
-    class_from_json,
-    class_to_json,
     linear_combination,
     psi1,
     pullback_forget,
@@ -337,17 +335,3 @@ def test_relabel_validates_the_mapping() -> None:
         relabel(psi1(ctx), {1: 1, 2: 3, 3: 3})
     with pytest.raises(InvalidArgumentError):
         relabel(psi1(ctx), {1: 2, 2: 1, 3: 3})
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def test_json_round_trip_preserves_classes() -> None:
-    rng = random.Random(7)
-    for t in (3, 4):
-        ctx = RingContext.standard(t)
-        for _ in range(5):
-            cls = _random_class(ctx, rng)
-            assert class_from_json(class_to_json(cls)) == cls
