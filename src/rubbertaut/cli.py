@@ -61,13 +61,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
+    """Comma-separated integers; an empty chunk (``2,,1``, ``2,1,``) is an error."""
     try:
-        parts = tuple(int(chunk) for chunk in text.split(",") if chunk.strip())
+        return tuple(int(chunk) for chunk in text.split(","))
     except ValueError as exc:
         raise InvalidArgumentError(f"bad {what} {text!r}") from exc
-    if not parts:
-        raise InvalidArgumentError(f"bad {what} {text!r}")
-    return parts
 
 
 def _render_classes(classes: Sequence[TautClass]) -> list[str]:

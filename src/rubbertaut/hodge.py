@@ -14,11 +14,12 @@ Solving the resulting (deliberately overdetermined) exact linear system
 yields the integrals and a strong internal consistency check.
 
 The linear form has two independent derivations.  The resummed route, a sum
-over the size of the distinguished part, is the production route that
-:func:`solve_hodge` runs.  The partition route, a sum over every
-ramification partition of ``d``, is slower and is kept as the oracle: the
-tests compare the two forms, and ``verify-all`` evaluates the partition-route
-form at the solved values.
+over the size of the distinguished part, is the production route:
+:func:`solve_hodge` takes its integer numerators over one denominator and
+keeps the whole system in integers up to the solved values.  The partition
+route, a sum over every ramification partition of ``d``, is slower and is
+kept as the oracle: the tests compare the two forms, and ``verify-all``
+evaluates the partition-route form at the solved values.
 """
 
 from __future__ import annotations
@@ -82,14 +83,14 @@ def _partition_route(g: int, d: int) -> LinearForm:
     return combine(pairs) or {0: Fraction(0)}
 
 
-def _resummed_route(g: int, d: int) -> LinearForm:
-    """Resummation over the size ``e`` of the distinguished part, in integers.
+def _resummed_numerators(g: int, d: int) -> tuple[list[int], int]:
+    """The resummed form as integer numerators ``s_j`` over one denominator.
 
-    With ``n = d - e`` the tree-series power is ``[x^n] tau^l =
-    l n^(n-l-1) / (n-l)!`` (1 at ``l = n``).  Writing ``1/(l! (n-l)!) =
-    C(n, l)/n!`` makes each inner sum an integer over ``n!``, and
-    ``1/(e! n!) = C(d, e)/d!`` leaves one denominator ``d^(d-1) d!`` for the
-    whole form.
+    The form is ``sum_j (s_j / D) I(g, j)`` with ``D = d^(d-1) d!``.  It
+    resums over the size ``e`` of the distinguished part: with ``n = d - e``
+    the tree-series power is ``[x^n] tau^l = l n^(n-l-1) / (n-l)!`` (1 at
+    ``l = n``).  Writing ``1/(l! (n-l)!) = C(n, l)/n!`` makes each inner sum
+    an integer over ``n!``, and ``1/(e! n!) = C(d, e)/d!`` leaves ``D``.
     """
     sums = [0] * g
     for e in range(1, d + 1):
@@ -104,13 +105,8 @@ def _resummed_route(g: int, d: int) -> LinearForm:
         for j in range(g - 1, -1, -1):
             sums[j] += term
             term *= e
-    denominator = d ** (d - 1) * math.factorial(d)
-    total = {
-        j: Fraction((-1) ** j * value, denominator)
-        for j, value in enumerate(sums)
-        if value != 0
-    }
-    return total or {0: Fraction(0)}
+    numerators = [-value if j % 2 else value for j, value in enumerate(sums)]
+    return numerators, d ** (d - 1) * math.factorial(d)
 
 
 def hodge_linear_form(g: int, d: int, method: str = "resummed") -> LinearForm:
@@ -128,7 +124,9 @@ def hodge_linear_form(g: int, d: int, method: str = "resummed") -> LinearForm:
     if method == "partitions":
         return _partition_route(g, d)
     if method == "resummed":
-        return _resummed_route(g, d)
+        numerators, denominator = _resummed_numerators(g, d)
+        form = {j: Fraction(s, denominator) for j, s in enumerate(numerators) if s}
+        return form or {0: Fraction(0)}
     raise InvalidArgumentError(f"unknown method {method!r}")
 
 
@@ -174,21 +172,23 @@ def solve_hodge(g: int, d_max: int | None = None) -> HodgeSolution:
     Uses all degrees ``1..max(g, d_max)`` — at least ``g`` equations for the
     ``g`` unknowns, and deliberately more when ``d_max`` exceeds ``g`` so the
     system is overdetermined.  Targets are ``d^(2g) n_target(g, 1)``, which
-    :func:`verify_scaling` and ``verify-all`` check per degree.  An
-    inconsistent system raises ``TheoremViolationError``; a consistent but
-    rank-deficient one is reported through a nonempty ``nullspace``.
+    :func:`verify_scaling` and ``verify-all`` check per degree.  With the
+    form ``s_j / D`` and ``n_target(g, 1) = p / q``, degree ``d`` is the
+    integer row ``s_j q`` against ``d^(2g) p D``.  An inconsistent system
+    raises ``TheoremViolationError``; a consistent but rank-deficient one is
+    reported through a nonempty ``nullspace``.
     """
     if g < 1:
         raise InvalidArgumentError(f"need genus >= 1, got {g}")
     top = max(g, d_max if d_max is not None else g)
     degrees = tuple(range(1, top + 1))
     base = n_target(g, 1)
-    matrix: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    matrix: list[list[int]] = []
+    rhs: list[int] = []
     for d in degrees:
-        form = hodge_linear_form(g, d)
-        matrix.append([form.get(j, Fraction(0)) for j in range(g)])
-        rhs.append(d ** (2 * g) * base)
+        numerators, denominator = _resummed_numerators(g, d)
+        matrix.append([s * base.denominator for s in numerators])
+        rhs.append(d ** (2 * g) * base.numerator * denominator)
     try:
         solution = solve_linear_system(matrix, rhs)
     except InconsistencyError as exc:

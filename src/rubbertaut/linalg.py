@@ -3,7 +3,8 @@
 Only what the solvers in this package need: reduced row echelon form and a
 solver for (possibly overdetermined or rank-deficient) systems that either
 proves inconsistency or returns a particular solution plus a nullspace basis.
-Elimination is fraction-free on integer rows (Bareiss-style; see :func:`rref`).
+Both scale ``int`` or ``Fraction`` rows to integers and eliminate them
+fraction-free (Bareiss-style; see :func:`_eliminate`).
 """
 
 from __future__ import annotations
@@ -34,26 +35,26 @@ class LinearSolution:
         return not self.nullspace
 
 
-def rref(matrix: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form and pivot column indices (exact).
+def _eliminate(matrix: Sequence[Sequence[int | Fraction]]) -> tuple[list[list[int]], list[int]]:
+    """Integer Gauss-Jordan form of ``matrix`` and its pivot columns.
 
-    Rows are scaled to integers and eliminated fraction-free: against pivot
-    ``p`` in column ``c`` a row becomes ``p * row - row[c] * pivot_row``,
-    divided by its gcd.  Only the reduced rows are turned into ``Fraction``s.
+    Rows are scaled to integers; against pivot ``p`` in column ``c`` a row
+    becomes ``p * row - row[c] * pivot_row``, divided by its gcd.  Row ``i``
+    divided by its entry in column ``pivots[i]`` is row ``i`` of the reduced
+    form, and the rows past ``len(pivots)`` are zero.
     """
-    if not matrix:
-        return [], []
-    width = len(matrix[0])
-    if any(len(row) != width for row in matrix):
-        raise InvalidArgumentError("ragged matrix")
     rows: list[list[int]] = []
+    width = len(matrix[0]) if matrix else 0
     for row in matrix:
-        values = [Fraction(v) for v in row]
-        scale = math.lcm(*(v.denominator for v in values))
-        rows.append([v.numerator * (scale // v.denominator) for v in values])
+        if len(row) != width:
+            raise InvalidArgumentError("ragged matrix")
+        scale = math.lcm(*(v.denominator for v in row))
+        rows.append([v.numerator * (scale // v.denominator) for v in row])
     pivots: list[int] = []
     r = 0
     for col in range(width):
+        if r == len(rows):
+            break
         pivot_row = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
         if pivot_row is None:
             continue
@@ -67,20 +68,24 @@ def rref(matrix: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], li
                 rows[i] = [v // divisor for v in row] if divisor > 1 else row
         pivots.append(col)
         r += 1
-        if r == len(rows):
-            break
+    return rows, pivots
+
+
+def rref(matrix: Sequence[Sequence[int | Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form, a ``Fraction`` per entry, and the pivot columns."""
+    rows, pivots = _eliminate(matrix)
     reduced = [[Fraction(v, row[col]) for v in row] for row, col in zip(rows, pivots)]
-    return reduced + [[Fraction(0)] * width for _ in rows[r:]], pivots
+    return reduced + [[Fraction(0)] * len(row) for row in rows[len(pivots):]], pivots
 
 
 def solve_linear_system(
-    matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+    matrix: Sequence[Sequence[int | Fraction]], rhs: Sequence[int | Fraction]
 ) -> LinearSolution:
     """Solve ``A x = b`` exactly.
 
-    Raises ``InconsistencyError`` when the system has no solution.  For
-    consistent systems returns a particular solution (free variables set to
-    zero) and a nullspace basis, one vector per free variable.
+    Raises ``InconsistencyError`` when the augmented column holds a pivot.
+    Otherwise returns a particular solution (free variables set to zero) and a
+    nullspace basis, one vector per free variable: the only ``Fraction``s.
     """
     if len(matrix) != len(rhs):
         raise InvalidArgumentError(
@@ -89,19 +94,17 @@ def solve_linear_system(
     if not matrix:
         raise InvalidArgumentError("empty system")
     width = len(matrix[0])
-    augmented = [list(row) + [Fraction(b)] for row, b in zip(matrix, rhs)]
-    reduced, pivots = rref(augmented)
+    rows, pivots = _eliminate([[*row, b] for row, b in zip(matrix, rhs)])
     if width in pivots:
         raise InconsistencyError("linear system has no exact solution")
     particular = [Fraction(0)] * width
-    for row_index, col in enumerate(pivots):
-        particular[col] = reduced[row_index][width]
-    free_columns = [c for c in range(width) if c not in pivots]
+    for row, col in zip(rows, pivots):
+        particular[col] = Fraction(row[width], row[col])
     nullspace: list[tuple[Fraction, ...]] = []
-    for free in free_columns:
+    for free in (c for c in range(width) if c not in pivots):
         vector = [Fraction(0)] * width
         vector[free] = Fraction(1)
-        for row_index, col in enumerate(pivots):
-            vector[col] = -reduced[row_index][free]
+        for row, col in zip(rows, pivots):
+            vector[col] = Fraction(-row[free], row[col])
         nullspace.append(tuple(vector))
     return LinearSolution(tuple(particular), tuple(nullspace))

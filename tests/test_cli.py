@@ -344,8 +344,18 @@ def _run_process(argv: list[str]) -> subprocess.CompletedProcess:
         (["hain", "--genus", "2", "--weights", "1,x"], "not a rational: 'x'"),
         (["hain", "--genus", "2", "--weights", "1/0,1"], "not a rational: '1/0'"),
         (["interp", "--degrees", "2,x"], "bad degrees '2,x'"),
+        (["hurwitz", "--alpha", "2,,1", "--beta", "3"], "bad profile '2,,1'"),
+        (["hurwitz", "--alpha", "2,1,", "--beta", "3"], "bad profile '2,1,'"),
+        (["interp", "--degrees", "2,,2"], "bad degrees '2,,2'"),
     ],
-    ids=["hain-word", "hain-zero-denominator", "interp-word"],
+    ids=[
+        "hain-word",
+        "hain-zero-denominator",
+        "interp-word",
+        "hurwitz-empty-chunk",
+        "hurwitz-trailing-comma",
+        "interp-empty-chunk",
+    ],
 )
 def test_malformed_numbers_exit_one_without_a_traceback(argv: list[str], message: str) -> None:
     result = _run_process(argv)

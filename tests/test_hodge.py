@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from rubbertaut import cli, hodge, linalg
+from rubbertaut import cli, hodge
 from rubbertaut.errors import (
     InconsistencyError,
     InvalidArgumentError,
@@ -22,7 +22,7 @@ from rubbertaut.hodge import (
 )
 from rubbertaut.linalg import solve_linear_system
 from rubbertaut.partitions import tau_power_coefficient
-from test_linalg import fraction_rref
+from test_linalg import fraction_solve
 
 
 # ---------------------------------------------------------------------------
@@ -177,34 +177,54 @@ def test_doctored_forms_raise_theorem_violation(
     monkeypatch: pytest.MonkeyPatch,
 ) -> None:
     # The targets are one series scaled by d^(2g), so doctoring the series
-    # only rescales a consistent system; one degree's form is read per degree.
-    honest = hodge.hodge_linear_form
+    # only rescales a consistent system; the solve reads each degree's
+    # numerators, so adding 1 to the degree-2 form makes it inconsistent.
+    honest = hodge._resummed_numerators
 
-    def doctored(g: int, d: int, method: str = "resummed") -> dict[int, Fraction]:
-        form = honest(g, d, method)
-        return {0: form[0] + 1} if d == 2 else form
+    def doctored(g: int, d: int) -> tuple[list[int], int]:
+        numerators, denominator = honest(g, d)
+        if d == 2:
+            numerators = [numerators[0] + denominator, *numerators[1:]]
+        return numerators, denominator
 
-    monkeypatch.setattr(hodge, "hodge_linear_form", doctored)
+    monkeypatch.setattr(hodge, "_resummed_numerators", doctored)
     with pytest.raises(TheoremViolationError):
         solve_hodge(1, d_max=3)
 
 
-def _retired_solve_hodge(g: int, d_max: int, monkeypatch: pytest.MonkeyPatch) -> HodgeSolution:
+def test_doctored_form_fails_the_graph_sum_cross_check(
+    monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture[str]
+) -> None:
+    # verify-all compares the graph sums with the resummed form itself.
+    honest = hodge.hodge_linear_form
+
+    def doctored(g: int, d: int, method: str = "resummed") -> dict[int, Fraction]:
+        form = honest(g, d, method)
+        return {0: form[0] + 1} if d == 2 and method == "resummed" else form
+
+    for module in (hodge, cli):
+        monkeypatch.setattr(module, "hodge_linear_form", doctored)
+    assert cli.main(["verify-all", "--g-max", "1", "--d-max", "3"]) == 2
+    failures = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL ")]
+    assert [line.split(" —")[0] for line in failures] == [
+        "FAIL hodge: graph-sum-cross-check-g<=1-d<=3",
+    ]
+
+
+def _retired_solve_hodge(g: int, d_max: int) -> HodgeSolution:
     """The retired solve: per-degree log-sine targets and the Fraction rref."""
     degrees = tuple(range(1, max(g, d_max) + 1))
     matrix = [[hodge_linear_form(g, d).get(j, Fraction(0)) for j in range(g)] for d in degrees]
     rhs = [n_target(g, d) for d in degrees]
-    with monkeypatch.context() as patch:
-        patch.setattr(linalg, "rref", fraction_rref)
-        solution = solve_linear_system(matrix, rhs)
+    solution = fraction_solve(matrix, rhs)
     return HodgeSolution(g, solution.particular, degrees, solution.nullspace)
 
 
-def test_solve_matches_the_retired_route(monkeypatch: pytest.MonkeyPatch) -> None:
+def test_solve_matches_the_retired_route() -> None:
     pairs = [(g, d) for g in range(3, 11) for d in sorted({g, (3 * g + 1) // 2, 2 * g})]
     pairs += [(11, 11), (12, 24), (16, 32)]
     for g, d in pairs:
-        assert solve_hodge(g, d) == _retired_solve_hodge(g, d, monkeypatch), (g, d)
+        assert solve_hodge(g, d) == _retired_solve_hodge(g, d), (g, d)
 
 
 def test_inconsistent_linear_system_is_detected() -> None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import types
+from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
@@ -12,7 +13,7 @@ import pytest
 
 from rubbertaut import linalg
 from rubbertaut.errors import InconsistencyError, InvalidArgumentError
-from rubbertaut.linalg import rref, solve_linear_system
+from rubbertaut.linalg import LinearSolution, rref, solve_linear_system
 
 Matrix = list[list[Fraction]]
 
@@ -41,6 +42,27 @@ def fraction_rref(matrix: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[in
         if r == len(rows):
             break
     return rows, pivots
+
+
+def fraction_solve(
+    matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+) -> LinearSolution:
+    """The retired solve: the augmented system through :func:`fraction_rref`."""
+    width = len(matrix[0])
+    reduced, pivots = fraction_rref([list(row) + [b] for row, b in zip(matrix, rhs)])
+    if width in pivots:
+        raise InconsistencyError("linear system has no exact solution")
+    particular = [Fraction(0)] * width
+    for row, col in zip(reduced, pivots):
+        particular[col] = row[width]
+    nullspace = []
+    for free in (c for c in range(width) if c not in pivots):
+        vector = [Fraction(0)] * width
+        vector[free] = Fraction(1)
+        for row, col in zip(reduced, pivots):
+            vector[col] = -row[free]
+        nullspace.append(tuple(vector))
+    return LinearSolution(tuple(particular), tuple(nullspace))
 
 
 def _entry(rng: random.Random) -> Fraction:
@@ -207,6 +229,56 @@ def test_systems_without_a_solution_raise() -> None:
                 raised += 1
                 break
     assert raised > 30
+
+
+def _outcome(solve, matrix: Sequence[Sequence], rhs: Sequence) -> LinearSolution | str:
+    try:
+        return solve(matrix, rhs)
+    except InconsistencyError:
+        return "inconsistent"
+
+
+def test_solve_is_the_same_for_every_entry_type() -> None:
+    # One system three ways: its rows scaled to ``int``s, the same integers
+    # as ``Fraction``s, and the unscaled rows with every integral entry an
+    # ``int``.  Scaling a row keeps the reduced form, so all must agree.
+    rng = random.Random(17)
+    outcomes: Counter[str] = Counter()
+    for shape in sorted(SHAPES):
+        height, width = SHAPES[shape]
+        for kind in KINDS:
+            for _ in range(20):
+                h, w = rng.randint(1, height), rng.randint(1, width)
+                matrix = _doctor(rng, _random_matrix(rng, h, w), kind)
+                rhs = _apply(matrix, [_entry(rng) for _ in range(w)])
+                if rng.random() < 0.5:
+                    rhs[rng.randrange(h)] += 1
+                scaled = []
+                for row in (row + [b] for row, b in zip(matrix, rhs)):
+                    scale = math.lcm(*(v.denominator for v in row))
+                    scaled.append([int(v * scale) for v in row])
+                systems = [
+                    ([row[:-1] for row in scaled], [row[-1] for row in scaled]),
+                    (
+                        [[Fraction(v) for v in row[:-1]] for row in scaled],
+                        [Fraction(row[-1]) for row in scaled],
+                    ),
+                    (
+                        [[int(v) if v.denominator == 1 else v for v in row] for row in matrix],
+                        [int(b) if b.denominator == 1 else b for b in rhs],
+                    ),
+                ]
+                expected = _outcome(fraction_solve, matrix, rhs)
+                results = [_outcome(solve_linear_system, *system) for system in systems]
+                assert results == [expected] * 3, systems
+                if isinstance(expected, str):
+                    outcomes[expected] += 1
+                else:
+                    outcomes["unique" if expected.unique else "nullspace"] += 1
+                    # ``int`` rows still give ``Fraction``s (``3 == Fraction(3)``).
+                    entries = [*results[0].particular, *sum(results[0].nullspace, ())]
+                    assert all(type(v) is Fraction for v in entries)
+    assert min(outcomes[k] for k in ("unique", "nullspace", "inconsistent")) >= 50, outcomes
 
 
 def test_solver_rejects_malformed_systems() -> None:
