@@ -10,7 +10,8 @@ module is computed by the engine itself.
 Factor literals:
 
 * ``("node", s, "N")`` — genus-side node factor ``t/(t/s - psi_N)``;
-* ``("node", s, "N'")`` — rational-node factor ``t/(t/s - psi_N')``;
+* ``("node", s, "N'")`` — rational-node factor ``t/(t/s - psi_N')``; the
+  contracted vertex caps ``psi_N'`` at power 0, so it is the scalar ``s``;
 * ``("inf",)`` — rubber node factor ``1/(-t - psi)``;
 * ``("hodge1", p)`` — genus-one Hodge factor ``(t - lambda_1)/t**p``;
 * ``("rat", c, k)`` — the scalar ``c * t**k``.
@@ -69,7 +70,7 @@ class GoldenRow:
     def expand(self) -> LaurentPoly[SymExpr]:
         """The cell's exact Laurent polynomial, prefactor included."""
         node_cap, rubber_cap = self._caps()
-        product = build_factor(("edge", Fraction(1), 0))
+        product = build_factor(("scalar", Fraction(1), 0))
         for literal in self.factors:
             product = product.mul(_expand_literal(literal, node_cap, rubber_cap))
         return product.scale(self.prefactor)
@@ -78,9 +79,9 @@ class GoldenRow:
 def _expand_literal(literal: tuple, node_cap: int, rubber_cap: int) -> LaurentPoly[SymExpr]:
     kind = literal[0]
     if kind == "node":
-        which = "genus" if literal[2] == "N" else "rational"
-        cap = node_cap if which == "genus" else 0
-        return build_factor(("node", literal[1], which, cap))
+        if literal[2] == "N":
+            return build_factor(("node", literal[1], node_cap))
+        return build_factor(("scalar", Fraction(literal[1]), 0))
     if kind == "inf":
         return build_factor(("node_inf", rubber_cap))
     if kind == "hodge1":
@@ -89,7 +90,7 @@ def _expand_literal(literal: tuple, node_cap: int, rubber_cap: int) -> LaurentPo
             product = product.mul(build_factor(("hodge", 0)))
         return product
     if kind == "rat":
-        return build_factor(("edge", Fraction(literal[1]), literal[2]))
+        return build_factor(("scalar", Fraction(literal[1]), literal[2]))
     raise InvalidArgumentError(f"unknown factor literal {literal!r}")
 
 

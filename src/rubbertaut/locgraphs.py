@@ -61,7 +61,7 @@ from .tautring import (
     section_pushforward,
     zero_class,
 )
-from .util import combine, falling_factorial
+from .util import combine
 
 __all__ = [
     "Monomial",
@@ -98,16 +98,14 @@ __all__ = [
 class Monomial(NamedTuple):
     """One monomial of the fixed-locus symbol algebra.
 
-    ``psi_genus`` / ``psi_rational`` are node cotangent powers on the
-    positive-genus vertex and on a contracted three-special-point rational
-    vertex; ``psi_rubber`` is the cotangent power at the rubber's boundary
-    point; ``hodge_j`` is the index of the Hodge class contributed by the
+    ``psi_genus`` is the node cotangent power on the positive-genus vertex
+    and ``psi_rubber`` the cotangent power at the rubber's boundary point;
+    ``hodge_j`` is the index of the Hodge class contributed by the
     positive-genus vertex (``None`` when the graph has no such vertex over
     zero, ``0`` for the unit term).
     """
 
     psi_genus: int = 0
-    psi_rational: int = 0
     psi_rubber: int = 0
     hodge_j: int | None = None
 
@@ -122,7 +120,6 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
         raise InvalidArgumentError("two Hodge factors met in one monomial")
     return Monomial(
         a.psi_genus + b.psi_genus,
-        a.psi_rational + b.psi_rational,
         a.psi_rubber + b.psi_rubber,
         a.hodge_j if a.hodge_j is not None else b.hodge_j,
     )
@@ -399,8 +396,8 @@ def render_graph(graph: LocGraph) -> str:
 # Contribution assembly
 # ---------------------------------------------------------------------------
 
-#: Factor descriptors: ("node", size, which, cap) | ("hodge", g) |
-#: ("node_inf", cap) | ("edge", coeff, power) | ("free", size) |
+#: Factor descriptors: ("node", size, cap) | ("hodge", g) |
+#: ("node_inf", cap) | ("scalar", coeff, power) | ("free", size) |
 #: ("ev", count) | ("branch", b0, k)
 FactorSpec = tuple
 
@@ -423,11 +420,10 @@ def _rubber_dim(graph: LocGraph, lift: Lift) -> int:
     return 2 * lift.genus - 1
 
 
-def _node_factor(size: int, which: str, cap: int) -> LaurentPoly[SymExpr]:
+def _node_factor(size: int, cap: int) -> LaurentPoly[SymExpr]:
     coeffs: dict[int, SymExpr] = {}
     for a in range(cap + 1):
-        mono = Monomial(psi_genus=a) if which == "genus" else Monomial(psi_rational=a)
-        coeffs[-a] = {mono: Fraction(size ** (a + 1))}
+        coeffs[-a] = {Monomial(psi_genus=a): Fraction(size ** (a + 1))}
     return _laurent(coeffs)
 
 
@@ -451,19 +447,19 @@ def build_factor(spec: FactorSpec) -> LaurentPoly[SymExpr]:
     """Expand one factor descriptor into its exact Laurent polynomial."""
     kind = spec[0]
     if kind == "node":
-        return _node_factor(spec[1], spec[2], spec[3])
+        return _node_factor(spec[1], spec[2])
     if kind == "hodge":
         return _hodge_factor(spec[1])
     if kind == "node_inf":
         return _node_infinity_factor(spec[1])
-    if kind == "edge":
+    if kind == "scalar":
         return _scalar(spec[1], spec[2])
     if kind == "free":
         return _scalar(Fraction(1, spec[1]), 1)
     if kind == "ev":
         return _scalar(Fraction(1), spec[1])
     if kind == "branch":
-        return _scalar(Fraction(falling_factorial(spec[1], spec[2])), spec[2])
+        return _scalar(Fraction(math.perm(spec[1], spec[2])), spec[2])
     raise InvalidArgumentError(f"unknown factor kind {kind!r}")
 
 
@@ -512,10 +508,12 @@ def assemble_contribution(graph: LocGraph, lift: Lift) -> Contribution:
     specs: list[FactorSpec] = []
     for p in graph.parts:
         if p.genus:
-            specs.append(("node", p.size, "genus", _genus_vertex_dim(graph, lift)))
+            specs.append(("node", p.size, _genus_vertex_dim(graph, lift)))
             specs.append(("hodge", lift.genus))
         elif len(p.marks) == 2:
-            specs.append(("node", p.size, "rational", 0))
+            # the contracted rational vertex's node factor, truncated at
+            # cotangent power 0
+            specs.append(("scalar", Fraction(p.size), 0))
             specs.append(("hodge", 0))
         elif len(p.marks) == 0:
             specs.append(("free", p.size))
@@ -525,11 +523,11 @@ def assemble_contribution(graph: LocGraph, lift: Lift) -> Contribution:
     edge_coeff = Fraction(1)
     for p in graph.parts:
         edge_coeff *= Fraction(p.size**p.size, math.factorial(p.size))
-    specs.append(("edge", edge_coeff, -graph.degree))
+    specs.append(("scalar", edge_coeff, -graph.degree))
     if lift.zero_marks:
         specs.append(("ev", len(lift.zero_marks)))
     b0, k = _branch_data(graph, lift)
-    if b0 < k:
+    if not 0 <= k <= b0:
         raise InvalidArgumentError("graph does not meet the branch twist")
     specs.append(("branch", b0, k))
     product = _scalar(Fraction(1), 0)
@@ -553,9 +551,9 @@ def _residue(graph: LocGraph, lift: Lift) -> tuple[dict[Monomial, int], int]:
     ``assemble_contribution(graph, lift).coefficient_at(-1)``.
     """
     b0, k = _branch_data(graph, lift)
-    if b0 < k:
+    if not 0 <= k <= b0:
         raise InvalidArgumentError("graph does not meet the branch twist")
-    num, den = falling_factorial(b0, k), _prefactor_denominator(graph)
+    num, den = math.perm(b0, k), _prefactor_denominator(graph)
     power = k + len(lift.zero_marks) - graph.degree
     for p in graph.parts:
         num *= p.size**p.size
@@ -585,9 +583,9 @@ def _residue(graph: LocGraph, lift: Lift) -> tuple[dict[Monomial, int], int]:
         b = power + shift
         if rubber_cap is None:
             if b == -1:
-                out[Monomial(a, 0, 0, j)] = num * coeff
+                out[Monomial(a, 0, j)] = num * coeff
         elif 0 <= b <= rubber_cap:
-            out[Monomial(a, 0, b, j)] = num * coeff * (-1) ** (b + 1)
+            out[Monomial(a, b, j)] = num * coeff * (-1) ** (b + 1)
     return out, den
 
 
@@ -618,8 +616,6 @@ def _keep_divisor_term(graph: LocGraph, lift: Lift, mono: Monomial) -> bool:
     insertion with a degree-one unknown, so only its cotangent-free terms
     stay in degree.
     """
-    if mono.psi_rational != 0:
-        return False
     if graph.side == "zero":
         if mono.hodge_j != 0:
             return False
@@ -634,8 +630,6 @@ def _keep_divisor_term(graph: LocGraph, lift: Lift, mono: Monomial) -> bool:
 
 def _keep_pair_term(graph: LocGraph, lift: Lift, mono: Monomial) -> bool:
     """Socle filter for the pair lift: keep exactly the top-degree terms."""
-    if mono.psi_rational != 0:
-        return False
     g = lift.genus
     if graph.side == "zero":
         if mono.hodge_j is None or mono.psi_genus + mono.hodge_j != g - 1:

@@ -53,10 +53,7 @@ def enumerate_partitions(n: int, max_length: int | None = None) -> list[tuple[in
 
 def aut(nu: Sequence[int]) -> int:
     """Order of the permutation group preserving the multiset of parts."""
-    result = 1
-    for count in Counter(nu).values():
-        result *= math.factorial(count)
-    return result
+    return decorated_aut(nu)
 
 
 def decorated_aut(items: Iterable[Hashable]) -> int:

@@ -3,9 +3,9 @@ interpolation, and the formal normal-function square expansion.
 
 The centerpiece is a quadratic form in weights attached to the non-reference
 marks whose coefficients are degree-one tautological classes
-(:class:`~rubbertaut.tautring.TautClass`).  The same container also supports
-plain rational coefficients, so the exact tensor-grid interpolator below is
-generic in the value type.
+(:class:`~rubbertaut.tautring.TautClass`).  The same container also holds
+plain rational coefficients, and the exact grid interpolator below recovers
+polynomials of either kind.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .tautring import (
     linear_combination,
     pullback_forget,
 )
+from .util import combine
 
 __all__ = [
     "MAX_MARKS",
@@ -40,23 +41,29 @@ __all__ = [
 ]
 
 
-def _is_zero_value(value: Any) -> bool:
-    if value is None:
-        return True
-    is_zero = getattr(value, "is_zero", None)
-    if callable(is_zero):
-        return bool(is_zero())
-    return value == 0
+def _combine_values(pairs: Sequence[tuple[Fraction | int, Any]]) -> Any:
+    """``sum(scale * value for scale, value in pairs)``, or None for no pairs.
+
+    The values are all classes or all rationals.  Classes sum through
+    :func:`~rubbertaut.tautring.linear_combination`, rationals through
+    :func:`~rubbertaut.util.combine` on a one-key map, so every combination
+    runs over one integer denominator.
+    """
+    if not pairs:
+        return None
+    if isinstance(pairs[0][1], TautClass):
+        return linear_combination(pairs)
+    return combine((scale, {0: value}) for scale, value in pairs).get(0, Fraction(0))
 
 
 @dataclass(frozen=True)
 class MultiPoly:
-    """A polynomial in several variables with duck-typed coefficients.
+    """A polynomial in several variables with rational or class coefficients.
 
-    ``coeffs`` maps exponent tuples (one entry per variable) to values; the
-    values only need addition among themselves and left-multiplication by
-    ``Fraction``.  Zero values are dropped on construction, so the generated
-    equality on ``(nvars, coeffs)`` compares polynomials.
+    ``coeffs`` maps exponent tuples (one entry per variable) to values, which
+    are all ``int``/``Fraction`` or all :class:`TautClass`.  Zero values are
+    dropped on construction, so the generated equality on ``(nvars, coeffs)``
+    compares polynomials.
     """
 
     nvars: int
@@ -68,8 +75,16 @@ class MultiPoly:
             key = tuple(int(e) for e in exponents)
             if len(key) != self.nvars or any(e < 0 for e in key):
                 raise InvalidArgumentError(f"bad exponent tuple {exponents!r}")
-            if not _is_zero_value(value):
+            if isinstance(value, TautClass):
+                is_zero = value.is_zero()
+            elif isinstance(value, (int, Fraction)):
+                is_zero = value == 0
+            else:
+                raise InvalidArgumentError(f"coefficient {value!r} is not a rational or a class")
+            if not is_zero:
                 cleaned[key] = value
+        if len({isinstance(value, TautClass) for value in cleaned.values()}) > 1:
+            raise InvalidArgumentError("coefficients mix rationals and classes")
         object.__setattr__(self, "coeffs", cleaned)
 
     def degree(self) -> int:
@@ -79,11 +94,7 @@ class MultiPoly:
         return self.coeffs.get(tuple(int(e) for e in exponents))
 
     def evaluate(self, point: Sequence[Fraction | int]) -> Any:
-        """Value at an exact rational point (None when the sum is empty).
-
-        Class values are summed by :func:`~rubbertaut.tautring.linear_combination`
-        over one integer denominator; other values by plain addition.
-        """
+        """Value at an exact rational point (None when the sum is empty)."""
         if len(point) != self.nvars:
             raise InvalidArgumentError(
                 f"point has {len(point)} entries for {self.nvars} variables"
@@ -97,16 +108,7 @@ class MultiPoly:
                     num *= base.numerator**exp
                     den *= base.denominator**exp
             terms.append((Fraction(num, den), value))
-        if not terms:
-            return None
-        if all(isinstance(value, TautClass) for _, value in terms):
-            return linear_combination(terms)
-        # ``scale * value`` is a new value, so summing in place never
-        # touches a stored coefficient.
-        total = terms[0][0] * terms[0][1]
-        for scale, value in terms[1:]:
-            total += scale * value
-        return total
+        return _combine_values(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -240,73 +242,78 @@ def check_homogeneity(
 
 
 #: Most grid points :func:`interpolate` evaluates, and most trials times grid
-#: points the ``interp`` command runs.  One round trip costs time quadratic
-#: in its grid, and more again when one variable carries a high degree: at
-#: 125 points, three variables of degree 4 take about 0.4 s and one variable
-#: of degree 124 about 7.6 s; two variables of degree 9 (100 points) take
-#: about 0.24 s (2-vCPU VM, Python 3.11).
+#: points the ``interp`` command runs.  Each axis costs time quadratic in its
+#: own length only.  One round trip (evaluation included) at 125 points takes
+#: about 0.14 s for one variable of degree 124 and 0.05 s for three variables
+#: of degree 4; two variables of degree 9 (100 points) take about 0.05 s
+#: (2-vCPU VM, Python 3.11).
 MAX_INTERP_POINTS = 125
 
 
-def _lagrange_basis(points: Sequence[Fraction]) -> list[list[Fraction]]:
-    """Coefficient vectors of the Lagrange basis through the given nodes."""
-    n = len(points)
-    basis: list[list[Fraction]] = []
-    for i in range(n):
-        coeffs = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(n):
-            if j == i:
-                continue
-            denom *= points[i] - points[j]
-            expanded = [Fraction(0)] * (len(coeffs) + 1)
-            for degree, c in enumerate(coeffs):
-                expanded[degree + 1] += c
-                expanded[degree] -= points[j] * c
-            coeffs = expanded
-        padded = coeffs + [Fraction(0)] * (n - len(coeffs))
-        basis.append([c / denom for c in padded])
-    return basis
+def _stirling_weights(degree: int) -> list[list[Fraction]]:
+    """``w[k][j] = s(k, j) / k!`` for ``j <= k <= degree``.
 
-
-def interpolate(
-    fn: Callable[[tuple[Fraction, ...]], Any],
-    nvars: int,
-    degrees: Sequence[int],
-) -> MultiPoly:
-    """Exact interpolation of ``fn`` on the integer grid ``{0..deg}**nvars``.
-
-    ``fn`` must be a polynomial of per-variable degree at most ``degrees``;
-    its values may be rationals or any type supporting addition and
-    ``Fraction``-scaling (such as :class:`TautClass`).
+    ``s(k, j)`` are the signed Stirling numbers of the first kind,
+    ``x (x-1) ... (x-k+1) = sum_j s(k, j) x**j``, built by
+    ``s(k+1, j) = s(k, j-1) - k s(k, j)``.
     """
-    if nvars < 1:
-        raise InvalidArgumentError(f"need at least one variable, got {nvars}")
-    if len(degrees) != nvars or any(d < 0 for d in degrees):
-        raise InvalidArgumentError(f"bad per-variable degrees {degrees!r}")
+    rows = [[1]]
+    for k in range(degree):
+        prev = rows[-1] + [0]
+        rows.append([(prev[j - 1] if j else 0) - k * prev[j] for j in range(k + 2)])
+    return [[Fraction(s, math.factorial(k)) for s in row] for k, row in enumerate(rows)]
+
+
+def _line_coefficients(values: Sequence[Any], weights: list[list[Fraction]]) -> list[Any]:
+    """Monomial coefficients of the polynomial taking ``values[x]`` at ``x = 0..d``.
+
+    Newton's forward-difference formula
+    ``p(x) = sum_k (Delta^k p)(0) x (x-1) ... (x-k+1) / k!`` with
+    ``(Delta^k p)(0) = sum_i (-1)**(k-i) C(k, i) p(i)``, expanded by the
+    Stirling weights.  A None value, and a None coefficient, is zero.
+    """
+    d = len(values) - 1
+    known = [(i, value) for i, value in enumerate(values) if value is not None]
+    diffs = [
+        _combine_values([((-1) ** (k - i) * math.comb(k, i), value) for i, value in known if i <= k])
+        for k in range(d + 1)
+    ]
+    return [
+        _combine_values([(weights[k][j], diffs[k]) for k in range(j, d + 1) if diffs[k] is not None])
+        for j in range(d + 1)
+    ]
+
+
+def interpolate(fn: Callable[[tuple[Fraction, ...]], Any], degrees: Sequence[int]) -> MultiPoly:
+    """Exact interpolation of ``fn`` on the integer grid ``{0..d_1} x ... x {0..d_n}``.
+
+    ``fn`` must be a polynomial of degree at most ``degrees[v]`` in variable
+    ``v``; its values are rationals or all :class:`TautClass`, and None
+    counts as zero.  The grid is reduced one axis at a time: every line
+    along the axis is interpolated by forward differences, and its grid
+    index turns into the exponent of that variable.
+    """
+    if not degrees or any(d < 0 for d in degrees):
+        raise InvalidArgumentError(f"need one degree >= 0 per variable, got {tuple(degrees)!r}")
     if math.prod(d + 1 for d in degrees) > MAX_INTERP_POINTS:
         raise ResourceLimitError(
             f"degrees {tuple(degrees)} need more than {MAX_INTERP_POINTS} grid points"
         )
-    axes = [[Fraction(v) for v in range(d + 1)] for d in degrees]
-    bases = [_lagrange_basis(axis) for axis in axes]
-    coeffs: dict[tuple[int, ...], Any] = {}
-    for grid_index in product(*(range(len(axis)) for axis in axes)):
-        value = fn(tuple(axes[v][grid_index[v]] for v in range(nvars)))
-        if _is_zero_value(value):
-            continue
-        for exponents in product(*(range(len(axis)) for axis in axes)):
-            weight = Fraction(1)
-            for v in range(nvars):
-                weight *= bases[v][grid_index[v]][exponents[v]]
-            if weight == 0:
-                continue
-            term = weight * value
-            if exponents in coeffs:
-                coeffs[exponents] = coeffs[exponents] + term
-            else:
-                coeffs[exponents] = term
-    return MultiPoly(nvars, coeffs)
+    weights = _stirling_weights(max(degrees))
+    grid = {
+        index: fn(tuple(Fraction(i) for i in index))
+        for index in product(*(range(d + 1) for d in degrees))
+    }
+    for v, d in enumerate(degrees):
+        lines: dict[tuple[int, ...], list[Any]] = {}
+        for index, value in grid.items():
+            lines.setdefault(index[:v] + index[v + 1 :], [None] * (d + 1))[index[v]] = value
+        grid = {}
+        for rest, values in lines.items():
+            for j, coeff in enumerate(_line_coefficients(values, weights)):
+                if coeff is not None:
+                    grid[rest[:v] + (j,) + rest[v:]] = coeff
+    return MultiPoly(len(degrees), grid)
 
 
 # ---------------------------------------------------------------------------

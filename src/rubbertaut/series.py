@@ -22,7 +22,6 @@ from .util import fraction_str
 __all__ = [
     "PowerSeries",
     "series",
-    "series_add",
     "series_mul",
     "series_scale",
     "series_pow",
@@ -81,12 +80,6 @@ def series(coeffs: Iterable[Fraction | int], order: int | None = None) -> PowerS
         raise InvalidArgumentError("more coefficients than the requested order allows")
     values.extend([Fraction(0)] * (order + 1 - len(values)))
     return PowerSeries(tuple(values))
-
-
-def series_add(f: PowerSeries, g: PowerSeries) -> PowerSeries:
-    """Sum, truncated at the smaller of the two orders."""
-    order = min(f.order, g.order)
-    return PowerSeries(tuple(f.coeffs[i] + g.coeffs[i] for i in range(order + 1)))
 
 
 def series_scale(f: PowerSeries, c: Fraction | int) -> PowerSeries:

@@ -16,7 +16,6 @@ from .errors import InvalidArgumentError
 __all__ = [
     "fraction_str",
     "parse_fraction",
-    "falling_factorial",
     "combine",
 ]
 
@@ -37,19 +36,6 @@ def parse_fraction(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidArgumentError(f"not a rational: {text!r}") from exc
-
-
-def falling_factorial(n: int, k: int) -> int:
-    """Product ``n (n-1) ... (n-k+1)`` with the empty product equal to 1.
-
-    Defined for integer ``n`` and ``k >= 0``; returns 0 when ``0 <= n < k``.
-    """
-    if k < 0:
-        raise InvalidArgumentError("falling factorial needs k >= 0")
-    result = 1
-    for i in range(k):
-        result *= n - i
-    return result
 
 
 def combine(

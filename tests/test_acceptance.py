@@ -148,7 +148,7 @@ def test_criterion_6_property_suites(acceptance) -> None:
                 key = tuple(rng.randint(0, degrees[v]) for v in range(nvars))
                 coeffs[key] = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
             original = MultiPoly(nvars, coeffs)
-            assert interpolate(original.evaluate, nvars, degrees) == original
+            assert interpolate(original.evaluate, degrees) == original
         for g in (2, 3):
             base = hain_expand(g, 3, (2, -1, -1))
             scaled = hain_expand(g, 3, (6, -3, -3))

@@ -254,7 +254,7 @@ def test_hain_rejects_unbalanced_weights(capsys: pytest.CaptureFixture[str]) -> 
 
 def test_interp_reports_exact_round_trips(capsys: pytest.CaptureFixture[str]) -> None:
     code, out = _run(
-        ["interp", "--nvars", "2", "--degrees", "2,2", "--seed", "7", "--trials", "2"], capsys
+        ["interp", "--degrees", "2,2", "--seed", "7", "--trials", "2"], capsys
     )
     assert code == 0
     assert out.strip() == "PASS interp: 2 round-trips exact"
@@ -368,7 +368,7 @@ def test_malformed_numbers_exit_one_without_a_traceback(argv: list[str], message
     "argv, message",
     [
         (
-            ["interp", "--nvars", "3", "--degrees", "30,30,30", "--trials", "1"],
+            ["interp", "--degrees", "30,30,30", "--trials", "1"],
             "1 round trips of 29791 grid points exceed the cap 125",
         ),
         (

@@ -177,6 +177,17 @@ def test_relation_extract_rejects_degrees_below_the_twist() -> None:
     assert relation_extract(2, LIFT_DIVISOR).terms
 
 
+def test_assembly_rejects_a_degree_below_the_twist() -> None:
+    """At d = 1 the divisor lift's twist exponent ``k = d - 2`` is negative."""
+    graphs = enumerate_graphs(1, LIFT_DIVISOR)
+    assert graphs
+    for graph in graphs:
+        with pytest.raises(InvalidArgumentError, match="does not meet the branch twist"):
+            assemble_contribution(graph, LIFT_DIVISOR)
+        with pytest.raises(InvalidArgumentError, match="does not meet the branch twist"):
+            _residue(graph, LIFT_DIVISOR)
+
+
 def test_graph_accessors() -> None:
     graph = LocGraph("zero", (Part(1, (), False), Part(2, (2, 3), True)))
     assert graph.degree == 3

@@ -300,6 +300,17 @@ def test_multipoly_drops_zero_values_and_validates() -> None:
         MultiPoly(1, {(-1,): Fraction(1)})
 
 
+def test_multipoly_values_are_rationals_or_classes() -> None:
+    ctx = RingContext.standard(3)
+    assert MultiPoly(1, {(0,): 2, (1,): Fraction(1, 2)}).evaluate((2,)) == 3
+    assert MultiPoly(1, {(0,): psi1(ctx) - psi1(ctx)}) == MultiPoly(1)
+    for value in (0.5, None, "1"):
+        with pytest.raises(InvalidArgumentError, match="not a rational or a class"):
+            MultiPoly(1, {(0,): value})
+    with pytest.raises(InvalidArgumentError, match="mix rationals and classes"):
+        MultiPoly(1, {(0,): Fraction(1), (1,): psi1(ctx)})
+
+
 def test_multipoly_evaluation() -> None:
     poly = MultiPoly(2, {(2, 1): Fraction(3), (0, 0): Fraction(-1)})
     assert poly.evaluate((2, 5)) == 3 * 4 * 5 - 1
@@ -318,7 +329,7 @@ def test_interpolation_recovers_a_known_polynomial() -> None:
         x, y = point
         return x**2 * y - Fraction(7, 3) * y**3 + 4
 
-    rebuilt = interpolate(fn, 2, (2, 3))
+    rebuilt = interpolate(fn, (2, 3))
     assert rebuilt == MultiPoly(
         2,
         {
@@ -339,12 +350,12 @@ def test_interpolation_round_trips_random_polynomials() -> None:
             key = tuple(rng.randint(0, degrees[v]) for v in range(nvars))
             coeffs[key] = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
         original = MultiPoly(nvars, coeffs)
-        assert interpolate(original.evaluate, nvars, degrees) == original
+        assert interpolate(original.evaluate, degrees) == original
 
 
 def test_interpolation_handles_class_values() -> None:
     poly = genus1_polynomial(3)
-    rebuilt = interpolate(poly.evaluate, 2, (2, 2))
+    rebuilt = interpolate(poly.evaluate, (2, 2))
     assert rebuilt == poly
 
 
@@ -357,19 +368,43 @@ def test_interpolation_cap_is_checked_before_any_evaluation() -> None:
 
     for degrees in ((MAX_INTERP_POINTS,), (30, 30, 30), (10**30,)):
         with pytest.raises(ResourceLimitError, match=f"more than {MAX_INTERP_POINTS} grid points"):
-            interpolate(fn, len(degrees), degrees)
+            interpolate(fn, degrees)
     assert calls == []
-    assert interpolate(fn, 3, (4, 4, 4)) == MultiPoly(3, {(0, 0, 0): Fraction(1)})
+    assert interpolate(fn, (4, 4, 4)) == MultiPoly(3, {(0, 0, 0): Fraction(1)})
     assert len(calls) == 125 == MAX_INTERP_POINTS
+
+
+def test_stirling_weights_expand_the_falling_factorial() -> None:
+    weights = polyclasses._stirling_weights(12)
+    for k, row in enumerate(weights):
+        for x in range(-4, 15):
+            falling = math.prod(x - i for i in range(k))
+            assert sum(w * x**j for j, w in enumerate(row)) * math.factorial(k) == falling
+
+
+def test_interpolation_round_trips_one_variable_of_degree_124() -> None:
+    rng = random.Random(124)
+    coeffs = {(e,): Fraction(rng.randint(-30, 30), rng.randint(1, 7)) for e in range(125)}
+    original = MultiPoly(1, coeffs)
+    assert interpolate(original.evaluate, (MAX_INTERP_POINTS - 1,)) == original
+
+
+def test_interpolation_handles_class_values_in_three_variables() -> None:
+    poly = genus1_polynomial(4)
+    assert interpolate(poly.evaluate, (2, 2, 2)) == poly
+
+
+def test_the_empty_polynomial_interpolates_to_itself() -> None:
+    for nvars in (1, 2, 3):
+        empty = MultiPoly(nvars)
+        assert interpolate(empty.evaluate, (2,) * nvars) == empty
 
 
 def test_interpolation_validates_arguments() -> None:
     with pytest.raises(InvalidArgumentError):
-        interpolate(lambda p: Fraction(1), 0, ())
+        interpolate(lambda p: Fraction(1), ())
     with pytest.raises(InvalidArgumentError):
-        interpolate(lambda p: Fraction(1), 2, (1,))
-    with pytest.raises(InvalidArgumentError):
-        interpolate(lambda p: Fraction(1), 1, (-1,))
+        interpolate(lambda p: Fraction(1), (-1,))
 
 
 # ---------------------------------------------------------------------------

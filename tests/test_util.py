@@ -28,7 +28,7 @@ def _random_value(rng: random.Random, exact: bool) -> Fraction | int:
 
 def _random_key(rng: random.Random, monomial: bool):
     if monomial:
-        return Monomial(rng.randint(0, 2), 0, rng.randint(0, 2), rng.choice((None, 0, 1)))
+        return Monomial(rng.randint(0, 2), rng.randint(0, 2), rng.choice((None, 0, 1)))
     return ("D", tuple(sorted(rng.sample(range(1, 6), rng.randint(0, 3)))))
 
 
