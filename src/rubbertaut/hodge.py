@@ -29,13 +29,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import InvalidArgumentError, InconsistencyError, TheoremViolationError
+from .errors import InvalidArgumentError, InconsistencyError, ResourceLimitError, TheoremViolationError
 from .linalg import solve_linear_system
 from .partitions import aut, enumerate_partitions
 from .series import series_log_sine
 from .util import combine
 
 __all__ = [
+    "MAX_GENUS",
     "q_form",
     "hodge_linear_form",
     "evaluate_form",
@@ -48,11 +49,24 @@ __all__ = [
 #: A rational linear form in the unknowns ``I(g, j)``, keyed by ``j``.
 LinearForm = dict[int, Fraction]
 
+#: Highest genus the Hodge entry points and the graph lifts accept, checked
+#: before any series or graph is built: ``solve_hodge(24, 48)`` takes about
+#: 0.1 s and ``verify-all --g-max 24 --d-max 10`` about 8 s (2-vCPU VM).
+MAX_GENUS = 24
+
+
+def _check_genus(g: int) -> None:
+    """Refuse a genus outside ``1..MAX_GENUS``; the graph lifts and
+    ``verify-all`` check through here too."""
+    if g < 1:
+        raise InvalidArgumentError(f"need genus >= 1, got {g}")
+    if g > MAX_GENUS:
+        raise ResourceLimitError(f"genus {g} exceeds the genus cap {MAX_GENUS}")
+
 
 def q_form(g: int, e: int) -> LinearForm:
     """The alternating edge-weight form ``sum_j (-1)^j e^(g-1-j) I(g, j)``."""
-    if g < 1:
-        raise InvalidArgumentError(f"need genus >= 1, got {g}")
+    _check_genus(g)
     if e < 1:
         raise InvalidArgumentError(f"need edge size >= 1, got {e}")
     return {j: Fraction((-1) ** j * e ** (g - 1 - j)) for j in range(g)}
@@ -117,8 +131,7 @@ def hodge_linear_form(g: int, d: int, method: str = "resummed") -> LinearForm:
     ramification partitions of ``d`` and serves as the oracle.  They agree
     identically and the test suite checks that.
     """
-    if g < 1:
-        raise InvalidArgumentError(f"need genus >= 1, got {g}")
+    _check_genus(g)
     if d < 1:
         raise InvalidArgumentError(f"need degree >= 1, got {d}")
     if method == "partitions":
@@ -142,8 +155,7 @@ def evaluate_form(form: Mapping[int, Fraction], values: Sequence[Fraction]) -> F
 
 def n_target(g: int, d: int) -> Fraction:
     """Target value: coefficient of ``y^(2g)`` in the even log-sine series."""
-    if g < 1:
-        raise InvalidArgumentError(f"need genus >= 1, got {g}")
+    _check_genus(g)
     return series_log_sine(d, 2 * g).coefficient(2 * g)
 
 
@@ -178,8 +190,7 @@ def solve_hodge(g: int, d_max: int | None = None) -> HodgeSolution:
     raises ``TheoremViolationError``; a consistent but rank-deficient one is
     reported through a nonempty ``nullspace``.
     """
-    if g < 1:
-        raise InvalidArgumentError(f"need genus >= 1, got {g}")
+    _check_genus(g)
     top = max(g, d_max if d_max is not None else g)
     degrees = tuple(range(1, top + 1))
     base = n_target(g, 1)

@@ -23,14 +23,22 @@ coefficients of the genus-one weight quadric.  Every sum here, from the
 symbol algebra's ring operations to the per-row relations and the solve,
 runs through :func:`rubbertaut.util.combine`.
 
-Two lifts of the action are used:
+Two lifts of the action are used, and a :class:`Lift` is one of them:
 
-* the *divisor lift* places two extra marks over zero, inserts one Hodge
-  class, and twists the branch morphism by ``d - 2`` — it produces relations
-  among degree-one classes on the three-mark space;
-* the *pair lift* places no extra marks, inserts the top two Hodge classes,
-  and twists by ``d - 1`` — it produces the linear identities for the
-  one-point Hodge integrals (see :mod:`rubbertaut.hodge`).
+* the *divisor lift* ``Lift(1, divisor=True)`` (:data:`LIFT_DIVISOR`, genus
+  one only) places marks 2 and 3 over zero, inserts one Hodge class, and
+  twists the branch morphism by ``d - 2`` — it produces relations among
+  degree-one classes on the three-mark space;
+* the *pair lift* ``Lift(g)`` (:func:`lift_pair`) places no extra marks,
+  inserts the top two Hodge classes, and twists by ``d - 1`` — it produces
+  the linear identities for the one-point Hodge integrals (see
+  :mod:`rubbertaut.hodge`).
+
+Every fixed locus is a vertex space ``M_{g,n}`` times a rubber space, so the
+genus node's cotangent series stops at ``3g - 2 + m`` (``m`` marks besides
+the node) and the rubber node's at ``2h - 2 + l`` (rubber genus ``h``: 0 over
+zero, the lift's genus over infinity; ``l`` parts over zero), whichever the
+lift.
 """
 
 from __future__ import annotations
@@ -38,14 +46,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 from .errors import (
     InvalidArgumentError,
     TheoremViolationError,
     UnsupportedGraphError,
 )
-from .hodge import LinearForm, n_target, solve_hodge
+from .hodge import LinearForm, _check_genus, n_target, solve_hodge
 from .hurwitz import rubber_psi_integral
 from .partitions import decorated_aut, enumerate_marked, enumerate_partitions
 from .series import LaurentPoly, RingOps
@@ -213,32 +221,38 @@ class LocGraph:
 
 @dataclass(frozen=True)
 class Lift:
-    """A linearization choice: extra marks over zero, branch twist, insertion.
+    """One of the two linearizations: ``Lift(g)`` or ``Lift(1, divisor=True)``.
 
-    ``genus`` is the positive genus carried by the fixed loci;
-    ``branch_twist`` is subtracted from the degree to give the branch
-    exponent; ``insertion`` names the global class multiplying every graph.
+    ``genus`` is the positive genus carried by the fixed loci, at most
+    :data:`rubbertaut.hodge.MAX_GENUS`.  The marks placed over zero and the
+    twist subtracted from the degree to give the branch exponent follow from
+    ``divisor``.
     """
 
     genus: int
-    zero_marks: tuple[int, ...]
-    branch_twist: int
-    insertion: str
+    divisor: bool = False
 
     def __post_init__(self) -> None:
-        if self.genus < 1:
-            raise InvalidArgumentError(f"need genus >= 1, got {self.genus}")
-        if self.insertion not in ("hodge-1", "hodge-pair"):
-            raise InvalidArgumentError(f"unknown insertion {self.insertion!r}")
+        _check_genus(self.genus)
+        if self.divisor and self.genus != 1:
+            raise InvalidArgumentError(f"the divisor lift is genus one only, got {self.genus}")
+
+    @property
+    def zero_marks(self) -> tuple[int, ...]:
+        return (2, 3) if self.divisor else ()
+
+    @property
+    def branch_twist(self) -> int:
+        return 2 if self.divisor else 1
 
 
 #: Divisor lift: genus one, marks 2 and 3 over zero, one Hodge insertion.
-LIFT_DIVISOR = Lift(genus=1, zero_marks=(2, 3), branch_twist=2, insertion="hodge-1")
+LIFT_DIVISOR = Lift(1, divisor=True)
 
 
 def lift_pair(genus: int) -> Lift:
     """Pair lift at the given genus: no extra marks, top Hodge pair inserted."""
-    return Lift(genus=genus, zero_marks=(), branch_twist=1, insertion="hodge-pair")
+    return Lift(genus)
 
 
 def _branch_data(graph: LocGraph, lift: Lift) -> tuple[int, int]:
@@ -261,11 +275,9 @@ def enumerate_graphs(d: int, lift: Lift) -> list[LocGraph]:
     """
     if d < 1:
         raise InvalidArgumentError(f"need degree >= 1, got {d}")
-    max_parts = max(0, 2 * lift.genus + lift.branch_twist)
     kept = []
-    for nu in enumerate_partitions(d, max_parts):
-        for marked, _ in enumerate_marked(nu, lift.zero_marks):
-            slots = marked.slots
+    for nu in enumerate_partitions(d, 2 * lift.genus + lift.branch_twist):
+        for slots, _ in enumerate_marked(nu, lift.zero_marks):
             candidates = [LocGraph("infinity", tuple(Part(s, ms) for s, ms in slots))]
             for genus_index in range(len(slots)):
                 if genus_index and slots[genus_index] == slots[genus_index - 1]:
@@ -403,21 +415,17 @@ FactorSpec = tuple
 
 
 def _genus_vertex_dim(graph: LocGraph, lift: Lift) -> int:
+    """``dim M_{g,n} = 3g - 3 + n``, with the node and the part's marks as points."""
     genus = graph.genus_part()
     if genus is None:
         raise InvalidArgumentError("graph has no genus vertex over zero")
-    if lift.insertion == "hodge-1":
-        # genus-one space with the node point plus the marks on the part
-        return 1 + len(genus.marks)
-    return 3 * lift.genus - 2
+    return 3 * lift.genus - 2 + len(genus.marks)
 
 
 def _rubber_dim(graph: LocGraph, lift: Lift) -> int:
-    if graph.side == "zero":
-        return len(graph.parts) - 2
-    if lift.insertion == "hodge-1":
-        return len(graph.parts)
-    return 2 * lift.genus - 1
+    """Rubber dimension ``2h - 3 + l(mu) + l(nu)``, with one part over infinity."""
+    h = 0 if graph.side == "zero" else lift.genus
+    return 2 * h - 2 + len(graph.parts)
 
 
 def _node_factor(size: int, cap: int) -> LaurentPoly[SymExpr]:
@@ -644,7 +652,7 @@ def relation_extract(d: int, lift: Lift) -> Relation:
     """Extract the exact relation carried by the ``1/t`` coefficients."""
     if d < lift.branch_twist:
         raise InvalidArgumentError(f"this lift needs degree >= {lift.branch_twist}, got {d}")
-    keep = _keep_divisor_term if lift.insertion == "hodge-1" else _keep_pair_term
+    keep = _keep_divisor_term if lift.divisor else _keep_pair_term
     terms: dict[LocGraph, dict[Monomial, Fraction]] = {}
     for graph in enumerate_graphs(d, lift):
         numerators, den = _residue(graph, lift)
@@ -658,11 +666,12 @@ def relation_extract(d: int, lift: Lift) -> Relation:
     return Relation(d, lift, terms)
 
 
-def relation_by_row(relation: Relation, rows: Sequence[Row]) -> dict[int, dict[tuple[int, int], Fraction]]:
-    """Aggregate a divisor-lift relation by display row.
+def relation_by_row(relation: Relation) -> dict[int, dict[tuple[int, int], Fraction]]:
+    """Aggregate a relation by the display rows of its degree and lift.
 
     Keys are ``(psi_genus, psi_rubber)`` pairs; mirror graphs in a row sum.
     """
+    rows = enumerate_rows(relation.d, relation.lift)
     graph_to_row = {graph: row.index for row in rows for graph in row.graphs}
     pairs: dict[int, list[tuple[Fraction, dict[tuple[int, int], int]]]] = {}
     for graph, monos in relation.terms.items():
@@ -735,29 +744,21 @@ def _evaluate_zero_side(
 ) -> TautClass | None:
     genus = graph.genus_part()
     assert genus is not None
+    dim_rub = len(graph.parts) - 2
     if not graph.has_rubber():
         if mono.psi_genus == 1:
             return psi1(ctx)
-        raise UnsupportedGraphError(
-            f"no boundary evaluation for {render_graph(graph)} at {mono}"
-        )
-    dim_rub = len(graph.parts) - 2
-    if mono.psi_rubber == dim_rub:
+    elif mono.psi_rubber == dim_rub:
         scalar = rubber_psi_integral(graph.partition, (graph.degree,))
         if len(genus.marks) == 2 and mono.psi_genus == 1:
             return scalar * psi1(ctx)
         if len(genus.marks) == 1 and mono.psi_genus == 0:
             return scalar * boundary(ctx, genus.marks)
-        raise UnsupportedGraphError(
-            f"no boundary evaluation for {render_graph(graph)} at {mono}"
-        )
-    # Unsaturated rubber: the fiber sweeps a boundary stratum only when its
-    # dimension matches the stabilized tail's moduli; otherwise it contracts.
-    fiber = dim_rub - mono.psi_rubber
-    moduli = max(0, _tail_special_points(graph) - 3)
-    if fiber != moduli:
+    elif dim_rub - mono.psi_rubber != max(0, _tail_special_points(graph) - 3):
+        # Unsaturated rubber: the fiber sweeps a boundary stratum only when its
+        # dimension matches the stabilized tail's moduli; otherwise it contracts.
         return None
-    if (
+    elif (
         len(genus.marks) == 0
         and mono.psi_genus == 0
         and mono.psi_rubber == 0
@@ -786,10 +787,11 @@ def _marked_sizes(graph: LocGraph, lift: Lift) -> tuple[str, tuple[int, int]]:
     return "P", (size_of[first], size_of[second])
 
 
-def evaluate_relation(relation: Relation, ctx: RingContext) -> EvaluatedRelation:
+def evaluate_relation(relation: Relation) -> EvaluatedRelation:
     """Push every term of a divisor-lift relation to the three-mark space."""
-    if relation.lift.insertion != "hodge-1":
+    if not relation.lift.divisor:
         raise InvalidArgumentError("only divisor-lift relations evaluate to classes")
+    ctx = RingContext((1, *relation.lift.zero_marks))
     known = [(1, zero_class(ctx))]
     atoms: dict[str, list[tuple[Fraction, dict[tuple[int, int], int]]]] = {"P": [], "S": []}
     for graph, monos in relation.terms.items():
@@ -892,7 +894,7 @@ def evaluate_and_solve(d: int) -> Degree2Solution | Degree3Report:
     a3 = pullback_forget(relabel(seed, {1: 1, 2: 3}), 2).reduce()
     if a3 != relabel(a2, {1: 1, 2: 3, 3: 2}).reduce():
         raise TheoremViolationError("the two routes to the second pure coefficient differ")
-    evaluated = evaluate_relation(relation_extract(2, LIFT_DIVISOR), ctx3)
+    evaluated = evaluate_relation(relation_extract(2, LIFT_DIVISOR))
 
     # Joint-mark companions by restriction: forget the third mark, then glue
     # it back onto the second.
@@ -927,7 +929,7 @@ def evaluate_and_solve(d: int) -> Degree2Solution | Degree3Report:
     )
     if d == 2:
         return solution
-    evaluated = evaluate_relation(relation_extract(3, LIFT_DIVISOR), ctx3)
+    evaluated = evaluate_relation(relation_extract(3, LIFT_DIVISOR))
     total, b_weight = _main_relation(
         evaluated, a2, a3, solution.a2p, solution.a3p, solution.bp, "degree-three"
     )

@@ -3,13 +3,17 @@
 A partition is a descending tuple of positive parts.  A *marked* partition
 additionally distributes a set of labels over the parts; two markings are
 identified when a permutation of equal-size parts carries one to the other.
+It is a plain tuple of ``(size, marks)`` slots, sorted by descending size and
+then by mark tuple, so equal tuples are the same symmetry class; the
+fixed-point graphs of :mod:`rubbertaut.locgraphs` are built from these slots,
+with the marks of the lift placed over zero.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable, Sequence
 
@@ -19,7 +23,6 @@ __all__ = [
     "enumerate_partitions",
     "aut",
     "decorated_aut",
-    "MarkedPartition",
     "enumerate_marked",
     "tau_power_coefficient",
 ]
@@ -69,57 +72,28 @@ def decorated_aut(items: Iterable[Hashable]) -> int:
     return result
 
 
-@dataclass(frozen=True, order=True)
-class MarkedPartition:
-    """A partition with labels distributed over its parts, up to symmetry.
-
-    ``slots`` is canonically sorted by descending size, then by mark tuple,
-    so equal objects represent the same symmetry class.
-    """
-
-    slots: tuple[tuple[int, tuple[int, ...]], ...]
-
-    @staticmethod
-    def from_assignment(
-        nu: Sequence[int], assignment: dict[int, int]
-    ) -> "MarkedPartition":
-        """Build from a map ``label -> part index`` into ``nu``."""
-        marks: list[list[int]] = [[] for _ in nu]
-        for label, index in assignment.items():
-            if not 0 <= index < len(nu):
-                raise InvalidArgumentError(f"label {label} assigned to missing part {index}")
-            marks[index].append(label)
-        slots = tuple(
-            sorted(
-                ((size, tuple(sorted(ms))) for size, ms in zip(nu, marks)),
-                key=lambda slot: (-slot[0], slot[1]),
-            )
-        )
-        return MarkedPartition(slots)
+_Slots = tuple[tuple[int, tuple[int, ...]], ...]
 
 
-def enumerate_marked(
-    nu: Sequence[int], labels: Sequence[int]
-) -> list[tuple[MarkedPartition, int]]:
+def enumerate_marked(nu: Sequence[int], labels: Sequence[int]) -> list[tuple[_Slots, int]]:
     """Distinct markings of ``nu`` by ``labels``, each with its orbit size.
 
-    The orbit size counts raw assignments (maps ``label -> part``) giving the
-    class, so orbit sizes sum to ``len(nu) ** len(labels)``.
+    Each marking is its tuple of ``(size, marks)`` slots.  The orbit size
+    counts raw assignments (maps ``label -> part``) giving the class, so
+    orbit sizes sum to ``len(nu) ** len(labels)``.
     """
     if len(set(labels)) != len(labels):
         raise InvalidArgumentError(f"labels must be distinct, got {labels!r}")
-    counts: Counter[MarkedPartition] = Counter()
-
-    def assign(i: int, assignment: dict[int, int]) -> None:
-        if i == len(labels):
-            counts[MarkedPartition.from_assignment(nu, assignment)] += 1
-            return
-        for index in range(len(nu)):
-            assignment[labels[i]] = index
-            assign(i + 1, assignment)
-        assignment.pop(labels[i], None)
-
-    assign(0, {})
+    counts: Counter[_Slots] = Counter()
+    for assignment in itertools.product(range(len(nu)), repeat=len(labels)):
+        marks: list[list[int]] = [[] for _ in nu]
+        for label, index in zip(labels, assignment):
+            marks[index].append(label)
+        slots = sorted(
+            ((size, tuple(sorted(ms))) for size, ms in zip(nu, marks)),
+            key=lambda slot: (-slot[0], slot[1]),
+        )
+        counts[tuple(slots)] += 1
     return sorted(counts.items())
 
 

@@ -224,11 +224,12 @@ def check_equivariance(t: int) -> bool:
     return True
 
 
-def check_homogeneity(
-    t: int, scale: Fraction | int, point: Sequence[Fraction | int]
-) -> bool:
-    """Degree-two homogeneity: ``P(c * a) == c**2 * P(a)`` at an exact point."""
-    poly = genus1_polynomial(t)
+def check_homogeneity(scale: Fraction | int, point: Sequence[Fraction | int]) -> bool:
+    """Degree-two homogeneity: ``P(c * a) == c**2 * P(a)`` at an exact point.
+
+    ``point`` gives the weights of marks ``2..t``, so ``t = len(point) + 1``.
+    """
+    poly = genus1_polynomial(len(point) + 1)
     frac = Fraction(scale)
     scaled_point = [frac * Fraction(p) for p in point]
     lhs = poly.evaluate(scaled_point)

@@ -75,12 +75,12 @@ def test_criterion_3_graph_tables_and_pole_relations(acceptance) -> None:
         for d in (2, 3):
             assert cli._golden_diff(d) == []
         rows2 = enumerate_rows(2, LIFT_DIVISOR)
-        by_row2 = relation_by_row(relation_extract(2, LIFT_DIVISOR), rows2)
+        by_row2 = relation_by_row(relation_extract(2, LIFT_DIVISOR))
         ordered = sorted(by_row2.items())
         assert [row for row, _ in ordered] == [1, 3, 4, 6, 7]
         assert [next(iter(term.values())) for _, term in ordered] == [4, -1, -2, -1, -1]
         rows3 = enumerate_rows(3, LIFT_DIVISOR)
-        by_row3 = relation_by_row(relation_extract(3, LIFT_DIVISOR), rows3)
+        by_row3 = relation_by_row(relation_extract(3, LIFT_DIVISOR))
         assert by_row3[1] == {(1, 0): Fraction(54)}
         silent = {2: {2, 5}, 3: {2, 5, 6}}
         for d, rows in ((2, rows2), (3, rows3)):
@@ -121,7 +121,7 @@ def test_criterion_5_weight_polynomial_properties(acceptance) -> None:
             point = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(t - 1)]
             for _ in range(3):
                 scale = Fraction(rng.choice([-9, -5, -2, 1, 4, 7]), rng.randint(1, 8))
-                assert check_homogeneity(t, scale, point)
+                assert check_homogeneity(scale, point)
 
 
 def test_criterion_6_property_suites(acceptance) -> None:

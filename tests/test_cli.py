@@ -10,10 +10,15 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable
 
 import pytest
 
-from rubbertaut import cli, goldentables
+from rubbertaut import cli, goldentables, locgraphs
+from rubbertaut.hodge import MAX_GENUS
+from rubbertaut.polyclasses import MultiPoly
+from rubbertaut.series import series
 
 
 def _run(argv: list[str], capsys: pytest.CaptureFixture[str]) -> tuple[int, str]:
@@ -307,6 +312,99 @@ def test_verify_all_fails_when_a_predicate_is_false(
     assert witness in failures[0]
 
 
+@pytest.mark.parametrize(
+    "name, doctor, section",
+    [
+        # tau replaced by x, which does not solve tau = x exp(tau)
+        ("series_tau", lambda honest: lambda order: series([0, 1], order=order), "series"),
+        # every one-part count off by one
+        ("hurwitz_one_part", lambda honest: lambda nu, d: honest(nu, d) + 1, "hurwitz"),
+        # the mixed coefficient of the three-mark quadric replaced by a pure one
+        (
+            "genus1_polynomial",
+            lambda honest: lambda t: MultiPoly(
+                t - 1, {**honest(t).coeffs, (1, 1): honest(t).coeffs[(2, 0)]}
+            ),
+            "divisors",
+        ),
+        # every coefficient doubled, the anchor included
+        (
+            "hain_expand",
+            lambda honest: lambda g, t, w: {m: 2 * c for m, c in honest(g, t, w).items()},
+            "hain",
+        ),
+        # the polynomial rebuilt from values shifted by one
+        (
+            "interpolate",
+            lambda honest: lambda fn, degrees: honest(lambda point: fn(point) + 1, degrees),
+            "interp",
+        ),
+    ],
+    ids=["series", "hurwitz", "divisors", "hain", "interp"],
+)
+def test_verify_all_fails_on_a_doctored_input(
+    name: str,
+    doctor: Callable,
+    section: str,
+    capsys: pytest.CaptureFixture[str],
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    """Each of these checks fails, alone, when the value it checks is wrong."""
+    monkeypatch.setattr(cli, name, doctor(getattr(cli, name)))
+    code, out = _run(["verify-all", "--g-max", "1", "--d-max", "2"], capsys)
+    assert code == 2
+    failures = [line for line in out.splitlines() if not line.startswith("PASS ")]
+    assert len(failures) == 1
+    assert failures[0].startswith(f"FAIL {section}:")
+
+
+def test_verify_all_checks_the_pair_totals_at_every_degree(
+    capsys: pytest.CaptureFixture[str], monkeypatch: pytest.MonkeyPatch
+) -> None:
+    """A doctored degree-6 pair relation misses the closed form ``-d^(d-2)``."""
+    honest = locgraphs.relation_extract
+
+    def doctored(d: int, lift: locgraphs.Lift) -> locgraphs.Relation:
+        relation = honest(d, lift)
+        if d != 6 or lift.divisor:
+            return relation
+        terms = {
+            graph: {mono: 2 * coeff for mono, coeff in monos.items()}
+            if graph.side == "infinity"
+            else monos
+            for graph, monos in relation.terms.items()
+        }
+        return locgraphs.Relation(d, lift, terms)
+
+    # Only the command line's view of the graph layer is doctored, so the
+    # graph-sum cross-check, which extracts inside locgraphs, stays honest.
+    monkeypatch.setattr(
+        cli, "locgraphs", SimpleNamespace(**{**vars(locgraphs), "relation_extract": doctored})
+    )
+    code, out = _run(["verify-all", "--g-max", "1", "--d-max", "6"], capsys)
+    assert code == 2
+    assert [line for line in out.splitlines() if not line.startswith("PASS ")] == [
+        "FAIL localize: pair-lift-rubber-totals-d<=6 — pair-lift rubber total differs at d=6",
+    ]
+
+
+def test_verify_all_refuses_a_genus_past_the_cap_at_once(
+    capsys: pytest.CaptureFixture[str],
+) -> None:
+    g = MAX_GENUS + 1
+    start = time.perf_counter()
+    code, out = _run(["verify-all", "--g-max", str(g), "--d-max", "2"], capsys)
+    elapsed = time.perf_counter() - start
+    assert code == 1
+    limit = f"genus {g} exceeds the genus cap {MAX_GENUS}"
+    assert [line for line in out.splitlines() if not line.startswith("PASS ")] == [
+        f"LIMIT series: log-sine-scaling-g<={g}-d<=2 — {limit}",
+        f"LIMIT hodge: linear-system-g<={g}-d<=2 — {limit}",
+        f"LIMIT hodge: graph-sum-cross-check-g<={g}-d<=2 — {limit}",
+    ]
+    assert elapsed < 2.0
+
+
 def test_verify_all_reports_a_resource_limit_as_a_limit(
     capsys: pytest.CaptureFixture[str],
 ) -> None:
@@ -347,6 +445,8 @@ def _run_process(argv: list[str]) -> subprocess.CompletedProcess:
         (["hurwitz", "--alpha", "2,,1", "--beta", "3"], "bad profile '2,,1'"),
         (["hurwitz", "--alpha", "2,1,", "--beta", "3"], "bad profile '2,1,'"),
         (["interp", "--degrees", "2,,2"], "bad degrees '2,,2'"),
+        (["interp", "--trials", "0"], "--trials must be at least 1, got 0"),
+        (["interp", "--trials", "-3"], "--trials must be at least 1, got -3"),
     ],
     ids=[
         "hain-word",
@@ -355,6 +455,8 @@ def _run_process(argv: list[str]) -> subprocess.CompletedProcess:
         "hurwitz-empty-chunk",
         "hurwitz-trailing-comma",
         "interp-empty-chunk",
+        "interp-zero-trials",
+        "interp-negative-trials",
     ],
 )
 def test_malformed_numbers_exit_one_without_a_traceback(argv: list[str], message: str) -> None:

@@ -9,9 +9,11 @@ from rubbertaut import cli, hodge
 from rubbertaut.errors import (
     InconsistencyError,
     InvalidArgumentError,
+    ResourceLimitError,
     TheoremViolationError,
 )
 from rubbertaut.hodge import (
+    MAX_GENUS,
     HodgeSolution,
     verify_scaling,
     evaluate_form,
@@ -171,6 +173,29 @@ def test_genus_zero_is_rejected() -> None:
         n_target(0, 1)
     with pytest.raises(InvalidArgumentError):
         hodge_linear_form(1, 0)
+
+
+def test_genus_past_the_cap_is_refused_before_any_series(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    assert solve_hodge(MAX_GENUS).unique
+
+    def no_series(*args: object) -> None:
+        raise AssertionError("a series was built past the genus cap")
+
+    monkeypatch.setattr(hodge, "series_log_sine", no_series)
+    g = MAX_GENUS + 1
+    entry_points = [
+        lambda: q_form(g, 1),
+        lambda: hodge_linear_form(g, 1),
+        lambda: hodge_linear_form(g, 1, "partitions"),
+        lambda: n_target(g, 1),
+        lambda: solve_hodge(g, 2 * g),
+        lambda: verify_scaling(g, 10),
+    ]
+    for call in entry_points:
+        with pytest.raises(ResourceLimitError, match=f"genus {g} exceeds the genus cap {MAX_GENUS}"):
+            call()
 
 
 def test_doctored_forms_raise_theorem_violation(

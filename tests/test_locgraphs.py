@@ -7,9 +7,10 @@ import pytest
 from rubbertaut import goldentables
 from rubbertaut.errors import (
     InvalidArgumentError,
+    ResourceLimitError,
     UnsupportedGraphError,
 )
-from rubbertaut.hodge import hodge_linear_form, n_target, solve_hodge
+from rubbertaut.hodge import MAX_GENUS, hodge_linear_form, n_target, solve_hodge
 from rubbertaut.locgraphs import (
     LIFT_DIVISOR,
     Lift,
@@ -17,9 +18,11 @@ from rubbertaut.locgraphs import (
     Monomial,
     Part,
     Relation,
+    _genus_vertex_dim,
     _keep_divisor_term,
     _keep_pair_term,
     _residue,
+    _rubber_dim,
     assemble_contribution,
     enumerate_graphs,
     enumerate_rows,
@@ -51,8 +54,7 @@ def _oracle_graphs(d: int, lift: Lift) -> list[LocGraph]:
     """
     classes: set[LocGraph] = set()
     for nu in enumerate_partitions(d):
-        for marked, _ in enumerate_marked(nu, lift.zero_marks):
-            slots = marked.slots
+        for slots, _ in enumerate_marked(nu, lift.zero_marks):
             classes.add(LocGraph("infinity", tuple(Part(s, ms) for s, ms in slots)))
             for genus_index in range(len(slots)):
                 parts = tuple(
@@ -85,7 +87,7 @@ def test_relation_keeps_the_filtered_residue_of_every_graph() -> None:
     for lift, d in _ORACLE_CASES:
         if d < lift.branch_twist:
             continue
-        keep = _keep_divisor_term if lift.insertion == "hodge-1" else _keep_pair_term
+        keep = _keep_divisor_term if lift.divisor else _keep_pair_term
         expected = {}
         for graph in _oracle_graphs(d, lift):
             kept = {
@@ -99,6 +101,38 @@ def test_relation_keeps_the_filtered_residue_of_every_graph() -> None:
         assert [(g, list(m.items())) for g, m in terms.items()] == [
             (g, list(m.items())) for g, m in expected.items()
         ], (lift, d)
+
+
+def _retired_genus_vertex_dim(graph: LocGraph, lift: Lift) -> int:
+    """The per-insertion branch the moduli formula replaced."""
+    genus = graph.genus_part()
+    assert genus is not None
+    if lift.divisor:
+        return 1 + len(genus.marks)
+    return 3 * lift.genus - 2
+
+
+def _retired_rubber_dim(graph: LocGraph, lift: Lift) -> int:
+    """The per-insertion branch the moduli formula replaced."""
+    if graph.side == "zero":
+        return len(graph.parts) - 2
+    if lift.divisor:
+        return len(graph.parts)
+    return 2 * lift.genus - 1
+
+
+def test_dimensions_from_the_moduli_match_the_retired_branches() -> None:
+    cases = [(lift_pair(g), d) for g in range(1, 7) for d in range(1, 11)]
+    cases += [(LIFT_DIVISOR, d) for d in range(1, 11)]
+    checked = 0
+    for lift, d in cases:
+        for graph in enumerate_graphs(d, lift):
+            if graph.genus_part() is not None:
+                assert _genus_vertex_dim(graph, lift) == _retired_genus_vertex_dim(graph, lift)
+            if graph.has_rubber():
+                assert _rubber_dim(graph, lift) == _retired_rubber_dim(graph, lift)
+            checked += 1
+    assert checked == 3046
 
 
 def test_divisor_lift_enumeration_counts() -> None:
@@ -161,12 +195,28 @@ def test_graph_validation() -> None:
 
 
 @pytest.mark.parametrize(
-    "genus, insertion",
-    [(1, "hodge-2"), (2, ""), (0, "hodge-pair"), (-1, "hodge-1")],
+    "genus, divisor",
+    [(0, False), (-1, False), (0, True), (2, True)],
+    ids=["0-pair", "-1-pair", "0-divisor", "2-divisor"],
 )
-def test_lift_validation(genus: int, insertion: str) -> None:
+def test_lift_validation(genus: int, divisor: bool) -> None:
+    """The divisor lift exists in genus one only; every lift needs genus >= 1."""
     with pytest.raises(InvalidArgumentError):
-        Lift(genus=genus, zero_marks=(), branch_twist=1, insertion=insertion)
+        Lift(genus, divisor=divisor)
+
+
+def test_lifts_derive_their_marks_and_twist() -> None:
+    assert LIFT_DIVISOR == Lift(1, divisor=True)
+    assert (LIFT_DIVISOR.zero_marks, LIFT_DIVISOR.branch_twist) == ((2, 3), 2)
+    assert lift_pair(3) == Lift(3)
+    assert (lift_pair(3).zero_marks, lift_pair(3).branch_twist) == ((), 1)
+
+
+def test_lifts_refuse_a_genus_past_the_cap() -> None:
+    assert lift_pair(MAX_GENUS).genus == MAX_GENUS
+    for build in (Lift, lift_pair, lambda g: hodge_form_from_graphs(g, 2)):
+        with pytest.raises(ResourceLimitError, match=f"genus {MAX_GENUS + 1} exceeds the genus cap"):
+            build(MAX_GENUS + 1)
 
 
 def test_relation_extract_rejects_degrees_below_the_twist() -> None:
@@ -247,8 +297,7 @@ def test_residue_walk_matches_the_laurent_product() -> None:
 
 
 def test_degree_two_relation_coefficients() -> None:
-    rows = enumerate_rows(2, LIFT_DIVISOR)
-    by_row = relation_by_row(relation_extract(2, LIFT_DIVISOR), rows)
+    by_row = relation_by_row(relation_extract(2, LIFT_DIVISOR))
     assert by_row == {
         1: {(1, 0): Fraction(4)},
         3: {(1, 0): Fraction(-1)},
@@ -259,8 +308,7 @@ def test_degree_two_relation_coefficients() -> None:
 
 
 def test_degree_three_relation_coefficients() -> None:
-    rows = enumerate_rows(3, LIFT_DIVISOR)
-    by_row = relation_by_row(relation_extract(3, LIFT_DIVISOR), rows)
+    by_row = relation_by_row(relation_extract(3, LIFT_DIVISOR))
     assert by_row[1] == {(1, 0): Fraction(54)}
     assert by_row[13] == {(1, 1): Fraction(1)}
     # The genus-node mixed term accompanies the displayed rubber term.
@@ -324,9 +372,9 @@ def test_degree_two_evaluation_totals() -> None:
     # Row by row: +4 psi (one-part graph), -1 * 1 * psi (saturated, both
     # marks on the genus part), -1 * D(2) - 1 * D(3) (mirror pair, one mark
     # on the genus part), so the directly evaluated total is 3 psi - D - D.
-    ctx = RingContext.standard(3)
-    evaluated = evaluate_relation(relation_extract(2, LIFT_DIVISOR), ctx)
+    evaluated = evaluate_relation(relation_extract(2, LIFT_DIVISOR))
     known = evaluated.known
+    assert known.ctx == RingContext.standard(3)
     assert known.coefficient_psi1() == 3
     assert known.coefficient_boundary((2,)) == -1
     assert known.coefficient_boundary((3,)) == -1
@@ -340,8 +388,7 @@ def test_degree_three_evaluation_totals() -> None:
     # psi: 54 - 24 - 3 + 1*3 = 30; D(2) and D(3): -12 - 6 + 2*3 = -12 each;
     # D(empty): -2 from the fully split row whose rubber fiber matches the
     # stabilized tail; the remaining rows contract to zero.
-    ctx = RingContext.standard(3)
-    evaluated = evaluate_relation(relation_extract(3, LIFT_DIVISOR), ctx)
+    evaluated = evaluate_relation(relation_extract(3, LIFT_DIVISOR))
     known = evaluated.known
     assert known.coefficient_psi1() == 30
     assert known.coefficient_boundary((2,)) == -12
@@ -353,15 +400,13 @@ def test_degree_three_evaluation_totals() -> None:
 
 
 def test_pair_relations_do_not_evaluate_to_classes() -> None:
-    ctx = RingContext.standard(3)
     with pytest.raises(InvalidArgumentError):
-        evaluate_relation(relation_extract(2, lift_pair(1)), ctx)
+        evaluate_relation(relation_extract(2, lift_pair(1)))
 
 
 def test_unsupported_shapes_are_reported_not_guessed() -> None:
     # A saturated rubber term with both marks on the genus part but no
     # genus-node cotangent power is outside the evaluation catalogue.
-    ctx = RingContext.standard(3)
     graph = LocGraph(
         "zero", (Part(1, (2, 3), True), Part(1, (), False), Part(1, (), False))
     )
@@ -371,7 +416,7 @@ def test_unsupported_shapes_are_reported_not_guessed() -> None:
         {graph: {Monomial(psi_genus=0, psi_rubber=1): Fraction(1)}},
     )
     with pytest.raises(UnsupportedGraphError):
-        evaluate_relation(synthetic, ctx)
+        evaluate_relation(synthetic)
 
 
 # ---------------------------------------------------------------------------

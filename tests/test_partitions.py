@@ -7,7 +7,6 @@ import pytest
 
 from rubbertaut.errors import InvalidArgumentError
 from rubbertaut.partitions import (
-    MarkedPartition,
     aut,
     decorated_aut,
     enumerate_partitions,
@@ -85,11 +84,11 @@ def test_enumerate_marked_distinct_parts_have_trivial_orbits() -> None:
 def test_enumerate_marked_merge_equal_parts() -> None:
     classes = enumerate_marked((1, 1), (2, 3))
     assert classes == [
-        (MarkedPartition(slots=((1, ()), (1, (2, 3)))), 2),
-        (MarkedPartition(slots=((1, (2,)), (1, (3,)))), 2),
+        (((1, ()), (1, (2, 3))), 2),
+        (((1, (2,)), (1, (3,))), 2),
     ]
     single = enumerate_marked((1, 1), (2,))
-    assert single == [(MarkedPartition(slots=((1, ()), (1, (2,)))), 2)]
+    assert single == [(((1, ()), (1, (2,))), 2)]
 
 
 def test_enumerate_marked_orbit_sizes_sum_to_all_assignments() -> None:

@@ -261,8 +261,8 @@ def test_degree_two_homogeneity() -> None:
     rng = random.Random(11)
     for t in (3, 4):
         point = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(t - 1)]
-        assert check_homogeneity(t, Fraction(3, 2), point)
-        assert check_homogeneity(t, -2, point)
+        assert check_homogeneity(Fraction(3, 2), point)
+        assert check_homogeneity(-2, point)
 
 
 def test_mark_cap_bounds_the_polynomial_and_its_checks() -> None:
@@ -274,7 +274,7 @@ def test_mark_cap_bounds_the_polynomial_and_its_checks() -> None:
     with pytest.raises(ResourceLimitError):
         check_equivariance(MAX_MARKS + 1)
     with pytest.raises(ResourceLimitError):
-        check_homogeneity(MAX_MARKS + 1, 2, [1] * MAX_MARKS)
+        check_homogeneity(2, [1] * MAX_MARKS)
 
 
 def test_polynomial_rejects_too_few_marks() -> None:
