@@ -9,15 +9,16 @@ and a single edge per part; only graphs with at most ``2g`` plus the twist
 parts contribute (:func:`enumerate_graphs`).  Each graph contributes a
 product of explicitly known factors — an exact Laurent polynomial in the
 equivariant weight ``t`` with coefficients in a small symbol algebra (powers
-of three cotangent symbols and one Hodge symbol).  Only the ``1/t`` coefficient of the graph
-sum carries the relation, and all but three factors of a graph are a
-scalar times a power of ``t``, so the relation is read by a residue walk
-over the genus-node cotangent power and the Hodge index, with the rubber
-cotangent power fixed by the power of ``t``, in integers over one
-denominator per graph.  The repeated rubber integrals are memoized in
-:mod:`rubbertaut.hurwitz`.  The full Laurent product
-(:func:`assemble_contribution`) stays as the oracle for that walk and for
-the frozen degree-2 and degree-3 tables.  Evaluating the relation's terms
+of three cotangent symbols and one Hodge symbol).  Only the ``1/t``
+coefficient of the graph sum in the relation's own degree carries the
+relation, and all but three factors of a graph are a scalar times a power
+of ``t``, so the relation is read by a residue walk (:func:`_residue`) over
+just the genus-node cotangent powers and Hodge indices that degree allows,
+with the rubber cotangent power fixed by the power of ``t``, in integers
+over one denominator per graph.  The repeated rubber integrals are memoized
+in :mod:`rubbertaut.hurwitz`.  The full Laurent product
+(:func:`assemble_contribution`) backs the frozen degree-2 and degree-3
+tables, and the tests read the walk off it.  Evaluating the relation's terms
 through the boundary catalogue and solving gives the divisor-class
 coefficients of the genus-one weight quadric.  Every sum here, from the
 symbol algebra's ring operations to the per-row relations and the solve,
@@ -265,24 +266,26 @@ def _branch_data(graph: LocGraph, lift: Lift) -> tuple[int, int]:
 def enumerate_graphs(d: int, lift: Lift) -> list[LocGraph]:
     """All isomorphism classes of contributing graphs, in display order.
 
-    Graphs whose branch weight cannot absorb the required twist (``B0 < k``)
-    have no fixed points in the twisted space and are omitted.  With ``l``
-    parts, ``B0 = 2g + d - l`` over zero and ``d - l`` over infinity, while
-    ``k = d - twist``, so a contributing graph has ``l <= 2g + twist`` parts
-    (``l <= twist`` over infinity); only partitions that short are marked.
-    Equal slots of a marked partition give the same graph, so the genus is
-    flagged only on the first of them and every graph is built once.
+    A graph contributes only when its branch weight absorbs the required
+    twist (``B0 >= k``).  With ``l`` parts, ``B0 = 2g + d - l`` over zero and
+    ``d - l`` over infinity, while ``k = d - twist``, so a contributing graph
+    has ``l <= 2g + twist`` parts (``l <= twist`` over infinity).  Only
+    partitions that short are marked, and only the infinity graphs that
+    short are built, so every graph built contributes.  Equal slots of a
+    marked partition give the same graph, so the genus is flagged only on
+    the first of them and every graph is built once.
     """
     if d < 1:
         raise InvalidArgumentError(f"need degree >= 1, got {d}")
-    kept = []
+    graphs = []
     for nu in enumerate_partitions(d, 2 * lift.genus + lift.branch_twist):
         for slots, _ in enumerate_marked(nu, lift.zero_marks):
-            candidates = [LocGraph("infinity", tuple(Part(s, ms) for s, ms in slots))]
+            if len(slots) <= lift.branch_twist:
+                graphs.append(LocGraph("infinity", tuple(Part(s, ms) for s, ms in slots)))
             for genus_index in range(len(slots)):
                 if genus_index and slots[genus_index] == slots[genus_index - 1]:
                     continue
-                candidates.append(
+                graphs.append(
                     LocGraph(
                         "zero",
                         tuple(
@@ -291,11 +294,7 @@ def enumerate_graphs(d: int, lift: Lift) -> list[LocGraph]:
                         ),
                     )
                 )
-            for graph in candidates:
-                b0, k = _branch_data(graph, lift)
-                if b0 >= k:
-                    kept.append(graph)
-    return sorted(kept, key=sort_key)
+    return sorted(graphs, key=sort_key)
 
 
 def sort_key(graph: LocGraph) -> tuple:
@@ -475,10 +474,7 @@ def build_factor(spec: FactorSpec) -> LaurentPoly[SymExpr]:
 class Contribution:
     """Assembled contribution of one graph: prefactor times a factor product."""
 
-    graph: LocGraph
-    lift: Lift
     prefactor: Fraction
-    factors: tuple[FactorSpec, ...]
     product: LaurentPoly[SymExpr] = field(compare=False)
 
     def total(self) -> LaurentPoly[SymExpr]:
@@ -541,22 +537,27 @@ def assemble_contribution(graph: LocGraph, lift: Lift) -> Contribution:
     product = _scalar(Fraction(1), 0)
     for spec in specs:
         product = product.mul(build_factor(spec))
-    return Contribution(graph, lift, graph_prefactor(graph), tuple(specs), product)
+    return Contribution(graph_prefactor(graph), product)
 
 
 def _residue(graph: LocGraph, lift: Lift) -> tuple[dict[Monomial, int], int]:
-    """The ``t^-1`` coefficient of the contribution, without its product.
+    """The part of the ``t^-1`` coefficient the relation keeps, without the product.
 
     Every factor but three is a scalar times a power of ``t``: the
     prefactor, the edge coefficient, ``1/size`` per free part, ``size`` per
     two-mark part (with its ``1/t``), ``t`` per lifted mark and the branch
     factor.  The three series are the genus node's (cotangent power ``a``),
     the Hodge class's (index ``j``) and the rubber node's (cotangent power
-    ``b``), so the residue is a sum over ``(a, j)`` with ``b`` fixed by the
-    power of ``t``.  It is returned as integer numerators over one common
-    denominator, so a caller builds a ``Fraction`` only for the monomials it
-    keeps; divided out, it equals
-    ``assemble_contribution(graph, lift).coefficient_at(-1)``.
+    ``b``), with ``b`` fixed by the power of ``t``.  The relation's degree
+    fixes the genus-vertex terms, so the walk visits only ``(a, 0)`` with
+    ``a <= min(1, m)`` (``m`` marks on the genus part) on the divisor lift,
+    where the inserted Hodge class kills the vertex's ``lambda_1``, and the
+    top-degree ``(a, g - 1 - a)``, ``a < g``, on the pair lift; both stay
+    inside the vertex dimension ``3g - 2 + m``.  The power of ``t`` then puts
+    the pair lift's zero-side rubber at its top power ``l - 2`` (``-1``, no
+    rubber, for one part) and every built infinity graph's at ``b = 0``.
+    The result is integer numerators over one denominator; divided out, it
+    is the kept part of ``assemble_contribution(graph, lift).coefficient_at(-1)``.
     """
     b0, k = _branch_data(graph, lift)
     if not 0 <= k <= b0:
@@ -579,10 +580,12 @@ def _residue(graph: LocGraph, lift: Lift) -> tuple[dict[Monomial, int], int]:
     terms: list[tuple[int, int | None, int, int]] = [(0, None, 1, 0)]
     if genus is not None:
         g = lift.genus
+        if lift.divisor:
+            domain = [(a, 0) for a in range(min(1, len(genus.marks)) + 1)]
+        else:
+            domain = [(a, g - 1 - a) for a in range(g)]
         terms = [
-            (a, j, genus.size ** (a + 1) * (-1) ** j, g - j - 1 - a)
-            for a in range(_genus_vertex_dim(graph, lift) + 1)
-            for j in range(g + 1)
+            (a, j, genus.size ** (a + 1) * (-1) ** j, g - j - 1 - a) for a, j in domain
         ]
     rubber_cap = _rubber_dim(graph, lift) if graph.has_rubber() else None
     out: dict[Monomial, int] = {}
@@ -615,54 +618,15 @@ class Relation:
     terms: Mapping[LocGraph, Mapping[Monomial, Fraction]]
 
 
-def _keep_divisor_term(graph: LocGraph, lift: Lift, mono: Monomial) -> bool:
-    """Relevance filter for the divisor lift.
-
-    The inserted Hodge class squares to zero against the vertex's own
-    ``hodge_j = 1`` term, a cotangent power at the genus node beyond 1
-    pushes into degrees above the relation's, and the rubber side pairs the
-    insertion with a degree-one unknown, so only its cotangent-free terms
-    stay in degree.
-    """
-    if graph.side == "zero":
-        if mono.hodge_j != 0:
-            return False
-        if mono.psi_genus > 1:
-            return False
-        genus = graph.genus_part()
-        if genus is not None and len(genus.marks) == 0 and mono.psi_genus > 0:
-            return False
-        return True
-    return mono.psi_rubber == 0
-
-
-def _keep_pair_term(graph: LocGraph, lift: Lift, mono: Monomial) -> bool:
-    """Socle filter for the pair lift: keep exactly the top-degree terms."""
-    g = lift.genus
-    if graph.side == "zero":
-        if mono.hodge_j is None or mono.psi_genus + mono.hodge_j != g - 1:
-            return False
-        if graph.has_rubber() and mono.psi_rubber != len(graph.parts) - 2:
-            return False
-        return True
-    return mono.psi_rubber == 0
-
-
 def relation_extract(d: int, lift: Lift) -> Relation:
     """Extract the exact relation carried by the ``1/t`` coefficients."""
     if d < lift.branch_twist:
         raise InvalidArgumentError(f"this lift needs degree >= {lift.branch_twist}, got {d}")
-    keep = _keep_divisor_term if lift.divisor else _keep_pair_term
     terms: dict[LocGraph, dict[Monomial, Fraction]] = {}
     for graph in enumerate_graphs(d, lift):
         numerators, den = _residue(graph, lift)
-        kept = {
-            mono: Fraction(num, den)
-            for mono, num in numerators.items()
-            if keep(graph, lift, mono)
-        }
-        if kept:
-            terms[graph] = kept
+        if numerators:
+            terms[graph] = {mono: Fraction(num, den) for mono, num in numerators.items()}
     return Relation(d, lift, terms)
 
 
@@ -694,15 +658,11 @@ def hodge_form_from_graphs(g: int, d: int) -> LinearForm:
     pairs: list[tuple[Fraction, dict[int, int]]] = []
     rubber_coeff = Fraction(0)
     for graph, monos in relation.terms.items():
-        for mono, coeff in monos.items():
-            if graph.side == "zero":
-                weight = coeff
-                if graph.has_rubber():
-                    weight *= rubber_psi_integral(graph.partition, (d,))
-                assert mono.hodge_j is not None
-                pairs.append((weight, {mono.hodge_j: 1}))
-            else:
-                rubber_coeff += coeff
+        if graph.side == "infinity":
+            rubber_coeff += sum(monos.values())
+            continue
+        rubber = rubber_psi_integral(graph.partition, (d,)) if graph.has_rubber() else 1
+        pairs += [(coeff * rubber, {mono.hodge_j: 1}) for mono, coeff in monos.items()]
     if rubber_coeff == 0:
         raise TheoremViolationError(f"no rubber term in the degree-{d} pair relation")
     return {j: -v / rubber_coeff for j, v in combine(pairs).items()}
@@ -770,9 +730,9 @@ def _evaluate_zero_side(
     )
 
 
-def _marked_sizes(graph: LocGraph, lift: Lift) -> tuple[str, tuple[int, int]]:
-    """Classify a rubber-side graph: joint or split marks, with part sizes."""
-    first, second = lift.zero_marks
+def _marked_sizes(graph: LocGraph) -> tuple[str, tuple[int, int]]:
+    """Classify a rubber-side graph: joint or split marks, with part sizes
+    (for split marks, mark 2's part first)."""
     joint = [p for p in graph.parts if len(p.marks) == 2]
     if joint:
         others = [p for p in graph.parts if not p.marks]
@@ -784,7 +744,7 @@ def _marked_sizes(graph: LocGraph, lift: Lift) -> tuple[str, tuple[int, int]]:
     if len(graph.parts) != 2 or any(len(p.marks) != 1 for p in graph.parts):
         raise UnsupportedGraphError(f"no rubber evaluation for {render_graph(graph)}")
     size_of = {p.marks[0]: p.size for p in graph.parts}
-    return "P", (size_of[first], size_of[second])
+    return "P", (size_of[2], size_of[3])
 
 
 def evaluate_relation(relation: Relation) -> EvaluatedRelation:
@@ -801,7 +761,7 @@ def evaluate_relation(relation: Relation) -> EvaluatedRelation:
                 if value is not None:
                     known.append((coeff, value))
             else:
-                kind, sizes = _marked_sizes(graph, relation.lift)
+                kind, sizes = _marked_sizes(graph)
                 atoms[kind].append((coeff, {sizes: 1}))
     return EvaluatedRelation(
         linear_combination(known), combine(atoms["P"]), combine(atoms["S"])

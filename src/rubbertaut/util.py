@@ -8,10 +8,11 @@ layer's symbol expressions and its per-row relations all sum through it.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, TypeVar
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, ResourceLimitError
 
 __all__ = [
     "fraction_str",
@@ -23,11 +24,17 @@ K = TypeVar("K", bound=Hashable)
 
 
 def fraction_str(value: Fraction | int) -> str:
-    """Render an exact rational as ``p`` or ``p/q`` (never a float)."""
-    frac = value if isinstance(value, Fraction) else Fraction(value)
-    if frac.denominator == 1:
-        return str(frac.numerator)
-    return f"{frac.numerator}/{frac.denominator}"
+    """Render an exact rational as ``p`` or ``p/q`` (never a float).
+
+    A numerator or denominator past Python's int-to-str digit limit raises
+    ``ResourceLimitError`` instead of the interpreter's ``ValueError``.
+    """
+    try:
+        return str(Fraction(value))
+    except ValueError as exc:
+        raise ResourceLimitError(
+            f"a rational with more than {sys.get_int_max_str_digits()} digits is too long to print"
+        ) from exc
 
 
 def parse_fraction(text: str) -> Fraction:

@@ -18,7 +18,7 @@ import pytest
 from rubbertaut import cli, goldentables, locgraphs
 from rubbertaut.hodge import MAX_GENUS
 from rubbertaut.polyclasses import MultiPoly
-from rubbertaut.series import series
+from rubbertaut.series import MAX_SERIES_ORDER, series
 
 
 def _run(argv: list[str], capsys: pytest.CaptureFixture[str]) -> tuple[int, str]:
@@ -405,6 +405,26 @@ def test_verify_all_refuses_a_genus_past_the_cap_at_once(
     assert elapsed < 2.0
 
 
+@pytest.mark.parametrize("d", [cli.MAX_SWEEP_DEGREE + 1, 1000000], ids=["cap", "huge"])
+def test_verify_all_refuses_a_degree_past_the_cap_at_once(
+    d: int, capsys: pytest.CaptureFixture[str]
+) -> None:
+    assert cli._degrees(cli.MAX_SWEEP_DEGREE) == range(1, cli.MAX_SWEEP_DEGREE + 1)
+    start = time.perf_counter()
+    code, out = _run(["verify-all", "--d-max", str(d)], capsys)
+    elapsed = time.perf_counter() - start
+    assert code == 1
+    limit = f"degree {d} exceeds the sweep-degree cap {cli.MAX_SWEEP_DEGREE}"
+    assert [line for line in out.splitlines() if not line.startswith("PASS ")] == [
+        f"LIMIT series: log-sine-scaling-g<=3-d<={d} — {limit}",
+        f"LIMIT hurwitz: one-part-and-symmetry-d<={d} — {limit}",
+        f"LIMIT hodge: linear-system-g<=3-d<={d} — {limit}",
+        f"LIMIT hodge: graph-sum-cross-check-g<=3-d<={d} — {limit}",
+        f"LIMIT localize: pair-lift-rubber-totals-d<={d} — {limit}",
+    ]
+    assert elapsed < 2.0
+
+
 def test_verify_all_reports_a_resource_limit_as_a_limit(
     capsys: pytest.CaptureFixture[str],
 ) -> None:
@@ -464,6 +484,33 @@ def test_malformed_numbers_exit_one_without_a_traceback(argv: list[str], message
     assert result.returncode == 1
     assert result.stdout == ""
     assert result.stderr == f"error[invalid-argument]: {message}\n"
+
+
+_TOO_LONG = f"a rational with more than {sys.get_int_max_str_digits()} digits is too long to print"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["series", "--log-sine", "--d", "2", "--order", "100000"],
+            f"order 100000 exceeds the series-order cap {MAX_SERIES_ORDER}",
+        ),
+        (
+            ["series", "--tau", "--order", "100000000"],
+            f"order 100000000 exceeds the series-order cap {MAX_SERIES_ORDER}",
+        ),
+        (["hurwitz", "--alpha", "1200", "--beta", ",".join(["1"] * 1200)], _TOO_LONG),
+        # y^20 has a coefficient near d^20, ten thousand digits at d = 10^500
+        (["series", "--log-sine", "--d", "1" + "0" * 500, "--order", "20"], _TOO_LONG),
+    ],
+    ids=["log-sine-order", "tau-order", "hurwitz-huge-count", "log-sine-huge-scale"],
+)
+def test_resource_limits_exit_one_without_a_traceback(argv: list[str], message: str) -> None:
+    result = _run_process(argv)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == f"error[resource-limit]: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from rubbertaut import goldentables
+from rubbertaut import goldentables, locgraphs
 from rubbertaut.errors import (
     InvalidArgumentError,
     ResourceLimitError,
@@ -19,8 +19,6 @@ from rubbertaut.locgraphs import (
     Part,
     Relation,
     _genus_vertex_dim,
-    _keep_divisor_term,
-    _keep_pair_term,
     _residue,
     _rubber_dim,
     assemble_contribution,
@@ -79,28 +77,90 @@ def test_enumeration_matches_the_unbounded_oracle() -> None:
 
 
 def _residue_fractions(graph: LocGraph, lift: Lift) -> dict[Monomial, Fraction]:
-    numerators, den = _residue(graph, lift)
+    numerators, den = locgraphs._residue(graph, lift)
     return {mono: Fraction(num, den) for mono, num in numerators.items()}
 
 
-def test_relation_keeps_the_filtered_residue_of_every_graph() -> None:
-    for lift, d in _ORACLE_CASES:
-        if d < lift.branch_twist:
-            continue
-        keep = _keep_divisor_term if lift.divisor else _keep_pair_term
+def _retired_keep_divisor_term(graph: LocGraph, mono: Monomial) -> bool:
+    """The divisor lift's retired post-walk filter, kept as the oracle.
+
+    The inserted Hodge class kills the vertex's own ``hodge_j = 1`` term, a
+    cotangent power at the genus node beyond 1 (or any, on a mark-free
+    genus part) leaves the relation's degree, and the rubber side keeps
+    only its cotangent-free terms.
+    """
+    if graph.side == "zero":
+        if mono.hodge_j != 0 or mono.psi_genus > 1:
+            return False
+        genus = graph.genus_part()
+        return not (genus is not None and not genus.marks and mono.psi_genus > 0)
+    return mono.psi_rubber == 0
+
+
+def _retired_keep_pair_term(graph: LocGraph, lift: Lift, mono: Monomial) -> bool:
+    """The pair lift's retired socle filter, kept as the oracle."""
+    if graph.side == "zero":
+        if mono.hodge_j is None or mono.psi_genus + mono.hodge_j != lift.genus - 1:
+            return False
+        return not graph.has_rubber() or mono.psi_rubber == len(graph.parts) - 2
+    return mono.psi_rubber == 0
+
+
+def _filtered_laurent(graph: LocGraph, lift: Lift) -> dict[Monomial, Fraction]:
+    """The ``1/t`` coefficient of the full Laurent product, through the retired filters."""
+    laurent = assemble_contribution(graph, lift).coefficient_at(-1)
+    if lift.divisor:
+        return {m: c for m, c in laurent.items() if _retired_keep_divisor_term(graph, m)}
+    return {m: c for m, c in laurent.items() if _retired_keep_pair_term(graph, lift, m)}
+
+
+def _check_walk_against_the_laurent_product(cases: list[tuple[Lift, int]]) -> int:
+    """``_residue`` per graph and ``relation_extract`` per degree against the
+    filtered Laurent coefficient; returns the number of graphs checked."""
+    checked = 0
+    for lift, d in cases:
         expected = {}
         for graph in _oracle_graphs(d, lift):
-            kept = {
-                mono: coeff
-                for mono, coeff in _residue_fractions(graph, lift).items()
-                if keep(graph, lift, mono)
-            }
+            kept = _filtered_laurent(graph, lift)
+            assert _residue_fractions(graph, lift) == kept, (render_graph(graph), lift)
             if kept:
                 expected[graph] = kept
+            checked += 1
         terms = relation_extract(d, lift).terms
-        assert [(g, list(m.items())) for g, m in terms.items()] == [
-            (g, list(m.items())) for g, m in expected.items()
-        ], (lift, d)
+        assert list(terms) == list(expected), (lift, d)
+        assert terms == expected, (lift, d)
+    return checked
+
+
+_WALK_CASES = [(LIFT_DIVISOR, d) for d in range(2, 10)]
+_WALK_CASES += [(lift_pair(g), d) for g in range(1, 5) for d in range(1, 10)]
+
+
+def test_residue_walk_matches_the_laurent_product() -> None:
+    # The full Laurent product through the retired keep filters is the
+    # oracle for the walk and for the relation built from it.
+    assert _check_walk_against_the_laurent_product(_WALK_CASES) == 1688
+
+
+def test_the_laurent_oracle_catches_a_short_pair_walk(monkeypatch: pytest.MonkeyPatch) -> None:
+    """A pair walk over ``a < g - 1`` instead of ``a < g`` fails the oracle
+    and the graph-sum cross-check."""
+    honest = locgraphs._residue
+
+    def doctored(graph: LocGraph, lift: Lift) -> tuple[dict[Monomial, int], int]:
+        numerators, den = honest(graph, lift)
+        if not lift.divisor:
+            numerators = {
+                mono: num
+                for mono, num in numerators.items()
+                if mono.hodge_j is None or mono.psi_genus < lift.genus - 1
+            }
+        return numerators, den
+
+    monkeypatch.setattr(locgraphs, "_residue", doctored)
+    with pytest.raises(AssertionError):
+        _check_walk_against_the_laurent_product([(lift_pair(2), 3)])
+    assert hodge_form_from_graphs(2, 3) != hodge_linear_form(2, 3)
 
 
 def _retired_genus_vertex_dim(graph: LocGraph, lift: Lift) -> int:
@@ -276,24 +336,8 @@ def test_noncontributing_rows_have_no_residue(d: int, silent: set[int]) -> None:
         for graph in row.graphs:
             laurent = assemble_contribution(graph, LIFT_DIVISOR).coefficient_at(-1)
             residue = _residue_fractions(graph, LIFT_DIVISOR)
-            assert residue == laurent
-            if row.index in silent:
-                assert residue == {}
-            else:
-                assert residue != {}
-
-
-def test_residue_walk_matches_the_laurent_product() -> None:
-    # The full Laurent product is the oracle for the residue walk.
-    cases = [(LIFT_DIVISOR, d) for d in range(2, 10)]
-    cases += [(lift_pair(g), d) for g in range(1, 5) for d in range(1, 10)]
-    checked = 0
-    for lift, d in cases:
-        for graph in enumerate_graphs(d, lift):
-            expected = assemble_contribution(graph, lift).coefficient_at(-1)
-            assert _residue_fractions(graph, lift) == expected, (render_graph(graph), lift)
-            checked += 1
-    assert checked == 1688
+            assert residue == _filtered_laurent(graph, LIFT_DIVISOR)
+            assert (laurent == {}) == (residue == {}) == (row.index in silent)
 
 
 def test_degree_two_relation_coefficients() -> None:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import math
 import random
 from collections import Counter
@@ -24,6 +25,7 @@ from rubbertaut.polyclasses import (
     interpolate,
 )
 from rubbertaut.tautring import (
+    _PSI_KEY,
     RingContext,
     TautClass,
     boundary,
@@ -263,6 +265,89 @@ def test_degree_two_homogeneity() -> None:
         point = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(t - 1)]
         assert check_homogeneity(Fraction(3, 2), point)
         assert check_homogeneity(-2, point)
+
+
+@functools.lru_cache(maxsize=None)
+def _genus0_sides(t: int) -> list[tuple[frozenset[int], tuple[int, ...]]]:
+    """Each genus-zero side of at least two marks, with its genus-one side."""
+    marks = range(1, t + 1)
+    return [
+        (frozenset(genus0), tuple(m for m in marks if m not in genus0))
+        for size in range(2, t)
+        for genus0 in combinations(marks, size)
+    ]
+
+
+def _doubled_theta(t: int, weights: dict[int, int], drop_family: bool) -> dict[tuple, int]:
+    """Twice Hain's ``sum_j (k_j^2/2) psi_j - 1/2 sum_S k_S^2 D_S`` at integer weights.
+
+    ``weights`` gives ``k_m = alpha_m`` for some of the marks 2..t (the
+    rest weigh 0), ``k_1 = -sum alpha`` and ``k_S = sum_{m in S} k_m``;
+    ``S`` runs over the genus-zero sides.  With
+    ``psi_j = psi_1 + sum_{S ∋ j, 1 ∉ S} D_S - sum_{S ∋ 1, j ∉ S} D_S``
+    expanded, ``D_S`` has coefficient ``sum_{j in S} k_j^2 - k_S^2`` when
+    ``1 ∉ S`` and ``-(sum_{j ∉ S} k_j^2 + k_S^2)`` when ``1 ∈ S``; each is
+    built directly as an integer keyed like a class term, not as a sum of
+    classes.  ``drop_family`` leaves out the ``- sum_{S ∋ 1, j ∉ S} D_S``
+    family of every ``psi_j``.
+    """
+    k = {1: -sum(weights.values()), **weights}
+    squares = sum(v * v for v in k.values())
+    coeffs = {_PSI_KEY: squares}
+    for genus0, genus1 in _genus0_sides(t):
+        k_side = inside = 0
+        for m, v in k.items():
+            if m in genus0:
+                k_side += v
+                inside += v * v
+        if 1 not in genus0:
+            value = inside - k_side * k_side
+        else:
+            value = -k_side * k_side - (0 if drop_family else squares - inside)
+        if value:
+            coeffs[("D", genus1)] = value
+    return coeffs
+
+
+def _theta_mismatches(t: int, drop_family: bool = False) -> list[tuple[int, ...]]:
+    """Exponents where ``genus1_polynomial(t)`` and Theta differ after reduction.
+
+    Theta's coefficients are read off by polarization at unit vectors:
+    ``alpha_i^2`` gets ``Theta(e_i)`` and ``alpha_i alpha_j`` gets
+    ``Theta(e_i + e_j) - Theta(e_i) - Theta(e_j)``.
+    """
+    free = list(range(2, t + 1))
+    single = {i: _doubled_theta(t, {i: 1}, drop_family) for i in free}
+    doubled = {tuple(2 * (m == i) for m in free): single[i] for i in free}
+    for i, j in combinations(free, 2):
+        pair = _doubled_theta(t, {i: 1, j: 1}, drop_family)
+        doubled[tuple(int(m in (i, j)) for m in free)] = {
+            key: pair.get(key, 0) - single[i].get(key, 0) - single[j].get(key, 0)
+            for key in pair.keys() | single[i].keys() | single[j].keys()
+        }
+    ctx = RingContext.standard(t)
+    poly = genus1_polynomial(t)
+    assert set(poly.coeffs) == set(doubled)
+    return [
+        exponents
+        for exponents, coeffs in doubled.items()
+        if poly.coeffs[exponents].reduce()
+        != TautClass(ctx, {key: Fraction(v, 2) for key, v in coeffs.items() if v}).reduce()
+    ]
+
+
+def test_polynomial_is_hains_theta_divisor() -> None:
+    """P = Q in genus one: the weight quadric is Hain's Theta (arXiv:1102.4031)."""
+    for t in range(3, MAX_MARKS + 1):
+        assert _theta_mismatches(t) == [], t
+
+
+def test_theta_oracle_catches_a_dropped_divisor_family() -> None:
+    """Without ``- sum_{S ∋ 1, j ∉ S} D_S`` in ``psi_j``, every square coefficient differs."""
+    for t in range(3, 8):
+        free = range(2, t + 1)
+        squares = [tuple(2 * (m == i) for m in free) for i in free]
+        assert _theta_mismatches(t, drop_family=True) == squares, t
 
 
 def test_mark_cap_bounds_the_polynomial_and_its_checks() -> None:

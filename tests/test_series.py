@@ -7,9 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from rubbertaut.errors import InvalidArgumentError, TruncationExceededError
+from rubbertaut.errors import InvalidArgumentError, ResourceLimitError, TruncationExceededError
 from rubbertaut.locgraphs import SYM_OPS, Monomial
 from rubbertaut.series import (
+    MAX_SERIES_ORDER,
     LaurentPoly,
     PowerSeries,
     series,
@@ -172,6 +173,16 @@ def test_series_coefficient_domain_errors() -> None:
         f.coefficient(-1)
     with pytest.raises(InvalidArgumentError):
         series_tau(0)
+
+
+def test_series_order_cap_is_checked_before_any_coefficient() -> None:
+    assert series_tau(MAX_SERIES_ORDER).order == MAX_SERIES_ORDER
+    assert series_log_sine(1, MAX_SERIES_ORDER).order == MAX_SERIES_ORDER
+    cap = f"exceeds the series-order cap {MAX_SERIES_ORDER}"
+    for build in (series_tau, lambda order: series_log_sine(2, order)):
+        for order in (MAX_SERIES_ORDER + 1, 10**9):
+            with pytest.raises(ResourceLimitError, match=f"order {order} {cap}"):
+                build(order)
 
 
 def test_series_log_requires_unit_constant_term() -> None:

@@ -1,4 +1,5 @@
-"""The exact sparse-sum kernel against a term-by-term ``Fraction`` oracle."""
+"""The exact sparse-sum kernel against a term-by-term ``Fraction`` oracle,
+and rational formatting."""
 
 from __future__ import annotations
 
@@ -7,8 +8,9 @@ from fractions import Fraction
 
 import pytest
 
+from rubbertaut.errors import ResourceLimitError
 from rubbertaut.locgraphs import Monomial
-from rubbertaut.util import combine
+from rubbertaut.util import combine, fraction_str
 
 
 def _oracle(pairs) -> dict:
@@ -68,3 +70,11 @@ def test_combine_keeps_first_appearance_order() -> None:
     result = combine([(1, {y: 1, x: 1}), (1, {z: 1, y: -1}), (1, {y: 2})])
     assert list(result) == [y, x, z]
     assert result == {y: Fraction(2), x: Fraction(1), z: Fraction(1)}
+
+
+def test_fraction_str_refuses_a_rational_past_the_digit_limit() -> None:
+    assert fraction_str(Fraction(-7, 2)) == "-7/2"
+    assert fraction_str(10**100) == "1" + "0" * 100
+    for value in (10**5000, Fraction(1, 10**5000), Fraction(10**5000, 3)):
+        with pytest.raises(ResourceLimitError, match="too long to print"):
+            fraction_str(value)
