@@ -106,12 +106,37 @@ def _retired_keep_pair_term(graph: LocGraph, lift: Lift, mono: Monomial) -> bool
     return mono.psi_rubber == 0
 
 
+def _retired_filter(
+    graph: LocGraph, lift: Lift, terms: dict[Monomial, Fraction]
+) -> dict[Monomial, Fraction]:
+    """``terms`` restricted to the monomials the retired keep filters pass."""
+    if lift.divisor:
+        return {m: c for m, c in terms.items() if _retired_keep_divisor_term(graph, m)}
+    return {m: c for m, c in terms.items() if _retired_keep_pair_term(graph, lift, m)}
+
+
 def _filtered_laurent(graph: LocGraph, lift: Lift) -> dict[Monomial, Fraction]:
     """The ``1/t`` coefficient of the full Laurent product, through the retired filters."""
-    laurent = assemble_contribution(graph, lift).coefficient_at(-1)
-    if lift.divisor:
-        return {m: c for m, c in laurent.items() if _retired_keep_divisor_term(graph, m)}
-    return {m: c for m, c in laurent.items() if _retired_keep_pair_term(graph, lift, m)}
+    return _retired_filter(graph, lift, assemble_contribution(graph, lift).coefficient_at(-1))
+
+
+def test_relation_keeps_the_filtered_residue_of_every_graph() -> None:
+    # The walk visits only monomials the retired filters keep, and the
+    # relation holds every graph with a nonempty residue, in graph order.
+    for lift, d in _ORACLE_CASES:
+        if d < lift.branch_twist:
+            continue
+        expected = {}
+        for graph in _oracle_graphs(d, lift):
+            residue = _residue_fractions(graph, lift)
+            kept = _retired_filter(graph, lift, residue)
+            assert kept == residue, (render_graph(graph), lift)
+            if kept:
+                expected[graph] = kept
+        terms = relation_extract(d, lift).terms
+        assert [(g, list(m.items())) for g, m in terms.items()] == [
+            (g, list(m.items())) for g, m in expected.items()
+        ], (lift, d)
 
 
 def _check_walk_against_the_laurent_product(cases: list[tuple[Lift, int]]) -> int:
