@@ -418,7 +418,7 @@ def _check_hurwitz(d_max: int) -> None:
         for nu in enumerate_partitions(d):
             if hurwitz_oracle((d,), nu) != hurwitz_one_part(nu, d):
                 raise TheoremViolationError(f"one-part count fails at {nu}")
-    for d in range(1, min(d_max, 4) + 1):
+    for d in range(1, min(d_max, 7) + 1):
         profiles = [tuple(p) for p in enumerate_partitions(d)]
         for alpha in profiles:
             for beta in profiles:

@@ -25,8 +25,15 @@ closed form singles it out among the weightings ``N / (prod(alpha) *
 aut(alpha)) * (aut(alpha) * aut(beta)) ** k``: ``k = 1`` is this one, while
 ``k = 0`` and ``k = -1`` both miss it already below degree five.
 
-Counts are memoized on the validated, descending profile pair, after the
-degree cap is checked, so a capped pair raises on every call.  The
+Every walk of degree ``d`` moves in one state graph, whose states are the
+multisets of partitions of ``d``, so the graph is shared by every profile
+pair.  A state gets an integer id the first time a walk reaches it, stored
+with its cycle and component counts, and its successors are built once, on
+its first expansion, merged by target with their ``ways`` summed.  The walk
+itself then runs on ids.  The table grows only through ``hurwitz_oracle``
+after its degree cap, so it never holds more than 1,684 states.
+Counts are also memoized on the validated, descending profile pair, after
+the cap is checked, so a capped pair raises on every call.  The
 localization graph sums ask for the same rubber integral over and over
 (about 90% of their calls repeat one), and every pair within the cap fits
 in the memo.
@@ -36,6 +43,8 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
+import threading
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -57,14 +66,32 @@ MAX_SIMPLE_BRANCH = 2 * MAX_DEGREE - 2
 #: Profile pairs whose counts are remembered: more than the 3,582 ordered
 #: pairs of partitions of equal degree up to ``MAX_DEGREE``.
 MEMO_SIZE = 4096
+# The state table below holds at most 1,684 states: the number of multisets
+# of partitions of d, summed over d <= MAX_DEGREE (1 + 3 + 6 + 14 + 27 + 58 +
+# 111 + 223 + 424 + 817).
 
 #: A search state: the connected components, each the sorted cycle lengths
 #: of the current product inside it.
 _State = tuple[tuple[int, ...], ...]
 
+#: The state table, indexed by state id: the id of each state reached so far,
+#: and per id its state, total cycle count, component count, and merged
+#: successors ``(target id, ways)`` once it has been expanded.  New ids are
+#: handed out under the lock; two threads that expand one state at once
+#: store equal successors.
+_TABLE_LOCK = threading.Lock()
+_IDS: dict[_State, int] = {}
+_STATES: list[_State] = []
+_CYCLES: list[int] = []
+_COMPONENTS: list[int] = []
+_SUCCESSORS: list[tuple[tuple[int, int], ...] | None] = []
+
 
 def _validate_profile(name: str, profile: Sequence[int]) -> tuple[int, ...]:
-    parts = tuple(sorted((int(p) for p in profile), reverse=True))
+    try:
+        parts = tuple(sorted((operator.index(p) for p in profile), reverse=True))
+    except TypeError:
+        raise InvalidArgumentError(f"{name} must be a sequence of integer parts") from None
     if not parts or any(p < 1 for p in parts):
         raise InvalidArgumentError(f"{name} must be a nonempty tuple of positive parts")
     return parts
@@ -96,24 +123,54 @@ def _normal(rest: _State, comp: tuple[int, ...]) -> _State:
     return tuple(sorted(rest + (tuple(sorted(comp, reverse=True)),), reverse=True))
 
 
+def _intern(state: _State) -> int:
+    """The id of ``state``, entering it in the table on its first visit."""
+    sid = _IDS.get(state)
+    if sid is not None:
+        return sid
+    with _TABLE_LOCK:
+        sid = _IDS.get(state)
+        if sid is None:
+            sid = len(_STATES)
+            _STATES.append(state)
+            _CYCLES.append(sum(map(len, state)))
+            _COMPONENTS.append(len(state))
+            _SUCCESSORS.append(None)
+            # Published last, so an id read without the lock is complete.
+            _IDS[state] = sid
+    return sid
+
+
+def _successors(sid: int) -> tuple[tuple[int, int], ...]:
+    """Each state one transposition from ``sid``, with the summed ways."""
+    successors = _SUCCESSORS[sid]
+    if successors is None:
+        merged: dict[int, int] = {}
+        for state, ways in _component_moves(_STATES[sid]):
+            target = _intern(state)
+            merged[target] = merged.get(target, 0) + ways
+        successors = _SUCCESSORS[sid] = tuple(merged.items())
+    return successors
+
+
 def _count_tuples(alpha: tuple[int, ...], beta: tuple[int, ...]) -> int:
     """Number of transposition tuples completing a fixed ``alpha``-permutation."""
     r = len(alpha) + len(beta) - 2
     target_cycles = len(beta)
-    states: dict[_State, int] = {tuple((a,) for a in alpha): 1}
+    states = {_intern(tuple((a,) for a in alpha)): 1}
     for step in range(r):
         remaining = r - step
-        next_states: dict[_State, int] = {}
-        for state, weight in states.items():
-            distance = abs(sum(map(len, state)) - target_cycles)
+        next_states: dict[int, int] = {}
+        for sid, weight in states.items():
+            distance = abs(_CYCLES[sid] - target_cycles)
             if distance > remaining or (remaining - distance) % 2:
                 continue
-            if len(state) - 1 > remaining:
+            if _COMPONENTS[sid] - 1 > remaining:
                 continue
-            for successor, ways in _component_moves(state):
-                next_states[successor] = next_states.get(successor, 0) + weight * ways
+            for target, ways in _successors(sid):
+                next_states[target] = next_states.get(target, 0) + weight * ways
         states = next_states
-    return states.get((beta,), 0)
+    return states.get(_IDS.get((beta,), -1), 0)
 
 
 def hurwitz_oracle(alpha: Sequence[int], beta: Sequence[int]) -> Fraction:

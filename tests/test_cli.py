@@ -358,6 +358,25 @@ def test_verify_all_fails_on_a_doctored_input(
     assert failures[0].startswith(f"FAIL {section}:")
 
 
+def test_verify_all_checks_hurwitz_symmetry_through_degree_seven(
+    capsys: pytest.CaptureFixture[str], monkeypatch: pytest.MonkeyPatch
+) -> None:
+    """One degree-7 count off by one, in one order only, fails the sweep."""
+    honest = cli.hurwitz_oracle
+
+    def doctored(alpha: tuple[int, ...], beta: tuple[int, ...]) -> Fraction:
+        value = honest(alpha, beta)
+        return value + 1 if (tuple(alpha), tuple(beta)) == ((4, 3), (5, 2)) else value
+
+    monkeypatch.setattr(cli, "hurwitz_oracle", doctored)
+    code, out = _run(["verify-all", "--g-max", "1", "--d-max", "7"], capsys)
+    assert code == 2
+    failures = [line for line in out.splitlines() if not line.startswith("PASS ")]
+    assert failures == [
+        "FAIL hurwitz: one-part-and-symmetry-d<=7 — symmetry fails at (5, 2)/(4, 3)"
+    ]
+
+
 def test_verify_all_checks_the_pair_totals_at_every_degree(
     capsys: pytest.CaptureFixture[str], monkeypatch: pytest.MonkeyPatch
 ) -> None:

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import math
+import random
+import sys
+import threading
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -157,6 +160,33 @@ def _search_pairs() -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     return pairs
 
 
+# ---------------------------------------------------------------------------
+# Independent oracle: the retired tuple-keyed walk.  It rebuilds and re-sorts
+# every successor of every state on every level of every pair, keying levels
+# on the state tuples themselves, where the production walk interns each
+# state once and walks its merged successors by id.
+# ---------------------------------------------------------------------------
+
+
+def _retired_count_tuples(alpha: tuple[int, ...], beta: tuple[int, ...]) -> int:
+    r = len(alpha) + len(beta) - 2
+    target_cycles = len(beta)
+    states: dict[tuple[tuple[int, ...], ...], int] = {tuple((a,) for a in alpha): 1}
+    for step in range(r):
+        remaining = r - step
+        next_states: dict[tuple[tuple[int, ...], ...], int] = {}
+        for state, weight in states.items():
+            distance = abs(sum(map(len, state)) - target_cycles)
+            if distance > remaining or (remaining - distance) % 2:
+                continue
+            if len(state) - 1 > remaining:
+                continue
+            for successor, ways in hurwitz._component_moves(state):
+                next_states[successor] = next_states.get(successor, 0) + weight * ways
+        states = next_states
+    return states.get((beta,), 0)
+
+
 def test_counts_match_brute_force_up_to_degree_four() -> None:
     for d in range(1, 5):
         for alpha in enumerate_partitions(d):
@@ -182,6 +212,24 @@ def test_counts_match_the_permutation_search() -> None:
     for alpha, beta in _search_pairs():
         expected = Fraction(_search_count(alpha, beta) * aut(beta), math.prod(alpha))
         assert hurwitz_oracle(alpha, beta) == expected, (alpha, beta)
+
+
+def test_counts_match_the_retired_walk() -> None:
+    pairs = [
+        (alpha, beta)
+        for d in range(1, 8)
+        for alpha in enumerate_partitions(d)
+        for beta in enumerate_partitions(d)
+    ]
+    rng = random.Random(15)
+    for d in range(8, MAX_DEGREE + 1):
+        profiles = enumerate_partitions(d)
+        pairs += [(rng.choice(profiles), rng.choice(profiles)) for _ in range(6)]
+    for alpha, beta in pairs:
+        assert hurwitz._count_tuples(alpha, beta) == _retired_count_tuples(alpha, beta), (
+            alpha,
+            beta,
+        )
 
 
 def test_hurwitz_formula_against_the_trivial_profile() -> None:
@@ -225,6 +273,24 @@ def test_profile_validation() -> None:
         hurwitz_oracle((0, 2), (1, 1))
 
 
+@pytest.mark.parametrize(
+    "part",
+    [2.7, 2.0, Fraction(5, 2), "2"],
+    ids=["float", "integral-float", "fraction", "string"],
+)
+def test_non_integer_parts_are_refused(part: object) -> None:
+    # int() would truncate 2.7 and 5/2 to 2 and read "2" as 2, and
+    # H((2, 1), (3)) = 1 would come back for a profile that is not one.
+    with pytest.raises(InvalidArgumentError):
+        hurwitz_oracle([part, 1], [3])
+    with pytest.raises(InvalidArgumentError):
+        hurwitz_oracle([3], [part, 1])
+    with pytest.raises(InvalidArgumentError):
+        hurwitz_one_part([part, 1], 3)
+    with pytest.raises(InvalidArgumentError):
+        rubber_psi_integral([part, 1], [3])
+
+
 def test_resource_caps_are_enforced() -> None:
     big = MAX_DEGREE + 1
     with pytest.raises(ResourceLimitError):
@@ -263,6 +329,113 @@ def test_memo_is_keyed_on_the_sorted_profiles(monkeypatch: pytest.MonkeyPatch) -
     assert value == _brute_force_count((2, 1), (2, 1))
     # The second spelling of the same pair reads the first one's count.
     assert searches == [((2, 1), (2, 1))]
+
+
+# ---------------------------------------------------------------------------
+# The state table
+# ---------------------------------------------------------------------------
+
+
+def _closure(d: int) -> set[int]:
+    """Ids of every state reachable from the start state of any alpha."""
+    seen = {hurwitz._intern(tuple((a,) for a in alpha)) for alpha in enumerate_partitions(d)}
+    frontier = list(seen)
+    while frontier:
+        for target, _ in hurwitz._successors(frontier.pop()):
+            if target not in seen:
+                seen.add(target)
+                frontier.append(target)
+    return seen
+
+
+def _multisets_of_partitions(d: int) -> set[tuple[tuple[int, ...], ...]]:
+    """Every multiset of partitions of total size ``d``, each sorted descending."""
+    pieces = [tuple(p) for n in range(1, d + 1) for p in enumerate_partitions(n)]
+    out = set()
+
+    def extend(remaining: int, start: int, chosen: tuple[tuple[int, ...], ...]) -> None:
+        if remaining == 0:
+            out.add(tuple(sorted(chosen, reverse=True)))
+        for i in range(start, len(pieces)):
+            if sum(pieces[i]) <= remaining:
+                extend(remaining - sum(pieces[i]), i, chosen + (pieces[i],))
+
+    extend(d, 0, ())
+    return out
+
+
+def test_every_transposition_cuts_or_joins() -> None:
+    for d in range(1, 9):
+        for sid in _closure(d):
+            successors = hurwitz._successors(sid)
+            targets = [target for target, _ in successors]
+            assert len(set(targets)) == len(targets)
+            assert sum(ways for _, ways in successors) == math.comb(d, 2)
+
+
+def test_the_walk_reaches_every_multiset_of_partitions() -> None:
+    sizes = []
+    for d in range(1, MAX_DEGREE + 1):
+        states = {hurwitz._STATES[sid] for sid in _closure(d)}
+        assert states == _multisets_of_partitions(d)
+        sizes.append(len(states))
+    assert sizes == [1, 3, 6, 14, 27, 58, 111, 223, 424, 817]
+    # The table bound in the module's docstring: no other state within the
+    # degree cap can ever be entered.
+    within_cap = [s for s in hurwitz._STATES if sum(map(sum, s)) <= MAX_DEGREE]
+    assert len(within_cap) == sum(sizes) == 1684
+
+
+def test_a_capped_pair_enters_no_state() -> None:
+    before = len(hurwitz._STATES)
+    ones = (1,) * (MAX_DEGREE + 1)
+    with pytest.raises(ResourceLimitError):
+        hurwitz_oracle(ones, ones)
+    with pytest.raises(ResourceLimitError):
+        hurwitz_oracle((6, 5), (6, 5))
+    assert len(hurwitz._STATES) == before
+    assert ((6,), (5,)) not in hurwitz._IDS
+
+
+def test_threads_build_one_consistent_table(monkeypatch: pytest.MonkeyPatch) -> None:
+    for name, empty in (
+        ("_IDS", {}),
+        ("_STATES", []),
+        ("_CYCLES", []),
+        ("_COMPONENTS", []),
+        ("_SUCCESSORS", []),
+    ):
+        monkeypatch.setattr(hurwitz, name, empty)
+    pairs = [
+        (alpha, beta)
+        for d in range(1, 7)
+        for alpha in enumerate_partitions(d)
+        for beta in enumerate_partitions(d)
+    ]
+    expected = {pair: _retired_count_tuples(*pair) for pair in pairs}
+    results: list[dict] = [{} for _ in range(6)]
+
+    def count_all(k: int) -> None:
+        order = pairs[:]
+        random.Random(k).shuffle(order)
+        for pair in order:
+            results[k][pair] = hurwitz._count_tuples(*pair)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=count_all, args=(k,)) for k in range(len(results))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(result == expected for result in results)
+    table = hurwitz._STATES
+    assert [hurwitz._IDS[state] for state in table] == list(range(len(table)))
+    assert len(hurwitz._IDS) == len(table) == len(hurwitz._CYCLES) == len(hurwitz._SUCCESSORS)
 
 
 def test_capped_degrees_raise_on_every_call() -> None:
