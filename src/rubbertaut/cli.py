@@ -46,9 +46,9 @@ from .polyclasses import (
     hain_expand,
     interpolate,
 )
-from .series import series_log_sine, series, series_exp, series_mul, series_to_json, series_tau
+from .series import MAX_SERIES_ORDER, series_log_sine, series, series_exp, series_mul, series_to_json, series_tau
 from .tautring import RingContext, TautClass
-from .util import combine, fraction_str, parse_fraction
+from .util import combine, fraction_str, parse_fraction, too_long_to_print
 
 __all__ = ["main"]
 
@@ -178,7 +178,27 @@ def _cmd_hurwitz(args: argparse.Namespace) -> int:
     return 0
 
 
+def _log_sine_is_unprintable(d: int, order: int) -> bool:
+    """Whether a coefficient of ``series_log_sine(d, order)`` is sure to be
+    too long to print, decided before any coefficient is built.
+
+    The ``y^(2k)`` coefficient is ``zeta(2k) (d / (2 pi))^(2k) / k``, at
+    least ``(d / 7)^(2k) / k``, and its numerator in lowest terms is at least
+    its value.  In powers of two, ``d^(2k) >= 2^(2k (bits(d) - 1))``,
+    ``10^limit < 2^(10 limit // 3 + 1)``, ``k < 2^bits(k)`` and
+    ``7^(2k) < 2^(6k)``, so the numerator at ``k = order // 2`` has more than
+    ``limit`` digits when the test below holds.
+    """
+    limit = sys.get_int_max_str_digits()
+    k = order // 2
+    if limit == 0 or k < 1 or d < 2 or order > MAX_SERIES_ORDER:
+        return False
+    return 2 * k * (d.bit_length() - 1) >= 10 * limit // 3 + 1 + k.bit_length() + 6 * k
+
+
 def _cmd_series(args: argparse.Namespace) -> int:
+    if args.log_sine and _log_sine_is_unprintable(args.d, args.order):
+        raise too_long_to_print()
     if args.tau:
         series_obj = series_tau(args.order)
         name = "tau"

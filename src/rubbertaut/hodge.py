@@ -10,16 +10,19 @@ both as a rational linear form in the ``I(g, j)`` and as the coefficient of
 ``y^(2g)`` in ``log((d y / 2) / sin(d y / 2))``, which is ``d^(2g)
 n_target(g, 1)``: :func:`solve_hodge` scales the one series, and
 :func:`verify_scaling` and ``verify-all`` check each degree's own series.
-Solving the resulting (deliberately overdetermined) exact linear system
-yields the integrals and a strong internal consistency check.
+Each form is an integer combination of the edge moments
+``q_e = sum_j (-1)^j e^(g-1-j) I(g, j)`` with ``e <= d``, so the identities
+are lower-triangular in the moments: :func:`solve_hodge` substitutes forward
+for the moments, reads the integrals off the polynomial in ``e`` through the
+first ``g`` of them, and checks every degree past ``g`` against it.
 
 The linear form has two independent derivations.  The resummed route, a sum
-over the size of the distinguished part, is the production route:
-:func:`solve_hodge` takes its integer numerators over one denominator and
-keeps the whole system in integers up to the solved values.  The partition
-route, a sum over every ramification partition of ``d``, is slower and is
-kept as the oracle: the tests compare the two forms, and ``verify-all``
-evaluates the partition-route form at the solved values.
+over the size of the distinguished part, is the production route: its
+integer edge weights feed both :func:`hodge_linear_form` and
+:func:`solve_hodge`, which stays in integers up to the solved values.  The
+partition route, a sum over every ramification partition of ``d``, is slower
+and is kept as the oracle: the tests compare the two forms, and
+``verify-all`` evaluates the partition-route form at the solved values.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import InvalidArgumentError, InconsistencyError, ResourceLimitError, TheoremViolationError
-from .linalg import solve_linear_system
+from .linalg import newton_fit, solve_lower_triangular
 from .partitions import aut, enumerate_partitions
 from .series import series_log_sine
 from .util import combine
@@ -51,7 +54,7 @@ LinearForm = dict[int, Fraction]
 
 #: Highest genus the Hodge entry points and the graph lifts accept, checked
 #: before any series or graph is built: ``solve_hodge(24, 48)`` takes about
-#: 0.1 s and ``verify-all --g-max 24 --d-max 10`` about 2.8 s (2-vCPU VM).
+#: 0.02 s and ``verify-all --g-max 24 --d-max 10`` about 2.6 s (2-vCPU VM).
 MAX_GENUS = 24
 
 
@@ -98,25 +101,39 @@ def _partition_route(g: int, d: int) -> LinearForm:
     return combine(pairs) or {0: Fraction(0)}
 
 
+def _edge_weights(g: int, d: int) -> list[int]:
+    """The integer weights ``c(d, e)``, ``e = 1..d``, of the degree-``d`` identity.
+
+    The resummed form is ``sum_e c(d, e) q_e / D`` with ``q_e`` the
+    :func:`q_form` of edge size ``e`` and ``D = d^(d-1) d!``.  It resums over
+    the size ``e`` of the distinguished part: with ``n = d - e`` the
+    tree-series power is ``[x^n] tau^l = l n^(n-l-1) / (n-l)!`` (1 at
+    ``l = n``).  Writing ``1/(l! (n-l)!) = C(n, l)/n!`` makes each inner sum
+    an integer over ``n!``, and ``1/(e! n!) = C(d, e)/d!`` leaves ``D``, so
+    ``c(d, e) = C(d, e) inner(d, e) e^(e+1)``.  The diagonal
+    ``c(d, d) = perm(2g+d-1, d-1) d^(d+1)`` is never 0.
+    """
+    branches = [math.perm(2 * g + d - l - 1, d - 1) * (-d) ** l for l in range(min(d, 2 * g + 1))]
+    weights = []
+    for e in range(1, d + 1):
+        n = d - e
+        inner = branches[n] if n <= 2 * g else 0
+        for l in range(1, min(n - 1, 2 * g) + 1):
+            inner += branches[l] * l * math.comb(n, l) * n ** (n - l - 1)
+        weights.append(math.comb(d, e) * inner * e ** (e + 1))
+    return weights
+
+
 def _resummed_numerators(g: int, d: int) -> tuple[list[int], int]:
     """The resummed form as integer numerators ``s_j`` over one denominator.
 
-    The form is ``sum_j (s_j / D) I(g, j)`` with ``D = d^(d-1) d!``.  It
-    resums over the size ``e`` of the distinguished part: with ``n = d - e``
-    the tree-series power is ``[x^n] tau^l = l n^(n-l-1) / (n-l)!`` (1 at
-    ``l = n``).  Writing ``1/(l! (n-l)!) = C(n, l)/n!`` makes each inner sum
-    an integer over ``n!``, and ``1/(e! n!) = C(d, e)/d!`` leaves ``D``.
+    The form is ``sum_j (s_j / D) I(g, j)`` with ``D = d^(d-1) d!``: each
+    edge weight ``c(d, e)`` of :func:`_edge_weights` spreads over the
+    unknowns as ``c(d, e) q_e``.
     """
     sums = [0] * g
-    for e in range(1, d + 1):
-        n = d - e
-        inner = 0
-        for l in range(min(n, 2 * g) + 1):
-            tree = 1 if l == n else l * math.comb(n, l) * n ** (n - l - 1)
-            inner += math.perm(2 * g + d - l - 1, d - 1) * (-d) ** l * tree
-        if inner == 0:
-            continue
-        term = math.comb(d, e) * inner * e ** (e + 1)
+    for e, weight in enumerate(_edge_weights(g, d), start=1):
+        term = weight
         for j in range(g - 1, -1, -1):
             sums[j] += term
             term *= e
@@ -162,7 +179,12 @@ def n_target(g: int, d: int) -> Fraction:
 
 @dataclass(frozen=True)
 class HodgeSolution:
-    """Solved integrals for one genus, with the degrees that confirmed them."""
+    """Solved integrals for one genus, with the degrees that confirmed them.
+
+    ``nullspace`` is always ``()``: degrees ``1..g`` fix the edge moments
+    ``q_1..q_g``, and the Vandermonde matrix on ``e = 1..g`` that maps the
+    unknowns to those moments is invertible, so the solution is unique.
+    """
 
     g: int
     values: tuple[Fraction, ...]
@@ -182,37 +204,37 @@ class HodgeSolution:
 def solve_hodge(g: int, d_max: int | None = None) -> HodgeSolution:
     """Solve for the integrals ``I(g, 0..g-1)`` from the degree identities.
 
-    Uses all degrees ``1..max(g, d_max)`` — at least ``g`` equations for the
-    ``g`` unknowns, and deliberately more when ``d_max`` exceeds ``g`` so the
-    system is overdetermined.  Targets are ``d^(2g) n_target(g, 1)``, which
-    :func:`verify_scaling` and ``verify-all`` check per degree.  With the
-    form ``s_j / D`` and ``n_target(g, 1) = p / q``, degree ``d`` is the
-    integer row ``s_j q`` against ``d^(2g) p D``.  An inconsistent system
-    raises ``TheoremViolationError``; a consistent but rank-deficient one is
-    reported through a nonempty ``nullspace``.
+    Uses all degrees ``1..max(g, d_max)``.  Degree ``d`` reads
+    ``sum_(e <= d) c(d, e) q_e = d^(2g) D n_target(g, 1)`` with the edge
+    weights ``c(d, e)`` of :func:`_edge_weights` and ``D = d^(d-1) d!``, so
+    the system is lower-triangular in the edge moments ``q_e``.  The solve
+    forward-substitutes ``q_e / n_target(g, 1)`` in integers, fits the
+    degree-``(g-1)`` polynomial in ``e`` through ``q_1..q_g`` whose
+    coefficients are ``+-I(g, j)``, and checks that it gives back every
+    ``q_e`` with ``e > g``: the degrees past ``g`` are the consistency check.
+    Targets are ``d^(2g) n_target(g, 1)``, which :func:`verify_scaling` and
+    ``verify-all`` check per degree.  An inconsistent system raises
+    ``TheoremViolationError``.
     """
     _check_genus(g)
     top = max(g, d_max if d_max is not None else g)
     degrees = tuple(range(1, top + 1))
-    base = n_target(g, 1)
-    matrix: list[list[int]] = []
-    rhs: list[int] = []
-    for d in degrees:
-        numerators, denominator = _resummed_numerators(g, d)
-        matrix.append([s * base.denominator for s in numerators])
-        rhs.append(d ** (2 * g) * base.numerator * denominator)
+    rows = [_edge_weights(g, d) for d in degrees]
+    rhs = [d ** (2 * g) * d ** (d - 1) * math.factorial(d) for d in degrees]
+    moments, denominator = solve_lower_triangular(rows, rhs)
     try:
-        solution = solve_linear_system(matrix, rhs)
+        coefficients, scale = newton_fit(moments, g)
     except InconsistencyError as exc:
         raise TheoremViolationError(
             f"degree identities for genus {g} are inconsistent over degrees {degrees}"
         ) from exc
-    return HodgeSolution(
-        g=g,
-        values=solution.particular,
-        verified_degrees=degrees,
-        nullspace=solution.nullspace,
+    # q_e = sum_j (-1)^j e^(g-1-j) I(g, j): I(g, j) is (-1)^j [e^(g-1-j)].
+    base = n_target(g, 1) / (denominator * scale)
+    values = tuple(
+        base * (-coefficients[g - 1 - j] if j % 2 else coefficients[g - 1 - j])
+        for j in range(g)
     )
+    return HodgeSolution(g=g, values=values, verified_degrees=degrees)
 
 
 def verify_scaling(g: int, d_max: int) -> bool:

@@ -15,12 +15,20 @@ from typing import Hashable, Iterable, Mapping, TypeVar
 from .errors import InvalidArgumentError, ResourceLimitError
 
 __all__ = [
+    "too_long_to_print",
     "fraction_str",
     "parse_fraction",
     "combine",
 ]
 
 K = TypeVar("K", bound=Hashable)
+
+
+def too_long_to_print() -> ResourceLimitError:
+    """The error for a number past Python's int-to-str digit limit."""
+    return ResourceLimitError(
+        f"a rational with more than {sys.get_int_max_str_digits()} digits is too long to print"
+    )
 
 
 def fraction_str(value: Fraction | int) -> str:
@@ -32,9 +40,7 @@ def fraction_str(value: Fraction | int) -> str:
     try:
         return str(Fraction(value))
     except ValueError as exc:
-        raise ResourceLimitError(
-            f"a rational with more than {sys.get_int_max_str_digits()} digits is too long to print"
-        ) from exc
+        raise too_long_to_print() from exc
 
 
 def parse_fraction(text: str) -> Fraction:

@@ -18,7 +18,7 @@ import pytest
 from rubbertaut import cli, goldentables, locgraphs
 from rubbertaut.hodge import MAX_GENUS
 from rubbertaut.polyclasses import MultiPoly
-from rubbertaut.series import MAX_SERIES_ORDER, series
+from rubbertaut.series import MAX_SERIES_ORDER, series, series_log_sine, series_to_json
 
 
 def _run(argv: list[str], capsys: pytest.CaptureFixture[str]) -> tuple[int, str]:
@@ -530,6 +530,37 @@ def test_resource_limits_exit_one_without_a_traceback(argv: list[str], message: 
     assert result.returncode == 1
     assert result.stdout == ""
     assert result.stderr == f"error[resource-limit]: {message}\n"
+
+
+def test_log_sine_past_the_digit_limit_is_refused_before_any_coefficient(
+    monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture[str]
+) -> None:
+    def unreachable(d: int, order: int) -> None:
+        raise AssertionError("series_log_sine ran although its output cannot be printed")
+
+    monkeypatch.setattr(cli, "series_log_sine", unreachable)
+    for order in ("88", str(MAX_SERIES_ORDER)):
+        code = cli.main(["series", "--log-sine", "--d", "1" + "0" * 50, "--order", order])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error[resource-limit]: {_TOO_LONG}\n"
+
+
+def test_log_sine_at_a_large_scale_below_the_digit_limit_still_prints(
+    capsys: pytest.CaptureFixture[str],
+) -> None:
+    # At d = 10^50 order 84 still prints (its longest numerator has about
+    # 4,100 digits) and order 86 is past the limit; the up-front refusal
+    # starts at order 88, so order 84 must run and print as before.
+    d, order = 10**50, 84
+    code, out = _run(
+        ["series", "--log-sine", "--d", str(d), "--order", str(order), "--format", "json"], capsys
+    )
+    assert code == 0
+    expected = series_to_json(series_log_sine(d, order))
+    assert out == json.dumps({"name": f"log-sine-{d}", **expected}, sort_keys=True) + "\n"
+    assert max(len(c.split("/")[0]) for c in expected["coeffs"]) > 4000
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -202,19 +203,30 @@ def test_doctored_forms_raise_theorem_violation(
     monkeypatch: pytest.MonkeyPatch,
 ) -> None:
     # The targets are one series scaled by d^(2g), so doctoring the series
-    # only rescales a consistent system; the solve reads each degree's
-    # numerators, so adding 1 to the degree-2 form makes it inconsistent.
-    honest = hodge._resummed_numerators
+    # only rescales a consistent system; the solve reads each degree's edge
+    # weights c(d, e), so adding 1 to c(d, 1) at one degree d > g moves q_d
+    # off the polynomial that degrees 1..g fix.  The same weights feed the
+    # linear form, so the doctored degree's form moves too.
+    honest = hodge._edge_weights
+    for g, d_max, bad in [(1, 3, 2), (3, 6, 5)]:
+        solve_hodge(g, d_max)
+        form = hodge_linear_form(g, bad)
 
-    def doctored(g: int, d: int) -> tuple[list[int], int]:
-        numerators, denominator = honest(g, d)
-        if d == 2:
-            numerators = [numerators[0] + denominator, *numerators[1:]]
-        return numerators, denominator
+        def doctored(genus: int, d: int, bad: int = bad) -> list[int]:
+            weights = honest(genus, d)
+            return [weights[0] + 1, *weights[1:]] if d == bad else weights
 
-    monkeypatch.setattr(hodge, "_resummed_numerators", doctored)
-    with pytest.raises(TheoremViolationError):
-        solve_hodge(1, d_max=3)
+        with monkeypatch.context() as patch:
+            patch.setattr(hodge, "_edge_weights", doctored)
+            assert hodge_linear_form(g, bad) != form
+            degrees = tuple(range(1, d_max + 1))
+            with pytest.raises(
+                TheoremViolationError,
+                match=re.escape(
+                    f"degree identities for genus {g} are inconsistent over degrees {degrees}"
+                ),
+            ):
+                solve_hodge(g, d_max)
 
 
 def test_doctored_form_fails_the_graph_sum_cross_check(
@@ -250,6 +262,28 @@ def test_solve_matches_the_retired_route() -> None:
     pairs += [(11, 11), (12, 24), (16, 32)]
     for g, d in pairs:
         assert solve_hodge(g, d) == _retired_solve_hodge(g, d), (g, d)
+
+
+def _integer_row_solve_hodge(g: int, d_max: int) -> HodgeSolution:
+    """The integer-row solve the edge-moment route replaced: one row per
+    degree, the form's numerators times the target's denominator against
+    ``d^(2g)`` times the target's numerator and the form's denominator,
+    eliminated by :func:`solve_linear_system`."""
+    degrees = tuple(range(1, max(g, d_max) + 1))
+    base = n_target(g, 1)
+    matrix: list[list[int]] = []
+    rhs: list[int] = []
+    for d in degrees:
+        numerators, denominator = hodge._resummed_numerators(g, d)
+        matrix.append([s * base.denominator for s in numerators])
+        rhs.append(d ** (2 * g) * base.numerator * denominator)
+    solution = solve_linear_system(matrix, rhs)
+    return HodgeSolution(g, solution.particular, degrees, solution.nullspace)
+
+
+def test_solve_matches_the_integer_row_elimination_up_to_the_genus_cap() -> None:
+    for g in range(1, MAX_GENUS + 1):
+        assert solve_hodge(g, 2 * g) == _integer_row_solve_hodge(g, 2 * g), g
 
 
 def test_inconsistent_linear_system_is_detected() -> None:

@@ -13,7 +13,13 @@ import pytest
 
 from rubbertaut import linalg
 from rubbertaut.errors import InconsistencyError, InvalidArgumentError
-from rubbertaut.linalg import LinearSolution, rref, solve_linear_system
+from rubbertaut.linalg import (
+    LinearSolution,
+    newton_fit,
+    rref,
+    solve_linear_system,
+    solve_lower_triangular,
+)
 
 Matrix = list[list[Fraction]]
 
@@ -286,3 +292,53 @@ def test_solver_rejects_malformed_systems() -> None:
         solve_linear_system([[Fraction(1)]], [Fraction(1), Fraction(2)])
     with pytest.raises(InvalidArgumentError):
         solve_linear_system([], [])
+
+
+# ---------------------------------------------------------------------------
+# The integer kernels of the Hodge solve against the elimination
+# ---------------------------------------------------------------------------
+
+
+def test_lower_triangular_solve_matches_the_elimination() -> None:
+    rng = random.Random(19)
+    for _ in range(60):
+        size = rng.randint(1, 7)
+        rows = [
+            [rng.randint(-30, 30) for _ in range(i)] + [rng.choice([-1, 1]) * rng.randint(1, 40)]
+            for i in range(size)
+        ]
+        rhs = [rng.randint(-50, 50) for _ in range(size)]
+        numerators, denominator = solve_lower_triangular(rows, rhs)
+        square = [row + [0] * (size - len(row)) for row in rows]
+        expected = solve_linear_system(square, rhs).particular
+        assert [Fraction(n, denominator) for n in numerators] == list(expected)
+        assert denominator > 0 and math.gcd(denominator, *numerators) == 1
+
+
+def test_lower_triangular_solve_rejects_a_zero_diagonal() -> None:
+    with pytest.raises(InvalidArgumentError):
+        solve_lower_triangular([[1], [2, 0]], [1, 1])
+    with pytest.raises(InvalidArgumentError):
+        solve_lower_triangular([[1]], [1, 2])
+
+
+def test_newton_fit_recovers_polynomials_and_refuses_points_off_them() -> None:
+    rng = random.Random(23)
+    for _ in range(60):
+        count = rng.randint(1, 7)
+        poly = [Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(count)]
+        # Scale so every value is an integer, as the kernel requires.
+        scale = math.lcm(*(c.denominator for c in poly))
+        points = count + rng.randint(0, 5)
+        values = [int(scale * sum(c * x**k for k, c in enumerate(poly))) for x in range(1, points + 1)]
+        coefficients, denominator = newton_fit(values, count)
+        assert denominator == math.factorial(count - 1)
+        assert [Fraction(a, denominator) for a in coefficients] == [scale * c for c in poly]
+        if points > count:
+            values[rng.randrange(count, points)] += 1
+            with pytest.raises(InconsistencyError):
+                newton_fit(values, count)
+    with pytest.raises(InvalidArgumentError):
+        newton_fit([1, 2], 3)
+    with pytest.raises(InvalidArgumentError):
+        newton_fit([1, 2], 0)
