@@ -7,9 +7,11 @@ For each genus ``g >= 1`` the unknowns are the ``g`` integrals
 over the moduli of one-pointed genus-``g`` curves, ``j = 0..g-1``.  For every
 degree ``d >= 1`` a localization identity expresses the same rubber integral
 both as a rational linear form in the ``I(g, j)`` and as the coefficient of
-``y^(2g)`` in ``log((d y / 2) / sin(d y / 2))``, which is ``d^(2g)
-n_target(g, 1)``: :func:`solve_hodge` scales the one series, and
-:func:`verify_scaling` and ``verify-all`` check each degree's own series.
+``y^(2g)`` in ``log((d y / 2) / sin(d y / 2))``, which is ``d^(2g)`` times
+the degree-1 coefficient ``|B_2g| / (2g (2g)!)``.  :func:`solve_hodge` takes
+that coefficient from the integer tangent numbers; the per-degree series,
+built by :func:`n_target`, is the oracle that :func:`verify_scaling`,
+``verify-all`` and the tests check it against.
 Each form is an integer combination of the edge moments
 ``q_e = sum_j (-1)^j e^(g-1-j) I(g, j)`` with ``e <= d``, so the identities
 are lower-triangular in the moments: :func:`solve_hodge` substitutes forward
@@ -40,6 +42,7 @@ from .util import combine
 
 __all__ = [
     "MAX_GENUS",
+    "MAX_DEGREE",
     "q_form",
     "hodge_linear_form",
     "evaluate_form",
@@ -54,8 +57,14 @@ LinearForm = dict[int, Fraction]
 
 #: Highest genus the Hodge entry points and the graph lifts accept, checked
 #: before any series or graph is built: ``solve_hodge(24, 48)`` takes about
-#: 0.02 s and ``verify-all --g-max 24 --d-max 10`` about 2.6 s (2-vCPU VM).
+#: 0.013 s and ``verify-all --g-max 24 --d-max 10`` about 2.6 s (2-vCPU VM).
 MAX_GENUS = 24
+
+#: Highest degree bound ``solve_hodge`` and ``verify_scaling`` accept, checked
+#: before any work, so every genus can be solved over twice its own degrees.
+#: The solve's cost grows about as ``d_max^3`` (``solve_hodge(2, 200)`` takes
+#: about 0.2 s); ``verify_scaling(24, 48)`` takes about 0.2 s (2-vCPU VM).
+MAX_DEGREE = 2 * MAX_GENUS
 
 
 def _check_genus(g: int) -> None:
@@ -65,6 +74,15 @@ def _check_genus(g: int) -> None:
         raise InvalidArgumentError(f"need genus >= 1, got {g}")
     if g > MAX_GENUS:
         raise ResourceLimitError(f"genus {g} exceeds the genus cap {MAX_GENUS}")
+
+
+def _check_degree_bound(d_max: int) -> None:
+    """Refuse a degree bound outside ``1..MAX_DEGREE``: a sweep over no
+    degree checks nothing."""
+    if d_max < 1:
+        raise InvalidArgumentError(f"need degree bound >= 1, got {d_max}")
+    if d_max > MAX_DEGREE:
+        raise ResourceLimitError(f"degree {d_max} exceeds the Hodge degree cap {MAX_DEGREE}")
 
 
 def q_form(g: int, e: int) -> LinearForm:
@@ -177,6 +195,23 @@ def n_target(g: int, d: int) -> Fraction:
     return series_log_sine(d, 2 * g).coefficient(2 * g)
 
 
+def _log_sine_coefficient(g: int) -> Fraction:
+    """``n_target(g, 1) = |B_2g| / (2g (2g)!) = T_g / (4^g (4^g - 1) (2g)!)``.
+
+    ``T_g`` is the ``g``-th tangent number (1, 2, 16, 272, ...), the
+    coefficient of ``x^(2g-1) / (2g-1)!`` in ``tan x``, from the integer
+    recurrence of Knuth and Buckholtz (Math. Comp. 21, 1967), so no series
+    is built.
+    """
+    tangent = [0, 1] + [0] * (g - 1)
+    for k in range(2, g + 1):
+        tangent[k] = (k - 1) * tangent[k - 1]
+    for k in range(2, g + 1):
+        for j in range(k, g + 1):
+            tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
+    return Fraction(tangent[g], 4**g * (4**g - 1) * math.factorial(2 * g))
+
+
 @dataclass(frozen=True)
 class HodgeSolution:
     """Solved integrals for one genus, with the degrees that confirmed them.
@@ -204,7 +239,8 @@ class HodgeSolution:
 def solve_hodge(g: int, d_max: int | None = None) -> HodgeSolution:
     """Solve for the integrals ``I(g, 0..g-1)`` from the degree identities.
 
-    Uses all degrees ``1..max(g, d_max)``.  Degree ``d`` reads
+    Uses all degrees ``1..max(g, d_max)``; ``d_max`` defaults to ``g`` and
+    must lie in ``1..MAX_DEGREE``.  Degree ``d`` reads
     ``sum_(e <= d) c(d, e) q_e = d^(2g) D n_target(g, 1)`` with the edge
     weights ``c(d, e)`` of :func:`_edge_weights` and ``D = d^(d-1) d!``, so
     the system is lower-triangular in the edge moments ``q_e``.  The solve
@@ -212,13 +248,16 @@ def solve_hodge(g: int, d_max: int | None = None) -> HodgeSolution:
     degree-``(g-1)`` polynomial in ``e`` through ``q_1..q_g`` whose
     coefficients are ``+-I(g, j)``, and checks that it gives back every
     ``q_e`` with ``e > g``: the degrees past ``g`` are the consistency check.
-    Targets are ``d^(2g) n_target(g, 1)``, which :func:`verify_scaling` and
-    ``verify-all`` check per degree.  An inconsistent system raises
-    ``TheoremViolationError``.
+    The base ``n_target(g, 1)`` comes from the tangent numbers
+    (:func:`_log_sine_coefficient`), not from a series; the targets
+    ``d^(2g) n_target(g, 1)`` are checked against each degree's own log-sine
+    series by :func:`verify_scaling`, ``verify-all`` and the tests.  An
+    inconsistent system raises ``TheoremViolationError``.
     """
     _check_genus(g)
-    top = max(g, d_max if d_max is not None else g)
-    degrees = tuple(range(1, top + 1))
+    d_max = g if d_max is None else d_max
+    _check_degree_bound(d_max)
+    degrees = tuple(range(1, max(g, d_max) + 1))
     rows = [_edge_weights(g, d) for d in degrees]
     rhs = [d ** (2 * g) * d ** (d - 1) * math.factorial(d) for d in degrees]
     moments, denominator = solve_lower_triangular(rows, rhs)
@@ -229,7 +268,7 @@ def solve_hodge(g: int, d_max: int | None = None) -> HodgeSolution:
             f"degree identities for genus {g} are inconsistent over degrees {degrees}"
         ) from exc
     # q_e = sum_j (-1)^j e^(g-1-j) I(g, j): I(g, j) is (-1)^j [e^(g-1-j)].
-    base = n_target(g, 1) / (denominator * scale)
+    base = _log_sine_coefficient(g) / (denominator * scale)
     values = tuple(
         base * (-coefficients[g - 1 - j] if j % 2 else coefficients[g - 1 - j])
         for j in range(g)
@@ -238,7 +277,11 @@ def solve_hodge(g: int, d_max: int | None = None) -> HodgeSolution:
 
 
 def verify_scaling(g: int, d_max: int) -> bool:
-    """Check ``target(g, d) = d^(2g) * target(g, 1)`` for all ``d <= d_max``."""
+    """Check ``target(g, d) = d^(2g) * target(g, 1)`` for all ``d <= d_max``,
+    each target from its own log-sine series; ``d_max`` must lie in
+    ``1..MAX_DEGREE``."""
+    _check_genus(g)
+    _check_degree_bound(d_max)
     base = n_target(g, 1)
     return all(
         n_target(g, d) == Fraction(d) ** (2 * g) * base for d in range(1, d_max + 1)

@@ -14,6 +14,7 @@ from rubbertaut.errors import (
     TheoremViolationError,
 )
 from rubbertaut.hodge import (
+    MAX_DEGREE,
     MAX_GENUS,
     HodgeSolution,
     verify_scaling,
@@ -105,6 +106,23 @@ def test_scaling_check_fails_on_a_doctored_target(
     ]
 
 
+def test_scaling_check_refuses_an_empty_or_unbounded_degree_range(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    def no_series(*args: object) -> None:
+        raise AssertionError("a series was built for a refused degree bound")
+
+    monkeypatch.setattr(hodge, "series_log_sine", no_series)
+    for d_max in (0, -5):
+        with pytest.raises(InvalidArgumentError, match=f"need degree bound >= 1, got {d_max}"):
+            verify_scaling(2, d_max)
+    with pytest.raises(
+        ResourceLimitError,
+        match=f"degree {MAX_DEGREE + 1} exceeds the Hodge degree cap {MAX_DEGREE}",
+    ):
+        verify_scaling(2, MAX_DEGREE + 1)
+
+
 def test_target_frozen_values() -> None:
     assert n_target(1, 1) == Fraction(1, 24)
     assert n_target(2, 1) == Fraction(1, 2880)
@@ -134,6 +152,41 @@ def _bernoulli(m_max: int) -> list[Fraction]:
         total = sum(Fraction(math.comb(m + 1, j)) * numbers[j] for j in range(m))
         numbers.append(-total / (m + 1))
     return numbers
+
+
+def test_log_sine_coefficient_matches_the_series_and_the_bernoulli_recurrence() -> None:
+    bernoulli = _bernoulli(2 * MAX_GENUS)
+    for g in range(1, MAX_GENUS + 1):
+        coefficient = hodge._log_sine_coefficient(g)
+        assert coefficient == n_target(g, 1), g
+        assert coefficient == abs(bernoulli[2 * g]) / (2 * g * math.factorial(2 * g)), g
+
+
+def test_solve_builds_no_series(monkeypatch: pytest.MonkeyPatch) -> None:
+    def no_series(*args: object) -> None:
+        raise AssertionError("the solve built a log-sine series")
+
+    monkeypatch.setattr(hodge, "series_log_sine", no_series)
+    for g in range(1, MAX_GENUS + 1):
+        assert solve_hodge(g, 2 * g).unique, g
+
+
+def test_doctored_log_sine_coefficient_fails_the_linear_system_check(
+    monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture[str]
+) -> None:
+    # verify-all checks the solved values against each degree's own series,
+    # so a wrong closed-form base at one genus fails that check alone.
+    honest = hodge._log_sine_coefficient
+
+    def doctored(g: int) -> Fraction:
+        return honest(g) + (1 if g == 2 else 0)
+
+    monkeypatch.setattr(hodge, "_log_sine_coefficient", doctored)
+    assert cli.main(["verify-all", "--g-max", "2", "--d-max", "3"]) == 2
+    failures = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL ")]
+    assert [line.split(" —")[0] for line in failures] == [
+        "FAIL hodge: linear-system-g<=2-d<=3",
+    ]
 
 
 def test_lambda_g_lambda_g_minus_1_closed_form() -> None:
@@ -199,14 +252,34 @@ def test_genus_past_the_cap_is_refused_before_any_series(
             call()
 
 
+def test_degree_bound_outside_range_is_refused_before_any_work(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    assert solve_hodge(MAX_GENUS, MAX_DEGREE).unique
+
+    def no_weights(*args: object) -> None:
+        raise AssertionError("edge weights were built for a refused degree bound")
+
+    monkeypatch.setattr(hodge, "_edge_weights", no_weights)
+    for d_max in (0, -4):
+        with pytest.raises(InvalidArgumentError, match=f"need degree bound >= 1, got {d_max}"):
+            solve_hodge(3, d_max)
+    with pytest.raises(
+        ResourceLimitError,
+        match=f"degree {MAX_DEGREE + 1} exceeds the Hodge degree cap {MAX_DEGREE}",
+    ):
+        solve_hodge(2, MAX_DEGREE + 1)
+
+
 def test_doctored_forms_raise_theorem_violation(
     monkeypatch: pytest.MonkeyPatch,
 ) -> None:
-    # The targets are one series scaled by d^(2g), so doctoring the series
-    # only rescales a consistent system; the solve reads each degree's edge
-    # weights c(d, e), so adding 1 to c(d, 1) at one degree d > g moves q_d
-    # off the polynomial that degrees 1..g fix.  The same weights feed the
-    # linear form, so the doctored degree's form moves too.
+    # The targets are d^(2g) times one base taken from the tangent numbers,
+    # so doctoring the base only rescales a consistent system (verify-all's
+    # check against each degree's series catches that); the solve reads each
+    # degree's edge weights c(d, e), so adding 1 to c(d, 1) at one degree
+    # d > g moves q_d off the polynomial that degrees 1..g fix.  The same
+    # weights feed the linear form, so the doctored degree's form moves too.
     honest = hodge._edge_weights
     for g, d_max, bad in [(1, 3, 2), (3, 6, 5)]:
         solve_hodge(g, d_max)
