@@ -11,7 +11,7 @@ both as a rational linear form in the ``I(g, j)`` and as the coefficient of
 the degree-1 coefficient ``|B_2g| / (2g (2g)!)``.  :func:`solve_hodge` takes
 that coefficient from the integer tangent numbers; the per-degree series,
 built by :func:`n_target`, is the oracle that :func:`verify_scaling`,
-``verify-all`` and the tests check it against.
+``verify-all`` and the tests check it against, raising at the first failure.
 Each form is an integer combination of the edge moments
 ``q_e = sum_j (-1)^j e^(g-1-j) I(g, j)`` with ``e <= d``, so the identities
 are lower-triangular in the moments: :func:`solve_hodge` substitutes forward
@@ -43,6 +43,7 @@ from .util import combine
 __all__ = [
     "MAX_GENUS",
     "MAX_DEGREE",
+    "MAX_PARTITION_DEGREE",
     "q_form",
     "hodge_linear_form",
     "evaluate_form",
@@ -65,6 +66,12 @@ MAX_GENUS = 24
 #: The solve's cost grows about as ``d_max^3`` (``solve_hodge(2, 200)`` takes
 #: about 0.2 s); ``verify_scaling(24, 48)`` takes about 0.2 s (2-vCPU VM).
 MAX_DEGREE = 2 * MAX_GENUS
+
+#: Highest degree of the partition sums (the partition route and
+#: :func:`rubbertaut.locgraphs.enumerate_graphs`), checked before any partition
+#: is listed: ``hodge_linear_form(24, 16, "partitions")`` and
+#: ``relation_extract(16, lift_pair(24))`` take about 0.08 s each (2-vCPU VM).
+MAX_PARTITION_DEGREE = 16
 
 
 def _check_genus(g: int) -> None:
@@ -98,6 +105,8 @@ def _partition_route(g: int, d: int) -> LinearForm:
 
     Partitions with more than ``2g + 1`` parts carry no term, since their
     branch binomial vanishes, so only the shorter ones are listed."""
+    if d > MAX_PARTITION_DEGREE:
+        raise ResourceLimitError(f"degree {d} exceeds the partition-sum cap {MAX_PARTITION_DEGREE}")
     pairs: list[tuple[Fraction, LinearForm]] = []
     prefactor = Fraction(math.factorial(d), d ** (d - 1))
     for nu in enumerate_partitions(d, 2 * g + 1):
@@ -276,13 +285,13 @@ def solve_hodge(g: int, d_max: int | None = None) -> HodgeSolution:
     return HodgeSolution(g=g, values=values, verified_degrees=degrees)
 
 
-def verify_scaling(g: int, d_max: int) -> bool:
+def verify_scaling(g: int, d_max: int) -> None:
     """Check ``target(g, d) = d^(2g) * target(g, 1)`` for all ``d <= d_max``,
     each target from its own log-sine series; ``d_max`` must lie in
-    ``1..MAX_DEGREE``."""
+    ``1..MAX_DEGREE``.  Raises ``TheoremViolationError`` at the first ``d`` that fails."""
     _check_genus(g)
     _check_degree_bound(d_max)
     base = n_target(g, 1)
-    return all(
-        n_target(g, d) == Fraction(d) ** (2 * g) * base for d in range(1, d_max + 1)
-    )
+    for d in range(1, d_max + 1):
+        if n_target(g, d) != Fraction(d) ** (2 * g) * base:
+            raise TheoremViolationError(f"log-sine target does not scale as d^(2g) at g={g}, d={d}")

@@ -51,11 +51,12 @@ from typing import Mapping, NamedTuple
 
 from .errors import (
     InvalidArgumentError,
+    ResourceLimitError,
     TheoremViolationError,
     UnsupportedGraphError,
 )
-from .hodge import LinearForm, _check_genus, n_target, solve_hodge
-from .hurwitz import rubber_psi_integral
+from .hodge import MAX_PARTITION_DEGREE, LinearForm, _check_genus, n_target, solve_hodge
+from .hurwitz import MAX_DEGREE, rubber_psi_integral
 from .partitions import decorated_aut, enumerate_marked, enumerate_partitions
 from .series import LaurentPoly, RingOps
 from .tautring import (
@@ -273,10 +274,13 @@ def enumerate_graphs(d: int, lift: Lift) -> list[LocGraph]:
     partitions that short are marked, and only the infinity graphs that
     short are built, so every graph built contributes.  Equal slots of a
     marked partition give the same graph, so the genus is flagged only on
-    the first of them and every graph is built once.
+    the first of them and every graph is built once.  A degree past
+    :data:`rubbertaut.hodge.MAX_PARTITION_DEGREE` is refused first.
     """
     if d < 1:
         raise InvalidArgumentError(f"need degree >= 1, got {d}")
+    if d > MAX_PARTITION_DEGREE:
+        raise ResourceLimitError(f"degree {d} exceeds the partition-sum cap {MAX_PARTITION_DEGREE}")
     graphs = []
     for nu in enumerate_partitions(d, 2 * lift.genus + lift.branch_twist):
         for slots, _ in enumerate_marked(nu, lift.zero_marks):
@@ -651,9 +655,12 @@ def hodge_form_from_graphs(g: int, d: int) -> LinearForm:
 
     Independently of :func:`rubbertaut.hodge.hodge_linear_form`, sums the
     genus-over-zero terms (rubber factors integrated out) and normalizes by
-    the rubber graph's coefficient.
+    the rubber graph's coefficient.  A degree past the exact-count cap
+    :data:`rubbertaut.hurwitz.MAX_DEGREE` is refused before the relation is built.
     """
     lift = lift_pair(g)
+    if d > MAX_DEGREE:
+        raise ResourceLimitError(f"degree {d} exceeds the exact-count cap {MAX_DEGREE}")
     relation = relation_extract(d, lift)
     pairs: list[tuple[Fraction, dict[int, int]]] = []
     rubber_coeff = Fraction(0)

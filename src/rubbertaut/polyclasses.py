@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Any, Callable, Mapping, Sequence
 
-from .errors import InvalidArgumentError, ResourceLimitError
+from .errors import InvalidArgumentError, ResourceLimitError, TheoremViolationError
 from .tautring import (
     _PSI_KEY,
     RingContext,
@@ -25,7 +25,7 @@ from .tautring import (
     linear_combination,
     pullback_forget,
 )
-from .util import combine
+from .util import combine, fraction_str
 
 __all__ = [
     "MAX_MARKS",
@@ -171,39 +171,33 @@ def genus1_polynomial(t: int) -> MultiPoly:
     return MultiPoly(t - 1, coeffs)
 
 
-def check_pullback_stability(t: int) -> bool:
+def check_pullback_stability(t: int) -> None:
     """Setting the last weight to zero must recover the pulled-back polynomial.
 
     Compares every coefficient of the ``t``-mark polynomial with last
     exponent zero against the pullback (adding mark ``t``) of the matching
-    coefficient one level down, in reduced normal form.
+    coefficient one level down, in reduced normal form.  Raises
+    ``TheoremViolationError`` at the first exponents missing, extra or different.
     """
     if t < 4:
         raise InvalidArgumentError(f"stability needs at least 4 marks, got {t}")
     big = genus1_polynomial(t)
-    small = genus1_polynomial(t - 1)
-    seen: set[tuple[int, ...]] = set()
-    for exponents, value in small.coeffs.items():
-        lifted_exponents = exponents + (0,)
-        seen.add(lifted_exponents)
-        counterpart = big.coefficient(lifted_exponents)
-        if counterpart is None:
-            return False
-        if pullback_forget(value, t).reduce() != counterpart.reduce():
-            return False
-    for exponents in big.coeffs:
-        if exponents[-1] == 0 and exponents not in seen:
-            return False
-    return True
+    lifted = {e + (0,): value for e, value in genus1_polynomial(t - 1).coeffs.items()}
+    for exponents in sorted(lifted.keys() | {e for e in big.coeffs if e[-1] == 0}):
+        value, counterpart = lifted.get(exponents), big.coefficient(exponents)
+        if value is None or counterpart is None or pullback_forget(value, t).reduce() != counterpart.reduce():
+            problem = "is missing" if counterpart is None else "is extra" if value is None else "differs"
+            raise TheoremViolationError(f"pullback stability fails at t={t}: coefficient {exponents} {problem}")
 
 
-def check_equivariance(t: int) -> bool:
+def check_equivariance(t: int) -> None:
     """Relabeling marks 2..t must permute the coefficients accordingly.
 
     Only the adjacent transpositions ``(i i+1)`` of marks 2..t are checked:
     they generate every relabeling, and relabelings compose, so a polynomial
     equivariant under them is equivariant under all ``(t-1)!``.  A swap moves
     only the sides holding exactly one of ``i`` and ``i+1``; each is mapped once.
+    A mismatch raises ``TheoremViolationError`` naming ``t``, the marks and the exponents.
     """
     poly = genus1_polynomial(t)
     coeffs = {exponents: value._coeffs for exponents, value in poly.coeffs.items()}
@@ -220,21 +214,22 @@ def check_equivariance(t: int) -> bool:
             image[i - 2], image[i - 1] = exponents[i - 1], exponents[i - 2]
             relabeled = {moved.get(key, key): v for key, v in terms.items()}
             if relabeled != coeffs.get(tuple(image), {}):
-                return False
-    return True
+                raise TheoremViolationError(
+                    f"equivariance fails at t={t}: swapping marks {i}, {i + 1} at exponents {exponents}"
+                )
 
 
-def check_homogeneity(scale: Fraction | int, point: Sequence[Fraction | int]) -> bool:
+def check_homogeneity(scale: Fraction | int, point: Sequence[Fraction | int]) -> None:
     """Degree-two homogeneity: ``P(c * a) == c**2 * P(a)`` at an exact point.
 
     ``point`` gives the weights of marks ``2..t``, so ``t = len(point) + 1``.
+    A failure raises ``TheoremViolationError`` naming ``t``, the scale and the point.
     """
-    poly = genus1_polynomial(len(point) + 1)
-    frac = Fraction(scale)
-    scaled_point = [frac * Fraction(p) for p in point]
-    lhs = poly.evaluate(scaled_point)
-    rhs = frac * frac * poly.evaluate(point)
-    return lhs == rhs
+    t, frac = len(point) + 1, Fraction(scale)
+    poly = genus1_polynomial(t)
+    if poly.evaluate([frac * Fraction(p) for p in point]) != frac * frac * poly.evaluate(point):
+        coords = ", ".join(map(fraction_str, point))
+        raise TheoremViolationError(f"homogeneity fails at t={t}, scale {fraction_str(frac)}, point ({coords})")
 
 
 # ---------------------------------------------------------------------------

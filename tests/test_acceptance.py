@@ -112,16 +112,17 @@ def test_criterion_5_weight_polynomial_properties(acceptance) -> None:
         assert poly.coefficient((2, 0)) == psi1(ctx) - boundary(ctx, (2,))
         assert poly.coefficient((0, 2)) == psi1(ctx) - boundary(ctx, (3,))
         assert poly.coefficient((1, 1)) == psi1(ctx) - boundary(ctx, (1,))
-        assert check_pullback_stability(4)
-        assert check_pullback_stability(5)
+        # Each check raises TheoremViolationError with its witness on failure.
+        check_pullback_stability(4)
+        check_pullback_stability(5)
         for t in (3, 4, 5):
-            assert check_equivariance(t)
+            check_equivariance(t)
         rng = random.Random(20260816)
         for t in (3, 4):
             point = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(t - 1)]
             for _ in range(3):
                 scale = Fraction(rng.choice([-9, -5, -2, 1, 4, 7]), rng.randint(1, 8))
-                assert check_homogeneity(scale, point)
+                check_homogeneity(scale, point)
 
 
 def test_criterion_6_property_suites(acceptance) -> None:

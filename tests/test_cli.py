@@ -15,10 +15,11 @@ from typing import Callable
 
 import pytest
 
-from rubbertaut import cli, goldentables, locgraphs
+from rubbertaut import cli, goldentables, hodge, locgraphs, polyclasses
 from rubbertaut.hodge import MAX_GENUS
 from rubbertaut.polyclasses import MultiPoly
 from rubbertaut.series import MAX_SERIES_ORDER, series, series_log_sine, series_to_json
+from rubbertaut.tautring import linear_combination
 
 
 def _run(argv: list[str], capsys: pytest.CaptureFixture[str]) -> tuple[int, str]:
@@ -287,6 +288,89 @@ def test_verify_all_fails_loudly_on_a_doctored_table(
     assert any(line.startswith("FAIL localize:") for line in out.strip().splitlines())
 
 
+def test_golden_rows_are_matched_by_their_graph(
+    capsys: pytest.CaptureFixture[str], monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # Rows 10 and 11 agree in every field but the graph: which of marks 2
+    # and 3 sits on the part of size 2.
+    table = list(goldentables.TABLE_D3)
+    assert [(row.index, row.label) for row in table[9:11]] == [(10, "2{2}+1{3}"), (11, "2{3}+1{2}")]
+    table[9], table[10] = table[10], table[9]
+    monkeypatch.setattr(goldentables, "TABLE_D3", tuple(table))
+    code, out = _run(["localize", "--d", "3", "--golden"], capsys)
+    assert code == 2
+    assert out.splitlines() == [
+        "DIFF row 11: graph 2{2}+1{3} != 2{3}+1{2}",
+        "DIFF row 10: graph 2{3}+1{2} != 2{2}+1{3}",
+    ]
+    code, out = _run(["verify-all", "--g-max", "1", "--d-max", "2"], capsys)
+    assert code == 2
+    failures = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    assert len(failures) == 1 and failures[0].startswith("FAIL localize: degree-2-and-3-tables")
+
+
+def _doctor_targets(monkeypatch: pytest.MonkeyPatch) -> None:
+    """Add 1 to every degree-2 log-sine target that ``verify_scaling`` reads."""
+    honest = hodge.n_target
+    monkeypatch.setattr(hodge, "n_target", lambda g, d: honest(g, d) + (d == 2))
+
+
+def _doctor_quadric(
+    monkeypatch: pytest.MonkeyPatch, reshape: Callable[[int, dict], dict]
+) -> None:
+    """Give the ``check_*`` predicates ``reshape(t, coefficients)`` of the
+    ``t``-mark quadric; the divisor solve in verify-all reads its own copy."""
+    honest = polyclasses.genus1_polynomial
+    monkeypatch.setattr(
+        polyclasses,
+        "genus1_polynomial",
+        lambda t: MultiPoly(t - 1, reshape(t, dict(honest(t).coeffs))),
+    )
+
+
+def _power(t: int, mark: int, power: int) -> tuple[int, ...]:
+    """Exponents of ``x_mark ** power`` in the ``t``-mark quadric."""
+    return tuple(power if m == mark else 0 for m in range(2, t + 1))
+
+
+def _drop_a_square_at_four_marks(t: int, coeffs: dict) -> dict:
+    if t == 4:
+        del coeffs[_power(4, 2, 2)]
+    return coeffs
+
+
+def _fold_the_mark_3_square_into_mark_2(t: int, coeffs: dict) -> dict:
+    # Pullback is linear, so this stays stable; swapping marks 2 and 3 breaks it.
+    square2, square3 = _power(t, 2, 2), _power(t, 3, 2)
+    coeffs[square2] = linear_combination([(1, coeffs[square2]), (1, coeffs[square3])])
+    return coeffs
+
+
+def _add_linear_terms(t: int, coeffs: dict) -> dict:
+    # Each x_i carries the x_i^2 coefficient: stable and equivariant, not homogeneous.
+    for mark in range(2, t + 1):
+        coeffs[_power(t, mark, 1)] = coeffs[_power(t, mark, 2)]
+    return coeffs
+
+
+#: Per predicate: how its input is doctored, and the end of the FAIL line.
+_PREDICATE_DOCTORS: dict[str, tuple[Callable[[pytest.MonkeyPatch], None], str]] = {
+    "verify_scaling": (_doctor_targets, "g=1, d=2"),
+    "check_pullback_stability": (
+        lambda mp: _doctor_quadric(mp, _drop_a_square_at_four_marks),
+        "t=4: coefficient (2, 0, 0) is missing",
+    ),
+    "check_equivariance": (
+        lambda mp: _doctor_quadric(mp, _fold_the_mark_3_square_into_mark_2),
+        "t=3: swapping marks 2, 3 at exponents (2, 0)",
+    ),
+    "check_homogeneity": (
+        lambda mp: _doctor_quadric(mp, _add_linear_terms),
+        "t=3, scale 5, point (2, 3)",
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "predicate, section, witness",
     [
@@ -303,13 +387,14 @@ def test_verify_all_fails_when_a_predicate_is_false(
     capsys: pytest.CaptureFixture[str],
     monkeypatch: pytest.MonkeyPatch,
 ) -> None:
-    monkeypatch.setattr(cli, predicate, lambda *args: False)
+    doctor, detail = _PREDICATE_DOCTORS[predicate]
+    doctor(monkeypatch)
     code, out = _run(["verify-all", "--g-max", "1", "--d-max", "2"], capsys)
     assert code == 2
     failures = [line for line in out.splitlines() if line.startswith("FAIL ")]
     assert len(failures) == 1
     assert failures[0].startswith(f"FAIL {section}:")
-    assert witness in failures[0]
+    assert witness in failures[0] and failures[0].endswith(detail)
 
 
 @pytest.mark.parametrize(
@@ -459,7 +544,7 @@ def test_verify_all_reports_a_resource_limit_as_a_limit(
 def test_verify_all_violation_outranks_a_limit(
     capsys: pytest.CaptureFixture[str], monkeypatch: pytest.MonkeyPatch
 ) -> None:
-    monkeypatch.setattr(cli, "verify_scaling", lambda *args: False)
+    _doctor_targets(monkeypatch)
     code, out = _run(["verify-all", "--g-max", "1", "--d-max", "11"], capsys)
     assert code == 2
     statuses = [line.split(":")[0] for line in out.splitlines() if not line.startswith("PASS ")]

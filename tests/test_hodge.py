@@ -16,6 +16,7 @@ from rubbertaut.errors import (
 from rubbertaut.hodge import (
     MAX_DEGREE,
     MAX_GENUS,
+    MAX_PARTITION_DEGREE,
     HodgeSolution,
     verify_scaling,
     evaluate_form,
@@ -83,7 +84,7 @@ def test_q_form_alternates() -> None:
 
 def test_targets_scale_with_the_degree() -> None:
     for g in range(1, 5):
-        assert verify_scaling(g, 6)
+        verify_scaling(g, 6)
 
 
 def test_scaling_check_fails_on_a_doctored_target(
@@ -96,14 +97,16 @@ def test_scaling_check_fails_on_a_doctored_target(
 
     for module in (hodge, cli):
         monkeypatch.setattr(module, "n_target", doctored)
-    assert verify_scaling(2, 2)
-    assert not verify_scaling(2, 3)
+    verify_scaling(2, 2)
+    with pytest.raises(TheoremViolationError, match=re.escape("as d^(2g) at g=2, d=3")):
+        verify_scaling(2, 3)
     assert cli.main(["verify-all", "--g-max", "1", "--d-max", "3"]) == 2
     failures = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL ")]
     assert [line.split(" —")[0] for line in failures] == [
         "FAIL series: log-sine-scaling-g<=1-d<=3",
         "FAIL hodge: linear-system-g<=1-d<=3",
     ]
+    assert failures[0].endswith("at g=1, d=3")
 
 
 def test_scaling_check_refuses_an_empty_or_unbounded_degree_range(
@@ -269,6 +272,25 @@ def test_degree_bound_outside_range_is_refused_before_any_work(
         match=f"degree {MAX_DEGREE + 1} exceeds the Hodge degree cap {MAX_DEGREE}",
     ):
         solve_hodge(2, MAX_DEGREE + 1)
+
+
+def test_partition_route_is_refused_past_its_cap_before_any_partition(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    assert hodge_linear_form(1, MAX_PARTITION_DEGREE, "partitions")
+
+    def no_partitions(*args: object) -> None:
+        raise AssertionError("a partition was listed past the partition-sum cap")
+
+    monkeypatch.setattr(hodge, "enumerate_partitions", no_partitions)
+    for d in (MAX_PARTITION_DEGREE + 1, 10**6):
+        with pytest.raises(
+            ResourceLimitError,
+            match=f"degree {d} exceeds the partition-sum cap {MAX_PARTITION_DEGREE}",
+        ):
+            hodge_linear_form(MAX_GENUS, d, "partitions")
+    # The resummed route lists no partition, so this cap does not bound it.
+    assert hodge_linear_form(MAX_GENUS, MAX_PARTITION_DEGREE + 1)
 
 
 def test_doctored_forms_raise_theorem_violation(

@@ -10,7 +10,8 @@ from rubbertaut.errors import (
     ResourceLimitError,
     UnsupportedGraphError,
 )
-from rubbertaut.hodge import MAX_GENUS, hodge_linear_form, n_target, solve_hodge
+from rubbertaut.hodge import MAX_GENUS, MAX_PARTITION_DEGREE, hodge_linear_form, n_target, solve_hodge
+from rubbertaut.hurwitz import MAX_DEGREE as MAX_COUNT_DEGREE
 from rubbertaut.locgraphs import (
     LIFT_DIVISOR,
     Lift,
@@ -302,6 +303,41 @@ def test_lifts_refuse_a_genus_past_the_cap() -> None:
     for build in (Lift, lift_pair, lambda g: hodge_form_from_graphs(g, 2)):
         with pytest.raises(ResourceLimitError, match=f"genus {MAX_GENUS + 1} exceeds the genus cap"):
             build(MAX_GENUS + 1)
+
+
+def _refuse_partitions(monkeypatch: pytest.MonkeyPatch) -> None:
+    def no_partitions(*args: object) -> None:
+        raise AssertionError("a partition was listed for a refused degree")
+
+    monkeypatch.setattr(locgraphs, "enumerate_partitions", no_partitions)
+
+
+def test_graph_sums_are_refused_past_the_partition_cap_before_any_partition(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    assert enumerate_graphs(MAX_PARTITION_DEGREE, lift_pair(1))
+    _refuse_partitions(monkeypatch)
+    message = "exceeds the partition-sum cap"
+    for d in (MAX_PARTITION_DEGREE + 1, 10**6):
+        for lift in (LIFT_DIVISOR, lift_pair(MAX_GENUS)):
+            with pytest.raises(ResourceLimitError, match=f"degree {d} {message} {MAX_PARTITION_DEGREE}"):
+                enumerate_graphs(d, lift)
+            with pytest.raises(ResourceLimitError, match=f"degree {d} {message}"):
+                relation_extract(d, lift)
+            with pytest.raises(ResourceLimitError, match=f"degree {d} {message}"):
+                enumerate_rows(d, lift)
+
+
+def test_graph_form_is_refused_past_the_count_cap_before_any_partition(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    assert hodge_form_from_graphs(1, MAX_COUNT_DEGREE)
+    _refuse_partitions(monkeypatch)
+    for d in (MAX_COUNT_DEGREE + 1, MAX_PARTITION_DEGREE + 1, 10**6):
+        with pytest.raises(
+            ResourceLimitError, match=f"degree {d} exceeds the exact-count cap {MAX_COUNT_DEGREE}"
+        ):
+            hodge_form_from_graphs(MAX_GENUS, d)
 
 
 def test_relation_extract_rejects_degrees_below_the_twist() -> None:

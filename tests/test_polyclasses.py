@@ -3,14 +3,16 @@ from __future__ import annotations
 import functools
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
+from typing import Callable
 
 import pytest
 
 from rubbertaut import polyclasses
-from rubbertaut.errors import InvalidArgumentError, ResourceLimitError
+from rubbertaut.errors import InvalidArgumentError, ResourceLimitError, TheoremViolationError
 from rubbertaut.locgraphs import evaluate_and_solve
 from rubbertaut.polyclasses import (
     MAX_HAIN_MONOMIALS,
@@ -218,13 +220,45 @@ def test_class_operations_store_no_zero_coefficient() -> None:
 
 
 def test_pullback_stability() -> None:
-    assert check_pullback_stability(4)
-    assert check_pullback_stability(5)
+    check_pullback_stability(4)
+    check_pullback_stability(5)
+
+
+def _doctor_quadric(monkeypatch: pytest.MonkeyPatch, t: int, coeffs: dict) -> None:
+    """Make the ``t``-mark quadric the predicates read carry ``coeffs``."""
+    honest = genus1_polynomial
+    doctored = MultiPoly(t - 1, coeffs)
+    monkeypatch.setattr(
+        polyclasses, "genus1_polynomial", lambda marks: doctored if marks == t else honest(marks)
+    )
+
+
+@pytest.mark.parametrize(
+    "t, doctor, witness",
+    [
+        # a coefficient the pullback has is dropped
+        (4, lambda c: {e: v for e, v in c.items() if e != (0, 2, 0)}, "(0, 2, 0) is missing"),
+        # a coefficient the pullback lacks is dropped one level down
+        (3, lambda c: {e: v for e, v in c.items() if e != (1, 1)}, "(1, 1, 0) is extra"),
+        # a coefficient is altered
+        (4, lambda c: {**c, (1, 1, 0): c[(2, 0, 0)]}, "(1, 1, 0) differs"),
+    ],
+    ids=["missing", "extra", "different"],
+)
+def test_pullback_stability_names_the_failing_coefficient(
+    t: int, doctor: Callable[[dict], dict], witness: str, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    _doctor_quadric(monkeypatch, t, doctor(dict(genus1_polynomial(t).coeffs)))
+    with pytest.raises(
+        TheoremViolationError,
+        match=re.escape(f"pullback stability fails at t=4: coefficient {witness}"),
+    ):
+        check_pullback_stability(4)
 
 
 def test_equivariance_under_mark_permutations() -> None:
     for t in (3, 4, 5):
-        assert check_equivariance(t)
+        check_equivariance(t)
 
 
 def _equivariant_under_every_relabeling(poly: MultiPoly, t: int) -> bool:
@@ -253,18 +287,43 @@ def test_equivariance_catches_two_swapped_coefficients(
             coeffs[a], coeffs[b] = coeffs[b], coeffs[a]
             swapped = MultiPoly(t - 1, coeffs)
             monkeypatch.setattr(polyclasses, "genus1_polynomial", lambda _t: swapped)
-            verdict = check_equivariance(t)
-            assert verdict == _equivariant_under_every_relabeling(swapped, t), (t, a, b)
             # At three marks, swapping a_2^2 and a_3^2 is itself equivariant.
-            assert verdict == (t == 3 and {a, b} == {(2, 0), (0, 2)}), (t, a, b)
+            equivariant = t == 3 and {a, b} == {(2, 0), (0, 2)}
+            assert equivariant == _equivariant_under_every_relabeling(swapped, t), (t, a, b)
+            if equivariant:
+                check_equivariance(t)
+                continue
+            with pytest.raises(TheoremViolationError, match=f"equivariance fails at t={t}") as caught:
+                check_equivariance(t)
+            # The witness is a swap (i i+1) and a monomial it moves onto a
+            # mismatched coefficient, so the monomial or its image was swapped.
+            found = re.search(r"swapping marks (\d+), (\d+) at exponents \(([\d, ]+)\)", str(caught.value))
+            assert found, str(caught.value)
+            i, exponents = int(found[1]), tuple(int(e) for e in found[3].split(","))
+            assert int(found[2]) == i + 1
+            image = list(exponents)
+            image[i - 2], image[i - 1] = exponents[i - 1], exponents[i - 2]
+            assert {exponents, tuple(image)} & {a, b}, (t, a, b, str(caught.value))
 
 
 def test_degree_two_homogeneity() -> None:
     rng = random.Random(11)
     for t in (3, 4):
         point = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(t - 1)]
-        assert check_homogeneity(Fraction(3, 2), point)
-        assert check_homogeneity(-2, point)
+        check_homogeneity(Fraction(3, 2), point)
+        check_homogeneity(-2, point)
+
+
+def test_homogeneity_names_the_scale_and_point(monkeypatch: pytest.MonkeyPatch) -> None:
+    coeffs = dict(genus1_polynomial(3).coeffs)
+    # a degree-one term: P(c a) = c^2 Q(a) + c L(a), not c^2 P(a)
+    _doctor_quadric(monkeypatch, 3, {**coeffs, (1, 0): coeffs[(2, 0)]})
+    check_homogeneity(2, [0, 1])  # L vanishes where the weight of mark 2 does
+    with pytest.raises(
+        TheoremViolationError,
+        match=re.escape("homogeneity fails at t=3, scale 3/2, point (1, -1/2)"),
+    ):
+        check_homogeneity(Fraction(3, 2), [1, Fraction(-1, 2)])
 
 
 @functools.lru_cache(maxsize=None)
