@@ -35,7 +35,7 @@ from .errors import (
 )
 from .hodge import _check_genus, evaluate_form, hodge_linear_form, n_target, solve_hodge, verify_scaling
 from .hurwitz import hurwitz_one_part, hurwitz_oracle, rubber_psi_integral
-from .partitions import enumerate_partitions
+from .partitions import _check_partition_degree, enumerate_partitions
 from .polyclasses import (
     MAX_INTERP_POINTS,
     MultiPoly,
@@ -414,15 +414,9 @@ def _genera(g_max: int) -> range:
     return range(1, g_max + 1)
 
 
-#: Highest degree a ``verify-all`` degree sweep accepts, checked before any
-#: work: ``verify-all --g-max 24 --d-max 16`` takes about 6 s (2-vCPU VM).
-MAX_SWEEP_DEGREE = 16
-
-
 def _degrees(d_max: int) -> range:
-    """Degrees ``1..d_max``, refused before any work past the degree cap."""
-    if d_max > MAX_SWEEP_DEGREE:
-        raise ResourceLimitError(f"degree {d_max} exceeds the sweep-degree cap {MAX_SWEEP_DEGREE}")
+    """Degrees ``1..d_max``, refused before any work past the partition-sum cap."""
+    _check_partition_degree(d_max)
     return range(1, d_max + 1)
 
 
@@ -537,7 +531,7 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
         ("divisors", "degree-2-solve-and-degree-3-residual", _check_divisor_solve),
         ("pclass", "stability-equivariance-homogeneity", _check_pclass),
         ("hain", "anchor-and-weight-scaling", _check_hain),
-        ("interp", "lagrange-round-trip", _check_interp),
+        ("interp", "newton-round-trip", _check_interp),
     ]
     status = 0
     for section, name, fn in checks:

@@ -43,7 +43,6 @@ from .util import combine
 __all__ = [
     "MAX_GENUS",
     "MAX_DEGREE",
-    "MAX_PARTITION_DEGREE",
     "q_form",
     "hodge_linear_form",
     "evaluate_form",
@@ -61,17 +60,13 @@ LinearForm = dict[int, Fraction]
 #: 0.013 s and ``verify-all --g-max 24 --d-max 10`` about 2.6 s (2-vCPU VM).
 MAX_GENUS = 24
 
-#: Highest degree bound ``solve_hodge`` and ``verify_scaling`` accept, checked
-#: before any work, so every genus can be solved over twice its own degrees.
-#: The solve's cost grows about as ``d_max^3`` (``solve_hodge(2, 200)`` takes
-#: about 0.2 s); ``verify_scaling(24, 48)`` takes about 0.2 s (2-vCPU VM).
+#: Highest degree ``hodge_linear_form`` accepts and highest degree bound of
+#: ``solve_hodge`` and ``verify_scaling``, checked before any work, so every
+#: genus can be solved over twice its own degrees.  The solve's cost grows
+#: about as ``d_max^3`` (``solve_hodge(2, 200)`` takes about 0.2 s);
+#: ``verify_scaling(24, 48)`` takes about 0.2 s and ``hodge_linear_form(24,
+#: 1000)`` 3 s (2-vCPU VM).
 MAX_DEGREE = 2 * MAX_GENUS
-
-#: Highest degree of the partition sums (the partition route and
-#: :func:`rubbertaut.locgraphs.enumerate_graphs`), checked before any partition
-#: is listed: ``hodge_linear_form(24, 16, "partitions")`` and
-#: ``relation_extract(16, lift_pair(24))`` take about 0.08 s each (2-vCPU VM).
-MAX_PARTITION_DEGREE = 16
 
 
 def _check_genus(g: int) -> None:
@@ -84,7 +79,7 @@ def _check_genus(g: int) -> None:
 
 
 def _check_degree_bound(d_max: int) -> None:
-    """Refuse a degree bound outside ``1..MAX_DEGREE``: a sweep over no
+    """Refuse a degree (bound) outside ``1..MAX_DEGREE``: a sweep over no
     degree checks nothing."""
     if d_max < 1:
         raise InvalidArgumentError(f"need degree bound >= 1, got {d_max}")
@@ -104,9 +99,8 @@ def _partition_route(g: int, d: int) -> LinearForm:
     """Sum over ramification partitions of the degree (one term per part).
 
     Partitions with more than ``2g + 1`` parts carry no term, since their
-    branch binomial vanishes, so only the shorter ones are listed."""
-    if d > MAX_PARTITION_DEGREE:
-        raise ResourceLimitError(f"degree {d} exceeds the partition-sum cap {MAX_PARTITION_DEGREE}")
+    branch binomial vanishes, so only the shorter ones are listed; the listing
+    refuses a degree past the partition-sum cap."""
     pairs: list[tuple[Fraction, LinearForm]] = []
     prefactor = Fraction(math.factorial(d), d ** (d - 1))
     for nu in enumerate_partitions(d, 2 * g + 1):
@@ -125,7 +119,7 @@ def _partition_route(g: int, d: int) -> LinearForm:
             * weight
         )
         pairs += [(common * part * part, q_form(g, part)) for part in nu]
-    return combine(pairs) or {0: Fraction(0)}
+    return combine(pairs)
 
 
 def _edge_weights(g: int, d: int) -> list[int]:
@@ -174,17 +168,17 @@ def hodge_linear_form(g: int, d: int, method: str = "resummed") -> LinearForm:
     ``"resummed"`` (the default) sums over the size of the distinguished part
     using tree-series power coefficients; ``"partitions"`` sums over
     ramification partitions of ``d`` and serves as the oracle.  They agree
-    identically and the test suite checks that.
+    identically and the test suite checks that.  ``d`` must lie in
+    ``1..MAX_DEGREE``; no form the caps admit is empty, as its value (the
+    log-sine target) is nonzero.
     """
     _check_genus(g)
-    if d < 1:
-        raise InvalidArgumentError(f"need degree >= 1, got {d}")
+    _check_degree_bound(d)
     if method == "partitions":
         return _partition_route(g, d)
     if method == "resummed":
         numerators, denominator = _resummed_numerators(g, d)
-        form = {j: Fraction(s, denominator) for j, s in enumerate(numerators) if s}
-        return form or {0: Fraction(0)}
+        return {j: Fraction(s, denominator) for j, s in enumerate(numerators) if s}
     raise InvalidArgumentError(f"unknown method {method!r}")
 
 

@@ -55,7 +55,7 @@ from .errors import (
     TheoremViolationError,
     UnsupportedGraphError,
 )
-from .hodge import MAX_PARTITION_DEGREE, LinearForm, _check_genus, n_target, solve_hodge
+from .hodge import LinearForm, _check_genus, n_target, solve_hodge
 from .hurwitz import MAX_DEGREE, rubber_psi_integral
 from .partitions import decorated_aut, enumerate_marked, enumerate_partitions
 from .series import LaurentPoly, RingOps
@@ -258,9 +258,12 @@ def lift_pair(genus: int) -> Lift:
 
 
 def _branch_data(graph: LocGraph, lift: Lift) -> tuple[int, int]:
-    """Branch morphism data: total weight ``B0`` and twist exponent ``k``."""
+    """Branch morphism data: total weight ``B0`` and twist exponent ``k``,
+    refused unless the graph meets the twist (``0 <= k <= B0``)."""
     b0 = (2 * lift.genus if graph.side == "zero" else 0) + graph.degree - len(graph.parts)
     k = graph.degree - lift.branch_twist
+    if not 0 <= k <= b0:
+        raise InvalidArgumentError("graph does not meet the branch twist")
     return b0, k
 
 
@@ -274,13 +277,11 @@ def enumerate_graphs(d: int, lift: Lift) -> list[LocGraph]:
     partitions that short are marked, and only the infinity graphs that
     short are built, so every graph built contributes.  Equal slots of a
     marked partition give the same graph, so the genus is flagged only on
-    the first of them and every graph is built once.  A degree past
-    :data:`rubbertaut.hodge.MAX_PARTITION_DEGREE` is refused first.
+    the first of them and every graph is built once.  The partition listing
+    refuses a degree past the partition-sum cap before it lists anything.
     """
     if d < 1:
         raise InvalidArgumentError(f"need degree >= 1, got {d}")
-    if d > MAX_PARTITION_DEGREE:
-        raise ResourceLimitError(f"degree {d} exceeds the partition-sum cap {MAX_PARTITION_DEGREE}")
     graphs = []
     for nu in enumerate_partitions(d, 2 * lift.genus + lift.branch_twist):
         for slots, _ in enumerate_marked(nu, lift.zero_marks):
@@ -534,10 +535,7 @@ def assemble_contribution(graph: LocGraph, lift: Lift) -> Contribution:
     specs.append(("scalar", edge_coeff, -graph.degree))
     if lift.zero_marks:
         specs.append(("ev", len(lift.zero_marks)))
-    b0, k = _branch_data(graph, lift)
-    if not 0 <= k <= b0:
-        raise InvalidArgumentError("graph does not meet the branch twist")
-    specs.append(("branch", b0, k))
+    specs.append(("branch", *_branch_data(graph, lift)))
     product = _scalar(Fraction(1), 0)
     for spec in specs:
         product = product.mul(build_factor(spec))
@@ -564,8 +562,6 @@ def _residue(graph: LocGraph, lift: Lift) -> tuple[dict[Monomial, int], int]:
     is the kept part of ``assemble_contribution(graph, lift).coefficient_at(-1)``.
     """
     b0, k = _branch_data(graph, lift)
-    if not 0 <= k <= b0:
-        raise InvalidArgumentError("graph does not meet the branch twist")
     num, den = math.perm(b0, k), _prefactor_denominator(graph)
     power = k + len(lift.zero_marks) - graph.degree
     for p in graph.parts:
@@ -738,20 +734,17 @@ def _evaluate_zero_side(
 
 
 def _marked_sizes(graph: LocGraph) -> tuple[str, tuple[int, int]]:
-    """Classify a rubber-side graph: joint or split marks, with part sizes
-    (for split marks, mark 2's part first)."""
-    joint = [p for p in graph.parts if len(p.marks) == 2]
-    if joint:
-        others = [p for p in graph.parts if not p.marks]
-        if len(graph.parts) != 2 or len(others) != 1:
-            raise UnsupportedGraphError(
-                f"no rubber evaluation for {render_graph(graph)}"
-            )
-        return "S", (joint[0].size, others[0].size)
-    if len(graph.parts) != 2 or any(len(p.marks) != 1 for p in graph.parts):
-        raise UnsupportedGraphError(f"no rubber evaluation for {render_graph(graph)}")
-    size_of = {p.marks[0]: p.size for p in graph.parts}
-    return "P", (size_of[2], size_of[3])
+    """Classify a two-part rubber-side graph by its sorted mark counts: joint
+    marks ``[0, 2]`` (marked part first) or split marks ``[1, 1]`` (mark 2's
+    part first), with the part sizes."""
+    parts = sorted(graph.parts, key=lambda p: len(p.marks))
+    counts = [len(p.marks) for p in parts]
+    if counts == [0, 2]:
+        return "S", (parts[1].size, parts[0].size)
+    if counts == [1, 1]:
+        size_of = {p.marks[0]: p.size for p in parts}
+        return "P", (size_of[2], size_of[3])
+    raise UnsupportedGraphError(f"no rubber evaluation for {render_graph(graph)}")
 
 
 def evaluate_relation(relation: Relation) -> EvaluatedRelation:

@@ -17,6 +17,7 @@ import pytest
 
 from rubbertaut import cli, goldentables, hodge, locgraphs, polyclasses
 from rubbertaut.hodge import MAX_GENUS
+from rubbertaut.partitions import MAX_PARTITION_DEGREE
 from rubbertaut.polyclasses import MultiPoly
 from rubbertaut.series import MAX_SERIES_ORDER, series, series_log_sine, series_to_json
 from rubbertaut.tautring import linear_combination
@@ -509,16 +510,16 @@ def test_verify_all_refuses_a_genus_past_the_cap_at_once(
     assert elapsed < 2.0
 
 
-@pytest.mark.parametrize("d", [cli.MAX_SWEEP_DEGREE + 1, 1000000], ids=["cap", "huge"])
+@pytest.mark.parametrize("d", [MAX_PARTITION_DEGREE + 1, 1000000], ids=["cap", "huge"])
 def test_verify_all_refuses_a_degree_past_the_cap_at_once(
     d: int, capsys: pytest.CaptureFixture[str]
 ) -> None:
-    assert cli._degrees(cli.MAX_SWEEP_DEGREE) == range(1, cli.MAX_SWEEP_DEGREE + 1)
+    assert cli._degrees(MAX_PARTITION_DEGREE) == range(1, MAX_PARTITION_DEGREE + 1)
     start = time.perf_counter()
     code, out = _run(["verify-all", "--d-max", str(d)], capsys)
     elapsed = time.perf_counter() - start
     assert code == 1
-    limit = f"degree {d} exceeds the sweep-degree cap {cli.MAX_SWEEP_DEGREE}"
+    limit = f"degree {d} exceeds the partition-sum cap {MAX_PARTITION_DEGREE}"
     assert [line for line in out.splitlines() if not line.startswith("PASS ")] == [
         f"LIMIT series: log-sine-scaling-g<=3-d<={d} — {limit}",
         f"LIMIT hurwitz: one-part-and-symmetry-d<={d} — {limit}",

@@ -16,7 +16,6 @@ from rubbertaut.errors import (
 from rubbertaut.hodge import (
     MAX_DEGREE,
     MAX_GENUS,
-    MAX_PARTITION_DEGREE,
     HodgeSolution,
     verify_scaling,
     evaluate_form,
@@ -26,7 +25,7 @@ from rubbertaut.hodge import (
     solve_hodge,
 )
 from rubbertaut.linalg import solve_linear_system
-from rubbertaut.partitions import tau_power_coefficient
+from rubbertaut.partitions import MAX_PARTITION_DEGREE, enumerate_partitions, tau_power_coefficient
 from test_linalg import fraction_solve
 
 
@@ -49,8 +48,7 @@ def _resummed_route_in_fractions(g: int, d: int) -> dict[int, Fraction]:
         scale = Fraction(e ** (e + 1), math.factorial(e)) * inner
         for j, value in q_form(g, e).items():
             form[j] = form.get(j, Fraction(0)) + scale * value
-    total = {j: v / d ** (d - 1) for j, v in form.items() if v != 0}
-    return total or {0: Fraction(0)}
+    return {j: v / d ** (d - 1) for j, v in form.items() if v != 0}
 
 
 def test_partition_and_resummed_routes_agree() -> None:
@@ -274,23 +272,50 @@ def test_degree_bound_outside_range_is_refused_before_any_work(
         solve_hodge(2, MAX_DEGREE + 1)
 
 
-def test_partition_route_is_refused_past_its_cap_before_any_partition(
-    monkeypatch: pytest.MonkeyPatch,
-) -> None:
+def test_partition_route_is_refused_past_its_cap_before_any_partition() -> None:
     assert hodge_linear_form(1, MAX_PARTITION_DEGREE, "partitions")
-
-    def no_partitions(*args: object) -> None:
-        raise AssertionError("a partition was listed past the partition-sum cap")
-
-    monkeypatch.setattr(hodge, "enumerate_partitions", no_partitions)
+    # The route lists the partitions of d with at most 2g + 1 parts, and the
+    # listing refuses past the cap at once, before it lists any of them.
+    message = f"exceeds the partition-sum cap {MAX_PARTITION_DEGREE}"
     for d in (MAX_PARTITION_DEGREE + 1, 10**6):
-        with pytest.raises(
-            ResourceLimitError,
-            match=f"degree {d} exceeds the partition-sum cap {MAX_PARTITION_DEGREE}",
-        ):
-            hodge_linear_form(MAX_GENUS, d, "partitions")
+        with pytest.raises(ResourceLimitError, match=f"degree {d} {message}"):
+            enumerate_partitions(d, 2 * MAX_GENUS + 1)
+    d = MAX_PARTITION_DEGREE + 1
+    with pytest.raises(ResourceLimitError, match=f"degree {d} {message}"):
+        hodge_linear_form(MAX_GENUS, d, "partitions")
+    # Past the Hodge degree cap the route is refused before the listing.
+    with pytest.raises(ResourceLimitError, match=f"degree {10**6} exceeds the Hodge degree cap"):
+        hodge_linear_form(MAX_GENUS, 10**6, "partitions")
     # The resummed route lists no partition, so this cap does not bound it.
     assert hodge_linear_form(MAX_GENUS, MAX_PARTITION_DEGREE + 1)
+
+
+def test_linear_form_is_refused_past_the_degree_cap_before_any_work(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    assert hodge_linear_form(MAX_GENUS, MAX_DEGREE)
+
+    def no_work(*args: object) -> None:
+        raise AssertionError("a form was built for a refused degree")
+
+    monkeypatch.setattr(hodge, "_edge_weights", no_work)
+    monkeypatch.setattr(hodge, "enumerate_partitions", no_work)
+    for method in ("resummed", "partitions"):
+        for d in (MAX_DEGREE + 1, 10**6):
+            with pytest.raises(
+                ResourceLimitError, match=f"degree {d} exceeds the Hodge degree cap {MAX_DEGREE}"
+            ):
+                hodge_linear_form(MAX_GENUS, d, method)
+        with pytest.raises(InvalidArgumentError, match="need degree bound >= 1, got 0"):
+            hodge_linear_form(1, 0, method)
+
+
+def test_every_resummed_form_inside_the_caps_is_nonempty() -> None:
+    """Each form's value is its nonzero log-sine target, so none is empty and
+    ``hodge_linear_form`` needs no stand-in for an empty form."""
+    for g in range(1, MAX_GENUS + 1):
+        for d in range(1, MAX_DEGREE + 1):
+            assert hodge_linear_form(g, d), (g, d)
 
 
 def test_doctored_forms_raise_theorem_violation(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from rubbertaut.errors import (
     ResourceLimitError,
     UnsupportedGraphError,
 )
-from rubbertaut.hodge import MAX_GENUS, MAX_PARTITION_DEGREE, hodge_linear_form, n_target, solve_hodge
+from rubbertaut.hodge import MAX_GENUS, hodge_linear_form, n_target, solve_hodge
 from rubbertaut.hurwitz import MAX_DEGREE as MAX_COUNT_DEGREE
 from rubbertaut.locgraphs import (
     LIFT_DIVISOR,
@@ -36,7 +37,7 @@ from rubbertaut.locgraphs import (
     render_graph,
     sort_key,
 )
-from rubbertaut.partitions import enumerate_marked, enumerate_partitions
+from rubbertaut.partitions import MAX_PARTITION_DEGREE, enumerate_marked, enumerate_partitions
 from rubbertaut.tautring import RingContext, boundary, psi1
 
 
@@ -312,14 +313,14 @@ def _refuse_partitions(monkeypatch: pytest.MonkeyPatch) -> None:
     monkeypatch.setattr(locgraphs, "enumerate_partitions", no_partitions)
 
 
-def test_graph_sums_are_refused_past_the_partition_cap_before_any_partition(
-    monkeypatch: pytest.MonkeyPatch,
-) -> None:
+def test_graph_sums_are_refused_past_the_partition_cap_before_any_partition() -> None:
     assert enumerate_graphs(MAX_PARTITION_DEGREE, lift_pair(1))
-    _refuse_partitions(monkeypatch)
     message = "exceeds the partition-sum cap"
     for d in (MAX_PARTITION_DEGREE + 1, 10**6):
         for lift in (LIFT_DIVISOR, lift_pair(MAX_GENUS)):
+            # the listing the graphs are built from refuses at once
+            with pytest.raises(ResourceLimitError, match=f"degree {d} {message}"):
+                enumerate_partitions(d, 2 * lift.genus + lift.branch_twist)
             with pytest.raises(ResourceLimitError, match=f"degree {d} {message} {MAX_PARTITION_DEGREE}"):
                 enumerate_graphs(d, lift)
             with pytest.raises(ResourceLimitError, match=f"degree {d} {message}"):
@@ -521,6 +522,16 @@ def test_unsupported_shapes_are_reported_not_guessed() -> None:
         {graph: {Monomial(psi_genus=0, psi_rubber=1): Fraction(1)}},
     )
     with pytest.raises(UnsupportedGraphError):
+        evaluate_relation(synthetic)
+
+
+def test_rubber_graphs_outside_the_two_part_shapes_are_refused() -> None:
+    # A one-part rubber carrying both marks is neither joint marks [0, 2]
+    # nor split marks [1, 1] on two parts.
+    graph = LocGraph("infinity", (Part(2, (2, 3)),))
+    synthetic = Relation(2, LIFT_DIVISOR, {graph: {Monomial(): Fraction(1)}})
+    message = f"no rubber evaluation for {render_graph(graph)}"
+    with pytest.raises(UnsupportedGraphError, match=re.escape(message)):
         evaluate_relation(synthetic)
 
 

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from rubbertaut.errors import InvalidArgumentError
+from rubbertaut.errors import InvalidArgumentError, ResourceLimitError
 from rubbertaut.partitions import (
+    MAX_PARTITION_DEGREE,
     aut,
     decorated_aut,
     enumerate_partitions,
@@ -59,6 +60,21 @@ def test_enumeration_contents_and_order() -> None:
 def test_enumeration_with_length_bound() -> None:
     bounded = enumerate_partitions(6, max_length=2)
     assert bounded == [(6,), (5, 1), (4, 2), (3, 3)]
+
+
+def test_enumeration_lists_every_partition_at_the_cap_and_refuses_past_it() -> None:
+    partitions = enumerate_partitions(MAX_PARTITION_DEGREE)
+    assert len(partitions) == _partition_counts(MAX_PARTITION_DEGREE)[-1] == 231
+    assert enumerate_partitions(MAX_PARTITION_DEGREE, 3) == [nu for nu in partitions if len(nu) <= 3]
+    # Refused before anything is listed: 10**6 in at most three parts alone
+    # would be about 8 * 10**10 partitions.
+    for n in (MAX_PARTITION_DEGREE + 1, 10**6):
+        for max_length in (None, 3):
+            with pytest.raises(
+                ResourceLimitError,
+                match=f"degree {n} exceeds the partition-sum cap {MAX_PARTITION_DEGREE}",
+            ):
+                enumerate_partitions(n, max_length)
 
 
 def test_aut_orders() -> None:
