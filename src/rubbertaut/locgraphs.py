@@ -12,17 +12,17 @@ equivariant weight ``t`` with coefficients in a small symbol algebra (powers
 of three cotangent symbols and one Hodge symbol).  Only the ``1/t``
 coefficient of the graph sum in the relation's own degree carries the
 relation, and all but three factors of a graph are a scalar times a power
-of ``t``, so the relation is read by a residue walk (:func:`_residue`) over
-just the genus-node cotangent powers and Hodge indices that degree allows,
-with the rubber cotangent power fixed by the power of ``t``, in integers
-over one denominator per graph.  The repeated rubber integrals are memoized
-in :mod:`rubbertaut.hurwitz`.  The full Laurent product
-(:func:`assemble_contribution`) backs the frozen degree-2 and degree-3
-tables, and the tests read the walk off it.  Evaluating the relation's terms
-through the boundary catalogue and solving gives the divisor-class
-coefficients of the genus-one weight quadric.  Every sum here, from the
-symbol algebra's ring operations to the per-row relations and the solve,
-runs through :func:`rubbertaut.util.combine`.
+of ``t``.  One pass over the marked partitions (:func:`_graph_data`) reads
+each graph's scalar off its slots, and :func:`relation_extract` walks just
+the genus-node cotangent powers and Hodge indices that degree allows, with
+the rubber cotangent power fixed by the power of ``t``.  The repeated rubber
+integrals are memoized in :mod:`rubbertaut.hurwitz`.  The full Laurent
+product (:func:`assemble_contribution`) backs the frozen degree-2 and
+degree-3 tables, and the tests check the relation against it.  Evaluating
+the relation's terms through the boundary catalogue and solving gives the
+divisor-class coefficients of the genus-one weight quadric.  Every sum here,
+from the symbol algebra's ring operations to the per-row relations and the
+solve, runs through :func:`rubbertaut.util.combine`.
 
 Two lifts of the action are used, and a :class:`Lift` is one of them:
 
@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 from .errors import (
     InvalidArgumentError,
@@ -257,61 +257,77 @@ def lift_pair(genus: int) -> Lift:
     return Lift(genus)
 
 
-def _branch_data(graph: LocGraph, lift: Lift) -> tuple[int, int]:
-    """Branch morphism data: total weight ``B0`` and twist exponent ``k``,
-    refused unless the graph meets the twist (``0 <= k <= B0``)."""
-    b0 = (2 * lift.genus if graph.side == "zero" else 0) + graph.degree - len(graph.parts)
-    k = graph.degree - lift.branch_twist
-    if not 0 <= k <= b0:
-        raise InvalidArgumentError("graph does not meet the branch twist")
-    return b0, k
+def _slot_factor(size: int, marks: tuple) -> tuple:
+    """Numerator, denominator and power of ``t`` of a part off the genus:
+    ``t / size`` with no mark (a free part), 1 with one, and ``size / t``
+    with two (the contracted vertex's node factor and its Hodge ``1/t``)."""
+    return ((1, size, 1), (1, 1, 0), (size, 1, -1))[len(marks)]
 
 
-def enumerate_graphs(d: int, lift: Lift) -> list[LocGraph]:
-    """All isomorphism classes of contributing graphs, in display order.
+def _display_key(data: tuple) -> tuple:
+    """Display order within a partition: side, genus size, mark counts, mark placement."""
+    parts = data[0].parts
+    counts, placed = tuple(-len(p.marks) for p in parts), tuple(p.marks for p in parts)
+    return (-data[5][0] if data[5] else 1, counts, placed)
 
-    A graph contributes only when its branch weight absorbs the required
-    twist (``B0 >= k``).  With ``l`` parts, ``B0 = 2g + d - l`` over zero and
-    ``d - l`` over infinity, while ``k = d - twist``, so a contributing graph
-    has ``l <= 2g + twist`` parts (``l <= twist`` over infinity).  Only
-    partitions that short are marked, and only the infinity graphs that
-    short are built, so every graph built contributes.  Equal slots of a
-    marked partition give the same graph, so the genus is flagged only on
-    the first of them and every graph is built once.  The partition listing
-    refuses a degree past the partition-sum cap before it lists anything.
+
+def _graph_data(d: int, lift: Lift) -> Iterator[tuple]:
+    """Every contributing graph in display order, with its residue's scalars.
+
+    Yields ``(graph, b0, num, den, power, genus, rubber_cap)``: the branch
+    weight ``B0``; all factors but the three series and ``B0! / (B0 - k)!``
+    as ``num / den * t**power`` (edge factors ``s**s / s! t**-s``, each part
+    off the genus by :func:`_slot_factor`, ``t`` per lifted mark, ``t**k``,
+    automorphisms, ``1/d`` without rubber); the genus part's ``(size, mark
+    count)``, ``None`` over infinity; and the rubber's top cotangent power
+    ``2h - 2 + l``, -1 for the one-part graph over zero, which has no rubber.
+    A marked partition's factors and multiplicities are worked out once; a
+    graph takes its genus slot's factor out, and the slot leaves its class.
+    Each partition's graphs are sorted by :func:`_display_key`.
+
+    A graph contributes only when ``B0 >= k``: with ``l`` parts, ``B0 = 2g +
+    d - l`` over zero and ``d - l`` over infinity, while ``k = d - twist``,
+    so only partitions with ``l <= 2g + twist`` parts are marked and only
+    infinity graphs with ``l <= twist`` are built.  Equal slots give one
+    graph, so the genus is flagged on the first only.
     """
     if d < 1:
         raise InvalidArgumentError(f"need degree >= 1, got {d}")
-    graphs = []
-    for nu in enumerate_partitions(d, 2 * lift.genus + lift.branch_twist):
+    g, twist = lift.genus, lift.branch_twist
+    for nu in enumerate_partitions(d, 2 * g + twist):
+        l = len(nu)
+        edge_num, edge_den = math.prod(s**s for s in nu), math.prod(math.factorial(s) for s in nu)
+        graphs = []
         for slots, _ in enumerate_marked(nu, lift.zero_marks):
-            if len(slots) <= lift.branch_twist:
-                graphs.append(LocGraph("infinity", tuple(Part(s, ms) for s, ms in slots)))
-            for genus_index in range(len(slots)):
-                if genus_index and slots[genus_index] == slots[genus_index - 1]:
-                    continue
+            plain = [Part(s, ms) for s, ms in slots]
+            nums, dens, powers = zip(*[_slot_factor(*slot) for slot in slots])
+            num, power = edge_num * math.prod(nums), sum(powers) + len(lift.zero_marks) - twist
+            den = edge_den * math.prod(dens) * decorated_aut(slots)
+            if l <= twist:
                 graphs.append(
-                    LocGraph(
-                        "zero",
-                        tuple(
-                            Part(s, ms, genus=(i == genus_index))
-                            for i, (s, ms) in enumerate(slots)
-                        ),
+                    (LocGraph("infinity", tuple(plain)), d - l, num, den, power, None, 2 * g - 2 + l)
+                )
+            for i, (size, marks) in enumerate(slots):
+                if i and slots[i] == slots[i - 1]:
+                    continue
+                graph_den = den // (dens[i] * slots.count(slots[i])) * (1 if l > 1 else d)
+                graphs.append(
+                    (
+                        LocGraph("zero", (*plain[:i], Part(size, marks, True), *plain[i + 1 :])),
+                        2 * g + d - l,
+                        num // nums[i],
+                        graph_den,
+                        power - powers[i],
+                        (size, len(marks)),
+                        l - 2,
                     )
                 )
-    return sorted(graphs, key=sort_key)
+        yield from sorted(graphs, key=_display_key)
 
 
-def sort_key(graph: LocGraph) -> tuple:
-    """Display order: partition, side, genus size, mark counts, mark placement."""
-    genus = graph.genus_part()
-    return (
-        tuple(-s for s in graph.partition),
-        0 if graph.side == "zero" else 1,
-        -(genus.size if genus is not None else 0),
-        tuple(-len(p.marks) for p in graph.parts),
-        tuple(p.marks for p in graph.parts),
-    )
+def enumerate_graphs(d: int, lift: Lift) -> list[LocGraph]:
+    """Contributing graphs, one per isomorphism class, in :func:`_graph_data`'s order."""
+    return [data[0] for data in _graph_data(d, lift)]
 
 
 def mirror_swap(graph: LocGraph, lift: Lift) -> LocGraph:
@@ -489,14 +505,6 @@ class Contribution:
         return SYM_OPS.scale(self.product.coefficient(power), self.prefactor)
 
 
-def _prefactor_denominator(graph: LocGraph) -> int:
-    slots = [(p.size, p.marks, p.genus) for p in graph.parts]
-    denominator = decorated_aut(slots)
-    if not graph.has_rubber():
-        denominator *= graph.degree
-    return denominator
-
-
 def graph_prefactor(graph: LocGraph) -> Fraction:
     """Automorphism weight; the unexpanded one-part graph also divides by ``d``.
 
@@ -504,7 +512,8 @@ def graph_prefactor(graph: LocGraph) -> Fraction:
     decorated parts.  Without one (single part, genus over zero) the edge's
     cyclic deck transformations act as well, contributing ``1/d``.
     """
-    return Fraction(1, _prefactor_denominator(graph))
+    automorphisms = decorated_aut((p.size, p.marks, p.genus) for p in graph.parts)
+    return Fraction(1, automorphisms * (1 if graph.has_rubber() else graph.degree))
 
 
 def assemble_contribution(graph: LocGraph, lift: Lift) -> Contribution:
@@ -512,8 +521,13 @@ def assemble_contribution(graph: LocGraph, lift: Lift) -> Contribution:
 
     The full Laurent product is the oracle for :func:`relation_extract`,
     which reads the ``1/t`` coefficient without it, and it backs the frozen
-    degree-2 and degree-3 tables.
+    degree-2 and degree-3 tables.  A graph that misses the branch twist
+    (``0 <= k <= B0``) is refused.
     """
+    b0 = (2 * lift.genus if graph.side == "zero" else 0) + graph.degree - len(graph.parts)
+    k = graph.degree - lift.branch_twist
+    if not 0 <= k <= b0:
+        raise InvalidArgumentError("graph does not meet the branch twist")
     specs: list[FactorSpec] = []
     for p in graph.parts:
         if p.genus:
@@ -535,69 +549,11 @@ def assemble_contribution(graph: LocGraph, lift: Lift) -> Contribution:
     specs.append(("scalar", edge_coeff, -graph.degree))
     if lift.zero_marks:
         specs.append(("ev", len(lift.zero_marks)))
-    specs.append(("branch", *_branch_data(graph, lift)))
+    specs.append(("branch", b0, k))
     product = _scalar(Fraction(1), 0)
     for spec in specs:
         product = product.mul(build_factor(spec))
     return Contribution(graph_prefactor(graph), product)
-
-
-def _residue(graph: LocGraph, lift: Lift) -> tuple[dict[Monomial, int], int]:
-    """The part of the ``t^-1`` coefficient the relation keeps, without the product.
-
-    Every factor but three is a scalar times a power of ``t``: the
-    prefactor, the edge coefficient, ``1/size`` per free part, ``size`` per
-    two-mark part (with its ``1/t``), ``t`` per lifted mark and the branch
-    factor.  The three series are the genus node's (cotangent power ``a``),
-    the Hodge class's (index ``j``) and the rubber node's (cotangent power
-    ``b``), with ``b`` fixed by the power of ``t``.  The relation's degree
-    fixes the genus-vertex terms, so the walk visits only ``(a, 0)`` with
-    ``a <= min(1, m)`` (``m`` marks on the genus part) on the divisor lift,
-    where the inserted Hodge class kills the vertex's ``lambda_1``, and the
-    top-degree ``(a, g - 1 - a)``, ``a < g``, on the pair lift; both stay
-    inside the vertex dimension ``3g - 2 + m``.  The power of ``t`` then puts
-    the pair lift's zero-side rubber at its top power ``l - 2`` (``-1``, no
-    rubber, for one part) and every built infinity graph's at ``b = 0``.
-    The result is integer numerators over one denominator; divided out, it
-    is the kept part of ``assemble_contribution(graph, lift).coefficient_at(-1)``.
-    """
-    b0, k = _branch_data(graph, lift)
-    num, den = math.perm(b0, k), _prefactor_denominator(graph)
-    power = k + len(lift.zero_marks) - graph.degree
-    for p in graph.parts:
-        num *= p.size**p.size
-        den *= math.factorial(p.size)
-        if p.genus:
-            continue
-        if len(p.marks) == 2:
-            num *= p.size
-            power -= 1
-        elif not p.marks:
-            den *= p.size
-            power += 1
-    genus = graph.genus_part()
-    # (a, j, coefficient, power of t) of the genus node and Hodge series
-    terms: list[tuple[int, int | None, int, int]] = [(0, None, 1, 0)]
-    if genus is not None:
-        g = lift.genus
-        if lift.divisor:
-            domain = [(a, 0) for a in range(min(1, len(genus.marks)) + 1)]
-        else:
-            domain = [(a, g - 1 - a) for a in range(g)]
-        terms = [
-            (a, j, genus.size ** (a + 1) * (-1) ** j, g - j - 1 - a) for a, j in domain
-        ]
-    rubber_cap = _rubber_dim(graph, lift) if graph.has_rubber() else None
-    out: dict[Monomial, int] = {}
-    for a, j, coeff, shift in terms:
-        # the rubber term psi^b t^(-b-1) turns t^b into 1/t
-        b = power + shift
-        if rubber_cap is None:
-            if b == -1:
-                out[Monomial(a, 0, j)] = num * coeff
-        elif 0 <= b <= rubber_cap:
-            out[Monomial(a, b, j)] = num * coeff * (-1) ** (b + 1)
-    return out, den
 
 
 # ---------------------------------------------------------------------------
@@ -618,15 +574,46 @@ class Relation:
     terms: Mapping[LocGraph, Mapping[Monomial, Fraction]]
 
 
+def _genus_walk(lift: Lift, size: int, marks: int) -> list:
+    """``(a, j, coefficient, power of t)`` of the genus node and Hodge series
+    terms the relation's degree allows: ``(a, 0)`` with ``a <= min(1, m)``
+    (``m`` marks on the genus part) on the divisor lift, where the inserted
+    Hodge class kills the vertex's ``lambda_1``, and the top-degree ``(a, g
+    - 1 - a)``, ``a < g``, on the pair lift; both stay inside the vertex
+    dimension ``3g - 2 + m``."""
+    if lift.divisor:
+        return [(a, 0, size ** (a + 1), -a) for a in range(min(1, marks) + 1)]
+    g = lift.genus
+    return [(a, g - 1 - a, size ** (a + 1) * (-1) ** (g - 1 - a), 0) for a in range(g)]
+
+
 def relation_extract(d: int, lift: Lift) -> Relation:
-    """Extract the exact relation carried by the ``1/t`` coefficients."""
+    """Extract the exact relation carried by the ``1/t`` coefficients.
+
+    Every factor of a graph but three is a scalar times a power of ``t``
+    (:func:`_graph_data`).  The three series are the genus node's (cotangent
+    power ``a``), the Hodge class's (index ``j``) and the rubber node's
+    (cotangent power ``b``); the walk visits only the genus terms of
+    :func:`_genus_walk`, and the power of ``t`` fixes ``b``: the pair lift's
+    zero-side rubber sits at its top power ``l - 2`` (``-1``, no rubber, for
+    one part) and every infinity graph's at ``b = 0``.  Each kept monomial
+    is the kept part of ``assemble_contribution(graph, lift).coefficient_at(-1)``.
+    """
     if d < lift.branch_twist:
         raise InvalidArgumentError(f"this lift needs degree >= {lift.branch_twist}, got {d}")
+    k = d - lift.branch_twist
     terms: dict[LocGraph, dict[Monomial, Fraction]] = {}
-    for graph in enumerate_graphs(d, lift):
-        numerators, den = _residue(graph, lift)
-        if numerators:
-            terms[graph] = {mono: Fraction(num, den) for mono, num in numerators.items()}
+    for graph, b0, num, den, power, genus, rubber_cap in _graph_data(d, lift):
+        num *= math.perm(b0, k)
+        kept = {}
+        for a, j, coeff, genus_power in _genus_walk(lift, *genus) if genus else [(0, None, 1, 0)]:
+            # the rubber term psi^b t^(-b-1) turns t^b into 1/t; without
+            # rubber the other factors must give 1/t themselves (b = -1)
+            b = power + genus_power
+            if b == rubber_cap == -1 or 0 <= b <= rubber_cap:
+                kept[Monomial(a, max(b, 0), j)] = Fraction(num * coeff * (-1) ** (b + 1), den)
+        if kept:
+            terms[graph] = kept
     return Relation(d, lift, terms)
 
 

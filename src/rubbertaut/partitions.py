@@ -18,9 +18,11 @@ from fractions import Fraction
 from typing import Hashable, Iterable, Sequence
 
 from .errors import InvalidArgumentError, ResourceLimitError
+from .series import MAX_SERIES_ORDER
 
 __all__ = [
     "MAX_PARTITION_DEGREE",
+    "MAX_MARKED_ASSIGNMENTS",
     "enumerate_partitions",
     "aut",
     "decorated_aut",
@@ -30,9 +32,14 @@ __all__ = [
 
 #: Highest ``n`` :func:`enumerate_partitions` lists (231 partitions), checked
 #: before any is listed, so it caps every partition sum of the package:
-#: ``relation_extract(16, lift_pair(24))`` takes about 0.08 s, ``verify-all
-#: --g-max 24 --d-max 16`` about 6 s and ``enumerate_partitions(60)`` 4 s (2-vCPU VM).
+#: ``relation_extract(16, lift_pair(24))`` takes about 0.06 s, ``verify-all
+#: --g-max 24 --d-max 16`` about 5 s and ``enumerate_partitions(60)`` 4 s (2-vCPU VM).
 MAX_PARTITION_DEGREE = 16
+
+#: Most label assignments ``len(nu) ** len(labels)`` :func:`enumerate_marked`
+#: walks, checked first: three labels on any partition the partition-sum cap
+#: admits, 0.05 s at ``(1,) * 16`` (2-vCPU VM); the package places two on <= 4 parts.
+MAX_MARKED_ASSIGNMENTS = MAX_PARTITION_DEGREE**3
 
 
 def _check_partition_degree(n: int) -> None:
@@ -95,10 +102,13 @@ def enumerate_marked(nu: Sequence[int], labels: Sequence[int]) -> list[tuple[_Sl
 
     Each marking is its tuple of ``(size, marks)`` slots.  The orbit size
     counts raw assignments (maps ``label -> part``) giving the class, so
-    orbit sizes sum to ``len(nu) ** len(labels)``.
+    orbit sizes sum to ``len(nu) ** len(labels)``, which is refused past
+    :data:`MAX_MARKED_ASSIGNMENTS` before any assignment is walked.
     """
     if len(set(labels)) != len(labels):
         raise InvalidArgumentError(f"labels must be distinct, got {labels!r}")
+    if (count := len(nu) ** len(labels)) > MAX_MARKED_ASSIGNMENTS:
+        raise ResourceLimitError(f"{count} label assignments exceed the cap {MAX_MARKED_ASSIGNMENTS}")
     counts: Counter[_Slots] = Counter()
     for assignment in itertools.product(range(len(nu)), repeat=len(labels)):
         marks: list[list[int]] = [[] for _ in nu]
@@ -117,10 +127,13 @@ def tau_power_coefficient(n: int, l: int) -> Fraction:
 
     Lagrange inversion of ``tau = x * exp(tau)`` gives the closed form
     ``[x^n] tau^l = l * n^(n-l-1) / (n-l)!`` for ``1 <= l <= n`` (it is 1 at
-    ``l = n``).
+    ``l = n``).  An ``n`` past :data:`rubbertaut.series.MAX_SERIES_ORDER`
+    is refused before any power is computed.
     """
     if n < 0 or l < 0:
         raise InvalidArgumentError(f"need n, l >= 0, got n={n}, l={l}")
+    if n > MAX_SERIES_ORDER:
+        raise ResourceLimitError(f"order {n} exceeds the series-order cap {MAX_SERIES_ORDER}")
     if n == 0:
         return Fraction(1 if l == 0 else 0)
     if l == 0 or l > n:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -21,13 +22,13 @@ from rubbertaut.locgraphs import (
     Part,
     Relation,
     _genus_vertex_dim,
-    _residue,
     _rubber_dim,
     assemble_contribution,
     enumerate_graphs,
     enumerate_rows,
     evaluate_and_solve,
     evaluate_relation,
+    graph_prefactor,
     hodge_form_from_graphs,
     lift_pair,
     locus_descriptor,
@@ -35,7 +36,6 @@ from rubbertaut.locgraphs import (
     relation_by_row,
     relation_extract,
     render_graph,
-    sort_key,
 )
 from rubbertaut.partitions import MAX_PARTITION_DEGREE, enumerate_marked, enumerate_partitions
 from rubbertaut.tautring import RingContext, boundary, psi1
@@ -44,6 +44,19 @@ from rubbertaut.tautring import RingContext, boundary, psi1
 # ---------------------------------------------------------------------------
 # Graph enumeration
 # ---------------------------------------------------------------------------
+
+
+def _display_key(graph: LocGraph) -> tuple:
+    """Display order read off a built graph: partition, side, genus size,
+    mark counts, mark placement."""
+    genus = graph.genus_part()
+    return (
+        tuple(-s for s in graph.partition),
+        0 if graph.side == "zero" else 1,
+        -(genus.size if genus is not None else 0),
+        tuple(-len(p.marks) for p in graph.parts),
+        tuple(p.marks for p in graph.parts),
+    )
 
 
 def _oracle_graphs(d: int, lift: Lift) -> list[LocGraph]:
@@ -66,7 +79,7 @@ def _oracle_graphs(d: int, lift: Lift) -> list[LocGraph]:
         b0 = (2 * lift.genus if graph.side == "zero" else 0) + d - len(graph.parts)
         if b0 >= d - lift.branch_twist:
             kept.append(graph)
-    return sorted(kept, key=sort_key)
+    return sorted(kept, key=_display_key)
 
 
 _ORACLE_CASES = [(lift_pair(g), d) for g in range(1, 6) for d in range(1, 11)]
@@ -78,9 +91,109 @@ def test_enumeration_matches_the_unbounded_oracle() -> None:
         assert enumerate_graphs(d, lift) == _oracle_graphs(d, lift), (lift, d)
 
 
+def _residue(graph: LocGraph, lift: Lift) -> tuple[dict[Monomial, int], int]:
+    """The part of the ``t^-1`` coefficient the relation keeps, read off one
+    built graph without the Laurent product: the oracle for the relation's
+    slot-data pass.
+
+    Every factor but three is a scalar times a power of ``t``: the
+    prefactor, the edge coefficient, ``1/size`` per free part, ``size`` per
+    two-mark part (with its ``1/t``), ``t`` per lifted mark and the branch
+    factor.  The three series are the genus node's (cotangent power ``a``),
+    the Hodge class's (index ``j``) and the rubber node's (cotangent power
+    ``b``), with ``b`` fixed by the power of ``t``.  The relation's degree
+    fixes the genus-vertex terms, so the walk visits only ``(a, 0)`` with
+    ``a <= min(1, m)`` (``m`` marks on the genus part) on the divisor lift
+    and the top-degree ``(a, g - 1 - a)``, ``a < g``, on the pair lift.  The
+    result is integer numerators over one denominator.
+    """
+    b0 = (2 * lift.genus if graph.side == "zero" else 0) + graph.degree - len(graph.parts)
+    k = graph.degree - lift.branch_twist
+    num, den = math.perm(b0, k), graph_prefactor(graph).denominator
+    power = k + len(lift.zero_marks) - graph.degree
+    for p in graph.parts:
+        num *= p.size**p.size
+        den *= math.factorial(p.size)
+        if p.genus:
+            continue
+        if len(p.marks) == 2:
+            num *= p.size
+            power -= 1
+        elif not p.marks:
+            den *= p.size
+            power += 1
+    genus = graph.genus_part()
+    # (a, j, coefficient, power of t) of the genus node and Hodge series
+    terms: list[tuple[int, int | None, int, int]] = [(0, None, 1, 0)]
+    if genus is not None:
+        g = lift.genus
+        if lift.divisor:
+            domain = [(a, 0) for a in range(min(1, len(genus.marks)) + 1)]
+        else:
+            domain = [(a, g - 1 - a) for a in range(g)]
+        terms = [
+            (a, j, genus.size ** (a + 1) * (-1) ** j, g - j - 1 - a) for a, j in domain
+        ]
+    rubber_cap = _rubber_dim(graph, lift) if graph.has_rubber() else None
+    out: dict[Monomial, int] = {}
+    for a, j, coeff, shift in terms:
+        # the rubber term psi^b t^(-b-1) turns t^b into 1/t
+        b = power + shift
+        if rubber_cap is None:
+            if b == -1:
+                out[Monomial(a, 0, j)] = num * coeff
+        elif 0 <= b <= rubber_cap:
+            out[Monomial(a, b, j)] = num * coeff * (-1) ** (b + 1)
+    return out, den
+
+
 def _residue_fractions(graph: LocGraph, lift: Lift) -> dict[Monomial, Fraction]:
-    numerators, den = locgraphs._residue(graph, lift)
+    numerators, den = _residue(graph, lift)
     return {mono: Fraction(num, den) for mono, num in numerators.items()}
+
+
+def _check_relation_against_the_residue_oracle(cases: list[tuple[Lift, int]]) -> int:
+    """``relation_extract`` against ``_residue`` on every graph of the
+    unbounded enumeration: graph order, monomial order and exact values.
+    Returns the number of graphs checked."""
+    checked = 0
+    for lift, d in cases:
+        expected = []
+        for graph in _oracle_graphs(d, lift):
+            residue = _residue_fractions(graph, lift)
+            if residue:
+                expected.append((graph, list(residue.items())))
+            checked += 1
+        terms = relation_extract(d, lift).terms
+        assert [(g, list(m.items())) for g, m in terms.items()] == expected, (lift, d)
+    return checked
+
+
+_RESIDUE_CASES = [(lift_pair(g), d) for g in range(1, 9) for d in range(1, 11)]
+_RESIDUE_CASES += [(LIFT_DIVISOR, d) for d in range(2, 11)]
+_RESIDUE_CASES += [(lift_pair(24), 16), (LIFT_DIVISOR, 16)]
+
+
+def test_relation_matches_the_residue_oracle_on_every_graph() -> None:
+    # The slot-data pass reads each graph's scalars off its marked
+    # partition; the oracle reads them off the built graph.
+    assert _check_relation_against_the_residue_oracle(_RESIDUE_CASES) == 6198
+
+
+def test_the_residue_oracle_catches_a_dropped_two_mark_size(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    """A two-mark part that loses its ``size`` factor fails the oracle once
+    such a part is larger than 1 (degree 3 on)."""
+    honest = locgraphs._slot_factor
+
+    def doctored(size: int, marks: tuple[int, ...]) -> tuple[int, int, int]:
+        return (1, 1, -1) if len(marks) == 2 else honest(size, marks)
+
+    monkeypatch.setattr(locgraphs, "_slot_factor", doctored)
+    for d in (3, 4):
+        with pytest.raises(AssertionError):
+            _check_relation_against_the_residue_oracle([(LIFT_DIVISOR, d)])
 
 
 def _retired_keep_divisor_term(graph: LocGraph, mono: Monomial) -> bool:
@@ -172,19 +285,13 @@ def test_residue_walk_matches_the_laurent_product() -> None:
 def test_the_laurent_oracle_catches_a_short_pair_walk(monkeypatch: pytest.MonkeyPatch) -> None:
     """A pair walk over ``a < g - 1`` instead of ``a < g`` fails the oracle
     and the graph-sum cross-check."""
-    honest = locgraphs._residue
+    honest = locgraphs._genus_walk
 
-    def doctored(graph: LocGraph, lift: Lift) -> tuple[dict[Monomial, int], int]:
-        numerators, den = honest(graph, lift)
-        if not lift.divisor:
-            numerators = {
-                mono: num
-                for mono, num in numerators.items()
-                if mono.hodge_j is None or mono.psi_genus < lift.genus - 1
-            }
-        return numerators, den
+    def doctored(lift: Lift, size: int, marks: int) -> list[tuple[int, int, int, int]]:
+        walk = honest(lift, size, marks)
+        return walk if lift.divisor else [term for term in walk if term[0] < lift.genus - 1]
 
-    monkeypatch.setattr(locgraphs, "_residue", doctored)
+    monkeypatch.setattr(locgraphs, "_genus_walk", doctored)
     with pytest.raises(AssertionError):
         _check_walk_against_the_laurent_product([(lift_pair(2), 3)])
     assert hodge_form_from_graphs(2, 3) != hodge_linear_form(2, 3)
@@ -356,8 +463,6 @@ def test_assembly_rejects_a_degree_below_the_twist() -> None:
     for graph in graphs:
         with pytest.raises(InvalidArgumentError, match="does not meet the branch twist"):
             assemble_contribution(graph, LIFT_DIVISOR)
-        with pytest.raises(InvalidArgumentError, match="does not meet the branch twist"):
-            _residue(graph, LIFT_DIVISOR)
 
 
 def test_graph_accessors() -> None:

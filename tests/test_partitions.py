@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from rubbertaut import partitions
 from rubbertaut.errors import InvalidArgumentError, ResourceLimitError
 from rubbertaut.partitions import (
+    MAX_MARKED_ASSIGNMENTS,
     MAX_PARTITION_DEGREE,
     aut,
     decorated_aut,
@@ -14,7 +17,7 @@ from rubbertaut.partitions import (
     enumerate_marked,
     tau_power_coefficient,
 )
-from rubbertaut.series import series_pow, series_tau
+from rubbertaut.series import MAX_SERIES_ORDER, series_pow, series_tau
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +122,27 @@ def test_enumerate_marked_reject_duplicate_labels() -> None:
         enumerate_marked((2, 1), (2, 2))
 
 
+def _must_not_run(*args: object, **kwargs: object) -> None:
+    raise AssertionError("work ran past a cap")
+
+
+def test_enumerate_marked_refuses_past_the_assignment_cap_before_any_walk(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # Three labels on the longest partition the partition-sum cap admits
+    # are exactly at the cap and still walk.
+    assert MAX_MARKED_ASSIGNMENTS == MAX_PARTITION_DEGREE**3
+    at_cap = enumerate_marked((1,) * MAX_PARTITION_DEGREE, (2, 3, 4))
+    assert sum(orbit for _, orbit in at_cap) == MAX_MARKED_ASSIGNMENTS
+    monkeypatch.setattr(partitions, "itertools", SimpleNamespace(product=_must_not_run))
+    with pytest.raises(AssertionError, match="work ran past a cap"):
+        enumerate_marked((2, 1), (2, 3))
+    for nu, labels in [((1,) * 17, (2, 3, 4)), ((1,) * 16, (2, 3, 4, 5, 6, 7))]:
+        count = len(nu) ** len(labels)
+        with pytest.raises(ResourceLimitError, match=f"{count} label assignments exceed the cap"):
+            enumerate_marked(nu, labels)
+
+
 def _tau_power_by_partitions(n: int, l: int) -> Fraction:
     """The retired partition sum: ``l!/aut(nu) * prod(nu_i^(nu_i-1)/nu_i!)``
     over partitions ``nu`` of ``n`` with exactly ``l`` parts."""
@@ -158,3 +182,16 @@ def test_tau_power_coefficient_frozen_values() -> None:
     assert tau_power_coefficient(2, 3) == 0
     assert tau_power_coefficient(4, 2) == 4
     assert tau_power_coefficient(5, 2) == Fraction(25, 3)
+
+
+def test_tau_power_coefficient_refuses_past_the_series_order_cap(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    n = MAX_SERIES_ORDER
+    assert tau_power_coefficient(n, 2) == Fraction(2 * n ** (n - 3), math.factorial(n - 2))
+    monkeypatch.setattr(partitions, "math", SimpleNamespace(factorial=_must_not_run))
+    for n in (MAX_SERIES_ORDER + 1, 10**6):
+        with pytest.raises(ResourceLimitError, match=f"order {n} exceeds the series-order cap"):
+            tau_power_coefficient(n, 2)
+    with pytest.raises(InvalidArgumentError):
+        tau_power_coefficient(10**6, -1)
