@@ -17,14 +17,7 @@ from itertools import combinations, product
 from typing import Any, Callable, Mapping, Sequence
 
 from .errors import InvalidArgumentError, ResourceLimitError, TheoremViolationError
-from .tautring import (
-    _PSI_KEY,
-    RingContext,
-    TautClass,
-    _trusted_class,
-    linear_combination,
-    pullback_forget,
-)
+from .tautring import RingContext, TautClass, linear_combination, psi1_minus, pullback_forget, relabel
 from .util import combine, fraction_str
 
 __all__ = [
@@ -44,10 +37,8 @@ __all__ = [
 def _combine_values(pairs: Sequence[tuple[Fraction | int, Any]]) -> Any:
     """``sum(scale * value for scale, value in pairs)``, or None for no pairs.
 
-    The values are all classes or all rationals.  Classes sum through
-    :func:`~rubbertaut.tautring.linear_combination`, rationals through
-    :func:`~rubbertaut.util.combine` on a one-key map, so every combination
-    runs over one integer denominator.
+    The values are all classes, summed by :func:`linear_combination`, or all
+    rationals, summed by :func:`combine` on a one-key map.
     """
     if not pairs:
         return None
@@ -96,9 +87,7 @@ class MultiPoly:
     def evaluate(self, point: Sequence[Fraction | int]) -> Any:
         """Value at an exact rational point (None when the sum is empty)."""
         if len(point) != self.nvars:
-            raise InvalidArgumentError(
-                f"point has {len(point)} entries for {self.nvars} variables"
-            )
+            raise InvalidArgumentError(f"point has {len(point)} entries for {self.nvars} variables")
         values = [Fraction(p) for p in point]
         terms = []
         for exponents, value in self.coeffs.items():
@@ -117,14 +106,11 @@ class MultiPoly:
 
 #: Most marks :func:`genus1_polynomial` builds, and so the most that
 #: ``pclass`` and the ``check_*`` predicates accept.  Each coefficient has up
-#: to ``2**t`` divisor terms.  At 11 marks the polynomial takes about 0.02 s,
-#: ``check_pullback_stability`` about 0.12 s and ``check_equivariance`` about
-#: 0.15 s, and ``pclass`` about 0.07 s after start-up; at 12 marks 0.04 s,
-#: 0.4 s, 0.37 s and 0.16 s (2-vCPU VM, Python 3.11).
+#: to ``2**t`` divisor terms.  At 11 marks the polynomial takes about 0.006 s,
+#: ``check_pullback_stability`` about 0.03 s, ``check_equivariance`` about
+#: 0.04 s and ``pclass`` about 0.04 s after start-up; at 12 marks 0.014 s,
+#: 0.06 s, 0.14 s and 0.09 s (2-vCPU VM, Python 3.11).
 MAX_MARKS = 11
-
-_ONE = Fraction(1)
-_MINUS_ONE = Fraction(-1)
 
 
 def genus1_polynomial(t: int) -> MultiPoly:
@@ -142,32 +128,13 @@ def genus1_polynomial(t: int) -> MultiPoly:
     if t > MAX_MARKS:
         raise ResourceLimitError(f"{t} marks exceed the weight-polynomial cap {MAX_MARKS}")
     ctx = RingContext.standard(t)
-    free_marks = list(range(2, t + 1))
-    squares = {i: {_PSI_KEY: _ONE} for i in free_marks}
-    mixed = {pair: {_PSI_KEY: _ONE} for pair in combinations(free_marks, 2)}
-    # One walk over the genus-zero sides; each divisor is written only into
-    # the coefficients it enters.
-    for size in range(2, t):
-        for genus0 in combinations(ctx.marks, size):
-            side = tuple(m for m in ctx.marks if m not in genus0)
-            key = ("D", side)
-            if genus0[0] == 1:
-                for i in side:
-                    squares[i][key] = _MINUS_ONE
-                for pair in combinations(side, 2):
-                    mixed[pair][key] = _MINUS_ONE
-            else:
-                for pair in combinations(genus0, 2):
-                    mixed[pair][key] = _MINUS_ONE
-
-    def exponents(pairs: Mapping[int, int]) -> tuple[int, ...]:
-        return tuple(pairs.get(m, 0) for m in free_marks)
-
+    free_marks = range(2, t + 1)
     coeffs: dict[tuple[int, ...], TautClass] = {}
-    for i, terms in squares.items():
-        coeffs[exponents({i: 2})] = _trusted_class(ctx, terms)
-    for (i, j), terms in mixed.items():
-        coeffs[exponents({i: 1, j: 1})] = _trusted_class(ctx, terms)
+    for i in free_marks:
+        coeffs[tuple(2 * (m == i) for m in free_marks)] = psi1_minus(ctx, [((1,), (i,))])
+    for i, j in combinations(free_marks, 2):
+        exponents = tuple(int(m in (i, j)) for m in free_marks)
+        coeffs[exponents] = psi1_minus(ctx, [((1,), (i, j)), ((i, j), (1,))])
     return MultiPoly(t - 1, coeffs)
 
 
@@ -195,25 +162,15 @@ def check_equivariance(t: int) -> None:
 
     Only the adjacent transpositions ``(i i+1)`` of marks 2..t are checked:
     they generate every relabeling, and relabelings compose, so a polynomial
-    equivariant under them is equivariant under all ``(t-1)!``.  A swap moves
-    only the sides holding exactly one of ``i`` and ``i+1``; each is mapped once.
+    equivariant under them is equivariant under all ``(t-1)!``.
     A mismatch raises ``TheoremViolationError`` naming ``t``, the marks and the exponents.
     """
     poly = genus1_polynomial(t)
-    coeffs = {exponents: value._coeffs for exponents, value in poly.coeffs.items()}
-    sides = {key[1] for terms in coeffs.values() for key in terms if key != _PSI_KEY}
     for i in range(2, t):
-        swap = {i: i + 1, i + 1: i}
-        moved = {
-            ("D", side): ("D", tuple(sorted(swap.get(m, m) for m in side)))
-            for side in sides
-            if (i in side) != (i + 1 in side)
-        }
-        for exponents, terms in coeffs.items():
-            image = list(exponents)
-            image[i - 2], image[i - 1] = exponents[i - 1], exponents[i - 2]
-            relabeled = {moved.get(key, key): v for key, v in terms.items()}
-            if relabeled != coeffs.get(tuple(image), {}):
+        swap = {m: m for m in range(1, t + 1)} | {i: i + 1, i + 1: i}
+        for exponents, value in poly.coeffs.items():
+            image = exponents[: i - 2] + (exponents[i - 1], exponents[i - 2]) + exponents[i:]
+            if relabel(value, swap) != poly.coeffs.get(image):
                 raise TheoremViolationError(
                     f"equivariance fails at t={t}: swapping marks {i}, {i + 1} at exponents {exponents}"
                 )
@@ -292,9 +249,7 @@ def interpolate(fn: Callable[[tuple[Fraction, ...]], Any], degrees: Sequence[int
     if not degrees or any(d < 0 for d in degrees):
         raise InvalidArgumentError(f"need one degree >= 0 per variable, got {tuple(degrees)!r}")
     if math.prod(d + 1 for d in degrees) > MAX_INTERP_POINTS:
-        raise ResourceLimitError(
-            f"degrees {tuple(degrees)} need more than {MAX_INTERP_POINTS} grid points"
-        )
+        raise ResourceLimitError(f"degrees {tuple(degrees)} need more than {MAX_INTERP_POINTS} grid points")
     weights = _stirling_weights(max(degrees))
     grid = {
         index: fn(tuple(Fraction(i) for i in index))

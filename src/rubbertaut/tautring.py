@@ -6,8 +6,14 @@ spanned by the cotangent class at mark 1 (``psi1``) and boundary divisors
 ``D(S | S')`` recorded by their genus-one side ``S`` (the genus-zero side
 ``S'`` must carry at least two marks).  A single relation expresses ``psi1``
 through boundary divisors, so every class has a normal form with no ``psi1``
-term; :meth:`TautClass.reduce` computes it.  Sums and linear combinations
-of classes run through :func:`rubbertaut.util.combine`.
+term; :meth:`TautClass.reduce` computes it.
+
+A class stores one positive integer denominator and nonzero integer
+numerators, keyed by the bitmask of a divisor's genus-one side (bit ``m``
+for mark ``m``) or by 1, the unused bit of mark 0, for ``psi1``.  The form
+is canonical, ``gcd(den, *numerators) == 1``, so equal classes hold equal
+data.  Sums run through :func:`rubbertaut.util.combine_ints`; a ``Fraction``
+is made only when a coefficient is read.
 """
 
 from __future__ import annotations
@@ -19,13 +25,14 @@ from itertools import combinations
 from typing import Iterable, Mapping
 
 from .errors import InvalidArgumentError
-from .util import combine, fraction_str
+from .util import combine_ints, fraction_str
 
 __all__ = [
     "RingContext",
     "TautClass",
     "psi1",
     "boundary",
+    "psi1_minus",
     "zero_class",
     "pullback_forget",
     "pushforward_forget",
@@ -34,7 +41,9 @@ __all__ = [
     "linear_combination",
 ]
 
+#: The public constructor's key for ``psi1``, and the stored one.
 _PSI_KEY = ("psi",)
+_PSI = 1
 
 
 @dataclass(frozen=True)
@@ -51,6 +60,8 @@ class RingContext:
             raise InvalidArgumentError("need at least two marks")
         if 1 not in marks:
             raise InvalidArgumentError("mark 1 (the reference mark) must be present")
+        if marks[0] < 1:
+            raise InvalidArgumentError(f"marks are positive integers, got {marks}")
 
     @staticmethod
     def standard(t: int) -> "RingContext":
@@ -64,53 +75,64 @@ class RingContext:
         return len(self.marks)
 
 
-def _d_key(ctx: RingContext, genus1_side: Iterable[int]) -> tuple:
+def _mask(marks: Iterable[int]) -> int:
+    return sum(1 << m for m in marks)
+
+
+def _d_key(ctx: RingContext, genus1_side: Iterable[int]) -> int:
     side = tuple(sorted(set(genus1_side)))
     if any(m not in ctx.marks for m in side):
         raise InvalidArgumentError(f"genus-one side {side} uses marks outside {ctx.marks}")
     if len(ctx.marks) - len(side) < 2:
-        raise InvalidArgumentError(
-            f"genus-zero side of D({side} | ...) needs at least two marks"
-        )
-    return ("D", side)
+        raise InvalidArgumentError(f"genus-zero side of D({side} | ...) needs at least two marks")
+    return _mask(side)
+
+
+def _key(ctx: RingContext, key: object) -> int:
+    if key == _PSI_KEY:
+        return _PSI
+    if isinstance(key, tuple) and len(key) == 2 and key[0] == "D" and isinstance(key[1], tuple):
+        return _d_key(ctx, key[1])
+    raise InvalidArgumentError(f"class key {key!r} is neither ('psi',) nor ('D', side)")
 
 
 class TautClass:
     """An exact rational combination of ``psi1`` and boundary divisors.
 
-    ``coeffs`` maps ``("psi",)`` and ``("D", side)``, with ``side`` the sorted
-    genus-one side of a valid divisor, to rationals; zero values are dropped.
+    ``coeffs`` maps ``("psi",)`` and ``("D", side)``, with ``side`` a tuple of
+    a valid divisor's genus-one marks in any order, to rationals; any other
+    key raises ``InvalidArgumentError``.  Values on one key add up.  The class
+    keeps the canonical integer form of the module docstring.
     """
 
-    __slots__ = ("ctx", "_coeffs")
+    __slots__ = ("ctx", "_den", "_nums")
 
-    def __init__(self, ctx: RingContext, coeffs: Mapping[tuple, Fraction] | None = None):
+    def __init__(self, ctx: RingContext, coeffs: Mapping[tuple, Fraction | int] | None = None):
         self.ctx = ctx
-        self._coeffs: dict[tuple, Fraction] = {}
-        if coeffs:
-            for key, value in coeffs.items():
-                if not isinstance(value, Fraction):
-                    value = Fraction(value)
-                if value:
-                    self._coeffs[key] = value
+        self._den, self._nums = combine_ints(
+            (Fraction(value), 1, {_key(ctx, key): 1}) for key, value in (coeffs or {}).items()
+        )
 
     # -- inspection -----------------------------------------------------
 
     def coefficient_psi1(self) -> Fraction:
-        return self._coeffs.get(_PSI_KEY, Fraction(0))
+        return Fraction(self._nums.get(_PSI, 0), self._den)
 
     def coefficient_boundary(self, genus1_side: Iterable[int]) -> Fraction:
-        return self._coeffs.get(_d_key(self.ctx, genus1_side), Fraction(0))
+        return Fraction(self._nums.get(_d_key(self.ctx, genus1_side), 0), self._den)
 
     def boundary_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Boundary coefficients sorted by (side size, side)."""
-        items = [
-            (key[1], value) for key, value in self._coeffs.items() if key[0] == "D"
-        ]
-        return sorted(items, key=lambda item: (len(item[0]), item[0]))
+        marks, top, ranked = self.ctx.marks, self.ctx.marks[-1], _ranked_sides(self.ctx)
+        for mask in self._nums.keys() - ranked.keys() - {_PSI}:
+            side = tuple(m for m in marks if mask >> m & 1)
+            ranked[mask] = (len(side) + 1 << top + 1) - sum(1 << top - m for m in side), side
+        values = {num: Fraction(num, self._den) for num in set(self._nums.values())}
+        items = [(ranked[mask], values[num]) for mask, num in self._nums.items() if mask != _PSI]
+        return [(key[1], value) for key, value in sorted(items, key=lambda item: item[0][0])]
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._nums
 
     # -- linear structure -------------------------------------------------
 
@@ -118,27 +140,26 @@ class TautClass:
         return linear_combination(((1, self), (1, other)))
 
     def __neg__(self) -> "TautClass":
-        return TautClass(self.ctx, {k: -v for k, v in self._coeffs.items()})
+        return _class(self.ctx, self._den, {k: -v for k, v in self._nums.items()})
 
     def __sub__(self, other: "TautClass") -> "TautClass":
-        return self + (-other)
+        return linear_combination(((1, self), (-1, other)))
 
     def __rmul__(self, scalar: Fraction | int) -> "TautClass":
-        frac = Fraction(scalar)
-        return TautClass(self.ctx, {k: frac * v for k, v in self._coeffs.items()})
+        return _class(self.ctx, *combine_ints(((Fraction(scalar), self._den, self._nums),)))
 
     __mul__ = __rmul__
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TautClass):
             return NotImplemented
-        return self.ctx == other.ctx and self._coeffs == other._coeffs
+        return self.ctx == other.ctx and self._den == other._den and self._nums == other._nums
 
     def __hash__(self):  # pragma: no cover - mutability guard
         raise TypeError("TautClass is not hashable")
 
     def __repr__(self) -> str:
-        if not self._coeffs:
+        if not self._nums:
             return "TautClass(0)"
         parts = []
         psi = self.coefficient_psi1()
@@ -158,67 +179,76 @@ class TautClass:
         sides ``S`` avoiding mark 1 (with the genus-zero side of size at
         least two, i.e. ``len(S) <= T - 2``).
         """
-        out = dict(self._coeffs)
-        psi = out.pop(_PSI_KEY, None)
-        if psi is not None:
-            for key in _psi_boundary_keys(self.ctx):
-                value = out.get(key)
-                if value is None:
-                    out[key] = psi
-                else:
-                    total = value + psi
-                    if total:
-                        out[key] = total
-                    else:
-                        del out[key]
-        return _trusted_class(self.ctx, out)
+        psi = self._nums.get(_PSI)
+        if psi is None:
+            return self
+        nums = dict(self._nums)
+        del nums[_PSI]
+        for mask in _psi_masks(self.ctx):
+            nums[mask] = nums.get(mask, 0) + psi
+        if 0 in nums.values():
+            nums = {mask: num for mask, num in nums.items() if num}
+        # Numerators over a denominator above 1 may now share a factor with it.
+        den = self._den
+        return _class(self.ctx, *(combine_ints(((1, den, nums),)) if den > 1 else (1, nums)))
 
 
-def _trusted_class(ctx: RingContext, coeffs: dict[tuple, Fraction]) -> TautClass:
-    """A class that takes ``coeffs`` as its own without checking it.
-
-    ``coeffs`` must hold valid keys and only nonzero ``Fraction`` values, and
-    the caller must not keep it.
-    """
+def _class(ctx: RingContext, den: int, nums: dict[int, int]) -> TautClass:
+    """A class that takes ``den`` and ``nums``, already canonical, as its own."""
     cls = object.__new__(TautClass)
-    cls.ctx = ctx
-    cls._coeffs = coeffs
+    cls.ctx, cls._den, cls._nums = ctx, den, nums
     return cls
 
 
-@lru_cache(maxsize=32)
-def _psi_boundary_keys(ctx: RingContext) -> tuple[tuple, ...]:
-    """Keys of the genus-one sides in the boundary expression for ``psi1``.
+#: Per mark set, each side mask met so far to ``(rank, side)``: the rank orders
+#: sides by size, then as tuples, as mark ``m`` weighs ``2**(top - m)``.
+_ranked_sides = lru_cache(maxsize=32)(lambda ctx: {})
 
-    These are the subsets of the non-reference marks small enough to leave a
-    genus-zero side of size at least two, i.e. of size up to ``T - 2``.
-    """
-    others = [m for m in ctx.marks if m != 1]
-    return tuple(
-        ("D", side) for size in range(ctx.t - 1) for side in combinations(others, size)
-    )
+
+@lru_cache(maxsize=32)
+def _psi_masks(ctx: RingContext) -> tuple[int, ...]:
+    """Masks of the genus-one sides in the boundary expression for ``psi1``:
+    the sets of non-reference marks of size up to ``T - 2``."""
+    others = [1 << m for m in ctx.marks if m != 1]
+    return tuple(sum(side) for size in range(ctx.t - 1) for side in combinations(others, size))
 
 
 # -- constructors --------------------------------------------------------
 
 
 def zero_class(ctx: RingContext) -> TautClass:
-    return TautClass(ctx)
+    return _class(ctx, 1, {})
 
 
 def psi1(ctx: RingContext) -> TautClass:
     """The cotangent-line class at the reference mark."""
-    return TautClass(ctx, {_PSI_KEY: Fraction(1)})
+    return _class(ctx, 1, {_PSI: 1})
 
 
 def boundary(ctx: RingContext, genus1_side: Iterable[int]) -> TautClass:
     """The boundary divisor with the given marks on the genus-one side."""
-    return TautClass(ctx, {_d_key(ctx, genus1_side): Fraction(1)})
+    return _class(ctx, 1, {_d_key(ctx, genus1_side): 1})
+
+
+def psi1_minus(ctx: RingContext, families: Iterable[tuple[Iterable[int], Iterable[int]]]) -> TautClass:
+    """``psi1`` minus each boundary divisor whose genus-zero side, for some
+    ``(holds, avoids)`` of ``families``, holds every mark of ``holds`` and
+    none of ``avoids``."""
+    full, sides = _mask(ctx.marks), []
+    for holds, avoids in families:
+        holds, avoids = set(holds), set(avoids)
+        if not holds | avoids <= set(ctx.marks):
+            raise InvalidArgumentError(f"marks {sorted(holds | avoids)} are not all in {ctx.marks}")
+        family = [] if holds & avoids else [full ^ _mask(holds)]
+        for m in set(ctx.marks) - holds - avoids:
+            family += [side ^ 1 << m for side in family]
+        sides += [side for side in family if (full ^ side).bit_count() >= 2]
+    return _class(ctx, 1, {_PSI: 1, **dict.fromkeys(sides, -1)})
 
 
 def linear_combination(pairs: Iterable[tuple[Fraction | int, TautClass]]) -> TautClass:
     """The class ``sum(scale * cls for scale, cls in pairs)``, summed by
-    :func:`~rubbertaut.util.combine` over one integer denominator."""
+    :func:`~rubbertaut.util.combine_ints` over one integer denominator."""
     pairs = list(pairs)
     if not pairs:
         raise InvalidArgumentError("a linear combination needs at least one class")
@@ -226,7 +256,7 @@ def linear_combination(pairs: Iterable[tuple[Fraction | int, TautClass]]) -> Tau
     for _, cls in pairs:
         if cls.ctx != ctx:
             raise InvalidArgumentError(f"mark sets differ: {ctx.marks} vs {cls.ctx.marks}")
-    return _trusted_class(ctx, combine((scale, cls._coeffs) for scale, cls in pairs))
+    return _class(ctx, *combine_ints((scale, cls._den, cls._nums) for scale, cls in pairs))
 
 
 # -- functoriality ---------------------------------------------------------
@@ -241,22 +271,16 @@ def pullback_forget(cls: TautClass, new_mark: int) -> TautClass:
     ctx = cls.ctx
     if new_mark in ctx.marks:
         raise InvalidArgumentError(f"mark {new_mark} already present in {ctx.marks}")
-    if new_mark < 1:
-        raise InvalidArgumentError(f"marks are positive integers, got {new_mark}")
     big = RingContext(tuple(sorted(ctx.marks + (new_mark,))))
-    out: dict[tuple, Fraction] = {}
-    psi = cls.coefficient_psi1()
-    if psi:
-        out[_PSI_KEY] = psi
-        out[_d_key(big, [m for m in big.marks if m not in (1, new_mark)])] = -psi
+    bit, nums = 1 << new_mark, cls._nums
     # Both lifts of a valid side are valid, and no two lifts coincide: one
     # side holds the new mark, the other does not, and neither is the
     # correction side (which would leave mark 1 alone on the genus-zero side).
-    for key, value in cls._coeffs.items():
-        if key != _PSI_KEY:
-            out[("D", tuple(sorted(key[1] + (new_mark,))))] = value
-            out[key] = value
-    return _trusted_class(big, out)
+    out = {mask | bit: value for mask, value in nums.items()} | nums
+    psi = out.pop(_PSI | bit, None)
+    if psi is not None:
+        out[_mask(big.marks) ^ (1 << 1) ^ bit] = -psi
+    return _class(big, cls._den, out)
 
 
 def pushforward_forget(cls: TautClass, forgotten: int) -> Fraction:
@@ -270,22 +294,14 @@ def pushforward_forget(cls: TautClass, forgotten: int) -> Fraction:
         raise InvalidArgumentError(f"mark {forgotten} not in {ctx.marks}")
     if forgotten == 1:
         raise InvalidArgumentError("the reference mark cannot be forgotten")
-    total = cls.coefficient_psi1()
-    for side, value in cls.boundary_terms():
-        genus0 = tuple(m for m in ctx.marks if m not in side)
-        if forgotten in genus0 and len(genus0) == 2:
-            total += value
-    return total
+    rest, nums = _mask(ctx.marks) ^ 1 << forgotten, cls._nums
+    total = sum(nums.get(rest ^ 1 << other, 0) for other in ctx.marks if other != forgotten)
+    return Fraction(nums.get(_PSI, 0) + total, cls._den)
 
 
-def section_pushforward(
-    scalar: Fraction | int, i: int, j: int, ctx: RingContext
-) -> TautClass:
-    """Push a number forward along the section gluing marks ``i`` and ``j``.
-
-    The image of the section is the boundary divisor whose genus-zero side
-    is exactly ``{i, j}``.
-    """
+def section_pushforward(scalar: Fraction | int, i: int, j: int, ctx: RingContext) -> TautClass:
+    """Push a number forward along the section gluing marks ``i`` and ``j``,
+    onto the boundary divisor whose genus-zero side is exactly ``{i, j}``."""
     if i == j:
         raise InvalidArgumentError("section needs two distinct marks")
     for m in (i, j):
@@ -293,6 +309,21 @@ def section_pushforward(
             raise InvalidArgumentError(f"mark {m} not in {ctx.marks}")
     side = [m for m in ctx.marks if m not in (i, j)]
     return Fraction(scalar) * boundary(ctx, side)
+
+
+@lru_cache(maxsize=32)
+def _relabel_tables(pairs: tuple[tuple[int, int], ...]) -> list[list[int]]:
+    """Entry ``e`` of table ``c`` is the image of the mask ``e << 12 * c``
+    under the relabeling ``pairs``; bit 0, the ``psi1`` key, maps to itself.
+    Up to the mark cap of 11, one table holds every mark."""
+    image = {0: 0, **dict(pairs)}
+    top, tables = max(image) + 1, []
+    for low in range(0, top, 12):
+        table = [0]
+        for bit in range(low, min(low + 12, top)):
+            table += [entry | (1 << image[bit] if bit in image else 0) for entry in table]
+        tables.append(table)
+    return tables
 
 
 def relabel(cls: TautClass, mapping: Mapping[int, int]) -> TautClass:
@@ -307,10 +338,9 @@ def relabel(cls: TautClass, mapping: Mapping[int, int]) -> TautClass:
         raise InvalidArgumentError("relabeling must fix the reference mark 1")
     new_ctx = RingContext(tuple(images))
     # A bijection sends distinct sides to distinct sides: no key collides.
-    out: dict[tuple, Fraction] = {}
-    for key, value in cls._coeffs.items():
-        if key == _PSI_KEY:
-            out[_PSI_KEY] = value
-        else:
-            out[("D", tuple(sorted(mapping[m] for m in key[1])))] = value
-    return _trusted_class(new_ctx, out)
+    nums = cls._nums
+    first, *rest = _relabel_tables(tuple(mapping.items()))
+    moved = [first[mask & 4095] for mask in nums]
+    for c, table in enumerate(rest, 1):  # marks past 11
+        moved = [image | table[mask >> 12 * c & 4095] for image, mask in zip(moved, nums)]
+    return _class(new_ctx, cls._den, dict(zip(moved, nums.values())))

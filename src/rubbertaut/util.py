@@ -1,8 +1,10 @@
 """Small shared helpers: rational formatting and the exact sparse-sum kernel.
 
-:func:`combine` is the one place that adds sparse key -> rational maps and
-drops the keys that cancel: divisor classes, Hodge linear forms, the graph
-layer's symbol expressions and its per-row relations all sum through it.
+:func:`combine_ints` is the one place that adds sparse key -> rational maps
+and drops the keys that cancel: divisor classes store its integer result
+directly, and :func:`combine`, which Hodge linear forms, the graph layer's
+symbol expressions and its per-row relations sum through, makes its
+rationals from it.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ __all__ = [
     "too_long_to_print",
     "fraction_str",
     "parse_fraction",
+    "combine_ints",
     "combine",
 ]
 
@@ -51,25 +54,37 @@ def parse_fraction(text: str) -> Fraction:
         raise InvalidArgumentError(f"not a rational: {text!r}") from exc
 
 
-def combine(
-    pairs: Iterable[tuple[Fraction | int, Mapping[K, Fraction | int]]]
-) -> dict[K, Fraction]:
+def combine_ints(pairs: Iterable[tuple[Fraction | int, int, Mapping[K, int]]]) -> tuple[int, dict[K, int]]:
+    """The sparse sum of ``scale * terms / den`` over integer ``terms``, as a
+    positive common denominator and the nonzero numerators over it, coprime
+    as a whole, in the order their keys first appear."""
+    pairs = [(scale.numerator, scale.denominator * den, terms) for scale, den, terms in pairs if scale]
+    common = math.lcm(*(den for _, den, _ in pairs))
+    sums: dict[K, int] = {}
+    for num, den, terms in pairs:
+        factor = num * (common // den)
+        for key, value in terms.items():
+            sums[key] = sums.get(key, 0) + factor * value
+    if 0 in sums.values():
+        sums = {key: value for key, value in sums.items() if value}
+    divisor = math.gcd(common, *sums.values())
+    if divisor == 1:
+        return common, sums
+    return common // divisor, {key: value // divisor for key, value in sums.items()}
+
+
+def combine(pairs: Iterable[tuple[Fraction | int, Mapping[K, Fraction | int]]]) -> dict[K, Fraction]:
     """The sparse map ``sum(scale * terms for scale, terms in pairs)``.
 
-    Scales and values may be ``int`` or ``Fraction``.  Every term is brought
-    over one denominator, the lcm of the scales' denominators times the lcm
-    of the values' denominators, so the sum runs over plain ints; only the
-    keys whose sum is nonzero come back, each with one ``Fraction``, in the
-    order they first appear.
+    Scales and values may be ``int`` or ``Fraction``.  Every map is brought
+    over the lcm of all values' denominators and summed by
+    :func:`combine_ints`; each nonzero sum comes back as one ``Fraction``,
+    in the order its key first appears.
     """
     pairs = [(scale, terms) for scale, terms in pairs if scale]
-    scale_den = math.lcm(*(scale.denominator for scale, _ in pairs))
-    coeff_den = math.lcm(*{value.denominator for _, terms in pairs for value in terms.values()})
-    sums: dict[K, int] = {}
-    for scale, terms in pairs:
-        factor = scale.numerator * (scale_den // scale.denominator)
-        for key, value in terms.items():
-            term = factor * value.numerator * (coeff_den // value.denominator)
-            sums[key] = sums.get(key, 0) + term
-    den = scale_den * coeff_den
-    return {key: Fraction(num, den) for key, num in sums.items() if num}
+    den = math.lcm(*{value.denominator for _, terms in pairs for value in terms.values()})
+    common, sums = combine_ints(
+        (scale, den, {key: value.numerator * (den // value.denominator) for key, value in terms.items()})
+        for scale, terms in pairs
+    )
+    return {key: Fraction(num, common) for key, num in sums.items()}

@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import fraction_class_oracle as oracle
 import pytest
+from fraction_class_oracle import assert_canonical
 
+from rubbertaut import tautring, util
 from rubbertaut.errors import InvalidArgumentError
 from rubbertaut.tautring import (
     RingContext,
@@ -13,6 +16,7 @@ from rubbertaut.tautring import (
     boundary,
     linear_combination,
     psi1,
+    psi1_minus,
     pullback_forget,
     pushforward_forget,
     relabel,
@@ -109,10 +113,6 @@ def test_in_place_sum_matches_the_sum_and_leaves_the_operand() -> None:
         total += psi1(RingContext.standard(3))
 
 
-def _stores_no_zero(cls: TautClass) -> bool:
-    return all(type(v) is Fraction and v != 0 for v in cls._coeffs.values())
-
-
 def test_linear_combination_matches_the_term_by_term_sum() -> None:
     rng = random.Random(9)
     for t in (3, 4, 5):
@@ -129,7 +129,7 @@ def test_linear_combination_matches_the_term_by_term_sum() -> None:
             total = linear_combination(pairs)
             assert total == expected
             assert total.ctx == ctx
-            assert _stores_no_zero(total)
+            assert_canonical(total)
 
 
 def test_linear_combination_drops_cancelled_keys() -> None:
@@ -141,7 +141,8 @@ def test_linear_combination_drops_cancelled_keys() -> None:
     b = Fraction(3, 4) * boundary(ctx, (2,)) - boundary(ctx, (3,))
     total = linear_combination([(Fraction(9, 4), a), (-1, b)])
     assert total == Fraction(9, 8) * psi1(ctx) + boundary(ctx, (3,))
-    assert _stores_no_zero(total) and total.coefficient_boundary((2,)) == 0
+    assert_canonical(total)
+    assert total.coefficient_boundary((2,)) == 0
 
 
 def test_linear_combination_validates_its_classes() -> None:
@@ -194,7 +195,7 @@ def test_reduce_drops_a_boundary_key_that_psi_cancels() -> None:
         expected = expected + Fraction(3, 2) * boundary(ctx, side)
     assert reduced == expected
     assert reduced.coefficient_boundary((2, 3)) == 0
-    assert _stores_no_zero(reduced)
+    assert_canonical(reduced)
     assert (boundary(ctx, ()) - psi1(ctx)).reduce().boundary_terms() == [
         (side, Fraction(-1)) for side in ((2,), (3,), (4,), (2, 3), (2, 4), (3, 4))
     ]
@@ -335,3 +336,121 @@ def test_relabel_validates_the_mapping() -> None:
         relabel(psi1(ctx), {1: 1, 2: 3, 3: 3})
     with pytest.raises(InvalidArgumentError):
         relabel(psi1(ctx), {1: 2, 2: 1, 3: 3})
+
+
+# ---------------------------------------------------------------------------
+# Keys, marks and the Fraction-dict oracle
+# ---------------------------------------------------------------------------
+
+
+def test_constructor_routes_every_key_through_its_side() -> None:
+    ctx4 = RingContext.standard(4)
+    unsorted = TautClass(ctx4, {("D", (3, 2)): 1})
+    assert unsorted == boundary(ctx4, (2, 3))
+    assert unsorted.coefficient_boundary((2, 3)) == 1
+    both = TautClass(ctx4, {("D", (3, 2)): 1, ("D", (2, 3)): Fraction(1, 2), ("psi",): 0})
+    assert both == Fraction(3, 2) * boundary(ctx4, (2, 3))
+    assert TautClass(ctx4, {("D", (3, 2)): 1, ("D", (2, 3)): -1}).is_zero()
+    ctx3 = RingContext.standard(3)
+    for key in (("bogus",), ("D", (9,)), ("D", (2, 3)), ("D", 2), ("D",), "psi", ("psi", 1)):
+        for value in (2, 0):
+            with pytest.raises(InvalidArgumentError):
+                TautClass(ctx3, {key: value})
+    with pytest.raises(InvalidArgumentError):
+        TautClass(ctx3, {("D", (9,)): 1, ("bogus",): 2})
+
+
+def test_psi1_minus_subtracts_each_matching_divisor_once() -> None:
+    ctx = RingContext.standard(4)
+    # Genus-zero sides holding 1 and avoiding 4: {1,2}, {1,3}, {1,2,3}.
+    expected = psi1(ctx) - boundary(ctx, (3, 4)) - boundary(ctx, (2, 4)) - boundary(ctx, (4,))
+    assert psi1_minus(ctx, [((1,), (4,))]) == expected
+    assert psi1_minus(ctx, [((1,), (4,)), ((1, 2), (4,))]) == expected
+    assert psi1_minus(ctx, [((2,), (2,))]) == psi1(ctx)
+    assert psi1_minus(ctx, [((), ())]) == psi1(ctx) - sum(
+        (boundary(ctx, side) for side in _all_genus_sides(ctx)), zero_class(ctx)
+    )
+    for family in (((5,), ()), ((1,), (0,))):
+        with pytest.raises(InvalidArgumentError):
+            psi1_minus(ctx, [family])
+
+
+def test_marks_below_one_are_refused() -> None:
+    for marks in ((0, 1, 2), (-3, 1), (-1, 0, 1, 2)):
+        with pytest.raises(InvalidArgumentError, match="positive"):
+            RingContext(marks)
+    ctx = RingContext.standard(3)
+    for mapping in ({1: 1, 2: 0, 3: -4}, {1: 1, 2: 3, 3: -1}):
+        with pytest.raises(InvalidArgumentError, match="positive"):
+            relabel(psi1(ctx), mapping)
+    for new_mark in (0, -2):
+        with pytest.raises(InvalidArgumentError, match="positive"):
+            pullback_forget(psi1(ctx), new_mark)
+
+
+def _oracle_terms(ctx: RingContext, rng: random.Random) -> dict:
+    """A sparse random class in the oracle's ``Fraction``-dict format."""
+    sides = _all_genus_sides(ctx)
+    chosen = rng.sample(sides, min(len(sides), rng.randint(1, 24)))
+    terms = {("D", side): Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6))) for side in chosen}
+    if rng.random() < 0.7:
+        terms[oracle.PSI] = Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3)))
+    return {key: value for key, value in terms.items() if value}
+
+
+def _agrees(cls: TautClass, marks: tuple[int, ...], expected: dict) -> None:
+    assert cls.ctx.marks == marks
+    assert oracle.terms_of(cls) == expected
+    assert_canonical(cls)
+    assert cls == TautClass(cls.ctx, expected)
+
+
+def _compare_with_oracle(seed: int) -> None:
+    """Every class operation against the retired ``Fraction``-dict algebra on
+    seeded classes over 3..8 marks.  Marks run up to 15, so side masks and
+    relabelings reach past one 12-bit relabeling table."""
+    rng = random.Random(seed)
+    for t in range(3, 9):
+        for _ in range(6):
+            ctx = RingContext((1,) + tuple(sorted(rng.sample(range(2, 16), t - 1))))
+            terms = [_oracle_terms(ctx, rng) for _ in range(3)]
+            classes = [TautClass(ctx, item) for item in terms]
+            for cls, item in zip(classes, terms):
+                _agrees(cls, ctx.marks, item)
+            a, x = classes[0], terms[0]
+            _agrees(a.reduce(), ctx.marks, oracle.reduce(ctx, x))
+            new_mark = rng.choice([m for m in range(2, 17) if m not in ctx.marks])
+            big = tuple(sorted(ctx.marks + (new_mark,)))
+            _agrees(pullback_forget(a, new_mark), big, oracle.pullback_forget(ctx, x, new_mark))
+            for mark in ctx.marks[1:]:
+                assert pushforward_forget(a, mark) == oracle.pushforward_forget(ctx, x, mark)
+            images = (1,) + tuple(rng.sample(range(2, 16), t - 1))
+            mapping = dict(zip(ctx.marks, images))
+            _agrees(relabel(a, mapping), tuple(sorted(images)), oracle.relabel(x, mapping))
+            scales = [rng.choice((6, -3, 2, Fraction(3, 2), Fraction(-4, 9), 1)) for _ in terms]
+            _agrees(linear_combination(zip(scales, classes)), ctx.marks, oracle.linear_combination(zip(scales, terms)))
+            _agrees(scales[0] * a, ctx.marks, oracle.linear_combination([(scales[0], x)]))
+            _agrees(a - classes[1], ctx.marks, oracle.linear_combination([(1, x), (-1, terms[1])]))
+            _agrees(-a, ctx.marks, oracle.linear_combination([(-1, x)]))
+
+
+def test_class_algebra_matches_the_fraction_dict_oracle() -> None:
+    _compare_with_oracle(20261019)
+
+
+def _doubled(pairs):
+    """``combine_ints`` with the common factor 2 left in: the same values, no
+    longer in lowest terms."""
+    den, nums = util.combine_ints(pairs)
+    return 2 * den, {key: 2 * num for key, num in nums.items()}
+
+
+@pytest.mark.parametrize("doctor", ["psi-mask", "normalization"])
+def test_the_oracle_comparison_catches_a_doctored_kernel(monkeypatch, doctor: str) -> None:
+    if doctor == "psi-mask":
+        masks = tautring._psi_masks
+        monkeypatch.setattr(tautring, "_psi_masks", lambda ctx: masks(ctx)[:-1])
+    else:
+        monkeypatch.setattr(tautring, "combine_ints", _doubled)
+    with pytest.raises(AssertionError):
+        _compare_with_oracle(20261019)
