@@ -47,7 +47,6 @@ from .polyclasses import (
     interpolate,
 )
 from .series import MAX_SERIES_ORDER, series_log_sine, series, series_exp, series_mul, series_to_json, series_tau
-from .tautring import RingContext, TautClass
 from .util import combine, fraction_str, parse_fraction, too_long_to_print
 
 __all__ = ["main"]
@@ -67,42 +66,6 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
         return tuple(int(chunk) for chunk in text.split(","))
     except ValueError as exc:
         raise InvalidArgumentError(f"bad {what} {text!r}") from exc
-
-
-def _render_classes(classes: Sequence[TautClass]) -> list[str]:
-    """Stable text forms of boundary/psi combinations, e.g. ``psi_1 - D(2|13)``.
-
-    Each side's ``D(side|rest)`` label is built once per mark set, not once
-    per term of every class.
-    """
-    labels_by_ctx: dict[RingContext, dict[tuple[int, ...], str]] = {}
-    rendered: list[str] = []
-    for cls in classes:
-        labels = labels_by_ctx.setdefault(cls.ctx, {})
-        terms: list[tuple[str, Fraction]] = []
-        psi = cls.coefficient_psi1()
-        if psi:
-            terms.append(("psi_1", psi))
-        for side, coeff in cls.boundary_terms():
-            label = labels.get(side)
-            if label is None:
-                rest = "".join(str(m) for m in cls.ctx.marks if m not in side)
-                label = labels[side] = "D({}|{})".format("".join(map(str, side)), rest)
-            terms.append((label, coeff))
-        chunks: list[str] = []
-        for label, coeff in terms:
-            num, den = coeff.numerator, coeff.denominator
-            magnitude = -num if num < 0 else num
-            if den != 1:
-                body = f"{magnitude}/{den}*{label}"
-            else:
-                body = label if magnitude == 1 else f"{magnitude}*{label}"
-            if chunks:
-                chunks.append(("- " if num < 0 else "+ ") + body)
-            else:
-                chunks.append(f"-{body}" if num < 0 else body)
-        rendered.append(" ".join(chunks) if chunks else "0")
-    return rendered
 
 
 def _render_locus(locus: tuple[tuple, ...]) -> str:
@@ -312,18 +275,17 @@ def _cmd_localize(args: argparse.Namespace) -> int:
 
 
 def _cmd_pclass(args: argparse.Namespace) -> int:
-    entries = sorted(genus1_polynomial(args.marks).coeffs.items())
-    rendered = _render_classes([cls for _, cls in entries])
+    entries = [(expo, str(cls)) for expo, cls in sorted(genus1_polynomial(args.marks).coeffs.items())]
     if args.format == "json":
         data = [
             {"exponents": list(expo), "class": text}
-            for (expo, _), text in zip(entries, rendered)
+            for expo, text in entries
         ]
         print(json.dumps(data, sort_keys=True))
         return 0
     if args.format == "latex":
         lines = []
-        for (expo, _), text in zip(entries, rendered):
+        for expo, text in entries:
             monomial = " ".join(
                 f"x_{{{i + 2}}}^{{{e}}}" if e > 1 else f"x_{{{i + 2}}}"
                 for i, e in enumerate(expo)
@@ -334,7 +296,7 @@ def _cmd_pclass(args: argparse.Namespace) -> int:
         print(" + ".join(lines))
         return 0
     rows = []
-    for (expo, _), text in zip(entries, rendered):
+    for expo, text in entries:
         monomial = "*".join(
             f"x{i + 2}^{e}" if e > 1 else f"x{i + 2}" for i, e in enumerate(expo) if e
         )

@@ -429,8 +429,8 @@ def render_graph(graph: LocGraph) -> str:
 # ---------------------------------------------------------------------------
 
 #: Factor descriptors: ("node", size, cap) | ("hodge", g) |
-#: ("node_inf", cap) | ("scalar", coeff, power) | ("free", size) |
-#: ("ev", count) | ("branch", b0, k)
+#: ("node_inf", cap) | ("scalar", coeff, power), the last a rational times
+#: ``t**power``
 FactorSpec = tuple
 
 
@@ -482,12 +482,6 @@ def build_factor(spec: FactorSpec) -> LaurentPoly[SymExpr]:
         return _node_infinity_factor(spec[1])
     if kind == "scalar":
         return _scalar(spec[1], spec[2])
-    if kind == "free":
-        return _scalar(Fraction(1, spec[1]), 1)
-    if kind == "ev":
-        return _scalar(Fraction(1), spec[1])
-    if kind == "branch":
-        return _scalar(Fraction(math.perm(spec[1], spec[2])), spec[2])
     raise InvalidArgumentError(f"unknown factor kind {kind!r}")
 
 
@@ -500,9 +494,6 @@ class Contribution:
 
     def total(self) -> LaurentPoly[SymExpr]:
         return self.product.scale(self.prefactor)
-
-    def coefficient_at(self, power: int) -> SymExpr:
-        return SYM_OPS.scale(self.product.coefficient(power), self.prefactor)
 
 
 def graph_prefactor(graph: LocGraph) -> Fraction:
@@ -539,7 +530,7 @@ def assemble_contribution(graph: LocGraph, lift: Lift) -> Contribution:
             specs.append(("scalar", Fraction(p.size), 0))
             specs.append(("hodge", 0))
         elif len(p.marks) == 0:
-            specs.append(("free", p.size))
+            specs.append(("scalar", Fraction(1, p.size), 1))
         # a part with one mark is a two-special-point vertex: factor 1
     if graph.has_rubber():
         specs.append(("node_inf", _rubber_dim(graph, lift)))
@@ -548,8 +539,8 @@ def assemble_contribution(graph: LocGraph, lift: Lift) -> Contribution:
         edge_coeff *= Fraction(p.size**p.size, math.factorial(p.size))
     specs.append(("scalar", edge_coeff, -graph.degree))
     if lift.zero_marks:
-        specs.append(("ev", len(lift.zero_marks)))
-    specs.append(("branch", b0, k))
+        specs.append(("scalar", Fraction(1), len(lift.zero_marks)))
+    specs.append(("scalar", Fraction(math.perm(b0, k)), k))
     product = _scalar(Fraction(1), 0)
     for spec in specs:
         product = product.mul(build_factor(spec))
@@ -597,7 +588,7 @@ def relation_extract(d: int, lift: Lift) -> Relation:
     :func:`_genus_walk`, and the power of ``t`` fixes ``b``: the pair lift's
     zero-side rubber sits at its top power ``l - 2`` (``-1``, no rubber, for
     one part) and every infinity graph's at ``b = 0``.  Each kept monomial
-    is the kept part of ``assemble_contribution(graph, lift).coefficient_at(-1)``.
+    is the kept part of ``assemble_contribution(graph, lift).total().coefficient(-1)``.
     """
     if d < lift.branch_twist:
         raise InvalidArgumentError(f"this lift needs degree >= {lift.branch_twist}, got {d}")

@@ -82,7 +82,12 @@ class MultiPoly:
         return max((sum(e) for e in self.coeffs), default=0)
 
     def coefficient(self, exponents: Sequence[int]) -> Any:
-        return self.coeffs.get(tuple(int(e) for e in exponents))
+        """The value at ``exponents``, or None; a malformed exponent tuple raises."""
+        key = tuple(int(e) for e in exponents)
+        value = self.coeffs.get(key)
+        if value is None and (len(key) != self.nvars or any(e < 0 for e in key)):
+            raise InvalidArgumentError(f"bad exponent tuple {exponents!r}")
+        return value
 
     def evaluate(self, point: Sequence[Fraction | int]) -> Any:
         """Value at an exact rational point (None when the sum is empty)."""

@@ -2,7 +2,9 @@
 
 Power series have ``fractions.Fraction`` coefficients and an explicit
 truncation order; asking for a coefficient beyond it raises
-``TruncationExceededError`` rather than returning a silent zero.  Laurent
+``TruncationExceededError`` rather than returning a silent zero.  Their
+operations are the ones the package uses: the truncated product, ``log`` and
+``exp``, and two fixed series, the tree function and the log-sine.  Laurent
 polynomials are finite by construction and never truncate; their
 coefficients live in a ring described by a :class:`RingOps` table, and the
 one such ring in the package is the graph layer's symbol algebra
@@ -24,8 +26,6 @@ __all__ = [
     "PowerSeries",
     "series",
     "series_mul",
-    "series_scale",
-    "series_pow",
     "series_log",
     "series_exp",
     "series_tau",
@@ -89,11 +89,6 @@ def series(coeffs: Iterable[Fraction | int], order: int | None = None) -> PowerS
     return PowerSeries(tuple(values))
 
 
-def series_scale(f: PowerSeries, c: Fraction | int) -> PowerSeries:
-    frac = Fraction(c)
-    return PowerSeries(tuple(frac * a for a in f.coeffs))
-
-
 def series_mul(f: PowerSeries, g: PowerSeries) -> PowerSeries:
     """Product, truncated at the smaller of the two orders."""
     order = min(f.order, g.order)
@@ -106,20 +101,6 @@ def series_mul(f: PowerSeries, g: PowerSeries) -> PowerSeries:
             if b != 0:
                 out[i + j] += a * b
     return PowerSeries(tuple(out))
-
-
-def series_pow(f: PowerSeries, n: int) -> PowerSeries:
-    """Non-negative integer power, truncated at ``f.order``."""
-    if n < 0:
-        raise InvalidArgumentError(f"power must be >= 0, got {n}")
-    result = series([1], f.order)
-    base = f
-    while n:
-        if n & 1:
-            result = series_mul(result, base)
-        base = series_mul(base, base)
-        n >>= 1
-    return result
 
 
 def series_log(f: PowerSeries) -> PowerSeries:
@@ -251,10 +232,6 @@ class LaurentPoly(Generic[C]):
             return self._coeffs[k]
         return self.ops.zero()
 
-    def support(self) -> list[int]:
-        """Sorted exponents with nonzero coefficient."""
-        return sorted(self._coeffs)
-
     def is_zero(self) -> bool:
         return not self._coeffs
 
@@ -302,5 +279,5 @@ class LaurentPoly(Generic[C]):
         raise TypeError("LaurentPoly is not hashable")
 
     def __repr__(self) -> str:
-        terms = ", ".join(f"t^{k}: {self._coeffs[k]!r}" for k in self.support())
+        terms = ", ".join(f"t^{k}: {self._coeffs[k]!r}" for k in sorted(self._coeffs))
         return f"LaurentPoly({{{terms}}})"

@@ -14,6 +14,11 @@ for mark ``m``) or by 1, the unused bit of mark 0, for ``psi1``.  The form
 is canonical, ``gcd(den, *numerators) == 1``, so equal classes hold equal
 data.  Sums run through :func:`rubbertaut.util.combine_ints`; a ``Fraction``
 is made only when a coefficient is read.
+
+``str(cls)`` is the one text form of a class, e.g. ``psi_1 - 1/2*D(2|13)``:
+``psi_1`` first, then the divisors in :meth:`TautClass.boundary_terms` order
+as ``D(side|rest)``, each side's marks run together, and ``0`` for the zero
+class.  ``repr(cls)`` is ``TautClass(<text>)``.
 """
 
 from __future__ import annotations
@@ -137,12 +142,16 @@ class TautClass:
     # -- linear structure -------------------------------------------------
 
     def __add__(self, other: "TautClass") -> "TautClass":
+        if not isinstance(other, TautClass):
+            return NotImplemented
         return linear_combination(((1, self), (1, other)))
 
     def __neg__(self) -> "TautClass":
         return _class(self.ctx, self._den, {k: -v for k, v in self._nums.items()})
 
     def __sub__(self, other: "TautClass") -> "TautClass":
+        if not isinstance(other, TautClass):
+            return NotImplemented
         return linear_combination(((1, self), (-1, other)))
 
     def __rmul__(self, scalar: Fraction | int) -> "TautClass":
@@ -158,17 +167,23 @@ class TautClass:
     def __hash__(self):  # pragma: no cover - mutability guard
         raise TypeError("TautClass is not hashable")
 
+    def __str__(self) -> str:
+        """The text form of the module docstring, e.g. ``psi_1 - 1/2*D(2|13)``."""
+        labels, text = _side_labels(self.ctx), ""
+        terms = [("psi_1", self.coefficient_psi1())] if _PSI in self._nums else []
+        for side, coeff in self.boundary_terms():
+            if side not in labels:
+                rest = "".join(str(m) for m in self.ctx.marks if m not in side)
+                labels[side] = f"D({''.join(map(str, side))}|{rest})"
+            terms.append((labels[side], coeff))
+        for label, coeff in terms:
+            num = coeff.numerator
+            body = label if num in (1, -1) and coeff.denominator == 1 else f"{fraction_str(abs(coeff))}*{label}"
+            text += ((" - " if text else "-") if num < 0 else (" + " if text else "")) + body
+        return text or "0"
+
     def __repr__(self) -> str:
-        if not self._nums:
-            return "TautClass(0)"
-        parts = []
-        psi = self.coefficient_psi1()
-        if psi:
-            parts.append(f"{fraction_str(psi)}*psi1")
-        for side, value in self.boundary_terms():
-            label = ",".join(map(str, side)) if side else ""
-            parts.append(f"{fraction_str(value)}*D({label}|..)")
-        return "TautClass(" + " + ".join(parts) + ")"
+        return f"TautClass({self})"
 
     # -- normal form ------------------------------------------------------
 
@@ -203,6 +218,9 @@ def _class(ctx: RingContext, den: int, nums: dict[int, int]) -> TautClass:
 #: Per mark set, each side mask met so far to ``(rank, side)``: the rank orders
 #: sides by size, then as tuples, as mark ``m`` weighs ``2**(top - m)``.
 _ranked_sides = lru_cache(maxsize=32)(lambda ctx: {})
+
+#: Per mark set, each side printed so far to its ``D(side|rest)`` label.
+_side_labels = lru_cache(maxsize=32)(lambda ctx: {})
 
 
 @lru_cache(maxsize=32)

@@ -374,7 +374,8 @@ def _retired_solve_hodge(g: int, d_max: int) -> HodgeSolution:
     matrix = [[hodge_linear_form(g, d).get(j, Fraction(0)) for j in range(g)] for d in degrees]
     rhs = [n_target(g, d) for d in degrees]
     solution = fraction_solve(matrix, rhs)
-    return HodgeSolution(g, solution.particular, degrees, solution.nullspace)
+    assert not solution.nullspace
+    return HodgeSolution(g, solution.particular, degrees)
 
 
 def test_solve_matches_the_retired_route() -> None:
@@ -398,7 +399,8 @@ def _integer_row_solve_hodge(g: int, d_max: int) -> HodgeSolution:
         matrix.append([s * base.denominator for s in numerators])
         rhs.append(d ** (2 * g) * base.numerator * denominator)
     solution = solve_linear_system(matrix, rhs)
-    return HodgeSolution(g, solution.particular, degrees, solution.nullspace)
+    assert not solution.nullspace
+    return HodgeSolution(g, solution.particular, degrees)
 
 
 def test_solve_matches_the_integer_row_elimination_up_to_the_genus_cap() -> None:

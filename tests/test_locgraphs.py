@@ -232,7 +232,7 @@ def _retired_filter(
 
 def _filtered_laurent(graph: LocGraph, lift: Lift) -> dict[Monomial, Fraction]:
     """The ``1/t`` coefficient of the full Laurent product, through the retired filters."""
-    return _retired_filter(graph, lift, assemble_contribution(graph, lift).coefficient_at(-1))
+    return _retired_filter(graph, lift, assemble_contribution(graph, lift).total().coefficient(-1))
 
 
 def test_relation_keeps_the_filtered_residue_of_every_graph() -> None:
@@ -501,7 +501,7 @@ def test_noncontributing_rows_have_no_residue(d: int, silent: set[int]) -> None:
     rows = enumerate_rows(d, LIFT_DIVISOR)
     for row in rows:
         for graph in row.graphs:
-            laurent = assemble_contribution(graph, LIFT_DIVISOR).coefficient_at(-1)
+            laurent = assemble_contribution(graph, LIFT_DIVISOR).total().coefficient(-1)
             residue = _residue_fractions(graph, LIFT_DIVISOR)
             assert residue == _filtered_laurent(graph, LIFT_DIVISOR)
             assert (laurent == {}) == (residue == {}) == (row.index in silent)

@@ -62,6 +62,15 @@ def test_three_mark_polynomial_matches_the_localization_solve() -> None:
     assert poly.coefficient((1, 1)).reduce() == solution.b
 
 
+def test_coefficient_refuses_malformed_exponents() -> None:
+    poly = MultiPoly(2, {(1, 0): 1})
+    assert poly.coefficient((1, 0)) == 1
+    assert poly.coefficient((0, 1)) is None
+    for exponents in ((1,), (1, 0, 0), (), (-1, 2), (0, -1)):
+        with pytest.raises(InvalidArgumentError, match="bad exponent tuple"):
+            poly.coefficient(exponents)
+
+
 def test_four_mark_square_coefficient_literal() -> None:
     poly = genus1_polynomial(4)
     ctx = RingContext.standard(4)

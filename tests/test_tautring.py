@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -9,7 +10,7 @@ import pytest
 from fraction_class_oracle import assert_canonical
 
 from rubbertaut import tautring, util
-from rubbertaut.errors import InvalidArgumentError
+from rubbertaut.errors import InvalidArgumentError, ResourceLimitError
 from rubbertaut.tautring import (
     RingContext,
     TautClass,
@@ -151,6 +152,86 @@ def test_linear_combination_validates_its_classes() -> None:
     small, big = psi1(RingContext.standard(3)), psi1(RingContext.standard(4))
     with pytest.raises(InvalidArgumentError):
         linear_combination([(1, small), (1, big)])
+
+
+@pytest.mark.parametrize("other", [1, -1, Fraction(1, 2), 0])
+def test_adding_a_number_to_a_class_is_a_type_error(other) -> None:
+    cls = psi1(RingContext.standard(3))
+    with pytest.raises(TypeError):
+        cls + other
+    with pytest.raises(TypeError):
+        cls - other
+    with pytest.raises(TypeError):
+        other + cls
+    with pytest.raises(TypeError):
+        other - cls
+
+
+# ---------------------------------------------------------------------------
+# The text form
+# ---------------------------------------------------------------------------
+
+
+def _render_classes(classes: list[TautClass]) -> list[str]:
+    """The retired command-line renderer, kept as the oracle of ``str``:
+    ``psi_1`` first, then the divisors in ``boundary_terms`` order."""
+    rendered: list[str] = []
+    for cls in classes:
+        terms: list[tuple[str, Fraction]] = []
+        psi = cls.coefficient_psi1()
+        if psi:
+            terms.append(("psi_1", psi))
+        for side, coeff in cls.boundary_terms():
+            rest = "".join(str(m) for m in cls.ctx.marks if m not in side)
+            terms.append(("D({}|{})".format("".join(map(str, side)), rest), coeff))
+        chunks: list[str] = []
+        for label, coeff in terms:
+            num, den = coeff.numerator, coeff.denominator
+            magnitude = -num if num < 0 else num
+            if den != 1:
+                body = f"{magnitude}/{den}*{label}"
+            else:
+                body = label if magnitude == 1 else f"{magnitude}*{label}"
+            if chunks:
+                chunks.append(("- " if num < 0 else "+ ") + body)
+            else:
+                chunks.append(f"-{body}" if num < 0 else body)
+        rendered.append(" ".join(chunks) if chunks else "0")
+    return rendered
+
+
+def test_text_form_literals() -> None:
+    ctx = RingContext.standard(3)
+    assert str(psi1(ctx) - Fraction(1, 2) * boundary(ctx, (2,))) == "psi_1 - 1/2*D(2|13)"
+    assert str(-3 * boundary(ctx, ()) + boundary(ctx, (1,))) == "-3*D(|123) + D(1|23)"
+    assert str(zero_class(ctx)) == "0"
+    huge = Fraction(10**5000) * psi1(ctx)
+    for render in (str, repr):
+        with pytest.raises(ResourceLimitError):
+            render(huge)
+    assert repr(Fraction(-2, 3) * psi1(ctx)) == "TautClass(-2/3*psi_1)"
+
+
+def test_text_form_matches_the_retired_renderer() -> None:
+    rng = random.Random(20261020)
+    seen: Counter = Counter()
+    for t in range(3, 12):
+        for standard in (True, False):
+            others = range(2, t + 1) if standard else sorted(rng.sample(range(2, 16), t - 1))
+            ctx = RingContext((1, *others))
+            classes = [zero_class(ctx), psi1(ctx), -psi1(ctx)]
+            for _ in range(4):
+                cls = TautClass(ctx, _oracle_terms(ctx, rng))
+                classes += [cls, -cls, cls.reduce(), Fraction(1, 5) * cls]
+            for cls, text in zip(classes, _render_classes(classes)):
+                assert str(cls) == text
+                assert repr(cls) == f"TautClass({cls})"
+                seen["zero"] += cls.is_zero()
+                seen["psi"] += bool(cls.coefficient_psi1())
+                seen["no psi"] += not cls.coefficient_psi1() and not cls.is_zero()
+                seen["negative first"] += text.startswith("-")
+                seen["denominator"] += "/" in text
+    assert min(seen[key] for key in ("zero", "psi", "no psi", "negative first", "denominator")) >= 18, seen
 
 
 # ---------------------------------------------------------------------------
