@@ -30,6 +30,7 @@ and is kept as the oracle: the tests compare the two forms, and
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -72,6 +73,10 @@ MAX_DEGREE = 2 * MAX_GENUS
 def _check_genus(g: int) -> None:
     """Refuse a genus outside ``1..MAX_GENUS``; the graph lifts and
     ``verify-all`` check through here too."""
+    try:
+        operator.index(g)
+    except TypeError:
+        raise InvalidArgumentError(f"genus must be an integer, got {g!r}") from None
     if g < 1:
         raise InvalidArgumentError(f"need genus >= 1, got {g}")
     if g > MAX_GENUS:

@@ -16,13 +16,14 @@ of ``t``.  One pass over the marked partitions (:func:`_graph_data`) reads
 each graph's scalar off its slots, and :func:`relation_extract` walks just
 the genus-node cotangent powers and Hodge indices that degree allows, with
 the rubber cotangent power fixed by the power of ``t``.  The repeated rubber
-integrals are memoized in :mod:`rubbertaut.hurwitz`.  The full Laurent
-product (:func:`assemble_contribution`) backs the frozen degree-2 and
-degree-3 tables, and the tests check the relation against it.  Evaluating
-the relation's terms through the boundary catalogue and solving gives the
-divisor-class coefficients of the genus-one weight quadric.  Every sum here,
-from the symbol algebra's ring operations to the per-row relations and the
-solve, runs through :func:`rubbertaut.util.combine`.
+integrals are memoized in :mod:`rubbertaut.hurwitz`.  No command runs the
+full Laurent product (:func:`assemble_contribution`): only the tests, which
+check the relation and the frozen factor cells against it, and the benchmark
+tracer reach it.  Evaluating the relation's terms through the boundary
+catalogue and solving gives the divisor-class coefficients of the genus-one
+weight quadric.  Every sum here, from the symbol algebra's ring operations
+to the per-row relations and the solve, runs through
+:func:`rubbertaut.util.combine`.
 
 Two lifts of the action are used, and a :class:`Lift` is one of them:
 
@@ -510,9 +511,9 @@ def graph_prefactor(graph: LocGraph) -> Fraction:
 def assemble_contribution(graph: LocGraph, lift: Lift) -> Contribution:
     """Build the exact contribution of one graph under the given lift.
 
-    The full Laurent product is the oracle for :func:`relation_extract`,
-    which reads the ``1/t`` coefficient without it, and it backs the frozen
-    degree-2 and degree-3 tables.  A graph that misses the branch twist
+    The full Laurent product is the tests' oracle for :func:`relation_extract`,
+    which reads the ``1/t`` coefficient without it, and for the frozen
+    tables' factor cells.  A graph that misses the branch twist
     (``0 <= k <= B0``) is refused.
     """
     b0 = (2 * lift.genus if graph.side == "zero" else 0) + graph.degree - len(graph.parts)

@@ -17,12 +17,15 @@ is made only when a coefficient is read.
 
 ``str(cls)`` is the one text form of a class, e.g. ``psi_1 - 1/2*D(2|13)``:
 ``psi_1`` first, then the divisors in :meth:`TautClass.boundary_terms` order
-as ``D(side|rest)``, each side's marks run together, and ``0`` for the zero
-class.  ``repr(cls)`` is ``TautClass(<text>)``.
+as ``D(side|rest)``, and ``0`` for the zero class.  Each side's marks run
+together, as in ``D(2|13)``, unless a mark of the space is 10 or more; then
+commas separate them, as in ``D(1,2|12,21)``.  ``repr(cls)`` is
+``TautClass(<text>)``.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -58,7 +61,10 @@ class RingContext:
     marks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        marks = tuple(sorted(set(self.marks)))
+        try:
+            marks = tuple(sorted(set(map(operator.index, self.marks))))
+        except TypeError:
+            raise InvalidArgumentError(f"marks are integers, got {self.marks}") from None
         if marks != self.marks:
             raise InvalidArgumentError(f"marks must be sorted and distinct, got {self.marks}")
         if len(marks) < 2:
@@ -85,7 +91,10 @@ def _mask(marks: Iterable[int]) -> int:
 
 
 def _d_key(ctx: RingContext, genus1_side: Iterable[int]) -> int:
-    side = tuple(sorted(set(genus1_side)))
+    try:
+        side = tuple(sorted(set(map(operator.index, genus1_side))))
+    except TypeError:
+        raise InvalidArgumentError("the marks of a genus-one side must be integers") from None
     if any(m not in ctx.marks for m in side):
         raise InvalidArgumentError(f"genus-one side {side} uses marks outside {ctx.marks}")
     if len(ctx.marks) - len(side) < 2:
@@ -173,8 +182,9 @@ class TautClass:
         terms = [("psi_1", self.coefficient_psi1())] if _PSI in self._nums else []
         for side, coeff in self.boundary_terms():
             if side not in labels:
-                rest = "".join(str(m) for m in self.ctx.marks if m not in side)
-                labels[side] = f"D({''.join(map(str, side))}|{rest})"
+                sep = "," if self.ctx.marks[-1] >= 10 else ""
+                rest = sep.join(str(m) for m in self.ctx.marks if m not in side)
+                labels[side] = f"D({sep.join(map(str, side))}|{rest})"
             terms.append((labels[side], coeff))
         for label, coeff in terms:
             num = coeff.numerator

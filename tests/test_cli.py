@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import subprocess
@@ -19,7 +20,7 @@ from rubbertaut import cli, goldentables, hodge, locgraphs, polyclasses
 from rubbertaut.hodge import MAX_GENUS
 from rubbertaut.partitions import MAX_PARTITION_DEGREE
 from rubbertaut.polyclasses import MultiPoly
-from rubbertaut.series import MAX_SERIES_ORDER, series, series_log_sine, series_to_json
+from rubbertaut.series import MAX_SERIES_ORDER, LaurentPoly, series, series_log_sine, series_to_json
 from rubbertaut.tautring import linear_combination
 
 
@@ -308,6 +309,49 @@ def test_golden_rows_are_matched_by_their_graph(
     assert code == 2
     failures = [line for line in out.splitlines() if line.startswith("FAIL ")]
     assert len(failures) == 1 and failures[0].startswith("FAIL localize: degree-2-and-3-tables")
+
+
+@pytest.mark.parametrize(
+    "index, field, value, line",
+    [
+        (1, "prefactor", Fraction(1, 4), "DIFF row 1: prefactor 1/2 != 1/4"),
+        (4, "multiplicity", 1, "DIFF row 4: multiplicity 2 != 1"),
+        (3, "locus", (("M", 1, 3),), "DIFF row 3: locus differs"),
+    ],
+)
+def test_golden_diff_flags_each_doctored_row_field(
+    capsys: pytest.CaptureFixture[str],
+    monkeypatch: pytest.MonkeyPatch,
+    index: int,
+    field: str,
+    value: object,
+    line: str,
+) -> None:
+    table = list(goldentables.TABLE_D2)
+    table[index - 1] = dataclasses.replace(table[index - 1], **{field: value})
+    monkeypatch.setattr(goldentables, "TABLE_D2", tuple(table))
+    code, out = _run(["localize", "--d", "2", "--golden"], capsys)
+    assert code == 2
+    assert out.splitlines() == [line]
+    code, out = _run(["verify-all", "--g-max", "1", "--d-max", "2"], capsys)
+    assert code == 2
+    failures = [text for text in out.splitlines() if text.startswith("FAIL ")]
+    assert len(failures) == 1 and failures[0].startswith("FAIL localize: degree-2-and-3-tables")
+
+
+def test_golden_checks_run_without_the_laurent_product(
+    capsys: pytest.CaptureFixture[str], monkeypatch: pytest.MonkeyPatch
+) -> None:
+    """The table checks compare what ``localize`` prints; the full Laurent
+    product is compared with the factor cells in the tests alone."""
+
+    def refuse(self: LaurentPoly, other: LaurentPoly) -> LaurentPoly:
+        raise AssertionError("a Laurent product was multiplied")
+
+    monkeypatch.setattr(LaurentPoly, "mul", refuse)
+    for argv in (["localize", "--d", "2", "--golden"], ["localize", "--d", "3", "--golden"], ["verify-all"]):
+        code, out = _run(argv, capsys)
+        assert code == 0, out
 
 
 def _doctor_targets(monkeypatch: pytest.MonkeyPatch) -> None:

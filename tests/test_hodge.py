@@ -230,6 +230,13 @@ def test_genus_zero_is_rejected() -> None:
         hodge_linear_form(1, 0)
 
 
+def test_a_non_integer_genus_is_refused() -> None:
+    for genus in (2.0, Fraction(2), "2"):
+        for call in (solve_hodge, lambda g: n_target(g, 1), lambda g: hodge_linear_form(g, 1)):
+            with pytest.raises(InvalidArgumentError, match="genus must be an integer"):
+                call(genus)
+
+
 def test_genus_past_the_cap_is_refused_before_any_series(
     monkeypatch: pytest.MonkeyPatch,
 ) -> None:

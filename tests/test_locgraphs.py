@@ -4,6 +4,7 @@ import math
 import re
 from fractions import Fraction
 
+import golden_factors
 import pytest
 
 from rubbertaut import goldentables, locgraphs
@@ -399,6 +400,12 @@ def test_lift_validation(genus: int, divisor: bool) -> None:
         Lift(genus, divisor=divisor)
 
 
+def test_a_lift_of_non_integer_genus_is_refused() -> None:
+    for build in (Lift, lift_pair, lambda g: relation_extract(3, Lift(g))):
+        with pytest.raises(InvalidArgumentError, match="genus must be an integer"):
+            build(2.0)
+
+
 def test_lifts_derive_their_marks_and_twist() -> None:
     assert LIFT_DIVISOR == Lift(1, divisor=True)
     assert (LIFT_DIVISOR.zero_marks, LIFT_DIVISOR.branch_twist) == ((2, 3), 2)
@@ -486,18 +493,34 @@ def test_assembled_rows_match_frozen_tables(d: int) -> None:
     table = goldentables.TABLE_D2 if d == 2 else goldentables.TABLE_D3
     assert len(rows) == len(table)
     for row, golden in zip(rows, table):
-        contribution = assemble_contribution(row.representative, LIFT_DIVISOR)
-        assert contribution.prefactor == golden.prefactor
+        assert render_graph(row.representative) == golden.label
+        assert assemble_contribution(row.representative, LIFT_DIVISOR).prefactor == golden.prefactor
         assert row.multiplicity == golden.multiplicity
         assert locus_descriptor(row.representative, LIFT_DIVISOR) == golden.locus
-        assert contribution.total() == golden.expand()
+    assert golden_factors.mismatched_rows(d) == []
 
 
 @pytest.mark.parametrize(
-    "d, silent",
-    [(2, goldentables.R2_NONCONTRIBUTING), (3, goldentables.L3_NONCONTRIBUTING)],
+    "d, index, literal, doctored",
+    [
+        (2, 1, 1, ("rat", Fraction(3), -2)),
+        (2, 7, 0, ("rat", Fraction(1), 0)),
+        (3, 5, 1, ("node", 1, "N")),
+        (3, 14, 3, ("hodge1", 2)),
+    ],
 )
-def test_noncontributing_rows_have_no_residue(d: int, silent: set[int]) -> None:
+def test_the_product_comparison_catches_a_doctored_cell(
+    monkeypatch: pytest.MonkeyPatch, d: int, index: int, literal: int, doctored: tuple
+) -> None:
+    cell = list(golden_factors.FACTORS[d][index])
+    assert cell[literal] != doctored
+    cell[literal] = doctored
+    monkeypatch.setitem(golden_factors.FACTORS[d], index, tuple(cell))
+    assert golden_factors.mismatched_rows(d) == [index]
+
+
+@pytest.mark.parametrize("d, silent", golden_factors.NONCONTRIBUTING.items())
+def test_noncontributing_rows_have_no_residue(d: int, silent: frozenset[int]) -> None:
     rows = enumerate_rows(d, LIFT_DIVISOR)
     for row in rows:
         for graph in row.graphs:
@@ -553,7 +576,7 @@ def _pair_rubber_total(g: int, d: int) -> Fraction:
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_pair_rubber_totals_match_closed_form(d: int) -> None:
-    expected = goldentables.PAIR_RUBBER_TOTALS[d]
+    expected = golden_factors.PAIR_RUBBER_TOTALS[d]
     for g in (1, 2, 3):
         assert _pair_rubber_total(g, d) == expected
 

@@ -63,6 +63,18 @@ def test_context_constructors_and_validation() -> None:
         RingContext((1, 2, 2))
 
 
+def test_marks_must_be_integers() -> None:
+    for marks in ((1, 2.0, 3), (1, "2", 3), (1, Fraction(2), 3)):
+        with pytest.raises(InvalidArgumentError, match="marks are integers"):
+            RingContext(marks)
+    ctx = RingContext.standard(3)
+    for side in ((2.0,), ("2",), (Fraction(3),)):
+        with pytest.raises(InvalidArgumentError, match="must be integers"):
+            boundary(ctx, side)
+        with pytest.raises(InvalidArgumentError, match="must be integers"):
+            TautClass(ctx, {("D", side): 1})
+
+
 def test_boundary_needs_two_marks_on_the_rational_side() -> None:
     ctx = RingContext.standard(3)
     with pytest.raises(InvalidArgumentError):
@@ -174,16 +186,18 @@ def test_adding_a_number_to_a_class_is_a_type_error(other) -> None:
 
 def _render_classes(classes: list[TautClass]) -> list[str]:
     """The retired command-line renderer, kept as the oracle of ``str``:
-    ``psi_1`` first, then the divisors in ``boundary_terms`` order."""
+    ``psi_1`` first, then the divisors in ``boundary_terms`` order, with
+    commas between a side's marks once the space has a two-digit mark."""
     rendered: list[str] = []
     for cls in classes:
         terms: list[tuple[str, Fraction]] = []
         psi = cls.coefficient_psi1()
         if psi:
             terms.append(("psi_1", psi))
+        sep = "," if max(cls.ctx.marks) > 9 else ""
         for side, coeff in cls.boundary_terms():
-            rest = "".join(str(m) for m in cls.ctx.marks if m not in side)
-            terms.append(("D({}|{})".format("".join(map(str, side)), rest), coeff))
+            rest = sep.join(str(m) for m in cls.ctx.marks if m not in side)
+            terms.append(("D({}|{})".format(sep.join(map(str, side)), rest), coeff))
         chunks: list[str] = []
         for label, coeff in terms:
             num, den = coeff.numerator, coeff.denominator
@@ -210,6 +224,17 @@ def test_text_form_literals() -> None:
         with pytest.raises(ResourceLimitError):
             render(huge)
     assert repr(Fraction(-2, 3) * psi1(ctx)) == "TautClass(-2/3*psi_1)"
+
+
+def test_two_digit_marks_keep_divisor_labels_apart() -> None:
+    ctx = RingContext((1, 2, 12, 21))
+    assert str(boundary(ctx, (1, 2))) == "D(1,2|12,21)"
+    assert str(boundary(ctx, (12,))) == "D(12|1,2,21)"
+    assert str(boundary(ctx, (1, 2)) - boundary(ctx, (12,))) == "-D(12|1,2,21) + D(1,2|12,21)"
+    assert str(boundary(RingContext.standard(10), (10,))) == "D(10|1,2,3,4,5,6,7,8,9)"
+    assert str(boundary(RingContext.standard(9), (9,))) == "D(9|12345678)"
+    sides = _all_genus_sides(ctx)
+    assert len({str(boundary(ctx, side)) for side in sides}) == len(sides)
 
 
 def test_text_form_matches_the_retired_renderer() -> None:
