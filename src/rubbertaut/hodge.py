@@ -30,7 +30,6 @@ and is kept as the oracle: the tests compare the two forms, and
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -39,7 +38,7 @@ from .errors import InvalidArgumentError, InconsistencyError, ResourceLimitError
 from .linalg import newton_fit, solve_lower_triangular
 from .partitions import aut, enumerate_partitions
 from .series import series_log_sine
-from .util import combine
+from .util import check_integer, combine
 
 __all__ = [
     "MAX_GENUS",
@@ -73,10 +72,7 @@ MAX_DEGREE = 2 * MAX_GENUS
 def _check_genus(g: int) -> None:
     """Refuse a genus outside ``1..MAX_GENUS``; the graph lifts and
     ``verify-all`` check through here too."""
-    try:
-        operator.index(g)
-    except TypeError:
-        raise InvalidArgumentError(f"genus must be an integer, got {g!r}") from None
+    check_integer("genus", g)
     if g < 1:
         raise InvalidArgumentError(f"need genus >= 1, got {g}")
     if g > MAX_GENUS:
@@ -86,6 +82,7 @@ def _check_genus(g: int) -> None:
 def _check_degree_bound(d_max: int) -> None:
     """Refuse a degree (bound) outside ``1..MAX_DEGREE``: a sweep over no
     degree checks nothing."""
+    check_integer("degree", d_max)
     if d_max < 1:
         raise InvalidArgumentError(f"need degree bound >= 1, got {d_max}")
     if d_max > MAX_DEGREE:
@@ -95,6 +92,7 @@ def _check_degree_bound(d_max: int) -> None:
 def q_form(g: int, e: int) -> LinearForm:
     """The alternating edge-weight form ``sum_j (-1)^j e^(g-1-j) I(g, j)``."""
     _check_genus(g)
+    check_integer("edge size", e)
     if e < 1:
         raise InvalidArgumentError(f"need edge size >= 1, got {e}")
     return {j: Fraction((-1) ** j * e ** (g - 1 - j)) for j in range(g)}

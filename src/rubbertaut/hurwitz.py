@@ -32,16 +32,12 @@ with its cycle and component counts, and its successors are built once, on
 its first expansion, merged by target with their ``ways`` summed.  The walk
 itself then runs on ids.  The table grows only through ``hurwitz_oracle``
 after its degree cap, so it never holds more than 1,684 states.
-Counts are also memoized on the validated, descending profile pair, after
-the cap is checked, so a capped pair raises on every call.  The
-localization graph sums ask for the same rubber integral over and over
-(about 90% of their calls repeat one), and every pair within the cap fits
-in the memo.
+:func:`rubber_psi_integral` reads a one-part pair, the only kind the graph
+sums ask for, off the closed form at any degree, without a walk.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import threading
@@ -50,6 +46,7 @@ from typing import Iterator, Sequence
 
 from .errors import InvalidArgumentError, ResourceLimitError
 from .partitions import aut
+from .util import check_integer
 
 __all__ = [
     "MAX_DEGREE",
@@ -63,9 +60,6 @@ __all__ = [
 MAX_DEGREE = 10
 #: Most simple branch points a profile pair within ``MAX_DEGREE`` can have.
 MAX_SIMPLE_BRANCH = 2 * MAX_DEGREE - 2
-#: Profile pairs whose counts are remembered: more than the 3,582 ordered
-#: pairs of partitions of equal degree up to ``MAX_DEGREE``.
-MEMO_SIZE = 4096
 # The state table below holds at most 1,684 states: the number of multisets
 # of partitions of d, summed over d <= MAX_DEGREE (1 + 3 + 6 + 14 + 27 + 58 +
 # 111 + 223 + 424 + 817).
@@ -184,18 +178,13 @@ def hurwitz_oracle(alpha: Sequence[int], beta: Sequence[int]) -> Fraction:
     d = sum(alpha_t)
     if d > MAX_DEGREE:
         raise ResourceLimitError(f"degree {d} exceeds the exact-count cap {MAX_DEGREE}")
-    return _hurwitz_number(alpha_t, beta_t)
-
-
-@functools.lru_cache(maxsize=MEMO_SIZE)
-def _hurwitz_number(alpha: tuple[int, ...], beta: tuple[int, ...]) -> Fraction:
-    """The count for validated, descending profiles within the degree cap."""
-    return Fraction(_count_tuples(alpha, beta) * aut(beta), math.prod(alpha))
+    return Fraction(_count_tuples(alpha_t, beta_t) * aut(beta_t), math.prod(alpha_t))
 
 
 def hurwitz_one_part(nu: Sequence[int], d: int) -> Fraction:
     """Closed form ``(l - 1)! * d**(l - 2)`` for profiles ``nu`` against ``(d)``."""
     nu_t = _validate_profile("nu", nu)
+    check_integer("degree", d)
     if sum(nu_t) != d:
         raise InvalidArgumentError(f"partition {nu_t} does not sum to degree {d}")
     l = len(nu_t)
@@ -206,7 +195,8 @@ def rubber_psi_integral(alpha: Sequence[int], beta: Sequence[int]) -> Fraction:
     """Top cotangent-line integral on the genus-zero rubber space.
 
     Equals the double Hurwitz number divided by ``r!`` where ``r`` is the
-    number of simple branch points; requires ``r >= 1``.
+    number of simple branch points; requires ``r >= 1``.  A one-part pair
+    reads it off :func:`hurwitz_one_part` (``d ** (l - 2)``) at any degree.
     """
     alpha_t = _validate_profile("alpha", alpha)
     beta_t = _validate_profile("beta", beta)
@@ -215,4 +205,8 @@ def rubber_psi_integral(alpha: Sequence[int], beta: Sequence[int]) -> Fraction:
         raise InvalidArgumentError(
             "rubber integral needs at least one simple branch point"
         )
+    if len(alpha_t) == 1:
+        alpha_t, beta_t = beta_t, alpha_t
+    if len(beta_t) == 1:
+        return hurwitz_one_part(alpha_t, beta_t[0]) / math.factorial(r)
     return hurwitz_oracle(alpha_t, beta_t) / math.factorial(r)

@@ -15,8 +15,7 @@ relation, and all but three factors of a graph are a scalar times a power
 of ``t``.  One pass over the marked partitions (:func:`_graph_data`) reads
 each graph's scalar off its slots, and :func:`relation_extract` walks just
 the genus-node cotangent powers and Hodge indices that degree allows, with
-the rubber cotangent power fixed by the power of ``t``.  The repeated rubber
-integrals are memoized in :mod:`rubbertaut.hurwitz`.  No command runs the
+the rubber cotangent power fixed by the power of ``t``.  No command runs the
 full Laurent product (:func:`assemble_contribution`): only the tests, which
 check the relation and the frozen factor cells against it, and the benchmark
 tracer reach it.  Evaluating the relation's terms through the boundary
@@ -52,12 +51,11 @@ from typing import Iterator, Mapping, NamedTuple
 
 from .errors import (
     InvalidArgumentError,
-    ResourceLimitError,
     TheoremViolationError,
     UnsupportedGraphError,
 )
 from .hodge import LinearForm, _check_genus, n_target, solve_hodge
-from .hurwitz import MAX_DEGREE, rubber_psi_integral
+from .hurwitz import rubber_psi_integral
 from .partitions import decorated_aut, enumerate_marked, enumerate_partitions
 from .series import LaurentPoly, RingOps
 from .tautring import (
@@ -630,12 +628,9 @@ def hodge_form_from_graphs(g: int, d: int) -> LinearForm:
 
     Independently of :func:`rubbertaut.hodge.hodge_linear_form`, sums the
     genus-over-zero terms (rubber factors integrated out) and normalizes by
-    the rubber graph's coefficient.  A degree past the exact-count cap
-    :data:`rubbertaut.hurwitz.MAX_DEGREE` is refused before the relation is built.
+    the rubber graph's coefficient.
     """
     lift = lift_pair(g)
-    if d > MAX_DEGREE:
-        raise ResourceLimitError(f"degree {d} exceeds the exact-count cap {MAX_DEGREE}")
     relation = relation_extract(d, lift)
     pairs: list[tuple[Fraction, dict[int, int]]] = []
     rubber_coeff = Fraction(0)

@@ -90,15 +90,21 @@ def _mask(marks: Iterable[int]) -> int:
     return sum(1 << m for m in marks)
 
 
-def _d_key(ctx: RingContext, genus1_side: Iterable[int]) -> int:
+def _ctx_marks(ctx: RingContext, marks: Iterable[int]) -> set[int]:
+    """``marks`` as a set of integers, each a mark of ``ctx``."""
     try:
-        side = tuple(sorted(set(map(operator.index, genus1_side))))
+        out = set(map(operator.index, marks))
     except TypeError:
-        raise InvalidArgumentError("the marks of a genus-one side must be integers") from None
-    if any(m not in ctx.marks for m in side):
-        raise InvalidArgumentError(f"genus-one side {side} uses marks outside {ctx.marks}")
+        raise InvalidArgumentError(f"marks must be integers, got {marks!r}") from None
+    if not out <= set(ctx.marks):
+        raise InvalidArgumentError(f"marks {sorted(out)} are not all in {ctx.marks}")
+    return out
+
+
+def _d_key(ctx: RingContext, genus1_side: Iterable[int]) -> int:
+    side = _ctx_marks(ctx, genus1_side)
     if len(ctx.marks) - len(side) < 2:
-        raise InvalidArgumentError(f"genus-zero side of D({side} | ...) needs at least two marks")
+        raise InvalidArgumentError(f"genus-zero side of D({tuple(sorted(side))} | ...) needs at least two marks")
     return _mask(side)
 
 
@@ -264,9 +270,7 @@ def psi1_minus(ctx: RingContext, families: Iterable[tuple[Iterable[int], Iterabl
     none of ``avoids``."""
     full, sides = _mask(ctx.marks), []
     for holds, avoids in families:
-        holds, avoids = set(holds), set(avoids)
-        if not holds | avoids <= set(ctx.marks):
-            raise InvalidArgumentError(f"marks {sorted(holds | avoids)} are not all in {ctx.marks}")
+        holds, avoids = _ctx_marks(ctx, holds), _ctx_marks(ctx, avoids)
         family = [] if holds & avoids else [full ^ _mask(holds)]
         for m in set(ctx.marks) - holds - avoids:
             family += [side ^ 1 << m for side in family]
@@ -318,8 +322,7 @@ def pushforward_forget(cls: TautClass, forgotten: int) -> Fraction:
     is the section where the forgotten mark collides with one other mark.
     """
     ctx = cls.ctx
-    if forgotten not in ctx.marks:
-        raise InvalidArgumentError(f"mark {forgotten} not in {ctx.marks}")
+    _ctx_marks(ctx, (forgotten,))
     if forgotten == 1:
         raise InvalidArgumentError("the reference mark cannot be forgotten")
     rest, nums = _mask(ctx.marks) ^ 1 << forgotten, cls._nums
@@ -330,12 +333,10 @@ def pushforward_forget(cls: TautClass, forgotten: int) -> Fraction:
 def section_pushforward(scalar: Fraction | int, i: int, j: int, ctx: RingContext) -> TautClass:
     """Push a number forward along the section gluing marks ``i`` and ``j``,
     onto the boundary divisor whose genus-zero side is exactly ``{i, j}``."""
-    if i == j:
+    pair = _ctx_marks(ctx, (i, j))
+    if len(pair) != 2:
         raise InvalidArgumentError("section needs two distinct marks")
-    for m in (i, j):
-        if m not in ctx.marks:
-            raise InvalidArgumentError(f"mark {m} not in {ctx.marks}")
-    side = [m for m in ctx.marks if m not in (i, j)]
+    side = [m for m in ctx.marks if m not in pair]
     return Fraction(scalar) * boundary(ctx, side)
 
 

@@ -1,4 +1,4 @@
-"""Small shared helpers: rational formatting and the exact sparse-sum kernel.
+"""Small shared helpers: the integer check, rational formatting and sparse sums.
 
 :func:`combine_ints` is the one place that adds sparse key -> rational maps
 and drops the keys that cancel: divisor classes store its integer result
@@ -10,6 +10,7 @@ rationals from it.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, TypeVar
@@ -17,6 +18,7 @@ from typing import Hashable, Iterable, Mapping, TypeVar
 from .errors import InvalidArgumentError, ResourceLimitError
 
 __all__ = [
+    "check_integer",
     "too_long_to_print",
     "fraction_str",
     "parse_fraction",
@@ -25,6 +27,14 @@ __all__ = [
 ]
 
 K = TypeVar("K", bound=Hashable)
+
+
+def check_integer(what: str, value: object) -> None:
+    """Refuse a non-integer argument (a float too) with ``InvalidArgumentError``."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise InvalidArgumentError(f"{what} must be an integer, got {value!r}") from None
 
 
 def too_long_to_print() -> ResourceLimitError:

@@ -237,6 +237,22 @@ def test_a_non_integer_genus_is_refused() -> None:
                 call(genus)
 
 
+def test_a_non_integer_degree_is_refused() -> None:
+    calls = (
+        lambda d: solve_hodge(2, d),
+        lambda d: hodge_linear_form(2, d),
+        lambda d: hodge_linear_form(2, d, "partitions"),
+        lambda d: verify_scaling(2, d),
+    )
+    for degree in (3.0, Fraction(3), "3"):
+        for call in calls:
+            with pytest.raises(InvalidArgumentError, match="degree must be an integer"):
+                call(degree)
+    for size in (1.5, 2.0, Fraction(2)):
+        with pytest.raises(InvalidArgumentError, match="edge size must be an integer"):
+            q_form(2, size)
+
+
 def test_genus_past_the_cap_is_refused_before_any_series(
     monkeypatch: pytest.MonkeyPatch,
 ) -> None:

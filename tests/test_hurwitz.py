@@ -280,7 +280,8 @@ def test_profile_validation() -> None:
 )
 def test_non_integer_parts_are_refused(part: object) -> None:
     # int() would truncate 2.7 and 5/2 to 2 and read "2" as 2, and
-    # H((2, 1), (3)) = 1 would come back for a profile that is not one.
+    # H((2, 1), (3)) = 1 would come back for a profile that is not one;
+    # the degree 2.0 equals the sum of (1, 1), so only its type tells it apart.
     with pytest.raises(InvalidArgumentError):
         hurwitz_oracle([part, 1], [3])
     with pytest.raises(InvalidArgumentError):
@@ -289,6 +290,8 @@ def test_non_integer_parts_are_refused(part: object) -> None:
         hurwitz_one_part([part, 1], 3)
     with pytest.raises(InvalidArgumentError):
         rubber_psi_integral([part, 1], [3])
+    with pytest.raises(InvalidArgumentError):
+        hurwitz_one_part([1, 1], part)
 
 
 def test_resource_caps_are_enforced() -> None:
@@ -304,7 +307,7 @@ def test_resource_caps_are_enforced() -> None:
 
 
 # ---------------------------------------------------------------------------
-# The memo of counts
+# Repeated calls
 # ---------------------------------------------------------------------------
 
 
@@ -312,23 +315,6 @@ def test_repeated_calls_return_equal_values() -> None:
     first = hurwitz_oracle((2, 1, 1), (3, 1))
     assert hurwitz_oracle((2, 1, 1), (3, 1)) == first
     assert first == _brute_force_count((2, 1, 1), (3, 1))
-
-
-def test_memo_is_keyed_on_the_sorted_profiles(monkeypatch: pytest.MonkeyPatch) -> None:
-    searches = []
-    count_tuples = hurwitz._count_tuples
-
-    def counting(alpha: tuple[int, ...], beta: tuple[int, ...]) -> int:
-        searches.append((alpha, beta))
-        return count_tuples(alpha, beta)
-
-    monkeypatch.setattr(hurwitz, "_count_tuples", counting)
-    hurwitz._hurwitz_number.cache_clear()
-    value = hurwitz_oracle((1, 2), (1, 2))
-    assert hurwitz_oracle([2, 1], [2, 1]) == value
-    assert value == _brute_force_count((2, 1), (2, 1))
-    # The second spelling of the same pair reads the first one's count.
-    assert searches == [((2, 1), (2, 1))]
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +431,7 @@ def test_capped_degrees_raise_on_every_call() -> None:
             hurwitz_oracle(big, big)
 
 
-def test_the_cap_is_checked_before_the_memo(monkeypatch: pytest.MonkeyPatch) -> None:
+def test_the_cap_is_read_at_call_time(monkeypatch: pytest.MonkeyPatch) -> None:
     # A pair counted under a wider cap is refused again once the cap is back.
     big = (MAX_DEGREE + 1,)
     monkeypatch.setattr(hurwitz, "MAX_DEGREE", MAX_DEGREE + 1)
@@ -460,13 +446,31 @@ def test_rubber_integrals_divide_by_branch_count() -> None:
     assert rubber_psi_integral((1, 1), (2,)) == 1
     assert rubber_psi_integral((1, 1, 1), (3,)) == 3
     assert rubber_psi_integral((1, 1), (1, 1)) == 1
-    for alpha in enumerate_partitions(4):
-        for beta in enumerate_partitions(4):
-            r = len(alpha) + len(beta) - 2
-            if r < 1:
-                continue
-            expected = hurwitz_oracle(alpha, beta) / math.factorial(r)
-            assert rubber_psi_integral(alpha, beta) == expected
+    for d in range(1, 8):
+        for alpha in enumerate_partitions(d):
+            for beta in enumerate_partitions(d):
+                r = len(alpha) + len(beta) - 2
+                if r < 1:
+                    continue
+                expected = hurwitz_oracle(alpha, beta) / math.factorial(r)
+                assert rubber_psi_integral(alpha, beta) == expected
+
+
+def test_one_part_rubber_integrals_need_no_walk(monkeypatch: pytest.MonkeyPatch) -> None:
+    def no_walk(*args: object) -> None:
+        raise AssertionError("a one-part rubber integral walked the state graph")
+
+    monkeypatch.setattr(hurwitz, "_count_tuples", no_walk)
+    # Past the exact-count cap the closed form d^(l - 2) still answers.
+    assert rubber_psi_integral((6, 6), (12,)) == 1
+    assert rubber_psi_integral((16,), (1,) * 16) == 16**14
+    for d in range(2, MAX_DEGREE + 1):
+        for nu in enumerate_partitions(d):
+            if len(nu) > 1:
+                assert rubber_psi_integral(nu, (d,)) == Fraction(d) ** (len(nu) - 2)
+                assert rubber_psi_integral((d,), nu) == Fraction(d) ** (len(nu) - 2)
+    with pytest.raises(AssertionError, match="walked"):
+        rubber_psi_integral((2, 1), (2, 1))
 
 
 def test_rubber_integral_needs_a_branch_point() -> None:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import golden_factors
 import pytest
 
-from rubbertaut import goldentables, locgraphs
+from rubbertaut import goldentables, hurwitz, locgraphs, partitions
 from rubbertaut.errors import (
     InvalidArgumentError,
     ResourceLimitError,
@@ -421,7 +421,10 @@ def test_lifts_refuse_a_genus_past_the_cap() -> None:
 
 
 def _refuse_partitions(monkeypatch: pytest.MonkeyPatch) -> None:
-    def no_partitions(*args: object) -> None:
+    """Let the graph layer reach the partition-sum cap check, and no further."""
+
+    def no_partitions(n: int, *args: object) -> None:
+        partitions._check_partition_degree(n)
         raise AssertionError("a partition was listed for a refused degree")
 
     monkeypatch.setattr(locgraphs, "enumerate_partitions", no_partitions)
@@ -443,16 +446,35 @@ def test_graph_sums_are_refused_past_the_partition_cap_before_any_partition() ->
                 enumerate_rows(d, lift)
 
 
-def test_graph_form_is_refused_past_the_count_cap_before_any_partition(
+def test_graph_form_runs_past_the_count_cap_to_the_partition_cap() -> None:
+    for g in (1, 2, MAX_GENUS):
+        for d in range(MAX_COUNT_DEGREE + 1, MAX_PARTITION_DEGREE + 1):
+            assert hodge_form_from_graphs(g, d) == hodge_linear_form(g, d)
+
+
+def test_graph_form_is_refused_past_the_partition_cap_before_any_partition(
     monkeypatch: pytest.MonkeyPatch,
 ) -> None:
-    assert hodge_form_from_graphs(1, MAX_COUNT_DEGREE)
     _refuse_partitions(monkeypatch)
-    for d in (MAX_COUNT_DEGREE + 1, MAX_PARTITION_DEGREE + 1, 10**6):
+    for d in (MAX_PARTITION_DEGREE + 1, 10**6):
         with pytest.raises(
-            ResourceLimitError, match=f"degree {d} exceeds the exact-count cap {MAX_COUNT_DEGREE}"
+            ResourceLimitError, match=f"degree {d} exceeds the partition-sum cap {MAX_PARTITION_DEGREE}"
         ):
             hodge_form_from_graphs(MAX_GENUS, d)
+
+
+def test_the_graph_layer_never_walks_the_hurwitz_state_graph(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    def no_walk(*args: object) -> None:
+        raise AssertionError("the graph layer walked the Hurwitz state graph")
+
+    monkeypatch.setattr(hurwitz, "_count_tuples", no_walk)
+    for g in (1, 2, 3):
+        for d in range(1, 10):
+            assert hodge_form_from_graphs(g, d) == hodge_linear_form(g, d)
+    assert evaluate_and_solve(2).anchor == 1
+    assert evaluate_and_solve(3).residual.is_zero()
 
 
 def test_relation_extract_rejects_degrees_below_the_twist() -> None:

@@ -73,6 +73,14 @@ def test_marks_must_be_integers() -> None:
             boundary(ctx, side)
         with pytest.raises(InvalidArgumentError, match="must be integers"):
             TautClass(ctx, {("D", side): 1})
+        # 2.0 == 2 passes a membership test, so only the type check stops it
+        # (section_pushforward(1, 1, 2.0, ctx) would return D(3|12)).
+        with pytest.raises(InvalidArgumentError, match="must be integers"):
+            psi1_minus(ctx, [(side, ())])
+        with pytest.raises(InvalidArgumentError, match="must be integers"):
+            pushforward_forget(psi1(ctx), *side)
+        with pytest.raises(InvalidArgumentError, match="must be integers"):
+            section_pushforward(1, 1, *side, ctx)
 
 
 def test_boundary_needs_two_marks_on_the_rational_side() -> None:
