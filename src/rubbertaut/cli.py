@@ -7,6 +7,12 @@ genus-one weight polynomial, ``hain`` for the theta-divisor expansion,
 ``interp`` for the exact interpolation round-trip, and ``verify-all`` for
 the full consistency battery.
 
+Each tabular subcommand builds its rows and its JSON payload once, and
+:func:`_emit` prints them as JSON, CSV or an aligned table.  ``localize
+--golden`` and the ``verify-all`` table check read the rows ``localize``
+prints and diff them, field by field, against the frozen rows rendered by
+the same renderers.
+
 Exit codes: ``0`` success, ``1`` usage or resource errors, ``2`` violated
 identities.  All output is deterministic: exact rationals, stable
 orderings, no timing.
@@ -81,29 +87,26 @@ def _render_locus(locus: tuple[tuple, ...]) -> str:
     return " x ".join(pieces)
 
 
-def _emit_table(rows: list[list[str]], header: list[str]) -> str:
-    widths = [
-        max(len(header[i]), *(len(row[i]) for row in rows)) if rows else len(header[i])
-        for i in range(len(header))
-    ]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    return "\n".join(lines) + "\n"
+def _render_pole(terms: dict[tuple[int, int], Fraction]) -> dict[str, str]:
+    """A row's ``1/t`` relation terms as ``localize`` prints them."""
+    return {f"{a},{b}": fraction_str(c) for (a, b), c in sorted(terms.items())}
 
 
-def _emit_csv(rows: list[list[str]], header: list[str]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
-
-
-def _write_rows(rows: list[list[str]], header: list[str], fmt: str) -> None:
-    """Write ``rows`` as CSV when ``fmt`` is ``csv``, else as an aligned table."""
-    emit = _emit_csv if fmt == "csv" else _emit_table
-    sys.stdout.write(emit(rows, header))
+def _emit(fmt: str, header: list[str], rows: list[list[str]], payload: object) -> int:
+    """Print ``payload`` as JSON, or ``rows`` under ``header`` as CSV or as a
+    left-aligned table.  Every cell is a string and every rational in the
+    payload is a ``p/q`` string, so no output format carries a float."""
+    if fmt == "json":
+        print(json.dumps(payload, sort_keys=True))
+    elif fmt == "csv":
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows([header, *rows])
+        sys.stdout.write(buffer.getvalue())
+    else:
+        widths = [max(map(len, column)) for column in zip(header, *rows)]
+        for line in (header, *rows):
+            print("  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip())
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -124,21 +127,12 @@ def _cmd_hurwitz(args: argparse.Namespace) -> int:
     else:
         value = hurwitz_oracle(alpha, beta)
         method = "oracle"
-    if args.format == "json":
-        payload = {
-            "alpha": list(alpha),
-            "beta": list(beta),
-            "method": method,
-            "value": fraction_str(value),
-        }
-        print(json.dumps(payload, sort_keys=True))
-    elif args.format == "csv":
-        header = ["alpha", "beta", "method", "value"]
-        row = [args.alpha, args.beta, method, fraction_str(value)]
-        sys.stdout.write(_emit_csv([row], header))
-    else:
-        print(fraction_str(value))
-    return 0
+    text = fraction_str(value)
+    if args.format == "table":
+        print(text)
+        return 0
+    payload = {"alpha": list(alpha), "beta": list(beta), "method": method, "value": text}
+    return _emit(args.format, list(payload), [[args.alpha, args.beta, method, text]], payload)
 
 
 def _log_sine_is_unprintable(d: int, order: int) -> bool:
@@ -168,76 +162,58 @@ def _cmd_series(args: argparse.Namespace) -> int:
     else:
         series_obj = series_log_sine(args.d, args.order)
         name = f"log-sine-{args.d}"
-    if args.format == "json":
-        print(json.dumps({"name": name, **series_to_json(series_obj)}, sort_keys=True))
-        return 0
-    rows = [
-        [str(power), fraction_str(series_obj.coefficient(power))]
-        for power in range(series_obj.order + 1)
-    ]
-    _write_rows(rows, ["power", "coefficient"], args.format)
-    return 0
+    payload = {"name": name, **series_to_json(series_obj)}
+    rows = [[str(power), text] for power, text in enumerate(payload["coeffs"])]
+    return _emit(args.format, ["power", "coefficient"], rows, payload)
 
 
 def _localize_rows(d: int) -> list[dict]:
+    """The rows ``localize`` prints, each field rendered as a string but the
+    multiplicity, and ``pole`` keyed by the cotangent powers ``"a,b"``."""
     lift = locgraphs.LIFT_DIVISOR
-    rows = locgraphs.enumerate_rows(d, lift)
-    relation = locgraphs.relation_extract(d, lift)
-    by_row = locgraphs.relation_by_row(relation)
-    out = []
-    for row in rows:
-        out.append(
-            {
-                "row": row.index,
-                "graph": locgraphs.render_graph(row.representative),
-                "side": "genus-over-zero"
-                if row.representative.side == "zero"
-                else "genus-over-infinity",
-                "prefactor": fraction_str(locgraphs.graph_prefactor(row.representative)),
-                "multiplicity": row.multiplicity,
-                "locus": _render_locus(locgraphs.locus_descriptor(row.representative, lift)),
-                "pole": {
-                    f"{a},{b}": fraction_str(c) for (a, b), c in sorted(by_row.get(row.index, {}).items())
-                },
-            }
-        )
-    return out
+    by_row = locgraphs.relation_by_row(locgraphs.relation_extract(d, lift))
+    return [
+        {
+            "row": row.index,
+            "graph": locgraphs.render_graph(row.representative),
+            "side": "genus-over-zero" if row.representative.side == "zero" else "genus-over-infinity",
+            "prefactor": fraction_str(locgraphs.graph_prefactor(row.representative)),
+            "multiplicity": row.multiplicity,
+            "locus": _render_locus(locgraphs.locus_descriptor(row.representative, lift)),
+            "pole": _render_pole(by_row.get(row.index, {})),
+        }
+        for row in locgraphs.enumerate_rows(d, lift)
+    ]
 
 
 def _golden_diff(d: int) -> list[str]:
-    """Compare what ``localize`` prints (each row's graph, prefactor,
-    multiplicity, locus and pole terms) against the frozen rows."""
-    lift = locgraphs.LIFT_DIVISOR
-    rows = locgraphs.enumerate_rows(d, lift)
+    """Compare the rows ``localize`` prints against the frozen rows, both
+    rendered by the same field renderers, field by field: graph, prefactor,
+    multiplicity, locus and pole terms."""
+    printed = _localize_rows(d)
     table = goldentables.TABLE_D2 if d == 2 else goldentables.TABLE_D3
-    expected_relation = dict(goldentables.R2_RELATION if d == 2 else goldentables.L3_RELATION_DISPLAYED)
+    relation = dict(goldentables.R2_RELATION if d == 2 else goldentables.L3_RELATION_DISPLAYED)
     if d == 3:
         row_index, key, total = goldentables.L3_OMITTED_TERM
-        expected_relation[row_index] = combine(
-            ((1, expected_relation.get(row_index, {})), (1, {key: total}))
-        )
+        relation[row_index] = combine(((1, relation.get(row_index, {})), (1, {key: total})))
+    if len(printed) != len(table):
+        return [f"row count {len(printed)} != {len(table)}"]
     problems: list[str] = []
-    if len(rows) != len(table):
-        problems.append(f"row count {len(rows)} != {len(table)}")
-        return problems
-    for row, golden in zip(rows, table):
-        label = locgraphs.render_graph(row.representative)
-        if label != golden.label:
-            problems.append(f"row {golden.index}: graph {label} != {golden.label}")
-        prefactor = locgraphs.graph_prefactor(row.representative)
-        if prefactor != golden.prefactor:
-            problems.append(f"row {golden.index}: prefactor {prefactor} != {golden.prefactor}")
-        if row.multiplicity != golden.multiplicity:
-            problems.append(
-                f"row {golden.index}: multiplicity {row.multiplicity} != {golden.multiplicity}"
-            )
-        if locgraphs.locus_descriptor(row.representative, lift) != golden.locus:
-            problems.append(f"row {golden.index}: locus differs")
-    relation = locgraphs.relation_extract(d, lift)
-    by_row = locgraphs.relation_by_row(relation)
-    for index in sorted(set(by_row) | set(expected_relation)):
-        if by_row.get(index) != expected_relation.get(index):
-            problems.append(f"relation row {index}: {by_row.get(index)} != {expected_relation.get(index)}")
+    for row, golden in zip(printed, table):
+        frozen = {
+            "graph": golden.label,
+            "prefactor": fraction_str(golden.prefactor),
+            "multiplicity": golden.multiplicity,
+            "locus": _render_locus(golden.locus),
+            "pole": _render_pole(relation.get(golden.index, {})),
+        }
+        problems += [
+            f"row {golden.index}: {field} {row[field]} != {value}"
+            for field, value in frozen.items()
+            if row[field] != value
+        ]
+    stray = sorted(set(relation) - {golden.index for golden in table})
+    problems += [f"row {index}: pole {{}} != {_render_pole(relation[index])}" for index in stray]
     return problems
 
 
@@ -251,9 +227,6 @@ def _cmd_localize(args: argparse.Namespace) -> int:
         print(f"degree-{args.d} table matches the frozen rows")
         return 0
     data = _localize_rows(args.d)
-    if args.format == "json":
-        print(json.dumps(data, sort_keys=True))
-        return 0
     header = ["row", "graph", "side", "prefactor", "mult", "locus", "pole"]
     rows = [
         [
@@ -267,19 +240,11 @@ def _cmd_localize(args: argparse.Namespace) -> int:
         ]
         for item in data
     ]
-    _write_rows(rows, header, args.format)
-    return 0
+    return _emit(args.format, header, rows, data)
 
 
 def _cmd_pclass(args: argparse.Namespace) -> int:
     entries = [(expo, str(cls)) for expo, cls in sorted(genus1_polynomial(args.marks).coeffs.items())]
-    if args.format == "json":
-        data = [
-            {"exponents": list(expo), "class": text}
-            for expo, text in entries
-        ]
-        print(json.dumps(data, sort_keys=True))
-        return 0
     if args.format == "latex":
         lines = []
         for expo, text in entries:
@@ -298,8 +263,8 @@ def _cmd_pclass(args: argparse.Namespace) -> int:
             f"x{i + 2}^{e}" if e > 1 else f"x{i + 2}" for i, e in enumerate(expo) if e
         )
         rows.append([monomial, text])
-    _write_rows(rows, ["monomial", "class"], args.format)
-    return 0
+    payload = [{"exponents": list(expo), "class": text} for expo, text in entries]
+    return _emit(args.format, ["monomial", "class"], rows, payload)
 
 
 def _render_hain_symbol(symbol: tuple) -> str:
@@ -317,11 +282,8 @@ def _cmd_hain(args: argparse.Namespace) -> int:
         ["*".join([names[sym] for sym in monomial]), fraction_str(expansion[monomial])]
         for monomial in sorted(expansion)
     ]
-    if args.format == "json":
-        print(json.dumps([{"monomial": r[0], "coefficient": r[1]} for r in rows], sort_keys=True))
-    else:
-        _write_rows(rows, ["monomial", "coefficient"], args.format)
-    return 0
+    payload = [{"monomial": monomial, "coefficient": text} for monomial, text in rows]
+    return _emit(args.format, ["monomial", "coefficient"], rows, payload)
 
 
 def _interp_round_trip(degrees: tuple[int, ...], seed: int, trials: int) -> int:
@@ -516,11 +478,14 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="rubbertaut", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_format(p: argparse.ArgumentParser, *extra: str) -> None:
+        p.add_argument("--format", default="table", choices=("table", "json", "csv", *extra))
+
     p = sub.add_parser("hurwitz", help="count covers of the line with two fixed profiles")
     p.add_argument("--alpha", required=True, help="comma-separated profile over zero")
     p.add_argument("--beta", required=True, help="comma-separated profile over infinity")
     p.add_argument("--psi", action="store_true", help="divide by the branch factorial")
-    p.add_argument("--format", default="table", choices=("table", "json", "csv"))
+    add_format(p)
     p.set_defaults(fn=_cmd_hurwitz)
 
     p = sub.add_parser("series", help="print an exact series expansion")
@@ -529,24 +494,24 @@ def _build_parser() -> _Parser:
     group.add_argument("--log-sine", action="store_true", help="the logarithmic sine ratio")
     p.add_argument("--d", type=int, default=1, help="scaling degree for --log-sine")
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--format", default="table", choices=("table", "json", "csv"))
+    add_format(p)
     p.set_defaults(fn=_cmd_series)
 
     p = sub.add_parser("localize", help="fixed-point graph tables and pole relations")
     p.add_argument("--d", type=int, required=True, choices=(2, 3))
-    p.add_argument("--format", default="table", choices=("table", "json", "csv"))
+    add_format(p)
     p.add_argument("--golden", action="store_true", help="diff against the frozen rows")
     p.set_defaults(fn=_cmd_localize)
 
     p = sub.add_parser("pclass", help="genus-one weight polynomial coefficients")
     p.add_argument("--marks", type=int, required=True)
-    p.add_argument("--format", default="table", choices=("table", "json", "csv", "latex"))
+    add_format(p, "latex")
     p.set_defaults(fn=_cmd_pclass)
 
     p = sub.add_parser("hain", help="theta-divisor power expansion for compact type")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--weights", required=True, help="comma-separated rational weights, summing to zero")
-    p.add_argument("--format", default="table", choices=("table", "json", "csv"))
+    add_format(p)
     p.set_defaults(fn=_cmd_hain)
 
     p = sub.add_parser("interp", help="exact multivariate interpolation round-trip")

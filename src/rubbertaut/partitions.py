@@ -19,6 +19,7 @@ from typing import Hashable, Iterable, Sequence
 
 from .errors import InvalidArgumentError, ResourceLimitError
 from .series import MAX_SERIES_ORDER
+from .util import check_integer
 
 __all__ = [
     "MAX_PARTITION_DEGREE",
@@ -55,11 +56,14 @@ def enumerate_partitions(n: int, max_length: int | None = None) -> list[tuple[in
     listed in descending lexicographic order, so ``(n,)`` comes first.  An
     ``n`` past :data:`MAX_PARTITION_DEGREE` is refused before any is listed.
     """
+    check_integer("degree", n)
     if n < 0:
         raise InvalidArgumentError(f"cannot partition {n}")
     _check_partition_degree(n)
-    if max_length is not None and max_length < 0:
-        raise InvalidArgumentError(f"max_length must be >= 0, got {max_length}")
+    if max_length is not None:
+        check_integer("max_length", max_length)
+        if max_length < 0:
+            raise InvalidArgumentError(f"max_length must be >= 0, got {max_length}")
     limit = n if max_length is None else max_length
     out: list[tuple[int, ...]] = []
 

@@ -11,6 +11,7 @@ polynomials of either kind.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
@@ -18,7 +19,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from .errors import InvalidArgumentError, ResourceLimitError, TheoremViolationError
 from .tautring import RingContext, TautClass, linear_combination, psi1_minus, pullback_forget, relabel
-from .util import combine, fraction_str
+from .util import check_integer, combine, fraction_str
 
 __all__ = [
     "MAX_MARKS",
@@ -47,6 +48,18 @@ def _combine_values(pairs: Sequence[tuple[Fraction | int, Any]]) -> Any:
     return combine((scale, {0: value}) for scale, value in pairs).get(0, Fraction(0))
 
 
+def _exponent_key(exponents: Sequence[int], nvars: int) -> tuple[int, ...]:
+    """``exponents`` as a tuple of ``nvars`` non-negative ints; anything else
+    (a float exponent too, which ``int`` would truncate) raises."""
+    try:
+        key = tuple(map(operator.index, exponents))
+    except TypeError:
+        key = None
+    if key is None or len(key) != nvars or any(e < 0 for e in key):
+        raise InvalidArgumentError(f"bad exponent tuple {exponents!r}")
+    return key
+
+
 @dataclass(frozen=True)
 class MultiPoly:
     """A polynomial in several variables with rational or class coefficients.
@@ -63,9 +76,7 @@ class MultiPoly:
     def __post_init__(self) -> None:
         cleaned: dict[tuple[int, ...], Any] = {}
         for exponents, value in self.coeffs.items():
-            key = tuple(int(e) for e in exponents)
-            if len(key) != self.nvars or any(e < 0 for e in key):
-                raise InvalidArgumentError(f"bad exponent tuple {exponents!r}")
+            key = _exponent_key(exponents, self.nvars)
             if isinstance(value, TautClass):
                 is_zero = value.is_zero()
             elif isinstance(value, (int, Fraction)):
@@ -83,11 +94,7 @@ class MultiPoly:
 
     def coefficient(self, exponents: Sequence[int]) -> Any:
         """The value at ``exponents``, or None; a malformed exponent tuple raises."""
-        key = tuple(int(e) for e in exponents)
-        value = self.coeffs.get(key)
-        if value is None and (len(key) != self.nvars or any(e < 0 for e in key)):
-            raise InvalidArgumentError(f"bad exponent tuple {exponents!r}")
-        return value
+        return self.coeffs.get(_exponent_key(exponents, self.nvars))
 
     def evaluate(self, point: Sequence[Fraction | int]) -> Any:
         """Value at an exact rational point (None when the sum is empty)."""
@@ -128,6 +135,7 @@ def genus1_polynomial(t: int) -> MultiPoly:
     1 but not i, and ``alpha_i alpha_j`` those whose genus-zero side holds 1
     but neither i nor j, or both i and j but not 1.
     """
+    check_integer("number of marks", t)
     if t < 3:
         raise InvalidArgumentError(f"need at least 3 marks, got {t}")
     if t > MAX_MARKS:
@@ -251,6 +259,8 @@ def interpolate(fn: Callable[[tuple[Fraction, ...]], Any], degrees: Sequence[int
     along the axis is interpolated by forward differences, and its grid
     index turns into the exponent of that variable.
     """
+    for d in degrees:
+        check_integer("degree", d)
     if not degrees or any(d < 0 for d in degrees):
         raise InvalidArgumentError(f"need one degree >= 0 per variable, got {tuple(degrees)!r}")
     if math.prod(d + 1 for d in degrees) > MAX_INTERP_POINTS:
@@ -311,6 +321,8 @@ def hain_expand(
     (sorted symbol tuples) to exact rationals, including the ``1/g!``
     normalization.
     """
+    check_integer("genus", g)
+    check_integer("number of marks", t)
     if g < 2:
         raise InvalidArgumentError(f"need genus >= 2, got {g}")
     if t < 2:

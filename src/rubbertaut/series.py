@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Any, Callable, Generic, Iterable, Mapping, TypeVar
 
 from .errors import InvalidArgumentError, ResourceLimitError, TruncationExceededError
-from .util import fraction_str
+from .util import check_integer, fraction_str
 
 __all__ = [
     "MAX_SERIES_ORDER",
@@ -147,6 +147,7 @@ def series_tau(order: int) -> PowerSeries:
     It is the unique power-series solution of ``tau = x * exp(tau)`` with
     zero constant term.
     """
+    check_integer("order", order)
     if order < 1:
         raise InvalidArgumentError(f"order must be >= 1, got {order}")
     if order > MAX_SERIES_ORDER:
@@ -165,6 +166,8 @@ def series_log_sine(d: int, order: int) -> PowerSeries:
     spread back onto the even powers of ``y``, so every coefficient is an
     exact rational and the odd ones are exact zeros.
     """
+    check_integer("scale d", d)
+    check_integer("order", order)
     if d < 1:
         raise InvalidArgumentError(f"scale d must be >= 1, got {d}")
     if order < 0:

@@ -17,6 +17,7 @@ from typing import Callable
 import pytest
 
 from rubbertaut import cli, goldentables, hodge, locgraphs, polyclasses
+from rubbertaut.errors import TheoremViolationError
 from rubbertaut.hodge import MAX_GENUS
 from rubbertaut.partitions import MAX_PARTITION_DEGREE
 from rubbertaut.polyclasses import MultiPoly
@@ -316,7 +317,7 @@ def test_golden_rows_are_matched_by_their_graph(
     [
         (1, "prefactor", Fraction(1, 4), "DIFF row 1: prefactor 1/2 != 1/4"),
         (4, "multiplicity", 1, "DIFF row 4: multiplicity 2 != 1"),
-        (3, "locus", (("M", 1, 3),), "DIFF row 3: locus differs"),
+        (3, "locus", (("M", 1, 3),), "DIFF row 3: locus M_{1,3} x rub_0(1+1;2) != M_{1,3}"),
     ],
 )
 def test_golden_diff_flags_each_doctored_row_field(
@@ -337,6 +338,56 @@ def test_golden_diff_flags_each_doctored_row_field(
     assert code == 2
     failures = [text for text in out.splitlines() if text.startswith("FAIL ")]
     assert len(failures) == 1 and failures[0].startswith("FAIL localize: degree-2-and-3-tables")
+
+
+@pytest.mark.parametrize(
+    "index, terms, line",
+    [
+        (1, {(1, 0): Fraction(5)}, "DIFF row 1: pole {'1,0': '4'} != {'1,0': '5'}"),
+        (2, {(0, 0): Fraction(-1)}, "DIFF row 2: pole {} != {'0,0': '-1'}"),
+        (8, {(0, 0): Fraction(1)}, "DIFF row 8: pole {} != {'0,0': '1'}"),
+    ],
+    ids=["changed", "added", "past-the-table"],
+)
+def test_golden_diff_flags_a_doctored_pole_entry(
+    capsys: pytest.CaptureFixture[str],
+    monkeypatch: pytest.MonkeyPatch,
+    index: int,
+    terms: dict,
+    line: str,
+) -> None:
+    monkeypatch.setitem(goldentables.R2_RELATION, index, terms)
+    code, out = _run(["localize", "--d", "2", "--golden"], capsys)
+    assert code == 2
+    assert out.splitlines() == [line]
+    code, out = _run(["verify-all", "--g-max", "1", "--d-max", "2"], capsys)
+    assert code == 2
+    failures = [text for text in out.splitlines() if text.startswith("FAIL ")]
+    assert failures == [f"FAIL localize: degree-2-and-3-tables — degree-2 table: {line[5:]}"]
+
+
+def test_golden_diff_reads_the_rows_localize_prints(
+    capsys: pytest.CaptureFixture[str], monkeypatch: pytest.MonkeyPatch
+) -> None:
+    """A printed row that differs from the frozen one fails both table checks,
+    although the graph layer itself is honest."""
+    honest = cli._localize_rows
+
+    def doctored(d: int) -> list[dict]:
+        rows = honest(d)
+        rows[0]["prefactor"] = "1/3"
+        return rows
+
+    monkeypatch.setattr(cli, "_localize_rows", doctored)
+    code, out = _run(["localize", "--d", "2", "--golden"], capsys)
+    assert code == 2
+    assert out.splitlines() == ["DIFF row 1: prefactor 1/3 != 1/2"]
+    code, out = _run(["verify-all", "--g-max", "1", "--d-max", "2"], capsys)
+    assert code == 2
+    failures = [text for text in out.splitlines() if text.startswith("FAIL ")]
+    assert failures == [
+        "FAIL localize: degree-2-and-3-tables — degree-2 table: row 1: prefactor 1/3 != 1/2"
+    ]
 
 
 def test_golden_checks_run_without_the_laurent_product(
@@ -535,6 +586,84 @@ def test_verify_all_checks_the_pair_totals_at_every_degree(
     assert [line for line in out.splitlines() if not line.startswith("PASS ")] == [
         "FAIL localize: pair-lift-rubber-totals-d<=6 — pair-lift rubber total differs at d=6",
     ]
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [("residual", "degree-3 residual is not zero"), ("b_again", "degree-3 mixed coefficient differs")],
+    ids=["residual", "mixed-coefficient"],
+)
+def test_verify_all_fails_on_a_doctored_degree_three_report(
+    field: str, message: str, capsys: pytest.CaptureFixture[str], monkeypatch: pytest.MonkeyPatch
+) -> None:
+    """The degree-2 solve stays honest; the degree-3 report carries the
+    degree-2 pure coefficient ``a2`` in place of one of its fields."""
+    honest = locgraphs.evaluate_and_solve
+
+    def doctored(d: int) -> object:
+        report = honest(d)
+        return dataclasses.replace(report, **{field: report.base.a2}) if d == 3 else report
+
+    monkeypatch.setattr(
+        cli, "locgraphs", SimpleNamespace(**{**vars(locgraphs), "evaluate_and_solve": doctored})
+    )
+    code, out = _run(["verify-all", "--g-max", "1", "--d-max", "2"], capsys)
+    assert code == 2
+    assert [line for line in out.splitlines() if not line.startswith("PASS ")] == [
+        f"FAIL divisors: degree-2-solve-and-degree-3-residual — {message}",
+    ]
+
+
+def test_verify_all_fails_when_hain_weight_scaling_fails(
+    capsys: pytest.CaptureFixture[str], monkeypatch: pytest.MonkeyPatch
+) -> None:
+    """The anchor at weights (1, -1) stays honest; at genus 3 the doubled
+    weights come back unscaled."""
+    honest = cli.hain_expand
+
+    def doctored(g: int, t: int, weights: tuple) -> dict:
+        return honest(g, t, (1, -1) if (g, weights[0]) == (3, 2) else weights)
+
+    monkeypatch.setattr(cli, "hain_expand", doctored)
+    code, out = _run(["verify-all", "--g-max", "1", "--d-max", "2"], capsys)
+    assert code == 2
+    assert [line for line in out.splitlines() if not line.startswith("PASS ")] == [
+        "FAIL hain: anchor-and-weight-scaling — weight scaling fails at genus 3",
+    ]
+
+
+def test_interp_reports_a_failed_round_trip_and_exits_two(
+    capsys: pytest.CaptureFixture[str], monkeypatch: pytest.MonkeyPatch
+) -> None:
+    honest = cli.interpolate
+    monkeypatch.setattr(
+        cli, "interpolate", lambda fn, degrees: honest(lambda point: fn(point) + 1, degrees)
+    )
+    code, out = _run(["interp", "--trials", "3"], capsys)
+    assert code == 2
+    assert out == "FAIL interp: 3 of 3 round-trips differ\n"
+
+
+def test_interp_refuses_zero_trials_in_process(capsys: pytest.CaptureFixture[str]) -> None:
+    code = cli.main(["interp", "--trials", "0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error[invalid-argument]: --trials must be at least 1, got 0\n"
+
+
+def test_a_theorem_violation_in_a_command_exits_two(
+    capsys: pytest.CaptureFixture[str], monkeypatch: pytest.MonkeyPatch
+) -> None:
+    def violated(t: int) -> MultiPoly:
+        raise TheoremViolationError(f"doctored at {t} marks")
+
+    monkeypatch.setattr(cli, "genus1_polynomial", violated)
+    code = cli.main(["pclass", "--marks", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error[theorem-violation]: doctored at 3 marks\n"
 
 
 def test_verify_all_refuses_a_genus_past_the_cap_at_once(

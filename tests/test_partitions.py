@@ -196,3 +196,14 @@ def test_tau_power_coefficient_refuses_past_the_series_order_cap(
             tau_power_coefficient(n, 2)
     with pytest.raises(InvalidArgumentError):
         tau_power_coefficient(10**6, -1)
+
+
+def test_non_integer_arguments_are_refused() -> None:
+    for n in (3.0, Fraction(3), "3"):
+        with pytest.raises(InvalidArgumentError, match="degree must be an integer"):
+            enumerate_partitions(n)
+    # 2.5 would otherwise admit partitions with three parts
+    for max_length in (2.5, 2.0):
+        with pytest.raises(InvalidArgumentError, match="max_length must be an integer"):
+            enumerate_partitions(4, max_length)
+    assert enumerate_partitions(4, 2) == [(4,), (3, 1), (2, 2)]

@@ -450,6 +450,35 @@ def test_multipoly_drops_zero_values_and_validates() -> None:
         MultiPoly(1, {(-1,): Fraction(1)})
 
 
+def test_float_exponents_are_refused_not_truncated() -> None:
+    with pytest.raises(InvalidArgumentError, match=r"bad exponent tuple \(1\.5, 0\)"):
+        MultiPoly(2, {(1.5, 0): 1})
+    with pytest.raises(InvalidArgumentError, match="bad exponent tuple"):
+        MultiPoly(1, {(Fraction(1),): 1})
+    poly = genus1_polynomial(3)
+    assert str(poly.coefficient((1, 1))) == "psi_1 - D(1|23)"
+    for exponents in ((1.9, 1.2), (1.0, 1), (1,), (1, -1), 5):
+        with pytest.raises(InvalidArgumentError, match="bad exponent tuple"):
+            poly.coefficient(exponents)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: genus1_polynomial(3.0), "number of marks must be an integer, got 3.0"),
+        (lambda: check_equivariance(Fraction(3)), "number of marks must be an integer"),
+        (lambda: hain_expand(2.5, 2, (1, -1)), "genus must be an integer, got 2.5"),
+        (lambda: hain_expand(2, 2.0, (1, -1)), "number of marks must be an integer, got 2.0"),
+        (lambda: interpolate(lambda point: 1, (1.5,)), "degree must be an integer, got 1.5"),
+        (lambda: interpolate(lambda point: 1, (2, 1.0)), "degree must be an integer, got 1.0"),
+    ],
+    ids=["genus1-marks", "equivariance-marks", "hain-genus", "hain-marks", "interp", "interp-second"],
+)
+def test_non_integer_arguments_are_refused(call: Callable[[], object], message: str) -> None:
+    with pytest.raises(InvalidArgumentError, match=message):
+        call()
+
+
 def test_multipoly_values_are_rationals_or_classes() -> None:
     ctx = RingContext.standard(3)
     assert MultiPoly(1, {(0,): 2, (1,): Fraction(1, 2)}).evaluate((2,)) == 3

@@ -4,6 +4,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from typing import Callable
 
 import pytest
 
@@ -243,3 +244,18 @@ def test_laurent_zero_handling() -> None:
     assert zero.coefficient(2) == {}
     one = LaurentPoly(SYM_OPS, {0: {Monomial(): Fraction(1)}})
     assert one.sub(one).is_zero()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: series_tau(3.0), "order must be an integer, got 3.0"),
+        (lambda: series_tau(Fraction(3)), "order must be an integer"),
+        (lambda: series_log_sine(1.5, 4), "scale d must be an integer, got 1.5"),
+        (lambda: series_log_sine(2, 4.0), "order must be an integer, got 4.0"),
+    ],
+    ids=["tau-float", "tau-fraction", "log-sine-scale", "log-sine-order"],
+)
+def test_non_integer_arguments_are_refused(call: Callable[[], object], message: str) -> None:
+    with pytest.raises(InvalidArgumentError, match=message):
+        call()
