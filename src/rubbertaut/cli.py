@@ -219,13 +219,11 @@ def _golden_diff(d: int) -> list[str]:
 
 def _cmd_localize(args: argparse.Namespace) -> int:
     if args.golden:
+        if args.format != "table":
+            raise InvalidArgumentError(f"--golden prints a plain diff, not --format {args.format}")
         problems = _golden_diff(args.d)
-        if problems:
-            for line in problems:
-                print(f"DIFF {line}")
-            return 2
-        print(f"degree-{args.d} table matches the frozen rows")
-        return 0
+        print("\n".join(f"DIFF {line}" for line in problems) or f"degree-{args.d} table matches the frozen rows")
+        return 2 if problems else 0
     data = _localize_rows(args.d)
     header = ["row", "graph", "side", "prefactor", "mult", "locus", "pole"]
     rows = [

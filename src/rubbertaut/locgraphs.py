@@ -11,18 +11,16 @@ product of explicitly known factors — an exact Laurent polynomial in the
 equivariant weight ``t`` with coefficients in a small symbol algebra (powers
 of three cotangent symbols and one Hodge symbol).  Only the ``1/t``
 coefficient of the graph sum in the relation's own degree carries the
-relation, and all but three factors of a graph are a scalar times a power
-of ``t``.  One pass over the marked partitions (:func:`_graph_data`) reads
-each graph's scalar off its slots, and :func:`relation_extract` walks just
-the genus-node cotangent powers and Hodge indices that degree allows, with
-the rubber cotangent power fixed by the power of ``t``.  No command runs the
-full Laurent product (:func:`assemble_contribution`): only the tests, which
-check the relation and the frozen factor cells against it, and the benchmark
-tracer reach it.  Evaluating the relation's terms through the boundary
-catalogue and solving gives the divisor-class coefficients of the genus-one
-weight quadric.  Every sum here, from the symbol algebra's ring operations
-to the per-row relations and the solve, runs through
-:func:`rubbertaut.util.combine`.
+relation, and all but three factors of a graph are a scalar times a power of
+``t``: :func:`_graph_data` builds each graph in display order and reads that
+scalar off its parts, and :func:`_pole_terms` walks just the genus-node
+cotangent powers and Hodge indices the degree allows, as integers over each
+graph's denominator.  Only the tests and the benchmark tracer run the full
+Laurent product (:func:`assemble_contribution`), their oracle for the
+relation and the frozen factor cells.  Evaluating the relation's terms
+through the boundary catalogue and solving gives the divisor-class
+coefficients of the genus-one weight quadric.  Every sum here runs through
+:func:`rubbertaut.util.combine` or its integer core ``combine_ints``.
 
 Two lifts of the action are used, and a :class:`Lift` is one of them:
 
@@ -44,6 +42,8 @@ lift.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -56,7 +56,7 @@ from .errors import (
 )
 from .hodge import LinearForm, _check_genus, n_target, solve_hodge
 from .hurwitz import rubber_psi_integral
-from .partitions import decorated_aut, enumerate_marked, enumerate_partitions
+from .partitions import decorated_aut, enumerate_partitions
 from .series import LaurentPoly, RingOps
 from .tautring import (
     RingContext,
@@ -70,7 +70,7 @@ from .tautring import (
     section_pushforward,
     zero_class,
 )
-from .util import combine
+from .util import combine, combine_ints
 
 __all__ = [
     "Monomial",
@@ -263,11 +263,23 @@ def _slot_factor(size: int, marks: tuple) -> tuple:
     return ((1, size, 1), (1, 1, 0), (size, 1, -1))[len(marks)]
 
 
-def _display_key(data: tuple) -> tuple:
-    """Display order within a partition: side, genus size, mark counts, mark placement."""
-    parts = data[0].parts
-    counts, placed = tuple(-len(p.marks) for p in parts), tuple(p.marks for p in parts)
-    return (-data[5][0] if data[5] else 1, counts, placed)
+def _part_marks(tied: tuple[bool, ...], labels: tuple[int, ...]) -> list[list]:
+    """Every distinct placement of the ascending ``labels`` on ``len(tied)``
+    parts, as each part's marks, in display order: by mark counts (more on
+    earlier parts first), then by the labels read part by part, repeats
+    skipped.  ``tied[i]`` flags part ``i`` as part ``i - 1`` but for marks
+    (one size, neither the genus part); tied parts ascend by ``(-count,
+    marks)``, the canonical part order, which only a marked part can break."""
+    out = []
+    for spots in itertools.combinations_with_replacement(range(len(tied)), len(labels)):
+        for word in itertools.permutations(labels):
+            marks = [()] * len(tied)
+            for spot, label in sorted(zip(spots, word)):
+                marks[spot] += (label,)
+            keys = [(-len(ms), ms) for ms in marks]
+            if marks not in out and all(keys[s - 1] <= keys[s] for s in spots if tied[s]):
+                out.append(marks)
+    return out
 
 
 def _graph_data(d: int, lift: Lift) -> Iterator[tuple]:
@@ -280,48 +292,37 @@ def _graph_data(d: int, lift: Lift) -> Iterator[tuple]:
     automorphisms, ``1/d`` without rubber); the genus part's ``(size, mark
     count)``, ``None`` over infinity; and the rubber's top cotangent power
     ``2h - 2 + l``, -1 for the one-part graph over zero, which has no rubber.
-    A marked partition's factors and multiplicities are worked out once; a
-    graph takes its genus slot's factor out, and the slot leaves its class.
-    Each partition's graphs are sorted by :func:`_display_key`.
-
+    A partition gives its graphs over zero by descending genus size (on the
+    first part of that size), then over infinity, each by :func:`_part_marks`.
     A graph contributes only when ``B0 >= k``: with ``l`` parts, ``B0 = 2g +
     d - l`` over zero and ``d - l`` over infinity, while ``k = d - twist``,
-    so only partitions with ``l <= 2g + twist`` parts are marked and only
-    infinity graphs with ``l <= twist`` are built.  Equal slots give one
-    graph, so the genus is flagged on the first only.
-    """
+    so only partitions with ``l <= 2g + twist`` parts and only infinity
+    graphs with ``l <= twist`` are built."""
     if d < 1:
         raise InvalidArgumentError(f"need degree >= 1, got {d}")
-    g, twist = lift.genus, lift.branch_twist
+    g, twist, labels = lift.genus, lift.branch_twist, lift.zero_marks
+    markings: dict[tuple, list] = {}
+    part = functools.lru_cache(maxsize=None)(Part)  # one Part per distinct part this call
     for nu in enumerate_partitions(d, 2 * g + twist):
         l = len(nu)
         edge_num, edge_den = math.prod(s**s for s in nu), math.prod(math.factorial(s) for s in nu)
-        graphs = []
-        for slots, _ in enumerate_marked(nu, lift.zero_marks):
-            plain = [Part(s, ms) for s, ms in slots]
-            nums, dens, powers = zip(*[_slot_factor(*slot) for slot in slots])
-            num, power = edge_num * math.prod(nums), sum(powers) + len(lift.zero_marks) - twist
-            den = edge_den * math.prod(dens) * decorated_aut(slots)
-            if l <= twist:
-                graphs.append(
-                    (LocGraph("infinity", tuple(plain)), d - l, num, den, power, None, 2 * g - 2 + l)
-                )
-            for i, (size, marks) in enumerate(slots):
-                if i and slots[i] == slots[i - 1]:
-                    continue
-                graph_den = den // (dens[i] * slots.count(slots[i])) * (1 if l > 1 else d)
-                graphs.append(
-                    (
-                        LocGraph("zero", (*plain[:i], Part(size, marks, True), *plain[i + 1 :])),
-                        2 * g + d - l,
-                        num // nums[i],
-                        graph_den,
-                        power - powers[i],
-                        (size, len(marks)),
-                        l - 2,
-                    )
-                )
-        yield from sorted(graphs, key=_display_key)
+        for genus in [i for i in range(l) if not i or nu[i] != nu[i - 1]] + [None] * (l <= twist):
+            flags = [i == genus for i in range(l)]
+            tied = tuple(i > 0 and i - 1 != genus and nu[i] == nu[i - 1] for i in range(l))
+            zero = genus is not None
+            side, b0, cap = ("zero", 2 * g + d - l, l - 2) if zero else ("infinity", d - l, 2 * g - 2 + l)
+            for marks in markings.get(tied) or markings.setdefault(tied, _part_marks(tied, labels)):
+                num, den, power, run = edge_num, edge_den * (d if cap == -1 else 1), len(labels) - twist, 1
+                for i, ms in enumerate(marks):
+                    if i != genus:
+                        # equal parts sit side by side: a run of r gives r! automorphisms
+                        run = run + 1 if tied[i] and ms == marks[i - 1] else 1
+                        slot_num, slot_den, slot_power = _slot_factor(nu[i], ms)
+                        num, den, power = num * slot_num, den * slot_den * run, power + slot_power
+                graph = object.__new__(LocGraph)  # the parts are in canonical order: no re-sort
+                object.__setattr__(graph, "side", side)
+                object.__setattr__(graph, "parts", tuple(map(part, nu, marks, flags)))
+                yield graph, b0, num, den, power, (nu[genus], len(marks[genus])) if zero else None, cap
 
 
 def enumerate_graphs(d: int, lift: Lift) -> list[LocGraph]:
@@ -577,33 +578,37 @@ def _genus_walk(lift: Lift, size: int, marks: int) -> list:
     return [(a, g - 1 - a, size ** (a + 1) * (-1) ** (g - 1 - a), 0) for a in range(g)]
 
 
-def relation_extract(d: int, lift: Lift) -> Relation:
-    """Extract the exact relation carried by the ``1/t`` coefficients.
-
-    Every factor of a graph but three is a scalar times a power of ``t``
-    (:func:`_graph_data`).  The three series are the genus node's (cotangent
-    power ``a``), the Hodge class's (index ``j``) and the rubber node's
-    (cotangent power ``b``); the walk visits only the genus terms of
-    :func:`_genus_walk`, and the power of ``t`` fixes ``b``: the pair lift's
+def _pole_terms(d: int, lift: Lift) -> Iterator[tuple]:
+    """``(graph, den, {monomial: numerator})`` of every graph that keeps a
+    ``1/t`` term, in :func:`_graph_data`'s order.  Of the three series, the
+    genus node's (cotangent power ``a``) and the Hodge class's (index ``j``)
+    take the terms of :func:`_genus_walk`, built once per genus part, and the
+    power of ``t`` fixes the rubber node's (power ``b``): the pair lift's
     zero-side rubber sits at its top power ``l - 2`` (``-1``, no rubber, for
-    one part) and every infinity graph's at ``b = 0``.  Each kept monomial
-    is the kept part of ``assemble_contribution(graph, lift).total().coefficient(-1)``.
-    """
+    one part) and every infinity graph's at ``b = 0``."""
     if d < lift.branch_twist:
         raise InvalidArgumentError(f"this lift needs degree >= {lift.branch_twist}, got {d}")
     k = d - lift.branch_twist
-    terms: dict[LocGraph, dict[Monomial, Fraction]] = {}
+    walks: dict[tuple | None, list] = {None: [(0, None, 1, 0)]}
     for graph, b0, num, den, power, genus, rubber_cap in _graph_data(d, lift):
         num *= math.perm(b0, k)
         kept = {}
-        for a, j, coeff, genus_power in _genus_walk(lift, *genus) if genus else [(0, None, 1, 0)]:
+        walk = walks.get(genus) or walks.setdefault(genus, _genus_walk(lift, *genus))
+        for a, j, coeff, genus_power in walk:
             # the rubber term psi^b t^(-b-1) turns t^b into 1/t; without
             # rubber the other factors must give 1/t themselves (b = -1)
             b = power + genus_power
             if b == rubber_cap == -1 or 0 <= b <= rubber_cap:
-                kept[Monomial(a, max(b, 0), j)] = Fraction(num * coeff * (-1) ** (b + 1), den)
+                kept[Monomial(a, max(b, 0), j)] = num * coeff * (-1) ** (b + 1)
         if kept:
-            terms[graph] = kept
+            yield graph, den, kept
+
+
+def relation_extract(d: int, lift: Lift) -> Relation:
+    """The exact relation carried by the ``1/t`` coefficients: each graph's
+    :func:`_pole_terms` over its denominator, the kept part of
+    ``assemble_contribution(graph, lift).total().coefficient(-1)``."""
+    terms = {graph: {m: Fraction(n, den) for m, n in kept.items()} for graph, den, kept in _pole_terms(d, lift)}
     return Relation(d, lift, terms)
 
 
@@ -628,21 +633,20 @@ def hodge_form_from_graphs(g: int, d: int) -> LinearForm:
 
     Independently of :func:`rubbertaut.hodge.hodge_linear_form`, sums the
     genus-over-zero terms (rubber factors integrated out) and normalizes by
-    the rubber graph's coefficient.
+    the rubber graph's coefficient, all from :func:`_pole_terms`' integers.
     """
-    lift = lift_pair(g)
-    relation = relation_extract(d, lift)
-    pairs: list[tuple[Fraction, dict[int, int]]] = []
+    pairs: list[tuple] = []
     rubber_coeff = Fraction(0)
-    for graph, monos in relation.terms.items():
+    for graph, den, kept in _pole_terms(d, lift_pair(g)):
         if graph.side == "infinity":
-            rubber_coeff += sum(monos.values())
+            rubber_coeff += Fraction(sum(kept.values()), den)
             continue
         rubber = rubber_psi_integral(graph.partition, (d,)) if graph.has_rubber() else 1
-        pairs += [(coeff * rubber, {mono.hodge_j: 1}) for mono, coeff in monos.items()]
+        pairs.append((rubber, den, {mono.hodge_j: num for mono, num in kept.items()}))
     if rubber_coeff == 0:
         raise TheoremViolationError(f"no rubber term in the degree-{d} pair relation")
-    return {j: -v / rubber_coeff for j, v in combine(pairs).items()}
+    common, sums = combine_ints(pairs)
+    return {j: Fraction(-num, common) / rubber_coeff for j, num in sums.items()}
 
 
 # ---------------------------------------------------------------------------

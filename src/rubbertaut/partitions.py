@@ -4,14 +4,11 @@ A partition is a descending tuple of positive parts.  A *marked* partition
 additionally distributes a set of labels over the parts; two markings are
 identified when a permutation of equal-size parts carries one to the other.
 It is a plain tuple of ``(size, marks)`` slots, sorted by descending size and
-then by mark tuple, so equal tuples are the same symmetry class; the
-fixed-point graphs of :mod:`rubbertaut.locgraphs` are built from these slots,
-with the marks of the lift placed over zero.
+then by mark tuple, so equal tuples are the same symmetry class.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -33,13 +30,12 @@ __all__ = [
 
 #: Highest ``n`` :func:`enumerate_partitions` lists (231 partitions), checked
 #: before any is listed, so it caps every partition sum of the package:
-#: ``relation_extract(16, lift_pair(24))`` takes about 0.06 s, ``verify-all
-#: --g-max 24 --d-max 16`` about 16 s and ``enumerate_partitions(60)`` 4 s (2-vCPU VM).
+#: ``relation_extract(16, lift_pair(24))`` takes about 0.05 s, ``verify-all
+#: --g-max 24 --d-max 16`` about 8 s and ``enumerate_partitions(60)`` 4 s (2-vCPU VM).
 MAX_PARTITION_DEGREE = 16
 
-#: Most label assignments ``len(nu) ** len(labels)`` :func:`enumerate_marked`
-#: walks, checked first: three labels on any partition the partition-sum cap
-#: admits, 0.05 s at ``(1,) * 16`` (2-vCPU VM); the package places two on <= 4 parts.
+#: Most label assignments ``len(nu) ** len(labels)`` :func:`enumerate_marked` counts, checked first:
+#: three labels on any partition the partition-sum cap admits, 0.1 ms at ``(1,) * 16`` (2-vCPU VM).
 MAX_MARKED_ASSIGNMENTS = MAX_PARTITION_DEGREE**3
 
 
@@ -104,26 +100,26 @@ _Slots = tuple[tuple[int, tuple[int, ...]], ...]
 def enumerate_marked(nu: Sequence[int], labels: Sequence[int]) -> list[tuple[_Slots, int]]:
     """Distinct markings of ``nu`` by ``labels``, each with its orbit size.
 
-    Each marking is its tuple of ``(size, marks)`` slots.  The orbit size
-    counts raw assignments (maps ``label -> part``) giving the class, so
-    orbit sizes sum to ``len(nu) ** len(labels)``, which is refused past
-    :data:`MAX_MARKED_ASSIGNMENTS` before any assignment is walked.
+    Each marking is its tuple of ``(size, marks)`` slots; its orbit size counts
+    the raw assignments (maps ``label -> part``) giving it, so orbit sizes sum
+    to ``len(nu) ** len(labels)``, refused past :data:`MAX_MARKED_ASSIGNMENTS`
+    before any marking is built.  Each label in turn goes into each distinct
+    slot (equal slots stay side by side) and multiplies the orbit by that
+    slot's multiplicity: one path per marking.
     """
     if len(set(labels)) != len(labels):
         raise InvalidArgumentError(f"labels must be distinct, got {labels!r}")
     if (count := len(nu) ** len(labels)) > MAX_MARKED_ASSIGNMENTS:
         raise ResourceLimitError(f"{count} label assignments exceed the cap {MAX_MARKED_ASSIGNMENTS}")
-    counts: Counter[_Slots] = Counter()
-    for assignment in itertools.product(range(len(nu)), repeat=len(labels)):
-        marks: list[list[int]] = [[] for _ in nu]
-        for label, index in zip(labels, assignment):
-            marks[index].append(label)
-        slots = sorted(
-            ((size, tuple(sorted(ms))) for size, ms in zip(nu, marks)),
-            key=lambda slot: (-slot[0], slot[1]),
-        )
-        counts[tuple(slots)] += 1
-    return sorted(counts.items())
+    markings: list[tuple[_Slots, int]] = [(tuple((size, ()) for size in sorted(nu, reverse=True)), 1)]
+    for label in sorted(labels):
+        markings = [
+            (slots[:i] + ((size, marks + (label,)),) + slots[i + 1 :], orbit * slots.count(slots[i]))
+            for slots, orbit in markings
+            for i, (size, marks) in enumerate(slots)
+            if not i or slots[i] != slots[i - 1]
+        ]
+    return sorted((tuple(sorted(slots, key=lambda s: (-s[0], s[1]))), orbit) for slots, orbit in markings)
 
 
 def tau_power_coefficient(n: int, l: int) -> Fraction:

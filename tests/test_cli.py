@@ -167,6 +167,16 @@ def test_localize_golden_passes_both_degrees(capsys: pytest.CaptureFixture[str])
         assert "matches the frozen rows" in out
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_localize_golden_refuses_a_machine_format(fmt: str) -> None:
+    # The golden diff prints plain lines only; a json or csv request is
+    # refused instead of answered in the table form.
+    result = _run_process(["localize", "--d", "2", "--golden", "--format", fmt])
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == f"error[invalid-argument]: --golden prints a plain diff, not --format {fmt}\n"
+
+
 def test_localize_golden_flags_a_doctored_table(
     capsys: pytest.CaptureFixture[str], monkeypatch: pytest.MonkeyPatch
 ) -> None:

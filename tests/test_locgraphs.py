@@ -92,6 +92,25 @@ def test_enumeration_matches_the_unbounded_oracle() -> None:
         assert enumerate_graphs(d, lift) == _oracle_graphs(d, lift), (lift, d)
 
 
+_CANONICAL_CASES = [(lift_pair(g), d) for g in range(1, 6) for d in range(1, 13)]
+_CANONICAL_CASES += [(LIFT_DIVISOR, d) for d in range(1, 13)]
+
+
+def test_built_graphs_are_canonical_and_in_display_order() -> None:
+    """The graph pass builds each graph's parts in canonical order without
+    sorting them: every graph equals and hashes as the public constructor's,
+    and the graphs come in the retired display sort's order (``_display_key``)."""
+    checked = 0
+    for lift, d in _CANONICAL_CASES:
+        graphs = [data[0] for data in locgraphs._graph_data(d, lift)]
+        for graph in graphs:
+            rebuilt = LocGraph(graph.side, graph.parts)
+            assert graph == rebuilt and hash(graph) == hash(rebuilt), render_graph(graph)
+        assert graphs == sorted(graphs, key=_display_key), (lift, d)
+        checked += len(graphs)
+    assert checked == 5443
+
+
 def _residue(graph: LocGraph, lift: Lift) -> tuple[dict[Monomial, int], int]:
     """The part of the ``t^-1`` coefficient the relation keeps, read off one
     built graph without the Laurent product: the oracle for the relation's
@@ -607,6 +626,28 @@ def test_recovered_linear_form_matches_direct_derivation() -> None:
     for g in (1, 2):
         for d in (1, 2, 3, 4):
             assert hodge_form_from_graphs(g, d) == hodge_linear_form(g, d)
+
+
+def test_recovered_linear_form_sums_integers_without_a_relation(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    """The graph-sum form reads the pole terms' integers and builds no
+    :class:`Relation`; its keys keep the order of the relation's terms."""
+    cases = [(g, d) for g in (1, 3, 5) for d in (1, 4, 7)]
+    orders = {}
+    for g, d in cases:
+        terms = relation_extract(d, lift_pair(g)).terms
+        zero = [mono.hodge_j for graph, monos in terms.items() if graph.side == "zero" for mono in monos]
+        orders[g, d] = list(dict.fromkeys(zero))
+
+    def no_relation(*args: object) -> None:
+        raise AssertionError("a Relation was built")
+
+    monkeypatch.setattr(locgraphs, "Relation", no_relation)
+    for g, d in cases:
+        form = hodge_form_from_graphs(g, d)
+        assert form == hodge_linear_form(g, d), (g, d)
+        assert list(form) == orders[g, d], (g, d)
 
 
 def test_recovered_form_evaluates_to_the_series_target() -> None:

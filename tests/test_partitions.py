@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -117,6 +119,35 @@ def test_enumerate_marked_orbit_sizes_sum_to_all_assignments() -> None:
             assert sum(orbit for _, orbit in classes) == len(nu) ** len(labels)
 
 
+def _marked_by_assignment_walk(nu: tuple[int, ...], labels: tuple[int, ...]) -> list:
+    """The retired enumerator, kept as the oracle: walk every map
+    ``label -> part`` and count the sorted marking each one gives."""
+    counts: Counter = Counter()
+    for assignment in itertools.product(range(len(nu)), repeat=len(labels)):
+        marks: list[list[int]] = [[] for _ in nu]
+        for label, index in zip(labels, assignment):
+            marks[index].append(label)
+        slots = sorted(
+            ((size, tuple(sorted(ms))) for size, ms in zip(nu, marks)),
+            key=lambda slot: (-slot[0], slot[1]),
+        )
+        counts[tuple(slots)] += 1
+    return sorted(counts.items())
+
+
+def test_enumerate_marked_matches_the_assignment_walk() -> None:
+    # Every partition with d <= 10, its parts descending and ascending, and
+    # 0 to 3 labels given in and out of order.
+    checked = 0
+    for nu in (nu for d in range(11) for nu in enumerate_partitions(d)):
+        for parts in {nu, nu[::-1]}:
+            for labels in [(), (2,), (2, 3), (3, 2), (2, 3, 4), (4, 2, 3), (5, 1, 3)]:
+                expected = _marked_by_assignment_walk(parts, labels)
+                assert enumerate_marked(parts, labels) == expected, (parts, labels)
+                checked += 1
+    assert checked == 1750
+
+
 def test_enumerate_marked_reject_duplicate_labels() -> None:
     with pytest.raises(InvalidArgumentError):
         enumerate_marked((2, 1), (2, 2))
@@ -126,21 +157,29 @@ def _must_not_run(*args: object, **kwargs: object) -> None:
     raise AssertionError("work ran past a cap")
 
 
-def test_enumerate_marked_refuses_past_the_assignment_cap_before_any_walk(
-    monkeypatch: pytest.MonkeyPatch,
-) -> None:
+class _UnreadParts(tuple):
+    """A partition whose parts can be counted but not read: every marking is
+    built from the parts, so reading one means the work has begun."""
+
+    def __iter__(self):  # type: ignore[override]
+        _must_not_run()
+
+    def __getitem__(self, index):  # type: ignore[override]
+        _must_not_run()
+
+
+def test_enumerate_marked_refuses_past_the_assignment_cap_before_any_walk() -> None:
     # Three labels on the longest partition the partition-sum cap admits
     # are exactly at the cap and still walk.
     assert MAX_MARKED_ASSIGNMENTS == MAX_PARTITION_DEGREE**3
     at_cap = enumerate_marked((1,) * MAX_PARTITION_DEGREE, (2, 3, 4))
     assert sum(orbit for _, orbit in at_cap) == MAX_MARKED_ASSIGNMENTS
-    monkeypatch.setattr(partitions, "itertools", SimpleNamespace(product=_must_not_run))
     with pytest.raises(AssertionError, match="work ran past a cap"):
-        enumerate_marked((2, 1), (2, 3))
+        enumerate_marked(_UnreadParts((2, 1)), (2, 3))
     for nu, labels in [((1,) * 17, (2, 3, 4)), ((1,) * 16, (2, 3, 4, 5, 6, 7))]:
         count = len(nu) ** len(labels)
         with pytest.raises(ResourceLimitError, match=f"{count} label assignments exceed the cap"):
-            enumerate_marked(nu, labels)
+            enumerate_marked(_UnreadParts(nu), labels)
 
 
 def _tau_power_by_partitions(n: int, l: int) -> Fraction:
