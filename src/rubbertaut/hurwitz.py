@@ -29,9 +29,16 @@ Every walk of degree ``d`` moves in one state graph, whose states are the
 multisets of partitions of ``d``, so the graph is shared by every profile
 pair.  A state gets an integer id the first time a walk reaches it, stored
 with its cycle and component counts, and its successors are built once, on
-its first expansion, merged by target with their ``ways`` summed.  The walk
-itself then runs on ids.  The table grows only through ``hurwitz_oracle``
-after its degree cap, so it never holds more than 1,684 states.
+its first expansion, merged by target with their ``ways`` summed.  They come
+from two tables keyed by component, not by state: the cuts and joins inside
+one sorted component, and the merges of an ordered pair of components, each
+with the ways of equal results summed.  A successor puts one entry in place
+of its one or two components, so only the outer tuple is re-sorted.  The walk
+itself then runs on ids.  The tables grow only through ``hurwitz_oracle``
+after its degree cap, so they never hold more than 1,684 states (the
+multisets of partitions of each ``d <= 10``), 138 cut/join entries (the
+partitions of each ``n <= 10``) and 478 merge entries (the pairs of those
+partitions of total size at most 10).
 :func:`rubber_psi_integral` reads a one-part pair, the only kind the graph
 sums ask for, off the closed form at any degree, without a walk.
 """
@@ -41,8 +48,8 @@ from __future__ import annotations
 import math
 import operator
 import threading
+from collections.abc import Iterator, Mapping, Sequence, Set
 from fractions import Fraction
-from typing import Iterator, Sequence
 
 from .errors import InvalidArgumentError, ResourceLimitError
 from .partitions import aut
@@ -60,28 +67,33 @@ __all__ = [
 MAX_DEGREE = 10
 #: Most simple branch points a profile pair within ``MAX_DEGREE`` can have.
 MAX_SIMPLE_BRANCH = 2 * MAX_DEGREE - 2
-# The state table below holds at most 1,684 states: the number of multisets
-# of partitions of d, summed over d <= MAX_DEGREE (1 + 3 + 6 + 14 + 27 + 58 +
-# 111 + 223 + 424 + 817).
 
 #: A search state: the connected components, each the sorted cycle lengths
 #: of the current product inside it.
-_State = tuple[tuple[int, ...], ...]
+_Comp = tuple[int, ...]
+_State = tuple[_Comp, ...]
+#: A component one transposition gives, with the number of transpositions.
+_Move = tuple[_Comp, int]
 
 #: The state table, indexed by state id: the id of each state reached so far,
 #: and per id its state, total cycle count, component count, and merged
-#: successors ``(target id, ways)`` once it has been expanded.  New ids are
-#: handed out under the lock; two threads that expand one state at once
-#: store equal successors.
+#: successors ``(target id, ways)`` once it has been expanded; and the two
+#: component tables.  New ids are handed out under the lock.  Successors and
+#: component-table entries are pure data built without it: two threads that
+#: build one at once store equal values.
 _TABLE_LOCK = threading.Lock()
 _IDS: dict[_State, int] = {}
 _STATES: list[_State] = []
 _CYCLES: list[int] = []
 _COMPONENTS: list[int] = []
 _SUCCESSORS: list[tuple[tuple[int, int], ...] | None] = []
+_CUT_JOIN: dict[_Comp, tuple[_Move, ...]] = {}
+_MERGES: dict[tuple[_Comp, _Comp], tuple[_Move, ...]] = {}
 
 
 def _validate_profile(name: str, profile: Sequence[int]) -> tuple[int, ...]:
+    if isinstance(profile, (Set, Mapping)):
+        raise InvalidArgumentError(f"{name} must be an ordered sequence of parts")
     try:
         parts = tuple(sorted((operator.index(p) for p in profile), reverse=True))
     except TypeError:
@@ -91,30 +103,30 @@ def _validate_profile(name: str, profile: Sequence[int]) -> tuple[int, ...]:
     return parts
 
 
-def _component_moves(state: _State) -> Iterator[tuple[_State, int]]:
-    """Each state one transposition away, with the number of transpositions."""
-    for c, comp in enumerate(state):
-        rest = state[:c] + state[c + 1 :]
-        for i, n in enumerate(comp):
-            others = comp[:i] + comp[i + 1 :]
-            for m in range(1, n // 2 + 1):
-                ways = n // 2 if 2 * m == n else n
-                yield _normal(rest, others + (m, n - m)), ways
-            for j in range(i + 1, len(comp)):
-                joined = others[: j - 1] + others[j:] + (n + comp[j],)
-                yield _normal(rest, joined), n * comp[j]
-        for c2 in range(c + 1, len(state)):
-            comp2 = state[c2]
-            rest2 = rest[: c2 - 1] + rest[c2:]
-            for i, a in enumerate(comp):
-                for j, b in enumerate(comp2):
-                    merged = comp[:i] + comp[i + 1 :] + comp2[:j] + comp2[j + 1 :] + (a + b,)
-                    yield _normal(rest2, merged), a * b
+def _cut_join(comp: _Comp) -> Iterator[_Move]:
+    """Each component one transposition inside ``comp`` gives, with its ways."""
+    for i, n in enumerate(comp):
+        others = comp[:i] + comp[i + 1 :]
+        for m in range(1, n // 2 + 1):
+            yield others + (m, n - m), n // 2 if 2 * m == n else n
+        for j in range(i + 1, len(comp)):
+            yield others[: j - 1] + others[j:] + (n + comp[j],), n * comp[j]
 
 
-def _normal(rest: _State, comp: tuple[int, ...]) -> _State:
-    """The state ``rest`` plus the component ``comp``, both sorted."""
-    return tuple(sorted(rest + (tuple(sorted(comp, reverse=True)),), reverse=True))
+def _merges(comp: _Comp, comp2: _Comp) -> Iterator[_Move]:
+    """Each component that joining a cycle of ``comp`` to one of ``comp2`` gives."""
+    for i, a in enumerate(comp):
+        for j, b in enumerate(comp2):
+            yield comp[:i] + comp[i + 1 :] + comp2[:j] + comp2[j + 1 :] + (a + b,), a * b
+
+
+def _summed(moves: Iterator[_Move]) -> tuple[_Move, ...]:
+    """``moves`` with each component sorted and the ways of equal ones summed."""
+    summed: dict[_Comp, int] = {}
+    for comp, ways in moves:
+        comp = tuple(sorted(comp, reverse=True))
+        summed[comp] = summed.get(comp, 0) + ways
+    return tuple(summed.items())
 
 
 def _intern(state: _State) -> int:
@@ -139,10 +151,22 @@ def _successors(sid: int) -> tuple[tuple[int, int], ...]:
     """Each state one transposition from ``sid``, with the summed ways."""
     successors = _SUCCESSORS[sid]
     if successors is None:
+        state = _STATES[sid]
         merged: dict[int, int] = {}
-        for state, ways in _component_moves(_STATES[sid]):
-            target = _intern(state)
-            merged[target] = merged.get(target, 0) + ways
+        for c, comp in enumerate(state):
+            rest = state[:c] + state[c + 1 :]
+            if comp not in _CUT_JOIN:
+                _CUT_JOIN[comp] = _summed(_cut_join(comp))
+            replacements = [(rest, _CUT_JOIN[comp])]
+            for c2 in range(c + 1, len(state)):
+                pair = comp, state[c2]
+                if pair not in _MERGES:
+                    _MERGES[pair] = _summed(_merges(*pair))
+                replacements.append((rest[: c2 - 1] + rest[c2:], _MERGES[pair]))
+            for others, moves in replacements:
+                for new, ways in moves:
+                    target = _intern(tuple(sorted(others + (new,), reverse=True)))
+                    merged[target] = merged.get(target, 0) + ways
         successors = _SUCCESSORS[sid] = tuple(merged.items())
     return successors
 

@@ -4,12 +4,13 @@ import math
 import random
 import sys
 import threading
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
 
-from rubbertaut import hurwitz
+from rubbertaut import cli, hurwitz
 from rubbertaut.errors import InvalidArgumentError, ResourceLimitError
 from rubbertaut.hurwitz import (
     MAX_DEGREE,
@@ -163,25 +164,55 @@ def _search_pairs() -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
 # ---------------------------------------------------------------------------
 # Independent oracle: the retired tuple-keyed walk.  It rebuilds and re-sorts
 # every successor of every state on every level of every pair, keying levels
-# on the state tuples themselves, where the production walk interns each
-# state once and walks its merged successors by id.
+# on the state tuples themselves and generating each state's moves whole,
+# where the production walk interns each state once and builds its merged
+# successors by id from tables keyed by component.
 # ---------------------------------------------------------------------------
+
+
+State = tuple[tuple[int, ...], ...]
+
+
+def _component_moves(state: State) -> Iterator[tuple[State, int]]:
+    """Each state one transposition away, with the number of transpositions."""
+    for c, comp in enumerate(state):
+        rest = state[:c] + state[c + 1 :]
+        for i, n in enumerate(comp):
+            others = comp[:i] + comp[i + 1 :]
+            for m in range(1, n // 2 + 1):
+                ways = n // 2 if 2 * m == n else n
+                yield _normal(rest, others + (m, n - m)), ways
+            for j in range(i + 1, len(comp)):
+                joined = others[: j - 1] + others[j:] + (n + comp[j],)
+                yield _normal(rest, joined), n * comp[j]
+        for c2 in range(c + 1, len(state)):
+            comp2 = state[c2]
+            rest2 = rest[: c2 - 1] + rest[c2:]
+            for i, a in enumerate(comp):
+                for j, b in enumerate(comp2):
+                    merged = comp[:i] + comp[i + 1 :] + comp2[:j] + comp2[j + 1 :] + (a + b,)
+                    yield _normal(rest2, merged), a * b
+
+
+def _normal(rest: State, comp: tuple[int, ...]) -> State:
+    """The state ``rest`` plus the component ``comp``, both sorted."""
+    return tuple(sorted(rest + (tuple(sorted(comp, reverse=True)),), reverse=True))
 
 
 def _retired_count_tuples(alpha: tuple[int, ...], beta: tuple[int, ...]) -> int:
     r = len(alpha) + len(beta) - 2
     target_cycles = len(beta)
-    states: dict[tuple[tuple[int, ...], ...], int] = {tuple((a,) for a in alpha): 1}
+    states: dict[State, int] = {tuple((a,) for a in alpha): 1}
     for step in range(r):
         remaining = r - step
-        next_states: dict[tuple[tuple[int, ...], ...], int] = {}
+        next_states: dict[State, int] = {}
         for state, weight in states.items():
             distance = abs(sum(map(len, state)) - target_cycles)
             if distance > remaining or (remaining - distance) % 2:
                 continue
             if len(state) - 1 > remaining:
                 continue
-            for successor, ways in hurwitz._component_moves(state):
+            for successor, ways in _component_moves(state):
                 next_states[successor] = next_states.get(successor, 0) + weight * ways
         states = next_states
     return states.get((beta,), 0)
@@ -294,6 +325,25 @@ def test_non_integer_parts_are_refused(part: object) -> None:
         hurwitz_one_part([1, 1], part)
 
 
+@pytest.mark.parametrize(
+    "count",
+    [
+        lambda profile: hurwitz_oracle(profile, [3]),
+        lambda profile: hurwitz_oracle([3], profile),
+        lambda profile: hurwitz_one_part(profile, 3),
+        lambda profile: rubber_psi_integral(profile, [3]),
+    ],
+    ids=["hurwitz_oracle-alpha", "hurwitz_oracle-beta", "hurwitz_one_part", "rubber_psi_integral"],
+)
+def test_unordered_profiles_are_refused(count: Callable[[object], Fraction]) -> None:
+    # Iterating {2: 5, 1: 7} reads only its keys, and a set cannot repeat a
+    # part, so both read as the profile (2, 1), with H((2, 1), (3)) = 1.
+    for profile in ({2: 5, 1: 7}, {2, 1}, frozenset({2, 1})):
+        with pytest.raises(InvalidArgumentError):
+            count(profile)
+    assert count([2, 1]) == count((2, 1)) == count(iter([1, 2]))
+
+
 def test_resource_caps_are_enforced() -> None:
     big = MAX_DEGREE + 1
     with pytest.raises(ResourceLimitError):
@@ -350,6 +400,70 @@ def _multisets_of_partitions(d: int) -> set[tuple[tuple[int, ...], ...]]:
     return out
 
 
+def _states_whose_moves_differ(d_max: int) -> list[State]:
+    """States of degree at most ``d_max`` whose successors differ from the
+    per-state moves merged by target."""
+    differ = []
+    for d in range(1, d_max + 1):
+        for sid in _closure(d):
+            state = hurwitz._STATES[sid]
+            expected: dict[State, int] = {}
+            for successor, ways in _component_moves(state):
+                expected[successor] = expected.get(successor, 0) + ways
+            got = {hurwitz._STATES[target]: ways for target, ways in hurwitz._successors(sid)}
+            if got != expected:
+                differ.append(state)
+    return differ
+
+
+def _fresh_tables(monkeypatch: pytest.MonkeyPatch) -> None:
+    """Give the module empty state and component tables for one test."""
+    for name, empty in (
+        ("_IDS", {}),
+        ("_STATES", []),
+        ("_CYCLES", []),
+        ("_COMPONENTS", []),
+        ("_SUCCESSORS", []),
+        ("_CUT_JOIN", {}),
+        ("_MERGES", {}),
+    ):
+        monkeypatch.setattr(hurwitz, name, empty)
+
+
+def test_successors_match_the_per_state_moves() -> None:
+    assert _states_whose_moves_differ(8) == []
+
+
+@pytest.mark.parametrize(
+    "table, key, entry, start, failure",
+    [
+        # An equal cut of a 4-cycle counted n = 4 ways, not n // 2 = 2.
+        ("_CUT_JOIN", (4,), (((3, 1), 4), ((2, 2), 4)), ((4,),), "one-part count fails at (2, 2)"),
+        # Joining two fixed points counted 2 ways, not 1 * 1.
+        ("_MERGES", ((1,), (1,)), (((2,), 2),), ((1,), (1,)), "symmetry fails at (2,)/(1, 1)"),
+    ],
+    ids=["cut-join", "merge"],
+)
+def test_a_doctored_table_entry_fails_the_checks(
+    monkeypatch: pytest.MonkeyPatch,
+    capsys: pytest.CaptureFixture[str],
+    table: str,
+    key: tuple,
+    entry: tuple,
+    start: State,
+    failure: str,
+) -> None:
+    _fresh_tables(monkeypatch)
+    getattr(hurwitz, table)[key] = entry
+    assert start in _states_whose_moves_differ(8)
+    code = cli.main(["verify-all", "--g-max", "1", "--d-max", "4"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert [line for line in out.splitlines() if not line.startswith("PASS ")] == [
+        f"FAIL hurwitz: one-part-and-symmetry-d<=4 — {failure}"
+    ]
+
+
 def test_every_transposition_cuts_or_joins() -> None:
     for d in range(1, 9):
         for sid in _closure(d):
@@ -366,10 +480,21 @@ def test_the_walk_reaches_every_multiset_of_partitions() -> None:
         assert states == _multisets_of_partitions(d)
         sizes.append(len(states))
     assert sizes == [1, 3, 6, 14, 27, 58, 111, 223, 424, 817]
-    # The table bound in the module's docstring: no other state within the
-    # degree cap can ever be entered.
+    # The table bounds in the module's docstring: no other state, component
+    # or pair of components within the degree cap can ever be entered.
     within_cap = [s for s in hurwitz._STATES if sum(map(sum, s)) <= MAX_DEGREE]
     assert len(within_cap) == sum(sizes) == 1684
+    components = {tuple(p) for n in range(1, MAX_DEGREE + 1) for p in enumerate_partitions(n)}
+    assert {c for c in hurwitz._CUT_JOIN if sum(c) <= MAX_DEGREE} == components
+    assert len(components) == 138
+    pairs = {
+        (c, c2)
+        for c in components
+        for c2 in components
+        if c >= c2 and sum(c) + sum(c2) <= MAX_DEGREE
+    }
+    assert {pair for pair in hurwitz._MERGES if sum(map(sum, pair)) <= MAX_DEGREE} == pairs
+    assert len(pairs) == 478
 
 
 def test_a_capped_pair_enters_no_state() -> None:
@@ -384,14 +509,7 @@ def test_a_capped_pair_enters_no_state() -> None:
 
 
 def test_threads_build_one_consistent_table(monkeypatch: pytest.MonkeyPatch) -> None:
-    for name, empty in (
-        ("_IDS", {}),
-        ("_STATES", []),
-        ("_CYCLES", []),
-        ("_COMPONENTS", []),
-        ("_SUCCESSORS", []),
-    ):
-        monkeypatch.setattr(hurwitz, name, empty)
+    _fresh_tables(monkeypatch)
     pairs = [
         (alpha, beta)
         for d in range(1, 7)
@@ -422,6 +540,21 @@ def test_threads_build_one_consistent_table(monkeypatch: pytest.MonkeyPatch) -> 
     table = hurwitz._STATES
     assert [hurwitz._IDS[state] for state in table] == list(range(len(table)))
     assert len(hurwitz._IDS) == len(table) == len(hurwitz._CYCLES) == len(hurwitz._SUCCESSORS)
+    # Every entry equals the one a single thread builds over the same pairs.
+    threaded = _successors_by_state(), hurwitz._CUT_JOIN, hurwitz._MERGES
+    _fresh_tables(monkeypatch)
+    count_all(0)
+    assert (_successors_by_state(), hurwitz._CUT_JOIN, hurwitz._MERGES) == threaded
+
+
+def _successors_by_state() -> dict[State, dict[State, int]]:
+    """Each expanded state's successors, keyed by state rather than by id."""
+    states = hurwitz._STATES
+    return {
+        states[sid]: {states[target]: ways for target, ways in successors}
+        for sid, successors in enumerate(hurwitz._SUCCESSORS)
+        if successors is not None
+    }
 
 
 def test_capped_degrees_raise_on_every_call() -> None:
