@@ -348,7 +348,9 @@ def _check_scaling(g_max: int, d_max: int) -> None:
 def _check_hurwitz(d_max: int) -> None:
     for d in _degrees(d_max):
         for nu in enumerate_partitions(d):
-            if hurwitz_oracle((d,), nu) != hurwitz_one_part(nu, d):
+            # (d,) is one component and never merges; nu starts one per part
+            closed = hurwitz_one_part(nu, d)
+            if hurwitz_oracle((d,), nu) != closed or hurwitz_oracle(nu, (d,)) != closed:
                 raise TheoremViolationError(f"one-part count fails at {nu}")
     for d in range(1, min(d_max, 7) + 1):
         profiles = [tuple(p) for p in enumerate_partitions(d)]

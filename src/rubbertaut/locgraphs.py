@@ -12,15 +12,16 @@ equivariant weight ``t`` with coefficients in a small symbol algebra (powers
 of three cotangent symbols and one Hodge symbol).  Only the ``1/t``
 coefficient of the graph sum in the relation's own degree carries the
 relation, and all but three factors of a graph are a scalar times a power of
-``t``: :func:`_graph_data` builds each graph in display order and reads that
-scalar off its parts, and :func:`_pole_terms` walks just the genus-node
-cotangent powers and Hodge indices the degree allows, as integers over each
-graph's denominator.  Only the tests and the benchmark tracer run the full
-Laurent product (:func:`assemble_contribution`), their oracle for the
-relation and the frozen factor cells.  Evaluating the relation's terms
-through the boundary catalogue and solving gives the divisor-class
-coefficients of the genus-one weight quadric.  Every sum here runs through
-:func:`rubbertaut.util.combine` or its integer core ``combine_ints``.
+``t``: :func:`_graph_data` reads each graph in display order, with that
+scalar, off tables built once per process and keyed by partition and lift
+shape, never by genus (1,272 entries at the cap), and :func:`_pole_terms`
+walks just the genus-node cotangent powers and Hodge indices the degree
+allows, as integers over each graph's denominator.  Only the tests and the
+benchmark tracer run the full Laurent product (:func:`assemble_contribution`),
+their oracle for the relation and the frozen factor cells.  Evaluating the
+relation's terms through the boundary catalogue and solving gives the
+divisor-class coefficients of the genus-one weight quadric.  Every sum here
+runs through :func:`rubbertaut.util.combine` or its integer core ``combine_ints``.
 
 Two lifts of the action are used, and a :class:`Lift` is one of them:
 
@@ -42,7 +43,6 @@ lift.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -282,6 +282,48 @@ def _part_marks(tied: tuple[bool, ...], labels: tuple[int, ...]) -> list[list]:
     return out
 
 
+#: The graph tables, shared by every call and never keyed by genus: per
+#: ``(nu, twist, labels)`` the partition's graphs in display order, each
+#: ``(graph, num, den, power, genus part)``, 1,272 entries (914 pair, 358
+#: divisor) and 11,140 graphs at the partition-sum cap; per ``(tied, labels)``
+#: the :func:`_part_marks` placements; one :class:`Part` per distinct part.
+#: Entries are pure data built without a lock: two threads that build one at
+#: once store equal values, and ``setdefault`` keeps the first.
+_GRAPHS: dict[tuple, tuple[tuple, ...]] = {}
+_MARKINGS: dict[tuple, list] = {}
+_PARTS: dict[tuple, Part] = {}
+
+
+def _part(*key) -> Part:
+    return _PARTS.get(key) or _PARTS.setdefault(key, Part(*key))
+
+
+def _partition_graphs(nu: tuple[int, ...], twist: int, labels: tuple[int, ...]) -> tuple[tuple, ...]:
+    """The graph-table entry of ``nu``: over zero by descending genus size (on
+    the first part of that size), then over infinity, each by :func:`_part_marks`."""
+    d, l = sum(nu), len(nu)
+    edge_num, edge_den = math.prod(s**s for s in nu), math.prod(math.factorial(s) for s in nu)
+    out = []
+    for genus in [i for i in range(l) if not i or nu[i] != nu[i - 1]] + [None] * (l <= twist):
+        flags = [i == genus for i in range(l)]
+        tied = tuple(i > 0 and i - 1 != genus and nu[i] == nu[i - 1] for i in range(l))
+        zero = genus is not None
+        key = tied, labels
+        for marks in _MARKINGS.get(key) or _MARKINGS.setdefault(key, _part_marks(*key)):
+            num, den, power, run = edge_num, edge_den * (d if zero and l == 1 else 1), len(labels) - twist, 1
+            for i, ms in enumerate(marks):
+                if i != genus:
+                    # equal parts sit side by side: a run of r gives r! automorphisms
+                    run = run + 1 if tied[i] and ms == marks[i - 1] else 1
+                    slot_num, slot_den, slot_power = _slot_factor(nu[i], ms)
+                    num, den, power = num * slot_num, den * slot_den * run, power + slot_power
+            graph = object.__new__(LocGraph)  # the parts are in canonical order: no re-sort
+            object.__setattr__(graph, "side", "zero" if zero else "infinity")
+            object.__setattr__(graph, "parts", tuple(map(_part, nu, marks, flags)))
+            out.append((graph, num, den, power, (nu[genus], len(marks[genus])) if zero else None))
+    return tuple(out)
+
+
 def _graph_data(d: int, lift: Lift) -> Iterator[tuple]:
     """Every contributing graph in display order, with its residue's scalars.
 
@@ -292,37 +334,20 @@ def _graph_data(d: int, lift: Lift) -> Iterator[tuple]:
     automorphisms, ``1/d`` without rubber); the genus part's ``(size, mark
     count)``, ``None`` over infinity; and the rubber's top cotangent power
     ``2h - 2 + l``, -1 for the one-part graph over zero, which has no rubber.
-    A partition gives its graphs over zero by descending genus size (on the
-    first part of that size), then over infinity, each by :func:`_part_marks`.
     A graph contributes only when ``B0 >= k``: with ``l`` parts, ``B0 = 2g +
     d - l`` over zero and ``d - l`` over infinity, while ``k = d - twist``,
     so only partitions with ``l <= 2g + twist`` parts and only infinity
-    graphs with ``l <= twist`` are built."""
+    graphs with ``l <= twist`` are built.  Only ``B0`` and the infinity
+    rubber's cap depend on the genus; the rest is read off the ``_GRAPHS``
+    entry of the partition and the lift's twist and marks, built once."""
     if d < 1:
         raise InvalidArgumentError(f"need degree >= 1, got {d}")
     g, twist, labels = lift.genus, lift.branch_twist, lift.zero_marks
-    markings: dict[tuple, list] = {}
-    part = functools.lru_cache(maxsize=None)(Part)  # one Part per distinct part this call
     for nu in enumerate_partitions(d, 2 * g + twist):
-        l = len(nu)
-        edge_num, edge_den = math.prod(s**s for s in nu), math.prod(math.factorial(s) for s in nu)
-        for genus in [i for i in range(l) if not i or nu[i] != nu[i - 1]] + [None] * (l <= twist):
-            flags = [i == genus for i in range(l)]
-            tied = tuple(i > 0 and i - 1 != genus and nu[i] == nu[i - 1] for i in range(l))
-            zero = genus is not None
-            side, b0, cap = ("zero", 2 * g + d - l, l - 2) if zero else ("infinity", d - l, 2 * g - 2 + l)
-            for marks in markings.get(tied) or markings.setdefault(tied, _part_marks(tied, labels)):
-                num, den, power, run = edge_num, edge_den * (d if cap == -1 else 1), len(labels) - twist, 1
-                for i, ms in enumerate(marks):
-                    if i != genus:
-                        # equal parts sit side by side: a run of r gives r! automorphisms
-                        run = run + 1 if tied[i] and ms == marks[i - 1] else 1
-                        slot_num, slot_den, slot_power = _slot_factor(nu[i], ms)
-                        num, den, power = num * slot_num, den * slot_den * run, power + slot_power
-                graph = object.__new__(LocGraph)  # the parts are in canonical order: no re-sort
-                object.__setattr__(graph, "side", side)
-                object.__setattr__(graph, "parts", tuple(map(part, nu, marks, flags)))
-                yield graph, b0, num, den, power, (nu[genus], len(marks[genus])) if zero else None, cap
+        l, key = len(nu), (nu, twist, labels)
+        for graph, num, den, power, genus in _GRAPHS.get(key) or _GRAPHS.setdefault(key, _partition_graphs(*key)):
+            b0, cap = (d - l, 2 * g - 2 + l) if genus is None else (2 * g + d - l, l - 2)
+            yield graph, b0, num, den, power, genus, cap
 
 
 def enumerate_graphs(d: int, lift: Lift) -> list[LocGraph]:
@@ -637,11 +662,12 @@ def hodge_form_from_graphs(g: int, d: int) -> LinearForm:
     """
     pairs: list[tuple] = []
     rubber_coeff = Fraction(0)
+    rubbers = {(d,): 1}  # one rubber integral per partition; the one-part graph has none
     for graph, den, kept in _pole_terms(d, lift_pair(g)):
         if graph.side == "infinity":
             rubber_coeff += Fraction(sum(kept.values()), den)
             continue
-        rubber = rubber_psi_integral(graph.partition, (d,)) if graph.has_rubber() else 1
+        rubber = rubbers.get(nu := graph.partition) or rubbers.setdefault(nu, rubber_psi_integral(nu, (d,)))
         pairs.append((rubber, den, {mono.hodge_j: num for mono, num in kept.items()}))
     if rubber_coeff == 0:
         raise TheoremViolationError(f"no rubber term in the degree-{d} pair relation")

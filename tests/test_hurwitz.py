@@ -439,10 +439,14 @@ def test_successors_match_the_per_state_moves() -> None:
     [
         # An equal cut of a 4-cycle counted n = 4 ways, not n // 2 = 2.
         ("_CUT_JOIN", (4,), (((3, 1), 4), ((2, 2), 4)), ((4,),), "one-part count fails at (2, 2)"),
-        # Joining two fixed points counted 2 ways, not 1 * 1.
-        ("_MERGES", ((1,), (1,)), (((2,), 2),), ((1,), (1,)), "symmetry fails at (2,)/(1, 1)"),
+        # Joining two fixed points counted 2 ways, not 1 * 1: the walk from
+        # (1, 1) to (2,) merges them.
+        ("_MERGES", ((1,), (1,)), (((2,), 2),), ((1,), (1,)), "one-part count fails at (1, 1)"),
+        # A fixed point joined to either of two counted 3 ways, not 2: no
+        # walk to or from one cycle merges a two-cycle component.
+        ("_MERGES", ((1, 1), (1,)), (((2, 1), 3),), ((1, 1), (1,)), "symmetry fails at (3, 1)/(2, 1, 1)"),
     ],
-    ids=["cut-join", "merge"],
+    ids=["cut-join", "merge", "two-cycle-merge"],
 )
 def test_a_doctored_table_entry_fails_the_checks(
     monkeypatch: pytest.MonkeyPatch,
@@ -461,6 +465,24 @@ def test_a_doctored_table_entry_fails_the_checks(
     assert code == 2
     assert [line for line in out.splitlines() if not line.startswith("PASS ")] == [
         f"FAIL hurwitz: one-part-and-symmetry-d<=4 — {failure}"
+    ]
+
+
+def test_a_doctored_merge_fails_the_one_part_check(
+    monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture[str]
+) -> None:
+    """A merge of two 4-cycles' components that keeps the cycles apart makes
+    ``H((4, 4), (8,))`` 0, not the closed form's 1.  The walk from ``(8,)``,
+    one component, never merges; the one from ``(4, 4)`` does."""
+    _fresh_tables(monkeypatch)
+    hurwitz._MERGES[((4,), (4,))] = (((4, 4), 16),)
+    assert hurwitz_oracle((8,), (4, 4)) == hurwitz_one_part((4, 4), 8) == 1
+    assert hurwitz_oracle((4, 4), (8,)) == 0
+    code = cli.main(["verify-all", "--g-max", "1", "--d-max", "8"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert [line for line in out.splitlines() if not line.startswith("PASS ")] == [
+        "FAIL hurwitz: one-part-and-symmetry-d<=8 — one-part count fails at (4, 4)"
     ]
 
 

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import math
+import random
 import re
+import sys
+import threading
+from collections.abc import Iterator
 from fractions import Fraction
 
 import golden_factors
 import pytest
 
-from rubbertaut import goldentables, hurwitz, locgraphs, partitions
+from rubbertaut import cli, goldentables, hurwitz, locgraphs, partitions
 from rubbertaut.errors import (
     InvalidArgumentError,
     ResourceLimitError,
@@ -40,6 +44,19 @@ from rubbertaut.locgraphs import (
 )
 from rubbertaut.partitions import MAX_PARTITION_DEGREE, enumerate_marked, enumerate_partitions
 from rubbertaut.tautring import RingContext, boundary, psi1
+
+
+@pytest.fixture
+def fresh_graph_tables() -> Iterator[None]:
+    """Empty the graph, marking and Part tables before and after the test,
+    so that a doctored helper builds every entry the test reads and no
+    doctored entry is left for a later test."""
+    tables = locgraphs._GRAPHS, locgraphs._MARKINGS, locgraphs._PARTS
+    for table in tables:
+        table.clear()
+    yield
+    for table in tables:
+        table.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +218,7 @@ def test_relation_matches_the_residue_oracle_on_every_graph() -> None:
 
 
 def test_the_residue_oracle_catches_a_dropped_two_mark_size(
-    monkeypatch: pytest.MonkeyPatch,
+    monkeypatch: pytest.MonkeyPatch, fresh_graph_tables: None
 ) -> None:
     """A two-mark part that loses its ``size`` factor fails the oracle once
     such a part is larger than 1 (degree 3 on)."""
@@ -214,6 +231,99 @@ def test_the_residue_oracle_catches_a_dropped_two_mark_size(
     for d in (3, 4):
         with pytest.raises(AssertionError):
             _check_relation_against_the_residue_oracle([(LIFT_DIVISOR, d)])
+
+
+def test_the_checks_catch_a_doctored_graph_table_entry(
+    capsys: pytest.CaptureFixture[str], fresh_graph_tables: None
+) -> None:
+    """One graph-table entry's numerator off by one (``3^g+1``, pair lift,
+    degree 4) fails the residue oracle and verify-all's graph-sum cross-check."""
+    enumerate_graphs(4, lift_pair(1))
+    key = ((3, 1), 1, ())
+    (graph, num, *rest), *others = locgraphs._GRAPHS[key]
+    assert render_graph(graph) == "3^g+1"
+    locgraphs._GRAPHS[key] = ((graph, num + 1, *rest), *others)
+    with pytest.raises(AssertionError):
+        _check_relation_against_the_residue_oracle([(lift_pair(1), 4)])
+    code = cli.main(["verify-all", "--g-max", "2", "--d-max", "5"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert [line for line in out.splitlines() if not line.startswith("PASS ")] == [
+        "FAIL hodge: graph-sum-cross-check-g<=2-d<=5 — graph sum differs from the closed form at g=1, d=4"
+    ]
+
+
+def test_every_genus_reads_one_graph_table_entry_per_partition(fresh_graph_tables: None) -> None:
+    """The genus only widens the partitions read: genus 1..5 at degree 9
+    add the pair-lift entries of ``2g + 1`` parts at most, p(9) = 30 in all,
+    and a lower genus yields the very graphs of a higher one."""
+    sizes = []
+    for g in range(1, 6):
+        relation_extract(9, lift_pair(g))
+        sizes.append(len(locgraphs._GRAPHS))
+    assert sizes == [len(enumerate_partitions(9, 2 * g + 1)) for g in range(1, 6)]
+    assert set(locgraphs._GRAPHS) == {(nu, 1, ()) for nu in enumerate_partitions(9)}
+    assert sizes[-1] == 30
+    built = {id(graph) for graph in enumerate_graphs(9, lift_pair(5))}
+    assert all(id(graph) in built for graph in enumerate_graphs(9, lift_pair(1)))
+    assert len(locgraphs._GRAPHS) == 30
+
+
+def test_the_graph_tables_stay_within_their_bound(fresh_graph_tables: None) -> None:
+    """verify-all's graph checks at the genus and partition caps, plus every
+    divisor-lift degree, fill one entry per partition and lift shape: 914
+    pair and 358 divisor entries.  A key holding the genus would not."""
+    cli._check_hodge_engine(MAX_GENUS, MAX_PARTITION_DEGREE)
+    cli._check_tables()
+    cli._check_pair_totals(MAX_PARTITION_DEGREE)
+    cli._check_divisor_solve()
+    for d in range(1, MAX_PARTITION_DEGREE + 1):
+        enumerate_graphs(d, LIFT_DIVISOR)
+    degrees = range(1, MAX_PARTITION_DEGREE + 1)
+    pair = {(nu, 1, ()) for d in degrees for nu in enumerate_partitions(d)}
+    divisor = {(nu, 2, (2, 3)) for d in degrees for nu in enumerate_partitions(d, 4)}
+    assert (len(pair), len(divisor)) == (914, 358)
+    assert set(locgraphs._GRAPHS) == pair | divisor
+    assert len(locgraphs._GRAPHS) == 1272
+    assert sum(map(len, locgraphs._GRAPHS.values())) == 11140  # 2,471 pair, 8,669 divisor
+
+
+def test_threads_build_one_consistent_table(fresh_graph_tables: None) -> None:
+    """Threads filling the same degrees in shuffled orders extract equal
+    relations, every graph holds the interned parts, and every entry equals
+    a single-threaded rebuild."""
+    cases = [(lift_pair(g), d) for g in (1, 2, 3) for d in range(1, 10)]
+    cases += [(LIFT_DIVISOR, d) for d in range(2, 10)]
+    results: list[dict] = [{} for _ in range(4)]  # more threads than cores
+
+    def extract_all(k: int) -> None:
+        order = cases[:]
+        random.Random(k).shuffle(order)
+        for lift, d in order:
+            results[k][lift, d] = [(g, list(m.items())) for g, m in relation_extract(d, lift).terms.items()]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=extract_all, args=(k,)) for k in range(len(results))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(result == results[0] for result in results)
+    tables = locgraphs._GRAPHS, locgraphs._MARKINGS, locgraphs._PARTS
+    parts = [part for entry in locgraphs._GRAPHS.values() for graph, *_ in entry for part in graph.parts]
+    assert all(part is locgraphs._PARTS[part.size, part.marks, part.genus] for part in parts)
+    # Every entry equals the one a single thread builds over the same cases.
+    threaded = [dict(table) for table in tables]
+    for table in tables:
+        table.clear()
+    extract_all(0)
+    assert [dict(table) for table in tables] == threaded
+    assert all(result == results[0] for result in results)
 
 
 def _retired_keep_divisor_term(graph: LocGraph, mono: Monomial) -> bool:
@@ -302,7 +412,9 @@ def test_residue_walk_matches_the_laurent_product() -> None:
     assert _check_walk_against_the_laurent_product(_WALK_CASES) == 1688
 
 
-def test_the_laurent_oracle_catches_a_short_pair_walk(monkeypatch: pytest.MonkeyPatch) -> None:
+def test_the_laurent_oracle_catches_a_short_pair_walk(
+    monkeypatch: pytest.MonkeyPatch, fresh_graph_tables: None
+) -> None:
     """A pair walk over ``a < g - 1`` instead of ``a < g`` fails the oracle
     and the graph-sum cross-check."""
     honest = locgraphs._genus_walk
