@@ -18,13 +18,15 @@ are lower-triangular in the moments: :func:`solve_hodge` substitutes forward
 for the moments, reads the integrals off the polynomial in ``e`` through the
 first ``g`` of them, and checks every degree past ``g`` against it.
 
-The linear form has two independent derivations.  The resummed route, a sum
-over the size of the distinguished part, is the production route: its
-integer edge weights feed both :func:`hodge_linear_form` and
-:func:`solve_hodge`, which stays in integers up to the solved values.  The
-partition route, a sum over every ramification partition of ``d``, is slower
-and is kept as the oracle: the tests compare the two forms, and
-``verify-all`` evaluates the partition-route form at the solved values.
+The integer weights of the edge moments over ``D = d^(d-1) d!`` have two
+independent derivations, and one spread, :func:`_form`, turns either into
+the linear form.  The resummed route, a sum over the size of the
+distinguished part, is the production route: its weights feed both
+:func:`hodge_linear_form` and :func:`solve_hodge`, which stays in integers
+up to the solved values.  The partition route, a sum over every
+ramification partition of ``d``, is kept as the oracle: the tests compare
+the two routes' weights edge by edge, and ``verify-all`` evaluates the
+partition-route form at the solved values.
 """
 
 from __future__ import annotations
@@ -38,12 +40,11 @@ from .errors import InvalidArgumentError, InconsistencyError, ResourceLimitError
 from .linalg import newton_fit, solve_lower_triangular
 from .partitions import aut, enumerate_partitions
 from .series import series_log_sine
-from .util import check_integer, combine
+from .util import check_integer
 
 __all__ = [
     "MAX_GENUS",
     "MAX_DEGREE",
-    "q_form",
     "hodge_linear_form",
     "evaluate_form",
     "n_target",
@@ -57,15 +58,14 @@ LinearForm = dict[int, Fraction]
 
 #: Highest genus the Hodge entry points and the graph lifts accept, checked
 #: before any series or graph is built: ``solve_hodge(24, 48)`` takes about
-#: 0.013 s and ``verify-all --g-max 24 --d-max 10`` about 1.7 s (2-vCPU VM).
+#: 0.012 s and ``verify-all --g-max 24 --d-max 10`` about 1.4 s (2-vCPU VM).
 MAX_GENUS = 24
 
 #: Highest degree ``hodge_linear_form`` accepts and highest degree bound of
 #: ``solve_hodge`` and ``verify_scaling``, checked before any work, so every
-#: genus can be solved over twice its own degrees.  The solve's cost grows
-#: about as ``d_max^3`` (``solve_hodge(2, 200)`` takes about 0.2 s);
-#: ``verify_scaling(24, 48)`` takes about 0.2 s and ``hodge_linear_form(24,
-#: 1000)`` 3 s (2-vCPU VM).
+#: genus can be solved over twice its own degrees: ``solve_hodge(24, 48)``
+#: takes about 0.012 s, ``verify_scaling(24, 48)`` about 0.12 s and
+#: ``hodge_linear_form(24, 48)`` about 1 ms (2-vCPU VM).
 MAX_DEGREE = 2 * MAX_GENUS
 
 
@@ -89,53 +89,42 @@ def _check_degree_bound(d_max: int) -> None:
         raise ResourceLimitError(f"degree {d_max} exceeds the Hodge degree cap {MAX_DEGREE}")
 
 
-def q_form(g: int, e: int) -> LinearForm:
-    """The alternating edge-weight form ``sum_j (-1)^j e^(g-1-j) I(g, j)``."""
-    _check_genus(g)
-    check_integer("edge size", e)
-    if e < 1:
-        raise InvalidArgumentError(f"need edge size >= 1, got {e}")
-    return {j: Fraction((-1) ** j * e ** (g - 1 - j)) for j in range(g)}
-
-
-def _partition_route(g: int, d: int) -> LinearForm:
-    """Sum over ramification partitions of the degree (one term per part).
+def _partition_weights(g: int, d: int) -> list[int]:
+    """The edge weights of the degree-``d`` identity, summed over every
+    ramification partition ``nu`` of ``d`` (one term per part).
 
     Partitions with more than ``2g + 1`` parts carry no term, since their
     branch binomial vanishes, so only the shorter ones are listed; the listing
-    refuses a degree past the partition-sum cap."""
-    pairs: list[tuple[Fraction, LinearForm]] = []
-    prefactor = Fraction(math.factorial(d), d ** (d - 1))
+    refuses a degree past the partition-sum cap.  Over ``D = d^(d-1) d!`` the
+    term of ``nu``, with ``l`` parts, is the integer
+    ``(-1)^(l-1) C(2g+d-l, d-1) S(nu) (d-1)! d^(l-1) prod_p p^(p-1)``, where
+    ``S(nu) = d! / (aut(nu) prod_p p!)`` counts the set partitions of type
+    ``nu``; each part ``e`` adds the term times ``e^2`` to the weight of edge
+    size ``e``.  Summed, the weights equal :func:`_edge_weights` edge by edge.
+    """
+    weights = [0] * d
     for nu in enumerate_partitions(d, 2 * g + 1):
         l = len(nu)
-        sign = Fraction((-1) ** (l - 1))
-        branch = math.comb(2 * g + d - l, d - 1)
-        weight = Fraction(1)
+        term = (-1) ** (l - 1) * math.comb(2 * g + d - l, d - 1) * math.factorial(d - 1) * d ** (l - 1)
+        term *= math.factorial(d) // (aut(nu) * math.prod(map(math.factorial, nu)))
+        term *= math.prod(part ** (part - 1) for part in nu)
         for part in nu:
-            weight *= Fraction(part ** (part - 1), math.factorial(part))
-        common = (
-            sign
-            * prefactor
-            * branch
-            * Fraction(d) ** (l - 2)
-            / aut(nu)
-            * weight
-        )
-        pairs += [(common * part * part, q_form(g, part)) for part in nu]
-    return combine(pairs)
+            weights[part - 1] += term * part * part
+    return weights
 
 
 def _edge_weights(g: int, d: int) -> list[int]:
     """The integer weights ``c(d, e)``, ``e = 1..d``, of the degree-``d`` identity.
 
-    The resummed form is ``sum_e c(d, e) q_e / D`` with ``q_e`` the
-    :func:`q_form` of edge size ``e`` and ``D = d^(d-1) d!``.  It resums over
+    The form is ``sum_e c(d, e) q_e / D`` with ``D = d^(d-1) d!`` and the edge
+    moment ``q_e = sum_j (-1)^j e^(g-1-j) I(g, j)``.  These weights resum over
     the size ``e`` of the distinguished part: with ``n = d - e`` the
     tree-series power is ``[x^n] tau^l = l n^(n-l-1) / (n-l)!`` (1 at
     ``l = n``).  Writing ``1/(l! (n-l)!) = C(n, l)/n!`` makes each inner sum
     an integer over ``n!``, and ``1/(e! n!) = C(d, e)/d!`` leaves ``D``, so
     ``c(d, e) = C(d, e) inner(d, e) e^(e+1)``.  The diagonal
     ``c(d, d) = perm(2g+d-1, d-1) d^(d+1)`` is never 0.
+    :func:`_partition_weights` derives the same weights independently.
     """
     branches = [math.perm(2 * g + d - l - 1, d - 1) * (-d) ** l for l in range(min(d, 2 * g + 1))]
     weights = []
@@ -148,41 +137,35 @@ def _edge_weights(g: int, d: int) -> list[int]:
     return weights
 
 
-def _resummed_numerators(g: int, d: int) -> tuple[list[int], int]:
-    """The resummed form as integer numerators ``s_j`` over one denominator.
-
-    The form is ``sum_j (s_j / D) I(g, j)`` with ``D = d^(d-1) d!``: each
-    edge weight ``c(d, e)`` of :func:`_edge_weights` spreads over the
-    unknowns as ``c(d, e) q_e``.
-    """
+def _form(g: int, weights: Sequence[int], denominator: int) -> LinearForm:
+    """The form ``sum_e weights[e-1] q_e / denominator`` in the unknowns: each
+    weight spreads over ``I(g, j)`` as its edge moment ``q_e``."""
     sums = [0] * g
-    for e, weight in enumerate(_edge_weights(g, d), start=1):
+    for e, weight in enumerate(weights, start=1):
         term = weight
         for j in range(g - 1, -1, -1):
             sums[j] += term
             term *= e
-    numerators = [-value if j % 2 else value for j, value in enumerate(sums)]
-    return numerators, d ** (d - 1) * math.factorial(d)
+    return {j: Fraction(-s if j % 2 else s, denominator) for j, s in enumerate(sums) if s}
 
 
 def hodge_linear_form(g: int, d: int, method: str = "resummed") -> LinearForm:
     """Linear form in ``I(g, *)`` whose value is the degree-``d`` rubber integral.
 
-    ``"resummed"`` (the default) sums over the size of the distinguished part
-    using tree-series power coefficients; ``"partitions"`` sums over
-    ramification partitions of ``d`` and serves as the oracle.  They agree
-    identically and the test suite checks that.  ``d`` must lie in
+    ``"resummed"`` (the default) takes the edge weights from the sum over the
+    size of the distinguished part (:func:`_edge_weights`); ``"partitions"``
+    from the sum over ramification partitions of ``d``
+    (:func:`_partition_weights`), which serves as the oracle.  Both spread
+    through :func:`_form`; the test suite checks that the weights agree.  ``d`` must lie in
     ``1..MAX_DEGREE``; no form the caps admit is empty, as its value (the
     log-sine target) is nonzero.
     """
     _check_genus(g)
     _check_degree_bound(d)
-    if method == "partitions":
-        return _partition_route(g, d)
-    if method == "resummed":
-        numerators, denominator = _resummed_numerators(g, d)
-        return {j: Fraction(s, denominator) for j, s in enumerate(numerators) if s}
-    raise InvalidArgumentError(f"unknown method {method!r}")
+    routes = {"resummed": _edge_weights, "partitions": _partition_weights}
+    if method not in routes:
+        raise InvalidArgumentError(f"unknown method {method!r}")
+    return _form(g, routes[method](g, d), d ** (d - 1) * math.factorial(d))
 
 
 def evaluate_form(form: Mapping[int, Fraction], values: Sequence[Fraction]) -> Fraction:

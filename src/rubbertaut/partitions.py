@@ -31,7 +31,7 @@ __all__ = [
 #: Highest ``n`` :func:`enumerate_partitions` lists (231 partitions), checked
 #: before any is listed, so it caps every partition sum of the package:
 #: ``relation_extract(16, lift_pair(24))`` takes about 0.05 s (0.03 s once its
-#: graphs are built), ``verify-all --g-max 24 --d-max 16`` about 7 s and
+#: graphs are built), ``verify-all --g-max 24 --d-max 16`` about 3.4 s and
 #: ``enumerate_partitions(60)`` 4 s (2-vCPU VM).
 MAX_PARTITION_DEGREE = 16
 

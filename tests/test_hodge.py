@@ -21,17 +21,21 @@ from rubbertaut.hodge import (
     evaluate_form,
     hodge_linear_form,
     n_target,
-    q_form,
     solve_hodge,
 )
 from rubbertaut.linalg import solve_linear_system
-from rubbertaut.partitions import MAX_PARTITION_DEGREE, enumerate_partitions, tau_power_coefficient
+from rubbertaut.partitions import MAX_PARTITION_DEGREE, aut, enumerate_partitions, tau_power_coefficient
 from test_linalg import fraction_solve
 
 
 # ---------------------------------------------------------------------------
 # The two derivations of the degree identities must agree exactly
 # ---------------------------------------------------------------------------
+
+
+def _q_row(g: int, e: int) -> dict[int, Fraction]:
+    """The edge moment ``q_e = sum_j (-1)^j e^(g-1-j) I(g, j)`` as a form."""
+    return {j: Fraction((-1) ** j * e ** (g - 1 - j)) for j in range(g)}
 
 
 def _resummed_route_in_fractions(g: int, d: int) -> dict[int, Fraction]:
@@ -46,7 +50,7 @@ def _resummed_route_in_fractions(g: int, d: int) -> dict[int, Fraction]:
                 * tau_power_coefficient(d - e, l)
             )
         scale = Fraction(e ** (e + 1), math.factorial(e)) * inner
-        for j, value in q_form(g, e).items():
+        for j, value in _q_row(g, e).items():
             form[j] = form.get(j, Fraction(0)) + scale * value
     return {j: v / d ** (d - 1) for j, v in form.items() if v != 0}
 
@@ -57,6 +61,62 @@ def test_partition_and_resummed_routes_agree() -> None:
         assert hodge_linear_form(g, d, method="partitions") == hodge_linear_form(
             g, d, method="resummed"
         ), (g, d)
+
+
+def _partition_route_in_fractions(g: int, d: int) -> dict[int, Fraction]:
+    """The retired partition route: one ``Fraction`` form per part of each
+    ramification partition of ``d`` with at most ``2g + 1`` parts."""
+    form: dict[int, Fraction] = {}
+    prefactor = Fraction(math.factorial(d), d ** (d - 1))
+    for nu in enumerate_partitions(d, 2 * g + 1):
+        l = len(nu)
+        common = (
+            (-1) ** (l - 1)
+            * prefactor
+            * math.comb(2 * g + d - l, d - 1)
+            * Fraction(d) ** (l - 2)
+            / aut(nu)
+            * math.prod(Fraction(p ** (p - 1), math.factorial(p)) for p in nu)
+        )
+        for part in nu:
+            for j, value in _q_row(g, part).items():
+                form[j] = form.get(j, Fraction(0)) + common * part * part * value
+    return {j: v for j, v in form.items() if v != 0}
+
+
+def test_partition_route_matches_the_fraction_route() -> None:
+    pairs = [(g, d) for g in range(1, 5) for d in range(1, 7)] + [(5, 10), (8, 16)]
+    for g, d in pairs:
+        assert hodge_linear_form(g, d, "partitions") == _partition_route_in_fractions(g, d), (g, d)
+
+
+def test_partition_weights_equal_the_resummed_weights_edge_by_edge() -> None:
+    for g in range(1, MAX_GENUS + 1):
+        for d in range(1, MAX_PARTITION_DEGREE + 1):
+            assert hodge._partition_weights(g, d) == hodge._edge_weights(g, d), (g, d)
+
+
+def test_a_doctored_partition_term_fails_the_linear_system_check(
+    monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture[str]
+) -> None:
+    # +1 on the degree-4 term of the partition (3, 1): each part e adds e^2
+    # to the weight of edge size e.
+    honest = hodge._partition_weights
+
+    def doctored(g: int, d: int) -> list[int]:
+        weights = honest(g, d)
+        if d == 4:
+            for part in (3, 1):
+                weights[part - 1] += part * part
+        return weights
+
+    monkeypatch.setattr(hodge, "_partition_weights", doctored)
+    assert cli.main(["verify-all", "--g-max", "2", "--d-max", "5"]) == 2
+    failures = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL ")]
+    assert [line.split(" —")[0] for line in failures] == [
+        "FAIL hodge: linear-system-g<=2-d<=5",
+    ]
+    assert failures[0].endswith("genus-1 degree-4 value differs")
 
 
 def test_integer_resummed_route_matches_the_fraction_route() -> None:
@@ -71,8 +131,8 @@ def test_unknown_method_rejected() -> None:
 
 
 def test_q_form_alternates() -> None:
-    assert q_form(3, 2) == {0: Fraction(4), 1: Fraction(-2), 2: Fraction(1)}
-    assert q_form(1, 5) == {0: Fraction(1)}
+    assert _q_row(3, 2) == {0: Fraction(4), 1: Fraction(-2), 2: Fraction(1)}
+    assert _q_row(1, 5) == {0: Fraction(1)}
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +308,6 @@ def test_a_non_integer_degree_is_refused() -> None:
         for call in calls:
             with pytest.raises(InvalidArgumentError, match="degree must be an integer"):
                 call(degree)
-    for size in (1.5, 2.0, Fraction(2)):
-        with pytest.raises(InvalidArgumentError, match="edge size must be an integer"):
-            q_form(2, size)
 
 
 def test_genus_past_the_cap_is_refused_before_any_series(
@@ -264,7 +321,6 @@ def test_genus_past_the_cap_is_refused_before_any_series(
     monkeypatch.setattr(hodge, "series_log_sine", no_series)
     g = MAX_GENUS + 1
     entry_points = [
-        lambda: q_form(g, 1),
         lambda: hodge_linear_form(g, 1),
         lambda: hodge_linear_form(g, 1, "partitions"),
         lambda: n_target(g, 1),
@@ -410,16 +466,19 @@ def test_solve_matches_the_retired_route() -> None:
 
 def _integer_row_solve_hodge(g: int, d_max: int) -> HodgeSolution:
     """The integer-row solve the edge-moment route replaced: one row per
-    degree, the form's numerators times the target's denominator against
-    ``d^(2g)`` times the target's numerator and the form's denominator,
+    degree, the form's numerators over ``D = d^(d-1) d!`` times the target's
+    denominator against ``d^(2g)`` times the target's numerator and ``D``,
     eliminated by :func:`solve_linear_system`."""
     degrees = tuple(range(1, max(g, d_max) + 1))
     base = n_target(g, 1)
     matrix: list[list[int]] = []
     rhs: list[int] = []
     for d in degrees:
-        numerators, denominator = hodge._resummed_numerators(g, d)
-        matrix.append([s * base.denominator for s in numerators])
+        denominator = d ** (d - 1) * math.factorial(d)
+        form = hodge_linear_form(g, d)
+        numerators = [form.get(j, Fraction(0)) * denominator for j in range(g)]
+        assert all(s.denominator == 1 for s in numerators)
+        matrix.append([s.numerator * base.denominator for s in numerators])
         rhs.append(d ** (2 * g) * base.numerator * denominator)
     solution = solve_linear_system(matrix, rhs)
     assert not solution.nullspace

@@ -486,6 +486,29 @@ def test_a_doctored_merge_fails_the_one_part_check(
     ]
 
 
+def test_a_doctored_merge_of_a_many_cycle_component_fails_the_symmetry_check(
+    monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture[str]
+) -> None:
+    """A 4-cycle joined to a cycle of a three-cycle component counted one
+    way too many.  No one-part walk merges such a component, and the
+    all-pairs symmetry check stops below degree 8; the symmetry against
+    ``1^d`` reaches it."""
+    _fresh_tables(monkeypatch)
+    hurwitz._MERGES[((4,), (2, 1, 1))] = (((6, 1, 1), 9), ((5, 2, 1), 8))
+    code = cli.main(["verify-all", "--g-max", "1", "--d-max", "8"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert [line for line in out.splitlines() if not line.startswith("PASS ")] == [
+        "FAIL hurwitz: one-part-and-symmetry-d<=8 — symmetry fails at (6, 1, 1)/(1, 1, 1, 1, 1, 1, 1, 1)"
+    ]
+
+
+def test_the_hurwitz_check_builds_every_merge_entry(monkeypatch: pytest.MonkeyPatch) -> None:
+    _fresh_tables(monkeypatch)
+    cli._check_hurwitz(MAX_DEGREE)
+    assert len(hurwitz._MERGES) == 478
+
+
 def test_every_transposition_cuts_or_joins() -> None:
     for d in range(1, 9):
         for sid in _closure(d):
