@@ -11,11 +11,15 @@ of connected components, each the sorted cycle lengths of the current
 product inside it, and it starts as one component ``(a,)`` per part of
 ``alpha``.  One transposition either cuts an ``n``-cycle into ``{m, n - m}``,
 which ``n`` transpositions do (``n / 2`` when ``m = n - m``), or joins an
-``a``-cycle and a ``b``-cycle, which ``a * b`` transpositions do, merging
-their components when they differ.  Level by level, each state carries the
-exact integer number of tuples reaching it; states that can no longer reach
-``len(beta)`` cycles in one component within the remaining steps are
-dropped.  The count is the weight of the single-component state ``(beta,)``.
+``a``-cycle and a ``b``-cycle, which ``a * b`` transpositions do.  The ``r``
+steps must merge the ``len(alpha)`` start components into one and end on
+``len(beta)`` cycles, which in genus zero leaves no step to join two cycles
+of one component: the walk makes cuts and merges only.  A merge drops a cycle
+and a component and a cut adds a cycle, so ``2 * (components - 1) = cycles +
+remaining - len(beta)`` at every step: the one prune drops states with
+``components - 1 > remaining``, and a walk ending on one component ends on
+``len(beta)`` cycles.  Each state carries the exact number of tuples reaching
+it, level by level; the count is the weight of the state ``(beta,)``.
 
 Normalization: with ``N`` the tuple count above, the number returned is
 ``N * aut(beta) / prod(alpha)``.  It is symmetric in the two profiles and
@@ -28,17 +32,16 @@ aut(alpha)) * (aut(alpha) * aut(beta)) ** k``: ``k = 1`` is this one, while
 Every walk of degree ``d`` moves in one state graph, whose states are the
 multisets of partitions of ``d``, so the graph is shared by every profile
 pair.  A state gets an integer id the first time a walk reaches it, stored
-with its cycle and component counts, and its successors are built once, on
-its first expansion, merged by target with their ``ways`` summed.  They come
-from two tables keyed by component, not by state: the cuts and joins inside
-one sorted component, and the merges of an ordered pair of components, each
-with the ways of equal results summed.  A successor puts one entry in place
-of its one or two components, so only the outer tuple is re-sorted.  The walk
-itself then runs on ids.  The tables grow only through ``hurwitz_oracle``
-after its degree cap, so they never hold more than 1,684 states (the
-multisets of partitions of each ``d <= 10``), 138 cut/join entries (the
-partitions of each ``n <= 10``) and 478 merge entries (the pairs of those
-partitions of total size at most 10).
+with its component count, and its successors are built once, on its first
+expansion, merged by target with their ``ways`` summed.  They come from two
+tables keyed by component, not by state, each with the ways of equal results
+summed: the cuts of one sorted component and the merges of an ordered pair.
+A successor puts one entry in place of its one or two components, so only
+the outer tuple is re-sorted, and the walk runs on ids.  The tables grow only
+through ``hurwitz_oracle`` after its degree cap, so they never hold more than
+1,684 states (the multisets of partitions of each ``d <= 10``), 138 cut
+entries (the partitions of each ``n <= 10``) and 478 merge entries (the pairs
+of those partitions of total size at most 10).
 :func:`rubber_psi_integral` reads a one-part pair, the only kind the graph
 sums ask for, off the closed form at any degree, without a walk.
 """
@@ -76,18 +79,17 @@ _State = tuple[_Comp, ...]
 _Move = tuple[_Comp, int]
 
 #: The state table, indexed by state id: the id of each state reached so far,
-#: and per id its state, total cycle count, component count, and merged
-#: successors ``(target id, ways)`` once it has been expanded; and the two
-#: component tables.  New ids are handed out under the lock.  Successors and
-#: component-table entries are pure data built without it: two threads that
-#: build one at once store equal values.
+#: and per id its state, component count, and merged successors ``(target id,
+#: ways)`` once it has been expanded; and the two component tables, the cuts
+#: of one component and the merges of two.  New ids are handed out under the
+#: lock.  Successors and component-table entries are pure data built without
+#: it: two threads that build one at once store equal values.
 _TABLE_LOCK = threading.Lock()
 _IDS: dict[_State, int] = {}
 _STATES: list[_State] = []
-_CYCLES: list[int] = []
 _COMPONENTS: list[int] = []
 _SUCCESSORS: list[tuple[tuple[int, int], ...] | None] = []
-_CUT_JOIN: dict[_Comp, tuple[_Move, ...]] = {}
+_CUTS: dict[_Comp, tuple[_Move, ...]] = {}
 _MERGES: dict[tuple[_Comp, _Comp], tuple[_Move, ...]] = {}
 
 
@@ -103,14 +105,12 @@ def _validate_profile(name: str, profile: Sequence[int]) -> tuple[int, ...]:
     return parts
 
 
-def _cut_join(comp: _Comp) -> Iterator[_Move]:
-    """Each component one transposition inside ``comp`` gives, with its ways."""
+def _cuts(comp: _Comp) -> Iterator[_Move]:
+    """Each component that cutting a cycle of ``comp`` gives, with its ways."""
     for i, n in enumerate(comp):
         others = comp[:i] + comp[i + 1 :]
         for m in range(1, n // 2 + 1):
             yield others + (m, n - m), n // 2 if 2 * m == n else n
-        for j in range(i + 1, len(comp)):
-            yield others[: j - 1] + others[j:] + (n + comp[j],), n * comp[j]
 
 
 def _merges(comp: _Comp, comp2: _Comp) -> Iterator[_Move]:
@@ -139,7 +139,6 @@ def _intern(state: _State) -> int:
         if sid is None:
             sid = len(_STATES)
             _STATES.append(state)
-            _CYCLES.append(sum(map(len, state)))
             _COMPONENTS.append(len(state))
             _SUCCESSORS.append(None)
             # Published last, so an id read without the lock is complete.
@@ -155,9 +154,9 @@ def _successors(sid: int) -> tuple[tuple[int, int], ...]:
         merged: dict[int, int] = {}
         for c, comp in enumerate(state):
             rest = state[:c] + state[c + 1 :]
-            if comp not in _CUT_JOIN:
-                _CUT_JOIN[comp] = _summed(_cut_join(comp))
-            replacements = [(rest, _CUT_JOIN[comp])]
+            if comp not in _CUTS:
+                _CUTS[comp] = _summed(_cuts(comp))
+            replacements = [(rest, _CUTS[comp])]
             for c2 in range(c + 1, len(state)):
                 pair = comp, state[c2]
                 if pair not in _MERGES:
@@ -174,15 +173,11 @@ def _successors(sid: int) -> tuple[tuple[int, int], ...]:
 def _count_tuples(alpha: tuple[int, ...], beta: tuple[int, ...]) -> int:
     """Number of transposition tuples completing a fixed ``alpha``-permutation."""
     r = len(alpha) + len(beta) - 2
-    target_cycles = len(beta)
     states = {_intern(tuple((a,) for a in alpha)): 1}
     for step in range(r):
         remaining = r - step
         next_states: dict[int, int] = {}
         for sid, weight in states.items():
-            distance = abs(_CYCLES[sid] - target_cycles)
-            if distance > remaining or (remaining - distance) % 2:
-                continue
             if _COMPONENTS[sid] - 1 > remaining:
                 continue
             for target, ways in _successors(sid):

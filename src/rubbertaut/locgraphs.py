@@ -183,8 +183,9 @@ class LocGraph:
     """A fixed-locus graph: the side carrying the genus, plus decorated parts.
 
     ``side`` is ``"zero"`` when the positive-genus vertex sits over zero and
-    ``"infinity"`` when the genus is carried by the rubber.  Parts are kept
-    in a canonical display order, so equal graphs compare equal.
+    ``"infinity"`` when the genus is carried by the rubber.  Each part's
+    marks ascend, and parts are kept in a canonical display order, so equal
+    graphs compare equal.
     """
 
     side: str
@@ -193,6 +194,10 @@ class LocGraph:
     def __post_init__(self) -> None:
         if self.side not in ("zero", "infinity"):
             raise InvalidArgumentError(f"bad side {self.side!r}")
+        for p in self.parts:
+            if not (isinstance(p, Part) and isinstance(p.size, int) and p.size >= 1 and isinstance(p.marks, tuple)
+                    and all(a < b for a, b in zip(p.marks, p.marks[1:]))):
+                raise InvalidArgumentError(f"{p!r} is not a Part of size >= 1 with ascending distinct marks")
         ordered = tuple(sorted(self.parts, key=_part_order))
         object.__setattr__(self, "parts", ordered)
         genus_count = sum(1 for p in self.parts if p.genus)

@@ -165,8 +165,10 @@ def _search_pairs() -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
 # Independent oracle: the retired tuple-keyed walk.  It rebuilds and re-sorts
 # every successor of every state on every level of every pair, keying levels
 # on the state tuples themselves and generating each state's moves whole,
-# where the production walk interns each state once and builds its merged
-# successors by id from tables keyed by component.
+# joins inside one component included, under the cycle-distance prune too;
+# the production walk interns each state once, builds its merged successors
+# by id from tables of cuts and merges keyed by component, and keeps only
+# the component prune.
 # ---------------------------------------------------------------------------
 
 
@@ -192,6 +194,15 @@ def _component_moves(state: State) -> Iterator[tuple[State, int]]:
                 for j, b in enumerate(comp2):
                     merged = comp[:i] + comp[i + 1 :] + comp2[:j] + comp2[j + 1 :] + (a + b,)
                     yield _normal(rest2, merged), a * b
+
+
+def _cut_and_merge_moves(state: State) -> Iterator[tuple[State, int]]:
+    """The moves of ``state`` but the joins inside one component, the only
+    moves that keep the component count and lose a cycle."""
+    cycles = sum(map(len, state))
+    for successor, ways in _component_moves(state):
+        if len(successor) < len(state) or sum(map(len, successor)) > cycles:
+            yield successor, ways
 
 
 def _normal(rest: State, comp: tuple[int, ...]) -> State:
@@ -402,13 +413,13 @@ def _multisets_of_partitions(d: int) -> set[tuple[tuple[int, ...], ...]]:
 
 def _states_whose_moves_differ(d_max: int) -> list[State]:
     """States of degree at most ``d_max`` whose successors differ from the
-    per-state moves merged by target."""
+    per-state cuts and merges merged by target."""
     differ = []
     for d in range(1, d_max + 1):
         for sid in _closure(d):
             state = hurwitz._STATES[sid]
             expected: dict[State, int] = {}
-            for successor, ways in _component_moves(state):
+            for successor, ways in _cut_and_merge_moves(state):
                 expected[successor] = expected.get(successor, 0) + ways
             got = {hurwitz._STATES[target]: ways for target, ways in hurwitz._successors(sid)}
             if got != expected:
@@ -421,10 +432,9 @@ def _fresh_tables(monkeypatch: pytest.MonkeyPatch) -> None:
     for name, empty in (
         ("_IDS", {}),
         ("_STATES", []),
-        ("_CYCLES", []),
         ("_COMPONENTS", []),
         ("_SUCCESSORS", []),
-        ("_CUT_JOIN", {}),
+        ("_CUTS", {}),
         ("_MERGES", {}),
     ):
         monkeypatch.setattr(hurwitz, name, empty)
@@ -438,7 +448,7 @@ def test_successors_match_the_per_state_moves() -> None:
     "table, key, entry, start, failure",
     [
         # An equal cut of a 4-cycle counted n = 4 ways, not n // 2 = 2.
-        ("_CUT_JOIN", (4,), (((3, 1), 4), ((2, 2), 4)), ((4,),), "one-part count fails at (2, 2)"),
+        ("_CUTS", (4,), (((3, 1), 4), ((2, 2), 4)), ((4,),), "one-part count fails at (2, 2)"),
         # Joining two fixed points counted 2 ways, not 1 * 1: the walk from
         # (1, 1) to (2,) merges them.
         ("_MERGES", ((1,), (1,)), (((2,), 2),), ((1,), (1,)), "one-part count fails at (1, 1)"),
@@ -446,7 +456,7 @@ def test_successors_match_the_per_state_moves() -> None:
         # walk to or from one cycle merges a two-cycle component.
         ("_MERGES", ((1, 1), (1,)), (((2, 1), 3),), ((1, 1), (1,)), "symmetry fails at (3, 1)/(2, 1, 1)"),
     ],
-    ids=["cut-join", "merge", "two-cycle-merge"],
+    ids=["cut", "merge", "two-cycle-merge"],
 )
 def test_a_doctored_table_entry_fails_the_checks(
     monkeypatch: pytest.MonkeyPatch,
@@ -509,13 +519,19 @@ def test_the_hurwitz_check_builds_every_merge_entry(monkeypatch: pytest.MonkeyPa
     assert len(hurwitz._MERGES) == 478
 
 
-def test_every_transposition_cuts_or_joins() -> None:
+def test_successors_count_every_cut_and_merge() -> None:
+    # Of the C(d, 2) transpositions, those inside one cycle cut it and those
+    # across two components merge them; the rest join within a component.
     for d in range(1, 9):
         for sid in _closure(d):
+            state = hurwitz._STATES[sid]
             successors = hurwitz._successors(sid)
             targets = [target for target, _ in successors]
             assert len(set(targets)) == len(targets)
-            assert sum(ways for _, ways in successors) == math.comb(d, 2)
+            cuts = sum(math.comb(n, 2) for comp in state for n in comp)
+            sizes = [sum(comp) for comp in state]
+            merges = sum(a * b for i, a in enumerate(sizes) for b in sizes[i + 1 :])
+            assert sum(ways for _, ways in successors) == cuts + merges
 
 
 def test_the_walk_reaches_every_multiset_of_partitions() -> None:
@@ -530,7 +546,7 @@ def test_the_walk_reaches_every_multiset_of_partitions() -> None:
     within_cap = [s for s in hurwitz._STATES if sum(map(sum, s)) <= MAX_DEGREE]
     assert len(within_cap) == sum(sizes) == 1684
     components = {tuple(p) for n in range(1, MAX_DEGREE + 1) for p in enumerate_partitions(n)}
-    assert {c for c in hurwitz._CUT_JOIN if sum(c) <= MAX_DEGREE} == components
+    assert {c for c in hurwitz._CUTS if sum(c) <= MAX_DEGREE} == components
     assert len(components) == 138
     pairs = {
         (c, c2)
@@ -584,12 +600,12 @@ def test_threads_build_one_consistent_table(monkeypatch: pytest.MonkeyPatch) -> 
     assert all(result == expected for result in results)
     table = hurwitz._STATES
     assert [hurwitz._IDS[state] for state in table] == list(range(len(table)))
-    assert len(hurwitz._IDS) == len(table) == len(hurwitz._CYCLES) == len(hurwitz._SUCCESSORS)
+    assert len(hurwitz._IDS) == len(table) == len(hurwitz._COMPONENTS) == len(hurwitz._SUCCESSORS)
     # Every entry equals the one a single thread builds over the same pairs.
-    threaded = _successors_by_state(), hurwitz._CUT_JOIN, hurwitz._MERGES
+    threaded = _successors_by_state(), hurwitz._CUTS, hurwitz._MERGES
     _fresh_tables(monkeypatch)
     count_all(0)
-    assert (_successors_by_state(), hurwitz._CUT_JOIN, hurwitz._MERGES) == threaded
+    assert (_successors_by_state(), hurwitz._CUTS, hurwitz._MERGES) == threaded
 
 
 def _successors_by_state() -> dict[State, dict[State, int]]:

@@ -521,6 +521,27 @@ def test_graph_validation() -> None:
 
 
 @pytest.mark.parametrize(
+    "part",
+    [
+        Part(2, (3, 2), True),
+        Part(2, (2, 2), True),
+        Part(2, [2, 3], True),
+        Part(0, (2, 3), True),
+        Part(-1, (2, 3), True),
+        Part(2.0, (2, 3), True),
+        (2, (2, 3), True),
+    ],
+    ids=["unsorted-marks", "repeated-mark", "list-marks", "size-zero", "negative-size", "float-size", "tuple"],
+)
+def test_graph_parts_are_validated(part: object) -> None:
+    # (3, 2) would never equal the canonical (2, 3) graph, so a lookup in a
+    # relation's terms would miss it without an error.
+    with pytest.raises(InvalidArgumentError):
+        LocGraph("zero", (part, Part(1)))
+    assert LocGraph("zero", (Part(2, (2, 3), True), Part(1))).parts[0].marks == (2, 3)
+
+
+@pytest.mark.parametrize(
     "genus, divisor",
     [(0, False), (-1, False), (0, True), (2, True)],
     ids=["0-pair", "-1-pair", "0-divisor", "2-divisor"],
