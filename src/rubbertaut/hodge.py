@@ -23,15 +23,18 @@ independent derivations, and one spread, :func:`_form`, turns either into
 the linear form.  The resummed route, a sum over the size of the
 distinguished part, is the production route: its weights feed both
 :func:`hodge_linear_form` and :func:`solve_hodge`, which stays in integers
-up to the solved values.  The partition route, a sum over every
-ramification partition of ``d``, is kept as the oracle: the tests compare
-the two routes' weights edge by edge, and ``verify-all`` evaluates the
-partition-route form at the solved values.
+up to the solved values.  Only its branch weights depend on the genus; the
+tree and edge factors are read off a table built once per process, one row
+per tree size, at most ``MAX_DEGREE + 1`` rows.  The partition route, a sum
+over every ramification partition of ``d``, is kept as the oracle: the tests
+compare the two routes' weights edge by edge, and ``verify-all`` evaluates
+the partition-route form at the solved values.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -58,14 +61,14 @@ LinearForm = dict[int, Fraction]
 
 #: Highest genus the Hodge entry points and the graph lifts accept, checked
 #: before any series or graph is built: ``solve_hodge(24, 48)`` takes about
-#: 0.012 s and ``verify-all --g-max 24 --d-max 10`` about 1.4 s (2-vCPU VM).
+#: 0.007 s and ``verify-all --g-max 24 --d-max 10`` about 1.0 s (2-vCPU VM).
 MAX_GENUS = 24
 
 #: Highest degree ``hodge_linear_form`` accepts and highest degree bound of
 #: ``solve_hodge`` and ``verify_scaling``, checked before any work, so every
 #: genus can be solved over twice its own degrees: ``solve_hodge(24, 48)``
-#: takes about 0.012 s, ``verify_scaling(24, 48)`` about 0.12 s and
-#: ``hodge_linear_form(24, 48)`` about 1 ms (2-vCPU VM).
+#: takes about 0.007 s, ``verify_scaling(24, 48)`` about 0.16 s and
+#: ``hodge_linear_form(24, 48)`` about 0.7 ms (2-vCPU VM).
 MAX_DEGREE = 2 * MAX_GENUS
 
 
@@ -113,6 +116,25 @@ def _partition_weights(g: int, d: int) -> list[int]:
     return weights
 
 
+#: The genus-free factors of :func:`_edge_weights`, shared by every call:
+#: per tree size ``n`` the row ``l C(n, l) n^(n-l-1)``, ``l = 0..n`` (1 at
+#: ``l = n``, 0 at ``l = 0 < n``), and the edge factors ``C(n, e) e^(e+1)``,
+#: ``e = 1..n``.  Callers check the degree cap first, so at most
+#: ``MAX_DEGREE + 1`` rows.  Rows are pure data built without a lock: two
+#: threads that build one at once store equal values, and ``setdefault``
+#: keeps the first.
+_TREES: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+
+
+def _tree_row(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    row = _TREES.get(n)
+    if row is None:
+        trees = tuple(1 if l == n else l * math.comb(n, l) * n ** (n - l - 1) for l in range(n + 1))
+        edges = tuple(math.comb(n, e) * e ** (e + 1) for e in range(1, n + 1))
+        row = _TREES.setdefault(n, (trees, edges))
+    return row
+
+
 def _edge_weights(g: int, d: int) -> list[int]:
     """The integer weights ``c(d, e)``, ``e = 1..d``, of the degree-``d`` identity.
 
@@ -122,19 +144,19 @@ def _edge_weights(g: int, d: int) -> list[int]:
     tree-series power is ``[x^n] tau^l = l n^(n-l-1) / (n-l)!`` (1 at
     ``l = n``).  Writing ``1/(l! (n-l)!) = C(n, l)/n!`` makes each inner sum
     an integer over ``n!``, and ``1/(e! n!) = C(d, e)/d!`` leaves ``D``, so
-    ``c(d, e) = C(d, e) inner(d, e) e^(e+1)``.  The diagonal
+    ``c(d, e) = C(d, e) inner(d, e) e^(e+1)``.  Only the branch weights
+    ``perm(2g+d-l-1, d-1) (-d)^l``, ``l <= 2g``, depend on the genus; the
+    tree factors and ``C(d, e) e^(e+1)`` are read off the ``_TREES`` rows,
+    built once per process, and each inner sum is the branch weights times
+    row ``n``, up to ``l = min(n, 2g)``.  The diagonal
     ``c(d, d) = perm(2g+d-1, d-1) d^(d+1)`` is never 0.
     :func:`_partition_weights` derives the same weights independently.
     """
     branches = [math.perm(2 * g + d - l - 1, d - 1) * (-d) ** l for l in range(min(d, 2 * g + 1))]
-    weights = []
-    for e in range(1, d + 1):
-        n = d - e
-        inner = branches[n] if n <= 2 * g else 0
-        for l in range(1, min(n - 1, 2 * g) + 1):
-            inner += branches[l] * l * math.comb(n, l) * n ** (n - l - 1)
-        weights.append(math.comb(d, e) * inner * e ** (e + 1))
-    return weights
+    return [
+        edge * sum(map(operator.mul, branches, _tree_row(d - e)[0]))
+        for e, edge in enumerate(_tree_row(d)[1], start=1)
+    ]
 
 
 def _form(g: int, weights: Sequence[int], denominator: int) -> LinearForm:
@@ -163,7 +185,7 @@ def hodge_linear_form(g: int, d: int, method: str = "resummed") -> LinearForm:
     _check_genus(g)
     _check_degree_bound(d)
     routes = {"resummed": _edge_weights, "partitions": _partition_weights}
-    if method not in routes:
+    if not isinstance(method, str) or method not in routes:
         raise InvalidArgumentError(f"unknown method {method!r}")
     return _form(g, routes[method](g, d), d ** (d - 1) * math.factorial(d))
 

@@ -46,6 +46,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple
 
@@ -210,7 +211,7 @@ class LocGraph:
     def degree(self) -> int:
         return sum(p.size for p in self.parts)
 
-    @property
+    @cached_property
     def partition(self) -> tuple[int, ...]:
         return tuple(sorted((p.size for p in self.parts), reverse=True))
 
@@ -291,12 +292,16 @@ def _part_marks(tied: tuple[bool, ...], labels: tuple[int, ...]) -> list[list]:
 #: ``(nu, twist, labels)`` the partition's graphs in display order, each
 #: ``(graph, num, den, power, genus part)``, 1,272 entries (914 pair, 358
 #: divisor) and 11,140 graphs at the partition-sum cap; per ``(tied, labels)``
-#: the :func:`_part_marks` placements; one :class:`Part` per distinct part.
-#: Entries are pure data built without a lock: two threads that build one at
-#: once store equal values, and ``setdefault`` keeps the first.
+#: the :func:`_part_marks` placements; one :class:`Part` per distinct part;
+#: per partition ``nu`` of two parts or more, the rubber integral against
+#: ``(d,)`` that :func:`hodge_form_from_graphs` weighs its graphs by, 898
+#: entries at the cap.  Entries are pure data built without a lock: two
+#: threads that build one at once store equal values, and ``setdefault``
+#: keeps the first.
 _GRAPHS: dict[tuple, tuple[tuple, ...]] = {}
 _MARKINGS: dict[tuple, list] = {}
 _PARTS: dict[tuple, Part] = {}
+_RUBBERS: dict[tuple[int, ...], Fraction] = {}
 
 
 def _part(*key) -> Part:
@@ -608,14 +613,26 @@ def _genus_walk(lift: Lift, size: int, marks: int) -> list:
     return [(a, g - 1 - a, size ** (a + 1) * (-1) ** (g - 1 - a), 0) for a in range(g)]
 
 
+def _pole_sign(b: int, rubber_cap: int) -> int:
+    """The sign ``(-1)^(b+1)`` of the rubber term ``psi^b t^(-b-1)`` that
+    turns a graph's other factors, ``t^b``, into ``1/t``: kept for ``0 <= b``
+    up to the rubber's top power, and for ``b = -1`` on a graph without
+    rubber (cap -1), whose other factors give ``1/t`` themselves.  Any other
+    ``b`` keeps no term, and the sign is 0."""
+    if b == rubber_cap == -1 or 0 <= b <= rubber_cap:
+        return 1 if b % 2 else -1
+    return 0
+
+
 def _pole_terms(d: int, lift: Lift) -> Iterator[tuple]:
     """``(graph, den, {monomial: numerator})`` of every graph that keeps a
     ``1/t`` term, in :func:`_graph_data`'s order.  Of the three series, the
     genus node's (cotangent power ``a``) and the Hodge class's (index ``j``)
     take the terms of :func:`_genus_walk`, built once per genus part, and the
-    power of ``t`` fixes the rubber node's (power ``b``): the pair lift's
-    zero-side rubber sits at its top power ``l - 2`` (``-1``, no rubber, for
-    one part) and every infinity graph's at ``b = 0``."""
+    power of ``t`` fixes the rubber node's (power ``b``, kept by
+    :func:`_pole_sign`): the pair lift's zero-side rubber sits at its top
+    power ``l - 2`` (``-1``, no rubber, for one part) and every infinity
+    graph's at ``b = 0``."""
     if d < lift.branch_twist:
         raise InvalidArgumentError(f"this lift needs degree >= {lift.branch_twist}, got {d}")
     k = d - lift.branch_twist
@@ -625,11 +642,9 @@ def _pole_terms(d: int, lift: Lift) -> Iterator[tuple]:
         kept = {}
         walk = walks.get(genus) or walks.setdefault(genus, _genus_walk(lift, *genus))
         for a, j, coeff, genus_power in walk:
-            # the rubber term psi^b t^(-b-1) turns t^b into 1/t; without
-            # rubber the other factors must give 1/t themselves (b = -1)
             b = power + genus_power
-            if b == rubber_cap == -1 or 0 <= b <= rubber_cap:
-                kept[Monomial(a, max(b, 0), j)] = num * coeff * (-1) ** (b + 1)
+            if sign := _pole_sign(b, rubber_cap):
+                kept[Monomial(a, max(b, 0), j)] = num * coeff * sign
         if kept:
             yield graph, den, kept
 
@@ -663,20 +678,37 @@ def hodge_form_from_graphs(g: int, d: int) -> LinearForm:
 
     Independently of :func:`rubbertaut.hodge.hodge_linear_form`, sums the
     genus-over-zero terms (rubber factors integrated out) and normalizes by
-    the rubber graph's coefficient, all from :func:`_pole_terms`' integers.
+    the rubber graph's coefficient, all from the graphs' integers.  Every
+    pair-walk term has genus power 0, so :func:`_pole_sign` keeps a graph's
+    whole walk or none of it, with one sign: each kept zero-side graph adds
+    one integer, times its partition's rubber integral (read off
+    ``_RUBBERS``), to the weight of its genus part, and each weight spreads
+    once through that part's :func:`_genus_walk`.
     """
+    lift = lift_pair(g)
+    k = d - lift.branch_twist
     pairs: list[tuple] = []
     rubber_coeff = Fraction(0)
-    rubbers = {(d,): 1}  # one rubber integral per partition; the one-part graph has none
-    for graph, den, kept in _pole_terms(d, lift_pair(g)):
-        if graph.side == "infinity":
-            rubber_coeff += Fraction(sum(kept.values()), den)
+    for graph, b0, num, den, power, genus, rubber_cap in _graph_data(d, lift):
+        sign = _pole_sign(power, rubber_cap)
+        if not sign:
             continue
-        rubber = rubbers.get(nu := graph.partition) or rubbers.setdefault(nu, rubber_psi_integral(nu, (d,)))
-        pairs.append((rubber, den, {mono.hodge_j: num for mono, num in kept.items()}))
+        term = sign * num * math.perm(b0, k)
+        if genus is None:
+            rubber_coeff += Fraction(term, den)
+            continue
+        nu = graph.partition
+        if len(nu) == 1:  # the one-part graph has no rubber
+            rubber = 1
+        else:
+            rubber = _RUBBERS.get(nu) or _RUBBERS.setdefault(nu, rubber_psi_integral(nu, (d,)))
+        pairs.append((rubber, den, {genus: term}))
     if rubber_coeff == 0:
         raise TheoremViolationError(f"no rubber term in the degree-{d} pair relation")
-    common, sums = combine_ints(pairs)
+    common, weights = combine_ints(pairs)
+    _, sums = combine_ints(
+        (weight, 1, {j: coeff for _, j, coeff, _ in _genus_walk(lift, *genus)}) for genus, weight in weights.items()
+    )
     return {j: Fraction(-num, common) / rubber_coeff for j, num in sums.items()}
 
 

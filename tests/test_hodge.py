@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import math
+import random
 import re
+import sys
+import threading
+from collections.abc import Iterator
 from fractions import Fraction
 
 import pytest
@@ -128,6 +132,107 @@ def test_integer_resummed_route_matches_the_fraction_route() -> None:
 def test_unknown_method_rejected() -> None:
     with pytest.raises(InvalidArgumentError):
         hodge_linear_form(1, 1, method="guesswork")
+
+
+@pytest.mark.parametrize("method", [None, [], {}, b"resummed", 1, ("partitions",)])
+def test_a_method_that_is_not_a_route_name_is_refused(method: object) -> None:
+    # An unhashable method must not escape as a bare TypeError.
+    with pytest.raises(InvalidArgumentError, match="unknown method"):
+        hodge_linear_form(2, 3, method)  # type: ignore[arg-type]
+
+
+# ---------------------------------------------------------------------------
+# The tree table behind the resummed edge weights
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def fresh_tree_table() -> Iterator[None]:
+    """Empty the tree table before and after the test, so that the test
+    builds every row it reads and no doctored row is left for a later test."""
+    hodge._TREES.clear()
+    yield
+    hodge._TREES.clear()
+
+
+def _retired_edge_weights(g: int, d: int) -> list[int]:
+    """The retired per-term loop: every tree and edge factor recomputed for
+    each genus and degree."""
+    branches = [math.perm(2 * g + d - l - 1, d - 1) * (-d) ** l for l in range(min(d, 2 * g + 1))]
+    weights = []
+    for e in range(1, d + 1):
+        n = d - e
+        inner = branches[n] if n <= 2 * g else 0
+        for l in range(1, min(n - 1, 2 * g) + 1):
+            inner += branches[l] * l * math.comb(n, l) * n ** (n - l - 1)
+        weights.append(math.comb(d, e) * inner * e ** (e + 1))
+    return weights
+
+
+def test_tabled_edge_weights_match_the_retired_per_term_loop(fresh_tree_table: None) -> None:
+    for g in range(1, MAX_GENUS + 1):
+        for d in range(1, MAX_DEGREE + 1):
+            assert hodge._edge_weights(g, d) == _retired_edge_weights(g, d), (g, d)
+    # one row per tree size, never per genus
+    assert set(hodge._TREES) == set(range(MAX_DEGREE + 1))
+
+
+def test_a_doctored_tree_table_entry_fails_the_solve_and_verify_all(
+    capsys: pytest.CaptureFixture[str], fresh_tree_table: None
+) -> None:
+    """One tree factor off by one (``n = 3``, ``l = 1``, read by degree 4 on)
+    moves the degree-4 weights off the identities: the solve finds its
+    degrees inconsistent and verify-all fails its Hodge checks."""
+    solve_hodge(2, 6)
+    trees, edges = hodge._TREES[3]
+    assert trees == (0, 9, 6, 1)
+    hodge._TREES[3] = ((0, 10, 6, 1), edges)
+    assert hodge._edge_weights(2, 4) != _retired_edge_weights(2, 4)
+    with pytest.raises(
+        TheoremViolationError,
+        match=re.escape("degree identities for genus 2 are inconsistent over degrees (1, 2, 3, 4, 5, 6)"),
+    ):
+        solve_hodge(2, 6)
+    code = cli.main(["verify-all", "--g-max", "3", "--d-max", "6"])
+    failures = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("PASS ")]
+    assert code == 2
+    assert [line.split(" —")[0] for line in failures] == [
+        "FAIL hodge: linear-system-g<=3-d<=6",
+        "FAIL hodge: graph-sum-cross-check-g<=3-d<=6",
+    ]
+
+
+def test_threads_build_one_consistent_tree_table(fresh_tree_table: None) -> None:
+    """Threads filling the rows in shuffled orders compute equal weights, and
+    every row equals a single-threaded rebuild."""
+    cases = [(g, d) for g in (1, 2, 7, MAX_GENUS) for d in range(1, MAX_DEGREE + 1)]
+    results: list[dict] = [{} for _ in range(4)]  # more threads than cores
+
+    def weigh_all(k: int) -> None:
+        order = cases[:]
+        random.Random(k).shuffle(order)
+        for g, d in order:
+            results[k][g, d] = hodge._edge_weights(g, d)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=weigh_all, args=(k,)) for k in range(len(results))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(result == results[0] for result in results)
+    assert all(results[0][g, d] == _retired_edge_weights(g, d) for g, d in cases)
+    # Every row equals the one a single thread builds over the same cases.
+    threaded = dict(hodge._TREES)
+    assert set(threaded) == set(range(MAX_DEGREE + 1))
+    hodge._TREES.clear()
+    weigh_all(0)
+    assert hodge._TREES == threaded
 
 
 def test_q_form_alternates() -> None:

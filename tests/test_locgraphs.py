@@ -48,10 +48,10 @@ from rubbertaut.tautring import RingContext, boundary, psi1
 
 @pytest.fixture
 def fresh_graph_tables() -> Iterator[None]:
-    """Empty the graph, marking and Part tables before and after the test,
-    so that a doctored helper builds every entry the test reads and no
+    """Empty the graph, marking, Part and rubber tables before and after the
+    test, so that a doctored helper builds every entry the test reads and no
     doctored entry is left for a later test."""
-    tables = locgraphs._GRAPHS, locgraphs._MARKINGS, locgraphs._PARTS
+    tables = locgraphs._GRAPHS, locgraphs._MARKINGS, locgraphs._PARTS, locgraphs._RUBBERS
     for table in tables:
         table.clear()
     yield
@@ -253,6 +253,22 @@ def test_the_checks_catch_a_doctored_graph_table_entry(
     ]
 
 
+def test_the_checks_catch_a_doctored_rubber_integral(
+    capsys: pytest.CaptureFixture[str], fresh_graph_tables: None
+) -> None:
+    """One partition's rubber integral off by one (``(2, 1)``, first read at
+    genus 1, degree 3) fails only verify-all's graph-sum cross-check."""
+    hodge_form_from_graphs(1, 3)
+    assert locgraphs._RUBBERS[2, 1] == hurwitz.rubber_psi_integral((2, 1), (3,))
+    locgraphs._RUBBERS[2, 1] += 1
+    code = cli.main(["verify-all", "--g-max", "2", "--d-max", "5"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert [line for line in out.splitlines() if not line.startswith("PASS ")] == [
+        "FAIL hodge: graph-sum-cross-check-g<=2-d<=5 — graph sum differs from the closed form at g=1, d=3"
+    ]
+
+
 def test_every_genus_reads_one_graph_table_entry_per_partition(fresh_graph_tables: None) -> None:
     """The genus only widens the partitions read: genus 1..5 at degree 9
     add the pair-lift entries of ``2g + 1`` parts at most, p(9) = 30 in all,
@@ -286,12 +302,15 @@ def test_the_graph_tables_stay_within_their_bound(fresh_graph_tables: None) -> N
     assert set(locgraphs._GRAPHS) == pair | divisor
     assert len(locgraphs._GRAPHS) == 1272
     assert sum(map(len, locgraphs._GRAPHS.values())) == 11140  # 2,471 pair, 8,669 divisor
+    # one rubber integral per partition of two parts or more, never per genus
+    assert set(locgraphs._RUBBERS) == {nu for nu, _, _ in pair if len(nu) > 1}
+    assert len(locgraphs._RUBBERS) == 898
 
 
 def test_threads_build_one_consistent_table(fresh_graph_tables: None) -> None:
     """Threads filling the same degrees in shuffled orders extract equal
-    relations, every graph holds the interned parts, and every entry equals
-    a single-threaded rebuild."""
+    relations and graph-sum forms, every graph holds the interned parts, and
+    every entry equals a single-threaded rebuild."""
     cases = [(lift_pair(g), d) for g in (1, 2, 3) for d in range(1, 10)]
     cases += [(LIFT_DIVISOR, d) for d in range(2, 10)]
     results: list[dict] = [{} for _ in range(4)]  # more threads than cores
@@ -301,6 +320,8 @@ def test_threads_build_one_consistent_table(fresh_graph_tables: None) -> None:
         random.Random(k).shuffle(order)
         for lift, d in order:
             results[k][lift, d] = [(g, list(m.items())) for g, m in relation_extract(d, lift).terms.items()]
+            if not lift.divisor:
+                results[k][lift.genus, d] = list(hodge_form_from_graphs(lift.genus, d).items())
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -314,7 +335,7 @@ def test_threads_build_one_consistent_table(fresh_graph_tables: None) -> None:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert all(result == results[0] for result in results)
-    tables = locgraphs._GRAPHS, locgraphs._MARKINGS, locgraphs._PARTS
+    tables = locgraphs._GRAPHS, locgraphs._MARKINGS, locgraphs._PARTS, locgraphs._RUBBERS
     parts = [part for entry in locgraphs._GRAPHS.values() for graph, *_ in entry for part in graph.parts]
     assert all(part is locgraphs._PARTS[part.size, part.marks, part.genus] for part in parts)
     # Every entry equals the one a single thread builds over the same cases.
