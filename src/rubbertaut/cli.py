@@ -277,8 +277,8 @@ def _cmd_hain(args: argparse.Namespace) -> int:
     expansion = hain_expand(args.genus, len(weights), weights)
     names = {sym: _render_hain_symbol(sym) for sym in set().union(*expansion)}
     rows = [
-        ["*".join([names[sym] for sym in monomial]), fraction_str(expansion[monomial])]
-        for monomial in sorted(expansion)
+        ["*".join([names[sym] for sym in monomial]), fraction_str(coefficient)]
+        for monomial, coefficient in expansion.items()
     ]
     payload = [{"monomial": monomial, "coefficient": text} for monomial, text in rows]
     return _emit(args.format, ["monomial", "coefficient"], rows, payload)

@@ -40,6 +40,13 @@ MAX_PARTITION_DEGREE = 16
 MAX_MARKED_ASSIGNMENTS = MAX_PARTITION_DEGREE**3
 
 
+#: The partitions of ``n`` with at most ``limit`` parts, keyed by
+#: ``(n, min(max_length, n))`` and listed once per process; every call copies
+#: its entry.  Entries are pure data, so ``setdefault`` keeps the first of two
+#: equal ones built at once.
+_PARTITIONS: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
+
+
 def _check_partition_degree(n: int) -> None:
     """Refuse ``n`` past the partition-sum cap (``verify-all`` does so before any sweep)."""
     if n > MAX_PARTITION_DEGREE:
@@ -61,7 +68,11 @@ def enumerate_partitions(n: int, max_length: int | None = None) -> list[tuple[in
         check_integer("max_length", max_length)
         if max_length < 0:
             raise InvalidArgumentError(f"max_length must be >= 0, got {max_length}")
-    limit = n if max_length is None else max_length
+    key = (n, n if max_length is None else min(max_length, n))
+    return list(_PARTITIONS.get(key) or _PARTITIONS.setdefault(key, _list_partitions(*key)))
+
+
+def _list_partitions(n: int, limit: int) -> tuple[tuple[int, ...], ...]:
     out: list[tuple[int, ...]] = []
 
     def extend(remaining: int, largest: int, prefix: tuple[int, ...]) -> None:
@@ -74,7 +85,7 @@ def enumerate_partitions(n: int, max_length: int | None = None) -> list[tuple[in
             extend(remaining - part, part, prefix + (part,))
 
     extend(n, n, ())
-    return out
+    return tuple(out)
 
 
 def aut(nu: Sequence[int]) -> int:

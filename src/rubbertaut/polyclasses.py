@@ -14,7 +14,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from typing import Any, Callable, Mapping, Sequence
 
 from .errors import InvalidArgumentError, ResourceLimitError, TheoremViolationError
@@ -287,9 +287,9 @@ def interpolate(fn: Callable[[tuple[Fraction, ...]], Any], degrees: Sequence[int
 # ---------------------------------------------------------------------------
 
 #: Most monomials :func:`hain_expand` enumerates.  At 37,820 monomials
-#: (genus 3, weights ``-3,-3,0,3,3``) the ``hain`` command takes about 0.25 s
+#: (genus 3, weights ``-3,-3,0,3,3``) the ``hain`` command takes about 0.15 s
 #: after start-up, most of it rendering rows, and the expansion alone about
-#: 0.04 s (2-vCPU VM, Python 3.11).
+#: 0.02 s (2-vCPU VM, Python 3.11).
 MAX_HAIN_MONOMIALS = 50_000
 
 
@@ -310,16 +310,41 @@ def _check_monomial_cap(symbols: int, g: int, t: int) -> None:
             )
 
 
+class _SharedFractions(dict):
+    """Integer numerator -> ``Fraction(numerator, den)``, made on first lookup."""
+
+    def __init__(self, den: int) -> None:
+        super().__init__()
+        self.den = den
+
+    def __missing__(self, num: int) -> Fraction:
+        value = self[num] = Fraction(num, self.den)
+        return value
+
+
 def hain_expand(
     g: int, t: int, weights: Sequence[Fraction | int]
 ) -> dict[tuple[tuple, ...], Fraction]:
-    """Expand the ``g``-th power of the weighted divisor combination.
+    """Expand ``Theta**g / g!`` for the weighted divisor combination ``Theta``.
 
-    The linear combination pairs each mark's squared weight with a formal
-    cotangent symbol ``("psi+", j)`` and each subset with formal boundary
-    symbols ``("delta", h, J)``; the result maps degree-``g`` monomials
-    (sorted symbol tuples) to exact rationals, including the ``1/g!``
-    normalization.
+    ``Theta`` pairs formal symbols with these coefficients, where ``k_J`` is
+    the sum of the weights of the marks in ``J`` (symbols whose coefficient
+    vanishes are dropped):
+
+    * ``("psi+", j)``: ``k_j**2 / 2``;
+    * ``("delta", 0, J)`` for ``|J| >= 2``: ``-k_J**2``;
+    * ``("delta", h, J)`` for ``1 <= h < g``: ``-((2h-1)/(2g-2))**2 * k_J**2 / 2``.
+
+    The result maps each degree-``g`` monomial (a sorted symbol tuple, in
+    ``combinations_with_replacement`` order) to its exact coefficient in
+    ``Theta**g / g!``: the product of its symbols' coefficients over the
+    factorials of their multiplicities.
+
+    With ``q`` the lcm of the weights' denominators, ``K = q * k`` and
+    ``c = (2g-2)**2``, every coefficient above is an integer over ``2 c q**2``
+    (``c K_j**2``, ``-2c K_J**2`` and ``-(2h-1)**2 K_J**2``), so the walk
+    carries integer numerators over the one denominator
+    ``(2 c q**2)**g * g!`` and makes one ``Fraction`` per distinct numerator.
     """
     check_integer("genus", g)
     check_integer("number of marks", t)
@@ -338,51 +363,44 @@ def hain_expand(
     # sum to zero, so at least 2**(t-1) subsets carry g - 1 symbols each.
     # This bounds t and g before the 2**t subsets are walked.
     _check_monomial_cap(2 ** (t - 1) * (g - 1), g, t)
-    marks = list(range(1, t + 1))
-    base: dict[tuple, Fraction] = {}
-    for index, mark in enumerate(marks):
-        value = k[index] ** 2 / 2
-        if value:
-            base[("psi+", mark)] = value
+    q = math.lcm(*(w.denominator for w in k))
+    scaled = [w.numerator * (q // w.denominator) for w in k]
+    c = (2 * g - 2) ** 2
+    base: dict[tuple, int] = {}
+    for mark, weight in enumerate(scaled, 1):
+        if weight:
+            base[("psi+", mark)] = c * weight**2
     for size in range(1, t + 1):
         for subset in combinations(range(t), size):
-            k_sum = sum((k[i] for i in subset), Fraction(0))
-            if k_sum == 0:
+            square = sum(scaled[i] for i in subset) ** 2
+            if not square:
                 continue
-            j_key = tuple(marks[i] for i in subset)
+            j_key = tuple(i + 1 for i in subset)
             if size >= 2:
-                base[("delta", 0, j_key)] = -(k_sum**2)
+                base[("delta", 0, j_key)] = -2 * c * square
             for h in range(1, g):
-                scaled = Fraction(2 * h - 1, 2 * g - 2) * k_sum
-                base[("delta", h, j_key)] = -(scaled**2) / 2
+                base[("delta", h, j_key)] = -((2 * h - 1) ** 2) * square
     _check_monomial_cap(len(base), g, t)
     symbols = sorted(base)
-    numerators = [base[symbol].numerator for symbol in symbols]
-    denominators = [base[symbol].denominator for symbol in symbols]
-    result: dict[tuple[tuple, ...], Fraction] = {}
+    numerators = [base[symbol] for symbol in symbols]
     # A subset and its complement carry the same squared weight, so many
-    # monomials share one unreduced (numerator, denominator) pair; each pair
-    # becomes one immutable ``Fraction``, shared by all of them.
-    shared: dict[tuple[int, int], Fraction] = {}
+    # monomials share one numerator and so one immutable ``Fraction``.
+    shared = _SharedFractions((2 * c * q * q) ** g * math.factorial(g))
+    out: list[Fraction] = []
 
-    # Monomials in combinations_with_replacement order.  A prefix carries the
-    # numerator and denominator of its coefficient as plain integers, the
-    # denominator including the factorial of each multiplicity; ``run``
-    # counts the trailing copies of ``symbols[last]``.
-    def extend(prefix: tuple, last: int, num: int, den: int, run: int) -> None:
-        for index in range(max(last, 0), len(symbols)):
-            repeat = run + 1 if index == last else 1
-            monomial = prefix + (symbols[index],)
-            num_next = num * numerators[index]
-            den_next = den * denominators[index] * repeat
-            if len(monomial) == g:
-                pair = (num_next, den_next)
-                value = shared.get(pair)
-                if value is None:
-                    value = shared[pair] = Fraction(num_next, den_next)
-                result[monomial] = value
-            else:
-                extend(monomial, index, num_next, den_next, repeat)
+    # A prefix of ``depth`` symbols ends in ``run`` copies of
+    # ``symbols[last]`` and carries ``g! * prod / prod(multiplicity!)``, which
+    # stays an integer at every division; the last symbol of a prefix of
+    # ``g - 1`` is one pass over the remaining numerators.
+    def extend(last: int, num: int, run: int, depth: int) -> None:
+        repeat = num * numerators[last] // (run + 1)
+        if depth == g - 1:
+            out.append(shared[repeat])
+            out.extend(map(shared.__getitem__, map(num.__mul__, numerators[last + 1 :])))
+            return
+        extend(last, repeat, run + 1, depth + 1)
+        for index in range(last + 1, len(symbols)):
+            extend(index, num * numerators[index], 1, depth + 1)
 
-    extend((), -1, 1, 1, 0)
-    return result
+    extend(0, math.factorial(g), 0, 0)
+    return dict(zip(combinations_with_replacement(symbols, g), out))

@@ -47,11 +47,13 @@ def too_long_to_print() -> ResourceLimitError:
 def fraction_str(value: Fraction | int) -> str:
     """Render an exact rational as ``p`` or ``p/q`` (never a float).
 
-    A numerator or denominator past Python's int-to-str digit limit raises
-    ``ResourceLimitError`` instead of the interpreter's ``ValueError``.
+    An ``int`` or ``Fraction`` prints as itself; any other value is first made
+    an exact ``Fraction``.  A numerator or denominator past Python's
+    int-to-str digit limit raises ``ResourceLimitError`` instead of the
+    interpreter's ``ValueError``.
     """
     try:
-        return str(Fraction(value))
+        return str(value if type(value) in (int, Fraction) else Fraction(value))
     except ValueError as exc:
         raise too_long_to_print() from exc
 

@@ -82,6 +82,18 @@ def test_enumeration_lists_every_partition_at_the_cap_and_refuses_past_it() -> N
                 enumerate_partitions(n, max_length)
 
 
+def test_enumeration_table_hands_out_copies() -> None:
+    first = enumerate_partitions(7, 3)
+    expected = list(first)
+    first.append((99,))
+    first[0] = (0,)
+    assert enumerate_partitions(7, 3) == expected
+    # A bound at or past n lists the same partitions under the one key (n, n).
+    assert enumerate_partitions(7, 7) == enumerate_partitions(7, 100) == enumerate_partitions(7)
+    assert (7, 3) in partitions._PARTITIONS and (7, 100) not in partitions._PARTITIONS
+    assert enumerate_partitions(7, 0) == [] and enumerate_partitions(0, 0) == [()]
+
+
 def test_aut_orders() -> None:
     assert aut((3, 2, 1)) == 1
     assert aut((2, 2, 1)) == 2

@@ -689,6 +689,9 @@ def _hain_by_multiset_count(g: int, t: int, weights) -> dict:
         (2, (1, 1, -1, -1)),
         (3, (2, -1, 5, -6)),
         (2, (1, 2, 4, 8, -15)),
+        (3, (1, 2, 4, -7)),
+        (2, (1, 2, 4, 8, 16, -31)),
+        (3, (Fraction(1, 2), Fraction(-1, 3), Fraction(5, 7), Fraction(-37, 42))),
     ],
 )
 def test_hain_matches_the_multiset_count(g: int, weights) -> None:
@@ -696,6 +699,9 @@ def test_hain_matches_the_multiset_count(g: int, weights) -> None:
     expected = _hain_by_multiset_count(g, len(weights), weights)
     assert result == expected
     assert list(result) == list(expected)
+    # Exactly Fraction, never an int that equals one: the JSON payload and
+    # the repr of the result depend on the type.
+    assert {type(value) for value in result.values()} == {Fraction}
 
 
 def test_hain_monomial_cap() -> None:

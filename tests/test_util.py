@@ -4,6 +4,7 @@ and rational formatting."""
 from __future__ import annotations
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -75,6 +76,11 @@ def test_combine_keeps_first_appearance_order() -> None:
 def test_fraction_str_refuses_a_rational_past_the_digit_limit() -> None:
     assert fraction_str(Fraction(-7, 2)) == "-7/2"
     assert fraction_str(10**100) == "1" + "0" * 100
+    assert fraction_str(Fraction(3)) == "3"
+    # Any other value is made an exact rational first.
+    assert fraction_str(Decimal("-2.50")) == "-5/2"
+    assert fraction_str(0.375) == "3/8"
+    assert fraction_str(True) == "1"
     for value in (10**5000, Fraction(1, 10**5000), Fraction(10**5000, 3)):
         with pytest.raises(ResourceLimitError, match="too long to print"):
             fraction_str(value)
