@@ -104,8 +104,8 @@ def _emit(fmt: str, header: list[str], rows: list[list[str]], payload: object) -
         sys.stdout.write(buffer.getvalue())
     else:
         widths = [max(map(len, column)) for column in zip(header, *rows)]
-        for line in (header, *rows):
-            print("  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip())
+        line = "  ".join(f"{{:<{width}}}" for width in widths).format
+        sys.stdout.write("".join(line(*cells).rstrip() + "\n" for cells in (header, *rows)))
     return 0
 
 
@@ -276,10 +276,9 @@ def _cmd_hain(args: argparse.Namespace) -> int:
     weights = tuple(parse_fraction(chunk) for chunk in args.weights.split(","))
     expansion = hain_expand(args.genus, len(weights), weights)
     names = {sym: _render_hain_symbol(sym) for sym in set().union(*expansion)}
-    rows = [
-        ["*".join([names[sym] for sym in monomial]), fraction_str(coefficient)]
-        for monomial, coefficient in expansion.items()
-    ]
+    # hain_expand shares one Fraction per distinct coefficient: format each once
+    texts = {key: fraction_str(value) for key, value in {id(v): v for v in expansion.values()}.items()}
+    rows = [["*".join(map(names.get, monomial)), texts[id(value)]] for monomial, value in expansion.items()]
     payload = [{"monomial": monomial, "coefficient": text} for monomial, text in rows]
     return _emit(args.format, ["monomial", "coefficient"], rows, payload)
 

@@ -42,8 +42,8 @@ through ``hurwitz_oracle`` after its degree cap, so they never hold more than
 1,684 states (the multisets of partitions of each ``d <= 10``), 138 cut
 entries (the partitions of each ``n <= 10``) and 478 merge entries (the pairs
 of those partitions of total size at most 10).
-:func:`rubber_psi_integral` reads a one-part pair, the only kind the graph
-sums ask for, off the closed form at any degree, without a walk.
+:func:`rubber_psi_integral` reads a one-part pair off the closed form at any
+degree, without a walk; the graph sums use that closed form without calling it.
 """
 
 from __future__ import annotations

@@ -56,7 +56,6 @@ from .errors import (
     UnsupportedGraphError,
 )
 from .hodge import LinearForm, _check_genus, n_target, solve_hodge
-from .hurwitz import rubber_psi_integral
 from .partitions import decorated_aut, enumerate_partitions
 from .series import LaurentPoly, RingOps
 from .tautring import (
@@ -292,16 +291,20 @@ def _part_marks(tied: tuple[bool, ...], labels: tuple[int, ...]) -> list[list]:
 #: ``(nu, twist, labels)`` the partition's graphs in display order, each
 #: ``(graph, num, den, power, genus part)``, 1,272 entries (914 pair, 358
 #: divisor) and 11,140 graphs at the partition-sum cap; per ``(tied, labels)``
-#: the :func:`_part_marks` placements; one :class:`Part` per distinct part;
-#: per partition ``nu`` of two parts or more, the rubber integral against
-#: ``(d,)`` that :func:`hodge_form_from_graphs` weighs its graphs by, 898
-#: entries at the cap.  Entries are pure data built without a lock: two
-#: threads that build one at once store equal values, and ``setdefault``
-#: keeps the first.
+#: the :func:`_part_marks` placements; one :class:`Part` per distinct part.
+#: Entries are pure data built without a lock: two threads that build one at
+#: once store equal values, and ``setdefault`` keeps the first.
 _GRAPHS: dict[tuple, tuple[tuple, ...]] = {}
 _MARKINGS: dict[tuple, list] = {}
 _PARTS: dict[tuple, Part] = {}
-_RUBBERS: dict[tuple[int, ...], Fraction] = {}
+
+
+def _rubber_integral(l: int, d: int) -> int:
+    """The genus-zero rubber integral of an ``l``-part partition of ``d``
+    against ``(d,)``, ``l >= 2``: Goulden-Jackson-Vakil's one-part Hurwitz
+    number ``(l - 1)! * d**(l - 2)`` (math/0309440) over ``(l - 1)!``, no
+    table needed.  The tests' oracle is :func:`hurwitz.rubber_psi_integral`."""
+    return d ** (l - 2)
 
 
 def _part(*key) -> Part:
@@ -681,8 +684,8 @@ def hodge_form_from_graphs(g: int, d: int) -> LinearForm:
     the rubber graph's coefficient, all from the graphs' integers.  Every
     pair-walk term has genus power 0, so :func:`_pole_sign` keeps a graph's
     whole walk or none of it, with one sign: each kept zero-side graph adds
-    one integer, times its partition's rubber integral (read off
-    ``_RUBBERS``), to the weight of its genus part, and each weight spreads
+    one integer, times its partition's integer :func:`_rubber_integral` (1
+    without rubber), to the weight of its genus part, and each weight spreads
     once through that part's :func:`_genus_walk`.
     """
     lift = lift_pair(g)
@@ -697,12 +700,8 @@ def hodge_form_from_graphs(g: int, d: int) -> LinearForm:
         if genus is None:
             rubber_coeff += Fraction(term, den)
             continue
-        nu = graph.partition
-        if len(nu) == 1:  # the one-part graph has no rubber
-            rubber = 1
-        else:
-            rubber = _RUBBERS.get(nu) or _RUBBERS.setdefault(nu, rubber_psi_integral(nu, (d,)))
-        pairs.append((rubber, den, {genus: term}))
+        l = len(graph.parts)
+        pairs.append((1, den, {genus: term * _rubber_integral(l, d) if l > 1 else term}))
     if rubber_coeff == 0:
         raise TheoremViolationError(f"no rubber term in the degree-{d} pair relation")
     common, weights = combine_ints(pairs)
@@ -753,7 +752,7 @@ def _evaluate_zero_side(
         if mono.psi_genus == 1:
             return psi1(ctx)
     elif mono.psi_rubber == dim_rub:
-        scalar = rubber_psi_integral(graph.partition, (graph.degree,))
+        scalar = _rubber_integral(len(graph.parts), graph.degree)
         if len(genus.marks) == 2 and mono.psi_genus == 1:
             return scalar * psi1(ctx)
         if len(genus.marks) == 1 and mono.psi_genus == 0:

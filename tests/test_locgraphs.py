@@ -48,10 +48,10 @@ from rubbertaut.tautring import RingContext, boundary, psi1
 
 @pytest.fixture
 def fresh_graph_tables() -> Iterator[None]:
-    """Empty the graph, marking, Part and rubber tables before and after the
-    test, so that a doctored helper builds every entry the test reads and no
-    doctored entry is left for a later test."""
-    tables = locgraphs._GRAPHS, locgraphs._MARKINGS, locgraphs._PARTS, locgraphs._RUBBERS
+    """Empty the graph, marking and Part tables before and after the test, so
+    that a doctored helper builds every entry the test reads and no doctored
+    entry is left for a later test."""
+    tables = locgraphs._GRAPHS, locgraphs._MARKINGS, locgraphs._PARTS
     for table in tables:
         table.clear()
     yield
@@ -254,19 +254,33 @@ def test_the_checks_catch_a_doctored_graph_table_entry(
 
 
 def test_the_checks_catch_a_doctored_rubber_integral(
-    capsys: pytest.CaptureFixture[str], fresh_graph_tables: None
+    capsys: pytest.CaptureFixture[str], monkeypatch: pytest.MonkeyPatch
 ) -> None:
-    """One partition's rubber integral off by one (``(2, 1)``, first read at
-    genus 1, degree 3) fails only verify-all's graph-sum cross-check."""
-    hodge_form_from_graphs(1, 3)
-    assert locgraphs._RUBBERS[2, 1] == hurwitz.rubber_psi_integral((2, 1), (3,))
-    locgraphs._RUBBERS[2, 1] += 1
+    """The two-part rubber integral off by one at degree 3 (first read by the
+    graph sums at genus 1 and by the degree-3 divisor relation) fails exactly
+    the two checks that read it: the graph-sum cross-check and the divisor
+    solve."""
+    rubber_integral = locgraphs._rubber_integral
+    assert rubber_integral(2, 3) == hurwitz.rubber_psi_integral((2, 1), (3,))
+    monkeypatch.setattr(locgraphs, "_rubber_integral", lambda l, d: rubber_integral(l, d) + ((l, d) == (2, 3)))
     code = cli.main(["verify-all", "--g-max", "2", "--d-max", "5"])
     out = capsys.readouterr().out
     assert code == 2
     assert [line for line in out.splitlines() if not line.startswith("PASS ")] == [
-        "FAIL hodge: graph-sum-cross-check-g<=2-d<=5 — graph sum differs from the closed form at g=1, d=3"
+        "FAIL hodge: graph-sum-cross-check-g<=2-d<=5 — graph sum differs from the closed form at g=1, d=3",
+        "FAIL divisors: degree-2-solve-and-degree-3-residual — degree-3 residual is not zero",
     ]
+
+
+def test_the_rubber_integral_is_the_one_part_closed_form() -> None:
+    """Every partition of two parts or more within the partition-sum cap
+    gets the integer that the Hurwitz layer's rubber integral gives."""
+    for d in range(2, MAX_PARTITION_DEGREE + 1):
+        for nu in enumerate_partitions(d):
+            if len(nu) > 1:
+                value = locgraphs._rubber_integral(len(nu), d)
+                assert type(value) is int
+                assert value == hurwitz.rubber_psi_integral(nu, (d,)), nu
 
 
 def test_every_genus_reads_one_graph_table_entry_per_partition(fresh_graph_tables: None) -> None:
@@ -302,9 +316,6 @@ def test_the_graph_tables_stay_within_their_bound(fresh_graph_tables: None) -> N
     assert set(locgraphs._GRAPHS) == pair | divisor
     assert len(locgraphs._GRAPHS) == 1272
     assert sum(map(len, locgraphs._GRAPHS.values())) == 11140  # 2,471 pair, 8,669 divisor
-    # one rubber integral per partition of two parts or more, never per genus
-    assert set(locgraphs._RUBBERS) == {nu for nu, _, _ in pair if len(nu) > 1}
-    assert len(locgraphs._RUBBERS) == 898
 
 
 def test_threads_build_one_consistent_table(fresh_graph_tables: None) -> None:
@@ -335,7 +346,7 @@ def test_threads_build_one_consistent_table(fresh_graph_tables: None) -> None:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert all(result == results[0] for result in results)
-    tables = locgraphs._GRAPHS, locgraphs._MARKINGS, locgraphs._PARTS, locgraphs._RUBBERS
+    tables = locgraphs._GRAPHS, locgraphs._MARKINGS, locgraphs._PARTS
     parts = [part for entry in locgraphs._GRAPHS.values() for graph, *_ in entry for part in graph.parts]
     assert all(part is locgraphs._PARTS[part.size, part.marks, part.genus] for part in parts)
     # Every entry equals the one a single thread builds over the same cases.

@@ -415,6 +415,85 @@ def test_theta_oracle_catches_a_dropped_divisor_family() -> None:
         assert _theta_mismatches(t, drop_family=True) == squares, t
 
 
+def _lambda1_pairing(cls: TautClass, s: int) -> Fraction:
+    """``L_s(c)``, the integral of ``lambda_1 * c * psi_s**(n - 2)`` over the
+    ``n``-mark genus-one space of ``cls``.
+
+    ``lambda_1`` vanishes on the irreducible boundary and the lambda_g formula
+    gives ``multinomial(k - 1; b) / 24`` for ``lambda_1 psi^b`` on ``k``
+    marks, while genus-zero integrals are multinomials.  So ``L_s(psi_1)`` is
+    ``(n - 1) / 24`` for ``s != 1`` and ``1 / 24`` for ``s = 1``, and
+    ``L_s(D(S|S'))`` is ``1 / 24`` when the genus-zero side ``S'`` is a pair
+    without ``s`` or holds all ``n`` marks, and 0 otherwise.
+    """
+    n = cls.ctx.t
+    total = cls.coefficient_psi1() * (1 if s == 1 else n - 1)
+    for side, coeff in cls.boundary_terms():
+        if not side or (len(side) == n - 2 and s in side):
+            total += coeff
+    return total / 24
+
+
+def _pairing_misses(poly: MultiPoly, weights: list[Fraction]) -> list[int]:
+    """The marks ``s`` where ``L_s(P(a)) != sum_{i != s} a_i**2 / 24``, with
+    ``a_2 .. a_t`` the weights and ``a_1 = -sum a_i``: Hain's ``Theta``
+    (arXiv:1102.4031) paired by the rules of :func:`_lambda1_pairing`.
+    Reducing first must not change a pairing."""
+    value = poly.evaluate(weights)
+    a = [-sum(weights), *weights]
+    misses = []
+    for s in range(1, len(a) + 1):
+        expected = sum(w * w for m, w in enumerate(a, 1) if m != s) / 24
+        pairing = _lambda1_pairing(value, s)
+        assert pairing == _lambda1_pairing(value.reduce(), s), (s, weights)
+        if pairing != expected:
+            misses.append(s)
+    return misses
+
+
+def _seeded_weights(rng: random.Random, count: int) -> list[Fraction]:
+    return [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("t", range(3, MAX_MARKS + 1))
+def test_lambda1_pairings_of_the_polynomial(t: int) -> None:
+    """Every ``L_s`` of ``P(a)`` is ``sum_{i != s} a_i**2 / 24`` at three seeded
+    rational weight vectors: ``3 t`` pairings per ``t``, 189 up to the cap."""
+    rng = random.Random(t)
+    poly = genus1_polynomial(t)
+    for _ in range(3):
+        assert _pairing_misses(poly, _seeded_weights(rng, t - 1)) == []
+
+
+def test_lambda1_pairings_of_the_localization_solves() -> None:
+    """The degree-2 solve's ``a2, a3, b``, and ``b`` replaced by degree 3's
+    ``b_again``, pass the pairing identity on three marks."""
+    solution = evaluate_and_solve(2)
+    b_again = evaluate_and_solve(3).b_again
+    rng = random.Random(2)
+    for b, draws in ((solution.b, 5), (b_again, 3)):
+        poly = MultiPoly(2, {(2, 0): solution.a2, (0, 2): solution.a3, (1, 1): b})
+        for _ in range(draws):
+            assert _pairing_misses(poly, _seeded_weights(rng, 2)) == []
+
+
+@pytest.mark.parametrize(
+    "side, misses",
+    [((1, 2), [1, 2]), ((), [1, 2, 3, 4])],
+    ids=["D(12|34)", "D(|1234)"],
+)
+def test_lambda1_pairings_catch_a_doctored_coefficient(side: tuple[int, ...], misses: list[int]) -> None:
+    """One divisor added to the ``alpha_2**2`` coefficient on four marks moves
+    the pairings it enters: ``D(12|34)`` those of marks 1 and 2, ``D(|1234)``
+    all four."""
+    coeffs = dict(genus1_polynomial(4).coeffs)
+    coeffs[2, 0, 0] = coeffs[2, 0, 0] + boundary(RingContext.standard(4), side)
+    doctored = MultiPoly(3, coeffs)
+    rng = random.Random(4)
+    for _ in range(3):
+        assert _pairing_misses(doctored, _seeded_weights(rng, 3)) == misses
+
+
 def test_mark_cap_bounds_the_polynomial_and_its_checks() -> None:
     assert len(genus1_polynomial(MAX_MARKS).coeffs) == (MAX_MARKS - 1) * MAX_MARKS // 2
     with pytest.raises(ResourceLimitError, match=f"cap {MAX_MARKS}"):
