@@ -46,7 +46,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple
 
@@ -165,9 +164,11 @@ def _scalar(coeff: Fraction, power: int) -> LaurentPoly[SymExpr]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Part:
-    """One ramification part over zero: size, marks placed on it, genus flag."""
+class Part(NamedTuple):
+    """One ramification part over zero: size, marks placed on it, genus flag.
+
+    A tuple that compares and hashes as ``(size, marks, genus)``;
+    :class:`LocGraph` checks its fields."""
 
     size: int
     marks: tuple[int, ...] = ()
@@ -178,39 +179,47 @@ def _part_order(part: Part) -> tuple:
     return (-part.size, 0 if part.genus else 1, -len(part.marks), part.marks)
 
 
-@dataclass(frozen=True)
-class LocGraph:
-    """A fixed-locus graph: the side carrying the genus, plus decorated parts.
-
-    ``side`` is ``"zero"`` when the positive-genus vertex sits over zero and
-    ``"infinity"`` when the genus is carried by the rubber.  Each part's
-    marks ascend, and parts are kept in a canonical display order, so equal
-    graphs compare equal.
-    """
-
+class _Graph(NamedTuple):
     side: str
     parts: tuple[Part, ...]
 
-    def __post_init__(self) -> None:
-        if self.side not in ("zero", "infinity"):
-            raise InvalidArgumentError(f"bad side {self.side!r}")
-        for p in self.parts:
-            if not (isinstance(p, Part) and isinstance(p.size, int) and p.size >= 1 and isinstance(p.marks, tuple)
+
+class LocGraph(_Graph):
+    """A fixed-locus graph: the side carrying the genus, plus decorated parts.
+
+    ``side`` is ``"zero"`` when the positive-genus vertex sits over zero and
+    ``"infinity"`` when the genus is carried by the rubber.  A tuple that
+    compares and hashes as ``(side, parts)``.  The constructor checks that
+    each part's marks are distinct positive integers ascending, on one part
+    only, and sorts the parts into a canonical display order, so equal graphs
+    compare equal; the graph tables skip both, their parts being canonical.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, side: str, parts: tuple[Part, ...]) -> LocGraph:
+        if side not in ("zero", "infinity"):
+            raise InvalidArgumentError(f"bad side {side!r}")
+        for p in parts:
+            if not (isinstance(p, Part) and type(p.size) is int and p.size >= 1 and type(p.genus) is bool
+                    and isinstance(p.marks, tuple) and all(type(m) is int and m >= 1 for m in p.marks)
                     and all(a < b for a, b in zip(p.marks, p.marks[1:]))):
-                raise InvalidArgumentError(f"{p!r} is not a Part of size >= 1 with ascending distinct marks")
-        ordered = tuple(sorted(self.parts, key=_part_order))
-        object.__setattr__(self, "parts", ordered)
-        genus_count = sum(1 for p in self.parts if p.genus)
-        if self.side == "zero" and genus_count != 1:
+                raise InvalidArgumentError(f"{p!r} is not a Part of size >= 1 with ascending distinct marks >= 1")
+        marks = [m for p in parts for m in p.marks]
+        if len(set(marks)) != len(marks):
+            raise InvalidArgumentError(f"a mark sits on two parts of {parts!r}")
+        genus_count = sum(1 for p in parts if p.genus)
+        if side == "zero" and genus_count != 1:
             raise InvalidArgumentError("genus-over-zero graphs need exactly one genus part")
-        if self.side == "infinity" and genus_count != 0:
+        if side == "infinity" and genus_count != 0:
             raise InvalidArgumentError("genus-over-infinity graphs cannot flag a part")
+        return tuple.__new__(cls, (side, tuple(sorted(parts, key=_part_order))))
 
     @property
     def degree(self) -> int:
         return sum(p.size for p in self.parts)
 
-    @cached_property
+    @property
     def partition(self) -> tuple[int, ...]:
         return tuple(sorted((p.size for p in self.parts), reverse=True))
 
@@ -287,16 +296,26 @@ def _part_marks(tied: tuple[bool, ...], labels: tuple[int, ...]) -> list[list]:
     return out
 
 
+class _PartTable(dict):
+    """Interns one :class:`Part` per ``(size, marks, genus)`` key."""
+
+    def __missing__(self, key: tuple) -> Part:
+        return self.setdefault(key, Part(*key))
+
+
 #: The graph tables, shared by every call and never keyed by genus: per
 #: ``(nu, twist, labels)`` the partition's graphs in display order, each
 #: ``(graph, num, den, power, genus part)``, 1,272 entries (914 pair, 358
 #: divisor) and 11,140 graphs at the partition-sum cap; per ``(tied, labels)``
-#: the :func:`_part_marks` placements; one :class:`Part` per distinct part.
+#: the :func:`_part_marks` placements, 221 entries; one :class:`Part` per
+#: distinct part, 124 of them.  Parts and graphs are tuples that compare and
+#: hash as their fields; the table graphs skip :class:`LocGraph`'s checks and
+#: sort (``tuple.__new__``), since their parts are already canonical.
 #: Entries are pure data built without a lock: two threads that build one at
 #: once store equal values, and ``setdefault`` keeps the first.
 _GRAPHS: dict[tuple, tuple[tuple, ...]] = {}
 _MARKINGS: dict[tuple, list] = {}
-_PARTS: dict[tuple, Part] = {}
+_PARTS: dict[tuple, Part] = _PartTable()
 
 
 def _rubber_integral(l: int, d: int) -> int:
@@ -305,10 +324,6 @@ def _rubber_integral(l: int, d: int) -> int:
     number ``(l - 1)! * d**(l - 2)`` (math/0309440) over ``(l - 1)!``, no
     table needed.  The tests' oracle is :func:`hurwitz.rubber_psi_integral`."""
     return d ** (l - 2)
-
-
-def _part(*key) -> Part:
-    return _PARTS.get(key) or _PARTS.setdefault(key, Part(*key))
 
 
 def _partition_graphs(nu: tuple[int, ...], twist: int, labels: tuple[int, ...]) -> tuple[tuple, ...]:
@@ -330,9 +345,8 @@ def _partition_graphs(nu: tuple[int, ...], twist: int, labels: tuple[int, ...]) 
                     run = run + 1 if tied[i] and ms == marks[i - 1] else 1
                     slot_num, slot_den, slot_power = _slot_factor(nu[i], ms)
                     num, den, power = num * slot_num, den * slot_den * run, power + slot_power
-            graph = object.__new__(LocGraph)  # the parts are in canonical order: no re-sort
-            object.__setattr__(graph, "side", "zero" if zero else "infinity")
-            object.__setattr__(graph, "parts", tuple(map(_part, nu, marks, flags)))
+            parts = tuple(map(_PARTS.__getitem__, zip(nu, marks, flags)))
+            graph = tuple.__new__(LocGraph, ("zero" if zero else "infinity", parts))  # canonical: no checks
             out.append((graph, num, den, power, (nu[genus], len(marks[genus])) if zero else None))
     return tuple(out)
 

@@ -316,6 +316,24 @@ def test_the_graph_tables_stay_within_their_bound(fresh_graph_tables: None) -> N
     assert set(locgraphs._GRAPHS) == pair | divisor
     assert len(locgraphs._GRAPHS) == 1272
     assert sum(map(len, locgraphs._GRAPHS.values())) == 11140  # 2,471 pair, 8,669 divisor
+    assert (len(locgraphs._MARKINGS), len(locgraphs._PARTS)) == (221, 124)
+
+
+def test_table_graphs_are_the_constructors_graphs(fresh_graph_tables: None) -> None:
+    """Every table graph at the partition cap, built past the constructor's
+    checks, is a ``LocGraph`` that equals and hashes as the constructor's;
+    graphs and parts are immutable."""
+    for d in range(1, MAX_PARTITION_DEGREE + 1):
+        enumerate_graphs(d, lift_pair(MAX_GENUS))
+        enumerate_graphs(d, LIFT_DIVISOR)
+    graphs = [graph for entry in locgraphs._GRAPHS.values() for graph, *_ in entry]
+    assert len(graphs) == 11140
+    for graph in graphs:
+        rebuilt = LocGraph(graph.side, graph.parts)
+        assert type(graph) is LocGraph and graph == rebuilt and hash(graph) == hash(rebuilt), graph
+    for obj, field in ((graphs[0], "side"), (graphs[0], "parts"), (graphs[0].parts[0], "size")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, getattr(obj, field))
 
 
 def test_threads_build_one_consistent_table(fresh_graph_tables: None) -> None:
@@ -562,14 +580,23 @@ def test_graph_validation() -> None:
         Part(-1, (2, 3), True),
         Part(2.0, (2, 3), True),
         (2, (2, 3), True),
+        Part(2, (4,), True),
+        Part(True, (2, 3), True),
+        Part(2, (2, 3), 1),
+        Part(2, (-5,), True),
+        Part(2, (0,), True),
+        Part(2, (2.5,), True),
     ],
-    ids=["unsorted-marks", "repeated-mark", "list-marks", "size-zero", "negative-size", "float-size", "tuple"],
+    ids=[
+        "unsorted-marks", "repeated-mark", "list-marks", "size-zero", "negative-size", "float-size", "tuple",
+        "mark-on-two-parts", "bool-size", "int-genus", "negative-mark", "zero-mark", "float-mark",
+    ],
 )
 def test_graph_parts_are_validated(part: object) -> None:
     # (3, 2) would never equal the canonical (2, 3) graph, so a lookup in a
     # relation's terms would miss it without an error.
     with pytest.raises(InvalidArgumentError):
-        LocGraph("zero", (part, Part(1)))
+        LocGraph("zero", (part, Part(1, (4,))))
     assert LocGraph("zero", (Part(2, (2, 3), True), Part(1))).parts[0].marks == (2, 3)
 
 
