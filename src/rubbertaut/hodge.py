@@ -43,7 +43,7 @@ from .errors import InvalidArgumentError, InconsistencyError, ResourceLimitError
 from .linalg import newton_fit, solve_lower_triangular
 from .partitions import aut, enumerate_partitions
 from .series import series_log_sine
-from .util import check_integer
+from .util import Table, check_integer
 
 __all__ = [
     "MAX_GENUS",
@@ -116,23 +116,17 @@ def _partition_weights(g: int, d: int) -> list[int]:
     return weights
 
 
+def _tree_row(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    trees = tuple(1 if l == n else l * math.comb(n, l) * n ** (n - l - 1) for l in range(n + 1))
+    return trees, tuple(math.comb(n, e) * e ** (e + 1) for e in range(1, n + 1))
+
+
 #: The genus-free factors of :func:`_edge_weights`, shared by every call:
 #: per tree size ``n`` the row ``l C(n, l) n^(n-l-1)``, ``l = 0..n`` (1 at
 #: ``l = n``, 0 at ``l = 0 < n``), and the edge factors ``C(n, e) e^(e+1)``,
 #: ``e = 1..n``.  Callers check the degree cap first, so at most
-#: ``MAX_DEGREE + 1`` rows.  Rows are pure data built without a lock: two
-#: threads that build one at once store equal values, and ``setdefault``
-#: keeps the first.
-_TREES: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-
-
-def _tree_row(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    row = _TREES.get(n)
-    if row is None:
-        trees = tuple(1 if l == n else l * math.comb(n, l) * n ** (n - l - 1) for l in range(n + 1))
-        edges = tuple(math.comb(n, e) * e ** (e + 1) for e in range(1, n + 1))
-        row = _TREES.setdefault(n, (trees, edges))
-    return row
+#: ``MAX_DEGREE + 1`` rows.
+_TREES: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = Table(_tree_row)
 
 
 def _edge_weights(g: int, d: int) -> list[int]:
@@ -154,8 +148,8 @@ def _edge_weights(g: int, d: int) -> list[int]:
     """
     branches = [math.perm(2 * g + d - l - 1, d - 1) * (-d) ** l for l in range(min(d, 2 * g + 1))]
     return [
-        edge * sum(map(operator.mul, branches, _tree_row(d - e)[0]))
-        for e, edge in enumerate(_tree_row(d)[1], start=1)
+        edge * sum(map(operator.mul, branches, _TREES[d - e][0]))
+        for e, edge in enumerate(_TREES[d][1], start=1)
     ]
 
 

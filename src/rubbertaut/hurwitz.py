@@ -56,7 +56,7 @@ from fractions import Fraction
 
 from .errors import InvalidArgumentError, ResourceLimitError
 from .partitions import aut
-from .util import check_integer
+from .util import Table, check_integer
 
 __all__ = [
     "MAX_DEGREE",
@@ -81,16 +81,16 @@ _Move = tuple[_Comp, int]
 #: The state table, indexed by state id: the id of each state reached so far,
 #: and per id its state, component count, and merged successors ``(target id,
 #: ways)`` once it has been expanded; and the two component tables, the cuts
-#: of one component and the merges of two.  New ids are handed out under the
-#: lock.  Successors and component-table entries are pure data built without
-#: it: two threads that build one at once store equal values.
+#: of one component and the merges of two, at most 138 and 478 entries within
+#: the degree cap.  New ids are handed out under the lock; successors are pure
+#: data built without it: two threads that build one at once store equal values.
 _TABLE_LOCK = threading.Lock()
 _IDS: dict[_State, int] = {}
 _STATES: list[_State] = []
 _COMPONENTS: list[int] = []
 _SUCCESSORS: list[tuple[tuple[int, int], ...] | None] = []
-_CUTS: dict[_Comp, tuple[_Move, ...]] = {}
-_MERGES: dict[tuple[_Comp, _Comp], tuple[_Move, ...]] = {}
+_CUTS: dict[_Comp, tuple[_Move, ...]] = Table(lambda comp: _summed(_cuts(comp)))
+_MERGES: dict[tuple[_Comp, _Comp], tuple[_Move, ...]] = Table(lambda pair: _summed(_merges(*pair)))
 
 
 def _validate_profile(name: str, profile: Sequence[int]) -> tuple[int, ...]:
@@ -154,14 +154,9 @@ def _successors(sid: int) -> tuple[tuple[int, int], ...]:
         merged: dict[int, int] = {}
         for c, comp in enumerate(state):
             rest = state[:c] + state[c + 1 :]
-            if comp not in _CUTS:
-                _CUTS[comp] = _summed(_cuts(comp))
             replacements = [(rest, _CUTS[comp])]
             for c2 in range(c + 1, len(state)):
-                pair = comp, state[c2]
-                if pair not in _MERGES:
-                    _MERGES[pair] = _summed(_merges(*pair))
-                replacements.append((rest[: c2 - 1] + rest[c2:], _MERGES[pair]))
+                replacements.append((rest[: c2 - 1] + rest[c2:], _MERGES[comp, state[c2]]))
             for others, moves in replacements:
                 for new, ways in moves:
                     target = _intern(tuple(sorted(others + (new,), reverse=True)))

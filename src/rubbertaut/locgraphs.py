@@ -69,7 +69,7 @@ from .tautring import (
     section_pushforward,
     zero_class,
 )
-from .util import combine, combine_ints
+from .util import Table, combine, combine_ints
 
 __all__ = [
     "Monomial",
@@ -296,13 +296,6 @@ def _part_marks(tied: tuple[bool, ...], labels: tuple[int, ...]) -> list[list]:
     return out
 
 
-class _PartTable(dict):
-    """Interns one :class:`Part` per ``(size, marks, genus)`` key."""
-
-    def __missing__(self, key: tuple) -> Part:
-        return self.setdefault(key, Part(*key))
-
-
 #: The graph tables, shared by every call and never keyed by genus: per
 #: ``(nu, twist, labels)`` the partition's graphs in display order, each
 #: ``(graph, num, den, power, genus part)``, 1,272 entries (914 pair, 358
@@ -311,11 +304,9 @@ class _PartTable(dict):
 #: distinct part, 124 of them.  Parts and graphs are tuples that compare and
 #: hash as their fields; the table graphs skip :class:`LocGraph`'s checks and
 #: sort (``tuple.__new__``), since their parts are already canonical.
-#: Entries are pure data built without a lock: two threads that build one at
-#: once store equal values, and ``setdefault`` keeps the first.
-_GRAPHS: dict[tuple, tuple[tuple, ...]] = {}
-_MARKINGS: dict[tuple, list] = {}
-_PARTS: dict[tuple, Part] = _PartTable()
+_GRAPHS: dict[tuple, tuple[tuple, ...]] = Table(lambda key: _partition_graphs(*key))
+_MARKINGS: dict[tuple, list] = Table(lambda key: _part_marks(*key))
+_PARTS: dict[tuple, Part] = Table(Part._make)
 
 
 def _rubber_integral(l: int, d: int) -> int:
@@ -336,8 +327,7 @@ def _partition_graphs(nu: tuple[int, ...], twist: int, labels: tuple[int, ...]) 
         flags = [i == genus for i in range(l)]
         tied = tuple(i > 0 and i - 1 != genus and nu[i] == nu[i - 1] for i in range(l))
         zero = genus is not None
-        key = tied, labels
-        for marks in _MARKINGS.get(key) or _MARKINGS.setdefault(key, _part_marks(*key)):
+        for marks in _MARKINGS[tied, labels]:
             num, den, power, run = edge_num, edge_den * (d if zero and l == 1 else 1), len(labels) - twist, 1
             for i, ms in enumerate(marks):
                 if i != genus:
@@ -371,8 +361,8 @@ def _graph_data(d: int, lift: Lift) -> Iterator[tuple]:
         raise InvalidArgumentError(f"need degree >= 1, got {d}")
     g, twist, labels = lift.genus, lift.branch_twist, lift.zero_marks
     for nu in enumerate_partitions(d, 2 * g + twist):
-        l, key = len(nu), (nu, twist, labels)
-        for graph, num, den, power, genus in _GRAPHS.get(key) or _GRAPHS.setdefault(key, _partition_graphs(*key)):
+        l = len(nu)
+        for graph, num, den, power, genus in _GRAPHS[nu, twist, labels]:
             b0, cap = (d - l, 2 * g - 2 + l) if genus is None else (2 * g + d - l, l - 2)
             yield graph, b0, num, den, power, genus, cap
 
@@ -653,12 +643,12 @@ def _pole_terms(d: int, lift: Lift) -> Iterator[tuple]:
     if d < lift.branch_twist:
         raise InvalidArgumentError(f"this lift needs degree >= {lift.branch_twist}, got {d}")
     k = d - lift.branch_twist
-    walks: dict[tuple | None, list] = {None: [(0, None, 1, 0)]}
+    walks: dict[tuple | None, list] = Table(lambda genus: _genus_walk(lift, *genus))
+    walks[None] = [(0, None, 1, 0)]
     for graph, b0, num, den, power, genus, rubber_cap in _graph_data(d, lift):
         num *= math.perm(b0, k)
         kept = {}
-        walk = walks.get(genus) or walks.setdefault(genus, _genus_walk(lift, *genus))
-        for a, j, coeff, genus_power in walk:
+        for a, j, coeff, genus_power in walks[genus]:
             b = power + genus_power
             if sign := _pole_sign(b, rubber_cap):
                 kept[Monomial(a, max(b, 0), j)] = num * coeff * sign

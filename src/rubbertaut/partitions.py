@@ -16,7 +16,7 @@ from typing import Hashable, Iterable, Sequence
 
 from .errors import InvalidArgumentError, ResourceLimitError
 from .series import MAX_SERIES_ORDER
-from .util import check_integer
+from .util import Table, check_integer
 
 __all__ = [
     "MAX_PARTITION_DEGREE",
@@ -42,9 +42,8 @@ MAX_MARKED_ASSIGNMENTS = MAX_PARTITION_DEGREE**3
 
 #: The partitions of ``n`` with at most ``limit`` parts, keyed by
 #: ``(n, min(max_length, n))`` and listed once per process; every call copies
-#: its entry.  Entries are pure data, so ``setdefault`` keeps the first of two
-#: equal ones built at once.
-_PARTITIONS: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
+#: its entry.
+_PARTITIONS: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = Table(lambda key: _list_partitions(*key))
 
 
 def _check_partition_degree(n: int) -> None:
@@ -68,8 +67,7 @@ def enumerate_partitions(n: int, max_length: int | None = None) -> list[tuple[in
         check_integer("max_length", max_length)
         if max_length < 0:
             raise InvalidArgumentError(f"max_length must be >= 0, got {max_length}")
-    key = (n, n if max_length is None else min(max_length, n))
-    return list(_PARTITIONS.get(key) or _PARTITIONS.setdefault(key, _list_partitions(*key)))
+    return list(_PARTITIONS[n, n if max_length is None else min(max_length, n)])
 
 
 def _list_partitions(n: int, limit: int) -> tuple[tuple[int, ...], ...]:

@@ -65,6 +65,7 @@ class PowerSeries:
 
     def coefficient(self, n: int) -> Fraction:
         """Coefficient of ``x**n``; errors outside the stored range."""
+        check_integer("coefficient index", n)
         if n < 0:
             raise InvalidArgumentError(f"coefficient index must be >= 0, got {n}")
         if n > self.order:
@@ -81,6 +82,7 @@ def series(coeffs: Iterable[Fraction | int], order: int | None = None) -> PowerS
         if not values:
             raise InvalidArgumentError("empty series needs an explicit order")
         order = len(values) - 1
+    check_integer("order", order)
     if order < 0:
         raise InvalidArgumentError(f"order must be >= 0, got {order}")
     if len(values) > order + 1:

@@ -33,7 +33,7 @@ from itertools import combinations
 from typing import Iterable, Mapping
 
 from .errors import InvalidArgumentError
-from .util import combine_ints, fraction_str
+from .util import check_integer, combine_ints, fraction_str
 
 __all__ = [
     "RingContext",
@@ -77,6 +77,7 @@ class RingContext:
     @staticmethod
     def standard(t: int) -> "RingContext":
         """Marks ``1..t``."""
+        check_integer("number of marks", t)
         if t < 2:
             raise InvalidArgumentError(f"need T >= 2, got {t}")
         return RingContext(tuple(range(1, t + 1)))

@@ -1,4 +1,5 @@
-"""Small shared helpers: the integer check, rational formatting and sparse sums.
+"""Small shared helpers: the integer check, rational formatting, sparse sums
+and :class:`Table`, the one place where a process-wide memo fills itself.
 
 :func:`combine_ints` is the one place that adds sparse key -> rational maps
 and drops the keys that cancel: divisor classes store its integer result
@@ -13,7 +14,7 @@ import math
 import operator
 import sys
 from fractions import Fraction
-from typing import Hashable, Iterable, Mapping, TypeVar
+from typing import Callable, Hashable, Iterable, Mapping, TypeVar
 
 from .errors import InvalidArgumentError, ResourceLimitError
 
@@ -24,9 +25,26 @@ __all__ = [
     "parse_fraction",
     "combine_ints",
     "combine",
+    "Table",
 ]
 
 K = TypeVar("K", bound=Hashable)
+
+
+class Table(dict):
+    """A ``dict`` that stores and returns ``build(key)`` on reading a missing
+    key; ``get``, ``in`` and iteration never build, and an assigned entry is
+    read back as is.  Entries are pure data built without a lock: two threads
+    that miss one key at once both build it, and ``setdefault`` keeps the first."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build: Callable[[Hashable], object]) -> None:
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key: Hashable) -> object:
+        return self.setdefault(key, self.build(key))
 
 
 def check_integer(what: str, value: object) -> None:

@@ -20,6 +20,7 @@ from rubbertaut.hurwitz import (
     rubber_psi_integral,
 )
 from rubbertaut.partitions import aut, enumerate_partitions
+from rubbertaut.util import Table
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +435,8 @@ def _fresh_tables(monkeypatch: pytest.MonkeyPatch) -> None:
         ("_STATES", []),
         ("_COMPONENTS", []),
         ("_SUCCESSORS", []),
-        ("_CUTS", {}),
-        ("_MERGES", {}),
+        ("_CUTS", Table(hurwitz._CUTS.build)),
+        ("_MERGES", Table(hurwitz._MERGES.build)),
     ):
         monkeypatch.setattr(hurwitz, name, empty)
 

@@ -165,6 +165,13 @@ def test_series_coefficient_domain_errors() -> None:
         series_tau(0)
 
 
+def test_series_refuses_a_non_integer_order_or_index() -> None:
+    with pytest.raises(InvalidArgumentError, match="order must be an integer, got 2.5"):
+        series([1, 2], order=2.5)
+    with pytest.raises(InvalidArgumentError, match="coefficient index must be an integer, got 1.5"):
+        series([1, 2], order=3).coefficient(1.5)
+
+
 def test_series_order_cap_is_checked_before_any_coefficient() -> None:
     assert series_tau(MAX_SERIES_ORDER).order == MAX_SERIES_ORDER
     assert series_log_sine(1, MAX_SERIES_ORDER).order == MAX_SERIES_ORDER

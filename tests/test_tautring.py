@@ -63,6 +63,12 @@ def test_context_constructors_and_validation() -> None:
         RingContext((1, 2, 2))
 
 
+@pytest.mark.parametrize("t", [2.5, 3.0, "3", None])
+def test_standard_context_refuses_a_non_integer_mark_count(t: object) -> None:
+    with pytest.raises(InvalidArgumentError, match="number of marks must be an integer"):
+        RingContext.standard(t)
+
+
 def test_marks_must_be_integers() -> None:
     for marks in ((1, 2.0, 3), (1, "2", 3), (1, Fraction(2), 3)):
         with pytest.raises(InvalidArgumentError, match="marks are integers"):

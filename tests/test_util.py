@@ -1,17 +1,22 @@
 """The exact sparse-sum kernel against a term-by-term ``Fraction`` oracle,
-and rational formatting."""
+rational formatting, and the self-filling table."""
 
 from __future__ import annotations
 
+import ast
 import random
+import threading
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import rubbertaut
+from rubbertaut import hodge, hurwitz, locgraphs, partitions
 from rubbertaut.errors import ResourceLimitError
 from rubbertaut.locgraphs import Monomial
-from rubbertaut.util import combine, fraction_str
+from rubbertaut.util import Table, combine, fraction_str
 
 
 def _oracle(pairs) -> dict:
@@ -84,3 +89,88 @@ def test_fraction_str_refuses_a_rational_past_the_digit_limit() -> None:
     for value in (10**5000, Fraction(1, 10**5000), Fraction(10**5000, 3)):
         with pytest.raises(ResourceLimitError, match="too long to print"):
             fraction_str(value)
+
+
+def _counting_table() -> tuple[Table, list]:
+    calls: list = []
+
+    def build(key: int) -> list:
+        calls.append(key)
+        return [key]
+
+    return Table(build), calls
+
+
+def test_table_builds_each_missing_key_once() -> None:
+    table, calls = _counting_table()
+    first = table[3]
+    assert first == [3] and table[3] is first and table[4] == [4]
+    assert calls == [3, 4]
+    assert table == {3: [3], 4: [4]} and len(table) == 2
+
+
+def test_table_get_never_builds() -> None:
+    table, calls = _counting_table()
+    assert table.get(5) is None and 5 not in table
+    assert calls == [] and table == {}
+
+
+def test_table_returns_an_assigned_entry_as_is() -> None:
+    table, calls = _counting_table()
+    doctored = ["doctored"]
+    table[7] = doctored
+    assert table[7] is doctored and calls == []
+
+
+def test_table_clear_forgets_every_entry() -> None:
+    table, calls = _counting_table()
+    table[1], table[2]
+    table.clear()
+    assert table == {} and table[1] == [1]
+    assert calls == [1, 2, 1]
+
+
+def test_two_threads_that_build_one_key_read_back_the_first_stored() -> None:
+    barrier = threading.Barrier(2)
+
+    def build(key: int) -> list:
+        barrier.wait(timeout=10)  # both threads are inside the builder at once
+        return [key]
+
+    table = Table(build)
+    results: list = [None, None]
+
+    def read(slot: int) -> None:
+        results[slot] = table[9]
+
+    threads = [threading.Thread(target=read, args=(slot,)) for slot in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results[0] is results[1] is table[9]
+    assert table == {9: [9]}
+
+
+def test_every_process_wide_memo_is_a_table() -> None:
+    tables = (
+        partitions._PARTITIONS,
+        hodge._TREES,
+        locgraphs._GRAPHS,
+        locgraphs._MARKINGS,
+        locgraphs._PARTS,
+        hurwitz._CUTS,
+        hurwitz._MERGES,
+    )
+    assert all(type(table) is Table for table in tables)
+    # no second fill rule for a process-wide table: besides Table, only
+    # hain_expand's per-call Fraction memo defines __missing__
+    missing = []
+    for path in sorted(Path(rubbertaut.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(item, ast.FunctionDef) and item.name == "__missing__" for item in node.body
+            ):
+                missing.append(f"{path.stem}.{node.name}")
+    assert missing == ["polyclasses._SharedFractions", "util.Table"]
