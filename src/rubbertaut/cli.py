@@ -40,7 +40,7 @@ from .errors import (
     TheoremViolationError,
 )
 from .hodge import _check_genus, evaluate_form, hodge_linear_form, n_target, solve_hodge, verify_scaling
-from .hurwitz import MAX_DEGREE, hurwitz_one_part, hurwitz_oracle, rubber_psi_integral
+from .hurwitz import hurwitz_one_part, hurwitz_oracle, hurwitz_row, rubber_psi_integral
 from .partitions import _check_partition_degree, enumerate_partitions
 from .polyclasses import (
     MAX_INTERP_POINTS,
@@ -346,18 +346,14 @@ def _check_scaling(g_max: int, d_max: int) -> None:
 
 def _check_hurwitz(d_max: int) -> None:
     for d in _degrees(d_max):
-        for nu in enumerate_partitions(d):
+        rows = {alpha: hurwitz_row(alpha) for alpha in enumerate_partitions(d)}
+        for nu in rows:
             # (d,) is one component and never merges; nu starts one per part
             closed = hurwitz_one_part(nu, d)
-            if hurwitz_oracle((d,), nu) != closed or hurwitz_oracle(nu, (d,)) != closed:
+            if rows[(d,)][nu] != closed or rows[nu][(d,)] != closed:
                 raise TheoremViolationError(f"one-part count fails at {nu}")
-    for d in range(1, min(d_max, MAX_DEGREE) + 1):
-        profiles = [tuple(p) for p in enumerate_partitions(d)]
-        # every pair up to degree 7; past it only the pairs with the last
-        # profile, 1^d, whose walks reach every merge entry
-        pairs = itertools.combinations(profiles, 2) if d <= 7 else ((nu, profiles[-1]) for nu in profiles[:-1])
-        for alpha, beta in pairs:
-            if hurwitz_oracle(alpha, beta) != hurwitz_oracle(beta, alpha):
+        for alpha, beta in itertools.combinations(rows, 2):
+            if rows[alpha][beta] != rows[beta][alpha]:
                 raise TheoremViolationError(f"symmetry fails at {alpha}/{beta}")
 
 

@@ -61,7 +61,7 @@ LinearForm = dict[int, Fraction]
 
 #: Highest genus the Hodge entry points and the graph lifts accept, checked
 #: before any series or graph is built: ``solve_hodge(24, 48)`` takes about
-#: 0.007 s and ``verify-all --g-max 24 --d-max 10`` about 1.0 s (2-vCPU VM).
+#: 0.007 s and ``verify-all --g-max 24 --d-max 10`` about 0.55 s (2-vCPU VM).
 MAX_GENUS = 24
 
 #: Highest degree ``hodge_linear_form`` accepts and highest degree bound of

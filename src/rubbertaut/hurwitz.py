@@ -17,9 +17,10 @@ steps must merge the ``len(alpha)`` start components into one and end on
 of one component: the walk makes cuts and merges only.  A merge drops a cycle
 and a component and a cut adds a cycle, so ``2 * (components - 1) = cycles +
 remaining - len(beta)`` at every step: the one prune drops states with
-``components - 1 > remaining``, and a walk ending on one component ends on
-``len(beta)`` cycles.  Each state carries the exact number of tuples reaching
-it, level by level; the count is the weight of the state ``(beta,)``.
+``components - 1 > remaining``, and a one-component state after ``s`` steps
+has ``s - len(alpha) + 2`` cycles.  Each state carries the exact number of
+tuples reaching it, level by level; one walk from ``alpha`` reads the count
+of each ``beta`` off the state ``(beta,)`` at its step, for a pair or a row.
 
 Normalization: with ``N`` the tuple count above, the number returned is
 ``N * aut(beta) / prod(alpha)``.  It is symmetric in the two profiles and
@@ -38,7 +39,7 @@ tables keyed by component, not by state, each with the ways of equal results
 summed: the cuts of one sorted component and the merges of an ordered pair.
 A successor puts one entry in place of its one or two components, so only
 the outer tuple is re-sorted, and the walk runs on ids.  The tables grow only
-through ``hurwitz_oracle`` after its degree cap, so they never hold more than
+through the two walks after their degree cap, so they never hold more than
 1,684 states (the multisets of partitions of each ``d <= 10``), 138 cut
 entries (the partitions of each ``n <= 10``) and 478 merge entries (the pairs
 of those partitions of total size at most 10).
@@ -55,7 +56,7 @@ from collections.abc import Iterator, Mapping, Sequence, Set
 from fractions import Fraction
 
 from .errors import InvalidArgumentError, ResourceLimitError
-from .partitions import aut
+from .partitions import aut, enumerate_partitions
 from .util import Table, check_integer
 
 __all__ = [
@@ -63,6 +64,7 @@ __all__ = [
     "MAX_SIMPLE_BRANCH",
     "hurwitz_oracle",
     "hurwitz_one_part",
+    "hurwitz_row",
     "rubber_psi_integral",
 ]
 
@@ -165,20 +167,30 @@ def _successors(sid: int) -> tuple[tuple[int, int], ...]:
     return successors
 
 
-def _count_tuples(alpha: tuple[int, ...], beta: tuple[int, ...]) -> int:
-    """Number of transposition tuples completing a fixed ``alpha``-permutation."""
-    r = len(alpha) + len(beta) - 2
+def _count_tuples(alpha: _Comp, betas: Sequence[_Comp]) -> dict[_Comp, int]:
+    """Transposition tuples completing a fixed ``alpha``-permutation to each of ``betas``."""
+    r = len(alpha) + max(map(len, betas)) - 2
+    counts = dict.fromkeys(betas, 0)
     states = {_intern(tuple((a,) for a in alpha)): 1}
-    for step in range(r):
-        remaining = r - step
-        next_states: dict[int, int] = {}
-        for sid, weight in states.items():
-            if _COMPONENTS[sid] - 1 > remaining:
-                continue
-            for target, ways in _successors(sid):
-                next_states[target] = next_states.get(target, 0) + weight * ways
-        states = next_states
-    return states.get(_IDS.get((beta,), -1), 0)
+    step = 0
+    for beta in sorted(betas, key=len):
+        while step < len(alpha) + len(beta) - 2:
+            remaining = r - step
+            next_states: dict[int, int] = {}
+            for sid, weight in states.items():
+                if _COMPONENTS[sid] - 1 > remaining:
+                    continue
+                for target, ways in _successors(sid):
+                    next_states[target] = next_states.get(target, 0) + weight * ways
+            states = next_states
+            step += 1
+        counts[beta] = states.get(_IDS.get((beta,), -1), 0)
+    return counts
+
+
+def _check_degree(d: int) -> None:
+    if d > MAX_DEGREE:
+        raise ResourceLimitError(f"degree {d} exceeds the exact-count cap {MAX_DEGREE}")
 
 
 def hurwitz_oracle(alpha: Sequence[int], beta: Sequence[int]) -> Fraction:
@@ -189,10 +201,16 @@ def hurwitz_oracle(alpha: Sequence[int], beta: Sequence[int]) -> Fraction:
         raise InvalidArgumentError(
             f"profiles must have equal size, got {sum(alpha_t)} and {sum(beta_t)}"
         )
-    d = sum(alpha_t)
-    if d > MAX_DEGREE:
-        raise ResourceLimitError(f"degree {d} exceeds the exact-count cap {MAX_DEGREE}")
-    return Fraction(_count_tuples(alpha_t, beta_t) * aut(beta_t), math.prod(alpha_t))
+    _check_degree(sum(alpha_t))
+    return Fraction(_count_tuples(alpha_t, (beta_t,))[beta_t] * aut(beta_t), math.prod(alpha_t))
+
+
+def hurwitz_row(alpha: Sequence[int]) -> dict[tuple[int, ...], Fraction]:
+    """``hurwitz_oracle(alpha, beta)`` for every ``beta`` of the degree, from one walk."""
+    alpha_t = _validate_profile("alpha", alpha)
+    _check_degree(sum(alpha_t))
+    counts = _count_tuples(alpha_t, enumerate_partitions(sum(alpha_t)))
+    return {beta: Fraction(n * aut(beta), math.prod(alpha_t)) for beta, n in counts.items()}
 
 
 def hurwitz_one_part(nu: Sequence[int], d: int) -> Fraction:

@@ -69,7 +69,7 @@ from .tautring import (
     section_pushforward,
     zero_class,
 )
-from .util import Table, combine, combine_ints
+from .util import Table, check_integer, combine, combine_ints
 
 __all__ = [
     "Monomial",
@@ -887,6 +887,7 @@ def evaluate_and_solve(d: int) -> Degree2Solution | Degree3Report:
     coefficient from its own relation, given the degree-2 solution, and
     returns the exact residual of the full relation.
     """
+    check_integer("degree", d)
     if d not in (2, 3):
         raise InvalidArgumentError(
             f"the divisor pipeline is implemented for degrees 2 and 3, not {d}"

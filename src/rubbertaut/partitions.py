@@ -31,7 +31,7 @@ __all__ = [
 #: Highest ``n`` :func:`enumerate_partitions` lists (231 partitions), checked
 #: before any is listed, so it caps every partition sum of the package:
 #: ``relation_extract(16, lift_pair(24))`` takes about 0.05 s (0.03 s once its
-#: graphs are built), ``verify-all --g-max 24 --d-max 16`` about 3.4 s and
+#: graphs are built), ``verify-all --g-max 24 --d-max 16`` 1.0-1.5 s and
 #: ``enumerate_partitions(60)`` 4 s (2-vCPU VM).
 MAX_PARTITION_DEGREE = 16
 
@@ -140,6 +140,8 @@ def tau_power_coefficient(n: int, l: int) -> Fraction:
     ``l = n``).  An ``n`` past :data:`rubbertaut.series.MAX_SERIES_ORDER`
     is refused before any power is computed.
     """
+    check_integer("n", n)
+    check_integer("l", l)
     if n < 0 or l < 0:
         raise InvalidArgumentError(f"need n, l >= 0, got n={n}, l={l}")
     if n > MAX_SERIES_ORDER:

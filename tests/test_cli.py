@@ -549,22 +549,38 @@ def test_verify_all_fails_on_a_doctored_input(
     assert failures[0].startswith(f"FAIL {section}:")
 
 
-def test_verify_all_checks_hurwitz_symmetry_through_degree_seven(
-    capsys: pytest.CaptureFixture[str], monkeypatch: pytest.MonkeyPatch
+@pytest.mark.parametrize(
+    "d_max, alpha, beta, pair",
+    [
+        (7, (4, 3), (5, 2), "(5, 2)/(4, 3)"),
+        # neither profile is one-part or 1^d
+        (9, (5, 4), (3, 3, 3), "(5, 4)/(3, 3, 3)"),
+    ],
+    ids=["degree-7", "degree-9"],
+)
+def test_verify_all_checks_hurwitz_symmetry_on_every_pair(
+    d_max: int,
+    alpha: tuple[int, ...],
+    beta: tuple[int, ...],
+    pair: str,
+    capsys: pytest.CaptureFixture[str],
+    monkeypatch: pytest.MonkeyPatch,
 ) -> None:
-    """One degree-7 count off by one, in one order only, fails the sweep."""
-    honest = cli.hurwitz_oracle
+    """One count off by one, in one order only, fails the sweep."""
+    honest = cli.hurwitz_row
 
-    def doctored(alpha: tuple[int, ...], beta: tuple[int, ...]) -> Fraction:
-        value = honest(alpha, beta)
-        return value + 1 if (tuple(alpha), tuple(beta)) == ((4, 3), (5, 2)) else value
+    def doctored(profile: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
+        row = honest(profile)
+        if tuple(profile) == alpha:
+            row[beta] += 1
+        return row
 
-    monkeypatch.setattr(cli, "hurwitz_oracle", doctored)
-    code, out = _run(["verify-all", "--g-max", "1", "--d-max", "7"], capsys)
+    monkeypatch.setattr(cli, "hurwitz_row", doctored)
+    code, out = _run(["verify-all", "--g-max", "1", "--d-max", str(d_max)], capsys)
     assert code == 2
     failures = [line for line in out.splitlines() if not line.startswith("PASS ")]
     assert failures == [
-        "FAIL hurwitz: one-part-and-symmetry-d<=7 — symmetry fails at (5, 2)/(4, 3)"
+        f"FAIL hurwitz: one-part-and-symmetry-d<={d_max} — symmetry fails at {pair}"
     ]
 
 

@@ -17,6 +17,7 @@ from rubbertaut.hurwitz import (
     MAX_SIMPLE_BRANCH,
     hurwitz_one_part,
     hurwitz_oracle,
+    hurwitz_row,
     rubber_psi_integral,
 )
 from rubbertaut.partitions import aut, enumerate_partitions
@@ -269,10 +270,18 @@ def test_counts_match_the_retired_walk() -> None:
         profiles = enumerate_partitions(d)
         pairs += [(rng.choice(profiles), rng.choice(profiles)) for _ in range(6)]
     for alpha, beta in pairs:
-        assert hurwitz._count_tuples(alpha, beta) == _retired_count_tuples(alpha, beta), (
+        assert hurwitz._count_tuples(alpha, (beta,)) == {beta: _retired_count_tuples(alpha, beta)}, (
             alpha,
             beta,
         )
+
+
+def test_rows_match_the_retired_walk() -> None:
+    for d in range(1, 8):
+        profiles = enumerate_partitions(d)
+        for alpha in profiles:
+            expected = {beta: _retired_count_tuples(alpha, beta) for beta in profiles}
+            assert hurwitz._count_tuples(alpha, profiles) == expected, alpha
 
 
 def test_hurwitz_formula_against_the_trivial_profile() -> None:
@@ -307,6 +316,15 @@ def test_symmetry_in_the_two_profiles() -> None:
                 assert hurwitz_oracle(alpha, beta) == hurwitz_oracle(beta, alpha)
 
 
+def test_rows_equal_the_pair_counts() -> None:
+    for d in range(1, 9):
+        profiles = enumerate_partitions(d)
+        for alpha in profiles:
+            row = hurwitz_row(alpha)
+            assert list(row) == profiles
+            assert row == {beta: hurwitz_oracle(alpha, beta) for beta in profiles}, alpha
+
+
 def test_profile_validation() -> None:
     with pytest.raises(InvalidArgumentError):
         hurwitz_oracle((2, 1), (2,))
@@ -314,6 +332,8 @@ def test_profile_validation() -> None:
         hurwitz_oracle((), (1,))
     with pytest.raises(InvalidArgumentError):
         hurwitz_oracle((0, 2), (1, 1))
+    with pytest.raises(InvalidArgumentError):
+        hurwitz_row(())
 
 
 @pytest.mark.parametrize(
@@ -330,6 +350,8 @@ def test_non_integer_parts_are_refused(part: object) -> None:
     with pytest.raises(InvalidArgumentError):
         hurwitz_oracle([3], [part, 1])
     with pytest.raises(InvalidArgumentError):
+        hurwitz_row([part, 1])
+    with pytest.raises(InvalidArgumentError):
         hurwitz_one_part([part, 1], 3)
     with pytest.raises(InvalidArgumentError):
         rubber_psi_integral([part, 1], [3])
@@ -342,10 +364,17 @@ def test_non_integer_parts_are_refused(part: object) -> None:
     [
         lambda profile: hurwitz_oracle(profile, [3]),
         lambda profile: hurwitz_oracle([3], profile),
+        lambda profile: hurwitz_row(profile)[(3,)],
         lambda profile: hurwitz_one_part(profile, 3),
         lambda profile: rubber_psi_integral(profile, [3]),
     ],
-    ids=["hurwitz_oracle-alpha", "hurwitz_oracle-beta", "hurwitz_one_part", "rubber_psi_integral"],
+    ids=[
+        "hurwitz_oracle-alpha",
+        "hurwitz_oracle-beta",
+        "hurwitz_row",
+        "hurwitz_one_part",
+        "rubber_psi_integral",
+    ],
 )
 def test_unordered_profiles_are_refused(count: Callable[[object], Fraction]) -> None:
     # Iterating {2: 5, 1: 7} reads only its keys, and a set cannot repeat a
@@ -360,6 +389,8 @@ def test_resource_caps_are_enforced() -> None:
     big = MAX_DEGREE + 1
     with pytest.raises(ResourceLimitError):
         hurwitz_oracle((big,), tuple([1] * big))
+    with pytest.raises(ResourceLimitError, match=f"degree {big} exceeds the exact-count cap {MAX_DEGREE}"):
+        hurwitz_row((big,))
     # (1^d, 1^d) has the most branch points of any pair of degree d, and
     # Hurwitz's formula gives d! * r! * d^(d-3) for it.
     ones = (1,) * MAX_DEGREE
@@ -501,17 +532,25 @@ def test_a_doctored_merge_of_a_many_cycle_component_fails_the_symmetry_check(
     monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture[str]
 ) -> None:
     """A 4-cycle joined to a cycle of a three-cycle component counted one
-    way too many.  No one-part walk merges such a component, and the
-    all-pairs symmetry check stops below degree 8; the symmetry against
-    ``1^d`` reaches it."""
+    way too many.  No one-part walk merges such a component; the symmetry
+    check, which compares every pair, reaches it."""
     _fresh_tables(monkeypatch)
     hurwitz._MERGES[((4,), (2, 1, 1))] = (((6, 1, 1), 9), ((5, 2, 1), 8))
     code = cli.main(["verify-all", "--g-max", "1", "--d-max", "8"])
     out = capsys.readouterr().out
     assert code == 2
     assert [line for line in out.splitlines() if not line.startswith("PASS ")] == [
-        "FAIL hurwitz: one-part-and-symmetry-d<=8 — symmetry fails at (6, 1, 1)/(1, 1, 1, 1, 1, 1, 1, 1)"
+        "FAIL hurwitz: one-part-and-symmetry-d<=8 — symmetry fails at (6, 1, 1)/(4, 4)"
     ]
+
+
+def test_a_walk_stops_at_its_longest_profile(monkeypatch: pytest.MonkeyPatch) -> None:
+    _fresh_tables(monkeypatch)
+    counts = hurwitz._count_tuples((3,), ((1, 1, 1), (3,), (2, 1)))
+    assert list(counts.items()) == [((1, 1, 1), 3), ((3,), 1), ((2, 1), 3)]
+    expanded = [hurwitz._STATES[sid] for sid, moves in enumerate(hurwitz._SUCCESSORS) if moves is not None]
+    assert expanded == [((3,),), ((2, 1),)]
+    assert ((1, 1, 1),) in hurwitz._IDS
 
 
 def test_the_hurwitz_check_builds_every_merge_entry(monkeypatch: pytest.MonkeyPatch) -> None:
@@ -566,6 +605,8 @@ def test_a_capped_pair_enters_no_state() -> None:
         hurwitz_oracle(ones, ones)
     with pytest.raises(ResourceLimitError):
         hurwitz_oracle((6, 5), (6, 5))
+    with pytest.raises(ResourceLimitError):
+        hurwitz_row(ones)
     assert len(hurwitz._STATES) == before
     assert ((6,), (5,)) not in hurwitz._IDS
 
@@ -584,8 +625,8 @@ def test_threads_build_one_consistent_table(monkeypatch: pytest.MonkeyPatch) -> 
     def count_all(k: int) -> None:
         order = pairs[:]
         random.Random(k).shuffle(order)
-        for pair in order:
-            results[k][pair] = hurwitz._count_tuples(*pair)
+        for alpha, beta in order:
+            results[k][alpha, beta] = hurwitz._count_tuples(alpha, (beta,))[beta]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

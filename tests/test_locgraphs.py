@@ -942,3 +942,5 @@ def test_degree_three_relation_is_spanned_by_the_quadric() -> None:
 def test_unsupported_solve_degrees_are_rejected() -> None:
     with pytest.raises(InvalidArgumentError):
         evaluate_and_solve(4)
+    with pytest.raises(InvalidArgumentError, match="degree must be an integer, got 2.0"):
+        evaluate_and_solve(2.0)

@@ -258,3 +258,7 @@ def test_non_integer_arguments_are_refused() -> None:
         with pytest.raises(InvalidArgumentError, match="max_length must be an integer"):
             enumerate_partitions(4, max_length)
     assert enumerate_partitions(4, 2) == [(4,), (3, 1), (2, 2)]
+    with pytest.raises(InvalidArgumentError, match="n must be an integer, got 2.5"):
+        tau_power_coefficient(2.5, 1)
+    with pytest.raises(InvalidArgumentError, match="l must be an integer, got 1.0"):
+        tau_power_coefficient(3, 1.0)
