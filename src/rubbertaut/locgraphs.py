@@ -14,14 +14,16 @@ coefficient of the graph sum in the relation's own degree carries the
 relation, and all but three factors of a graph are a scalar times a power of
 ``t``: :func:`_graph_data` reads each graph in display order, with that
 scalar, off tables built once per process and keyed by partition and lift
-shape, never by genus (1,272 entries at the cap), and :func:`_pole_terms`
+shape, never by genus (1,272 entries at the cap), and :func:`relation_extract`
 walks just the genus-node cotangent powers and Hodge indices the degree
-allows, as integers over each graph's denominator.  Only the tests and the
-benchmark tracer run the full Laurent product (:func:`assemble_contribution`),
-their oracle for the relation and the frozen factor cells.  Evaluating the
-relation's terms through the boundary catalogue and solving gives the
-divisor-class coefficients of the genus-one weight quadric.  Every sum here
-runs through :func:`rubbertaut.util.combine` or its integer core ``combine_ints``.
+allows.  :func:`hodge_form_from_graphs` sums the pair lift's genus-free part
+once per degree and part count and adds the genus per call.  Only the tests
+and the benchmark tracer run the full Laurent product
+(:func:`assemble_contribution`), their oracle for the relation and the frozen
+factor cells.  Evaluating the relation's terms through the boundary catalogue
+and solving gives the divisor-class coefficients of the genus-one weight
+quadric.  Every sum here runs through :func:`rubbertaut.util.combine` or its
+integer core ``combine_ints``.
 
 Two lifts of the action are used, and a :class:`Lift` is one of them:
 
@@ -198,8 +200,8 @@ class LocGraph(_Graph):
     __slots__ = ()
 
     def __new__(cls, side: str, parts: tuple[Part, ...]) -> LocGraph:
-        if side not in ("zero", "infinity"):
-            raise InvalidArgumentError(f"bad side {side!r}")
+        if side not in ("zero", "infinity") or not parts:
+            raise InvalidArgumentError(f"need side 'zero' or 'infinity' and a part, got {side!r}, {parts!r}")
         for p in parts:
             if not (isinstance(p, Part) and type(p.size) is int and p.size >= 1 and type(p.genus) is bool
                     and isinstance(p.marks, tuple) and all(type(m) is int and m >= 1 for m in p.marks)
@@ -248,6 +250,8 @@ class Lift:
     divisor: bool = False
 
     def __post_init__(self) -> None:
+        if type(self.genus) is bool or type(self.divisor) is not bool:
+            raise InvalidArgumentError(f"need an integer genus and a bool divisor flag, got {self!r}")
         _check_genus(self.genus)
         if self.divisor and self.genus != 1:
             raise InvalidArgumentError(f"the divisor lift is genus one only, got {self.genus}")
@@ -301,12 +305,14 @@ def _part_marks(tied: tuple[bool, ...], labels: tuple[int, ...]) -> list[list]:
 #: ``(graph, num, den, power, genus part)``, 1,272 entries (914 pair, 358
 #: divisor) and 11,140 graphs at the partition-sum cap; per ``(tied, labels)``
 #: the :func:`_part_marks` placements, 221 entries; one :class:`Part` per
-#: distinct part, 124 of them.  Parts and graphs are tuples that compare and
-#: hash as their fields; the table graphs skip :class:`LocGraph`'s checks and
-#: sort (``tuple.__new__``), since their parts are already canonical.
+#: distinct part, 124 of them; per ``(d, l)``, one :func:`_zero_side_sums`,
+#: 136 entries.  Parts and graphs are tuples that compare and hash as their
+#: fields; the table graphs skip :class:`LocGraph`'s checks and sort
+#: (``tuple.__new__``), since their parts are already canonical.
 _GRAPHS: dict[tuple, tuple[tuple, ...]] = Table(lambda key: _partition_graphs(*key))
 _MARKINGS: dict[tuple, list] = Table(lambda key: _part_marks(*key))
 _PARTS: dict[tuple, Part] = Table(Part._make)
+_ZERO_SUMS: dict[tuple[int, int], tuple[int, dict]] = Table(lambda key: _zero_side_sums(*key))
 
 
 def _rubber_integral(l: int, d: int) -> int:
@@ -341,6 +347,13 @@ def _partition_graphs(nu: tuple[int, ...], twist: int, labels: tuple[int, ...]) 
     return tuple(out)
 
 
+def _check_degree(d: int, least: int) -> None:
+    """Refuse a non-integer degree, then one below ``least``."""
+    check_integer("degree", d)
+    if d < least:
+        raise InvalidArgumentError(f"this lift needs degree >= {least}, got {d}")
+
+
 def _graph_data(d: int, lift: Lift) -> Iterator[tuple]:
     """Every contributing graph in display order, with its residue's scalars.
 
@@ -357,8 +370,7 @@ def _graph_data(d: int, lift: Lift) -> Iterator[tuple]:
     graphs with ``l <= twist`` are built.  Only ``B0`` and the infinity
     rubber's cap depend on the genus; the rest is read off the ``_GRAPHS``
     entry of the partition and the lift's twist and marks, built once."""
-    if d < 1:
-        raise InvalidArgumentError(f"need degree >= 1, got {d}")
+    _check_degree(d, 1)
     g, twist, labels = lift.genus, lift.branch_twist, lift.zero_marks
     for nu in enumerate_partitions(d, 2 * g + twist):
         l = len(nu)
@@ -631,36 +643,30 @@ def _pole_sign(b: int, rubber_cap: int) -> int:
     return 0
 
 
-def _pole_terms(d: int, lift: Lift) -> Iterator[tuple]:
-    """``(graph, den, {monomial: numerator})`` of every graph that keeps a
-    ``1/t`` term, in :func:`_graph_data`'s order.  Of the three series, the
-    genus node's (cotangent power ``a``) and the Hodge class's (index ``j``)
-    take the terms of :func:`_genus_walk`, built once per genus part, and the
-    power of ``t`` fixes the rubber node's (power ``b``, kept by
-    :func:`_pole_sign`): the pair lift's zero-side rubber sits at its top
-    power ``l - 2`` (``-1``, no rubber, for one part) and every infinity
-    graph's at ``b = 0``."""
-    if d < lift.branch_twist:
-        raise InvalidArgumentError(f"this lift needs degree >= {lift.branch_twist}, got {d}")
+def relation_extract(d: int, lift: Lift) -> Relation:
+    """The exact relation carried by the ``1/t`` coefficients: of every graph
+    in :func:`_graph_data`'s order that keeps one, the kept part of
+    ``assemble_contribution(graph, lift).total().coefficient(-1)``.  The genus
+    node's and Hodge class's series (powers ``a``, ``j``) take the terms of
+    :func:`_genus_walk`, built once per genus part and call, and the power of
+    ``t`` fixes the rubber node's ``b``, kept by :func:`_pole_sign`: the pair
+    lift's zero-side rubber sits at its top power ``l - 2`` (``-1``, no
+    rubber, for one part) and every infinity graph's at ``b = 0``."""
+    _check_degree(d, lift.branch_twist)
     k = d - lift.branch_twist
     walks: dict[tuple | None, list] = Table(lambda genus: _genus_walk(lift, *genus))
     walks[None] = [(0, None, 1, 0)]
+    monomials: dict[tuple, Monomial] = Table(Monomial._make)
+    terms = {}
     for graph, b0, num, den, power, genus, rubber_cap in _graph_data(d, lift):
         num *= math.perm(b0, k)
         kept = {}
         for a, j, coeff, genus_power in walks[genus]:
             b = power + genus_power
             if sign := _pole_sign(b, rubber_cap):
-                kept[Monomial(a, max(b, 0), j)] = num * coeff * sign
+                kept[monomials[a, max(b, 0), j]] = Fraction(num * coeff * sign, den)
         if kept:
-            yield graph, den, kept
-
-
-def relation_extract(d: int, lift: Lift) -> Relation:
-    """The exact relation carried by the ``1/t`` coefficients: each graph's
-    :func:`_pole_terms` over its denominator, the kept part of
-    ``assemble_contribution(graph, lift).total().coefficient(-1)``."""
-    terms = {graph: {m: Fraction(n, den) for m, n in kept.items()} for graph, den, kept in _pole_terms(d, lift)}
+            terms[graph] = kept
     return Relation(d, lift, terms)
 
 
@@ -680,6 +686,16 @@ def relation_by_row(relation: Relation) -> dict[int, dict[tuple[int, int], Fract
     return {index: bucket for index, bucket in out.items() if bucket}
 
 
+def _zero_side_sums(d: int, l: int) -> tuple[int, dict]:
+    """``sign * num / den`` (rubber at its top power ``l - 2``) of the pair
+    lift's zero-side graphs with ``l`` parts, summed per genus part."""
+    return combine_ints(
+        (_pole_sign(power, l - 2), den, {genus: num})
+        for nu in enumerate_partitions(d) if len(nu) == l
+        for _, num, den, power, genus in _GRAPHS[nu, 1, ()] if genus is not None
+    )
+
+
 def hodge_form_from_graphs(g: int, d: int) -> LinearForm:
     """The Hodge-integral linear form recovered from the pair-lift graphs.
 
@@ -687,32 +703,26 @@ def hodge_form_from_graphs(g: int, d: int) -> LinearForm:
     genus-over-zero terms (rubber factors integrated out) and normalizes by
     the rubber graph's coefficient, all from the graphs' integers.  Every
     pair-walk term has genus power 0, so :func:`_pole_sign` keeps a graph's
-    whole walk or none of it, with one sign: each kept zero-side graph adds
-    one integer, times its partition's integer :func:`_rubber_integral` (1
-    without rubber), to the weight of its genus part, and each weight spreads
-    once through that part's :func:`_genus_walk`.
+    whole walk or none of it, with one sign; the genus enters a zero-side
+    graph only through ``perm(2g + d - l, d - 1)`` (0 past ``2g + 1`` parts)
+    and the walk.  So each part count's ``_ZERO_SUMS`` entry, times that and
+    :func:`_rubber_integral` (1 without rubber), adds to each genus part's
+    weight, which spreads once through the part's :func:`_genus_walk`.
     """
     lift = lift_pair(g)
-    k = d - lift.branch_twist
-    pairs: list[tuple] = []
-    rubber_coeff = Fraction(0)
-    for graph, b0, num, den, power, genus, rubber_cap in _graph_data(d, lift):
-        sign = _pole_sign(power, rubber_cap)
-        if not sign:
-            continue
-        term = sign * num * math.perm(b0, k)
-        if genus is None:
-            rubber_coeff += Fraction(term, den)
-            continue
-        l = len(graph.parts)
-        pairs.append((1, den, {genus: term * _rubber_integral(l, d) if l > 1 else term}))
-    if rubber_coeff == 0:
+    _check_degree(d, lift.branch_twist)
+    pairs = []
+    for l in range(1, min(2 * g + 1, d) + 1):
+        common, sums = _ZERO_SUMS[d, l]
+        pairs.append((math.perm(2 * g + d - l, d - 1) * (_rubber_integral(l, d) if l > 1 else 1), common, sums))
+    _, num, den, power, _ = _GRAPHS[(d,), 1, ()][-1]  # the one graph over infinity
+    if not (rubber := _pole_sign(power, 2 * g - 1) * num * math.factorial(d - 1)):
         raise TheoremViolationError(f"no rubber term in the degree-{d} pair relation")
     common, weights = combine_ints(pairs)
     _, sums = combine_ints(
         (weight, 1, {j: coeff for _, j, coeff, _ in _genus_walk(lift, *genus)}) for genus, weight in weights.items()
     )
-    return {j: Fraction(-num, common) / rubber_coeff for j, num in sums.items()}
+    return {j: Fraction(-value * den, common * rubber) for j, value in sums.items()}
 
 
 # ---------------------------------------------------------------------------

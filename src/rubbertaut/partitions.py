@@ -30,9 +30,9 @@ __all__ = [
 
 #: Highest ``n`` :func:`enumerate_partitions` lists (231 partitions), checked
 #: before any is listed, so it caps every partition sum of the package:
-#: ``relation_extract(16, lift_pair(24))`` takes about 0.05 s (0.03 s once its
-#: graphs are built), ``verify-all --g-max 24 --d-max 16`` 1.0-1.5 s and
-#: ``enumerate_partitions(60)`` 4 s (2-vCPU VM).
+#: ``relation_extract(16, lift_pair(24))`` takes about 0.03 s (0.024 s once its
+#: graphs are built), ``verify-all --g-max 24 --d-max 16`` 0.9-1.05 s and
+#: listing the partitions of 60 about 3 s (2-vCPU VM).
 MAX_PARTITION_DEGREE = 16
 
 #: Most label assignments ``len(nu) ** len(labels)`` :func:`enumerate_marked` counts, checked first:
@@ -121,6 +121,8 @@ def enumerate_marked(nu: Sequence[int], labels: Sequence[int]) -> list[tuple[_Sl
         raise InvalidArgumentError(f"labels must be distinct, got {labels!r}")
     if (count := len(nu) ** len(labels)) > MAX_MARKED_ASSIGNMENTS:
         raise ResourceLimitError(f"{count} label assignments exceed the cap {MAX_MARKED_ASSIGNMENTS}")
+    for what, value in [("part", part) for part in nu] + [("label", label) for label in labels]:
+        check_integer(what, value)
     markings: list[tuple[_Slots, int]] = [(tuple((size, ()) for size in sorted(nu, reverse=True)), 1)]
     for label in sorted(labels):
         markings = [

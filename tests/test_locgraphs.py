@@ -44,14 +44,15 @@ from rubbertaut.locgraphs import (
 )
 from rubbertaut.partitions import MAX_PARTITION_DEGREE, enumerate_marked, enumerate_partitions
 from rubbertaut.tautring import RingContext, boundary, psi1
+from rubbertaut.util import combine_ints
 
 
 @pytest.fixture
 def fresh_graph_tables() -> Iterator[None]:
-    """Empty the graph, marking and Part tables before and after the test, so
-    that a doctored helper builds every entry the test reads and no doctored
-    entry is left for a later test."""
-    tables = locgraphs._GRAPHS, locgraphs._MARKINGS, locgraphs._PARTS
+    """Empty the graph, marking, Part and zero-side-sum tables before and
+    after the test, so that a doctored helper builds every entry the test
+    reads and no doctored entry is left for a later test."""
+    tables = locgraphs._GRAPHS, locgraphs._MARKINGS, locgraphs._PARTS, locgraphs._ZERO_SUMS
     for table in tables:
         table.clear()
     yield
@@ -302,7 +303,8 @@ def test_every_genus_reads_one_graph_table_entry_per_partition(fresh_graph_table
 def test_the_graph_tables_stay_within_their_bound(fresh_graph_tables: None) -> None:
     """verify-all's graph checks at the genus and partition caps, plus every
     divisor-lift degree, fill one entry per partition and lift shape: 914
-    pair and 358 divisor entries.  A key holding the genus would not."""
+    pair and 358 divisor entries, and one zero-side sum per degree and part
+    count.  A key holding the genus would not."""
     cli._check_hodge_engine(MAX_GENUS, MAX_PARTITION_DEGREE)
     cli._check_tables()
     cli._check_pair_totals(MAX_PARTITION_DEGREE)
@@ -317,6 +319,9 @@ def test_the_graph_tables_stay_within_their_bound(fresh_graph_tables: None) -> N
     assert len(locgraphs._GRAPHS) == 1272
     assert sum(map(len, locgraphs._GRAPHS.values())) == 11140  # 2,471 pair, 8,669 divisor
     assert (len(locgraphs._MARKINGS), len(locgraphs._PARTS)) == (221, 124)
+    # the cross-check's zero-side sums: one entry per degree and part count
+    assert set(locgraphs._ZERO_SUMS) == {(d, l) for d in degrees for l in range(1, d + 1)}
+    assert len(locgraphs._ZERO_SUMS) == 136
 
 
 def test_table_graphs_are_the_constructors_graphs(fresh_graph_tables: None) -> None:
@@ -364,7 +369,7 @@ def test_threads_build_one_consistent_table(fresh_graph_tables: None) -> None:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert all(result == results[0] for result in results)
-    tables = locgraphs._GRAPHS, locgraphs._MARKINGS, locgraphs._PARTS
+    tables = locgraphs._GRAPHS, locgraphs._MARKINGS, locgraphs._PARTS, locgraphs._ZERO_SUMS
     parts = [part for entry in locgraphs._GRAPHS.values() for graph, *_ in entry for part in graph.parts]
     assert all(part is locgraphs._PARTS[part.size, part.marks, part.genus] for part in parts)
     # Every entry equals the one a single thread builds over the same cases.
@@ -479,6 +484,85 @@ def test_the_laurent_oracle_catches_a_short_pair_walk(
     assert hodge_form_from_graphs(2, 3) != hodge_linear_form(2, 3)
 
 
+def _retired_pole_terms(d: int, lift: Lift) -> Iterator[tuple]:
+    """The retired generator under ``relation_extract``, kept as the oracle:
+    ``(graph, den, {monomial: numerator})`` of every graph that keeps a
+    ``1/t`` term, one ``_pole_sign`` call per walk term."""
+    if d < lift.branch_twist:
+        raise InvalidArgumentError(f"this lift needs degree >= {lift.branch_twist}, got {d}")
+    k = d - lift.branch_twist
+    walks = {None: [(0, None, 1, 0)]}
+    for graph, b0, num, den, power, genus, rubber_cap in locgraphs._graph_data(d, lift):
+        if genus not in walks:
+            walks[genus] = locgraphs._genus_walk(lift, *genus)
+        num *= math.perm(b0, k)
+        kept = {}
+        for a, j, coeff, genus_power in walks[genus]:
+            b = power + genus_power
+            if sign := locgraphs._pole_sign(b, rubber_cap):
+                kept[Monomial(a, max(b, 0), j)] = num * coeff * sign
+        if kept:
+            yield graph, den, kept
+
+
+def _retired_relation_extract(d: int, lift: Lift) -> Relation:
+    """The retired ``relation_extract``: each graph's pole terms over its denominator."""
+    terms = {graph: {m: Fraction(n, den) for m, n in kept.items()} for graph, den, kept in _retired_pole_terms(d, lift)}
+    return Relation(d, lift, terms)
+
+
+def _retired_hodge_form_from_graphs(g: int, d: int) -> dict[int, Fraction]:
+    """The retired per-graph ``hodge_form_from_graphs``: every graph of every
+    call, its sign and branch factor at this genus, summed per genus part."""
+    lift = lift_pair(g)
+    k = d - lift.branch_twist
+    pairs: list[tuple] = []
+    rubber_coeff = Fraction(0)
+    for graph, b0, num, den, power, genus, rubber_cap in locgraphs._graph_data(d, lift):
+        sign = locgraphs._pole_sign(power, rubber_cap)
+        if not sign:
+            continue
+        term = sign * num * math.perm(b0, k)
+        if genus is None:
+            rubber_coeff += Fraction(term, den)
+            continue
+        l = len(graph.parts)
+        pairs.append((1, den, {genus: term * locgraphs._rubber_integral(l, d) if l > 1 else term}))
+    common, weights = combine_ints(pairs)
+    _, sums = combine_ints(
+        (weight, 1, {j: coeff for _, j, coeff, _ in locgraphs._genus_walk(lift, *genus)})
+        for genus, weight in weights.items()
+    )
+    return {j: Fraction(-num, common) / rubber_coeff for j, num in sums.items()}
+
+
+_RETIRED_RELATION_CASES = [
+    (lift_pair(g), d) for g in (1, 2, 3, 5, MAX_GENUS) for d in range(1, MAX_PARTITION_DEGREE + 1)
+]
+_RETIRED_RELATION_CASES += [(LIFT_DIVISOR, d) for d in range(2, MAX_PARTITION_DEGREE + 1)]
+
+
+def test_relations_match_the_retired_pole_walk() -> None:
+    """Terms, values and key order, graph by graph and monomial by monomial."""
+    for lift, d in _RETIRED_RELATION_CASES:
+        ours, retired = relation_extract(d, lift).terms, _retired_relation_extract(d, lift).terms
+        assert [(g, list(m.items())) for g, m in ours.items()] == [
+            (g, list(m.items())) for g, m in retired.items()
+        ], (lift, d)
+
+
+def test_forms_match_the_retired_per_graph_sum(fresh_graph_tables: None) -> None:
+    """Every graph-sum form at the genus and partition caps, key order too,
+    with the zero-side sums filled first by the top genus, then by genus 1
+    (after the tables are emptied)."""
+    for genera in (range(MAX_GENUS, 0, -1), range(1, MAX_GENUS + 1)):
+        locgraphs._ZERO_SUMS.clear()
+        for g in genera:
+            for d in range(1, MAX_PARTITION_DEGREE + 1):
+                expected = list(_retired_hodge_form_from_graphs(g, d).items())
+                assert list(hodge_form_from_graphs(g, d).items()) == expected, (g, d)
+
+
 def _retired_genus_vertex_dim(graph: LocGraph, lift: Lift) -> int:
     """The per-insertion branch the moduli formula replaced."""
     genus = graph.genus_part()
@@ -568,6 +652,9 @@ def test_graph_validation() -> None:
         )
     with pytest.raises(InvalidArgumentError):
         LocGraph("sideways", (Part(2, (2, 3), True),))
+    # no part would be a graph of degree 0
+    with pytest.raises(InvalidArgumentError):
+        LocGraph("infinity", ())
 
 
 @pytest.mark.parametrize(
@@ -602,11 +689,12 @@ def test_graph_parts_are_validated(part: object) -> None:
 
 @pytest.mark.parametrize(
     "genus, divisor",
-    [(0, False), (-1, False), (0, True), (2, True)],
-    ids=["0-pair", "-1-pair", "0-divisor", "2-divisor"],
+    [(0, False), (-1, False), (0, True), (2, True), (True, False), (1, 1)],
+    ids=["0-pair", "-1-pair", "0-divisor", "2-divisor", "bool-genus", "int-divisor"],
 )
 def test_lift_validation(genus: int, divisor: bool) -> None:
-    """The divisor lift exists in genus one only; every lift needs genus >= 1."""
+    """The divisor lift exists in genus one only; every lift needs genus >= 1,
+    an integer that is not a bool, and a bool divisor flag."""
     with pytest.raises(InvalidArgumentError):
         Lift(genus, divisor=divisor)
 
@@ -944,3 +1032,11 @@ def test_unsupported_solve_degrees_are_rejected() -> None:
         evaluate_and_solve(4)
     with pytest.raises(InvalidArgumentError, match="degree must be an integer, got 2.0"):
         evaluate_and_solve(2.0)
+    # refused before the degree is compared with the lift's twist
+    for call in (
+        lambda: relation_extract("3", LIFT_DIVISOR),
+        lambda: hodge_form_from_graphs(1, "3"),
+        lambda: enumerate_graphs("3", lift_pair(1)),
+    ):
+        with pytest.raises(InvalidArgumentError, match="degree must be an integer, got '3'"):
+            call()

@@ -262,3 +262,16 @@ def test_non_integer_arguments_are_refused() -> None:
         tau_power_coefficient(2.5, 1)
     with pytest.raises(InvalidArgumentError, match="l must be an integer, got 1.0"):
         tau_power_coefficient(3, 1.0)
+
+
+def test_marked_partitions_refuse_non_integer_parts_and_labels() -> None:
+    # 2.5 and 2.0 would otherwise come back as slot sizes and marks
+    cases = [
+        ((2.5, 1), (2,), "part must be an integer, got 2.5"),
+        ((2, 1), (2.0,), "label must be an integer, got 2.0"),
+        ((2, "1"), (), "part must be an integer, got '1'"),
+    ]
+    for nu, labels, message in cases:
+        with pytest.raises(InvalidArgumentError, match=message):
+            enumerate_marked(nu, labels)
+    assert enumerate_marked((2, 1), (2,)) == [(((2, ()), (1, (2,))), 1), (((2, (2,)), (1, ())), 1)]

@@ -160,6 +160,7 @@ def test_every_process_wide_memo_is_a_table() -> None:
         locgraphs._GRAPHS,
         locgraphs._MARKINGS,
         locgraphs._PARTS,
+        locgraphs._ZERO_SUMS,
         hurwitz._CUTS,
         hurwitz._MERGES,
     )
