@@ -53,7 +53,7 @@ from .polyclasses import (
     interpolate,
 )
 from .series import MAX_SERIES_ORDER, series_log_sine, series, series_exp, series_mul, series_to_json, series_tau
-from .util import combine, fraction_str, parse_fraction, too_long_to_print
+from .util import check_integer, combine, fraction_str, parse_fraction, too_long_to_print
 
 __all__ = ["main"]
 
@@ -154,14 +154,15 @@ def _log_sine_is_unprintable(d: int, order: int) -> bool:
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
-    if args.log_sine and _log_sine_is_unprintable(args.d, args.order):
-        raise too_long_to_print()
     if args.tau:
-        series_obj = series_tau(args.order)
-        name = "tau"
+        if args.d is not None:
+            raise InvalidArgumentError("--d scales --log-sine only, not --tau")
+        series_obj, name = series_tau(args.order), "tau"
     else:
-        series_obj = series_log_sine(args.d, args.order)
-        name = f"log-sine-{args.d}"
+        d = 1 if args.d is None else args.d
+        if _log_sine_is_unprintable(d, args.order):
+            raise too_long_to_print()
+        series_obj, name = series_log_sine(d, args.order), f"log-sine-{d}"
     payload = {"name": name, **series_to_json(series_obj)}
     rows = [[str(power), text] for power, text in enumerate(payload["coeffs"])]
     return _emit(args.format, ["power", "coefficient"], rows, payload)
@@ -299,8 +300,7 @@ def _interp_round_trip(degrees: tuple[int, ...], seed: int, trials: int) -> int:
 
 def _cmd_interp(args: argparse.Namespace) -> int:
     degrees = _parse_ints(args.degrees, "degrees")
-    if args.trials < 1:
-        raise InvalidArgumentError(f"--trials must be at least 1, got {args.trials}")
+    check_integer("--trials", args.trials, least=1)
     grid = math.prod(d + 1 for d in degrees)
     if args.trials * grid > MAX_INTERP_POINTS:
         raise ResourceLimitError(
@@ -435,9 +435,7 @@ def _check_interp() -> None:
 
 
 def _cmd_verify_all(args: argparse.Namespace) -> int:
-    g_max, d_max = args.g_max, args.d_max
-    if g_max < 1 or d_max < 1:
-        raise InvalidArgumentError(f"--g-max and --d-max must be at least 1, got {g_max} and {d_max}")
+    g_max, d_max = check_integer("--g-max", args.g_max, least=1), check_integer("--d-max", args.d_max, least=1)
     checks: list[tuple[str, str, Callable[[], None]]] = [
         ("series", "tau-functional-equation", _check_series),
         ("series", f"log-sine-scaling-g<={g_max}-d<={d_max}", lambda: _check_scaling(g_max, d_max)),
@@ -489,7 +487,7 @@ def _build_parser() -> _Parser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--tau", action="store_true", help="the tree-weight exponential inverse")
     group.add_argument("--log-sine", action="store_true", help="the logarithmic sine ratio")
-    p.add_argument("--d", type=int, default=1, help="scaling degree for --log-sine")
+    p.add_argument("--d", type=int, help="scaling degree for --log-sine (default 1)")
     p.add_argument("--order", type=int, required=True)
     add_format(p)
     p.set_defaults(fn=_cmd_series)

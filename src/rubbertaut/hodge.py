@@ -72,24 +72,20 @@ MAX_GENUS = 24
 MAX_DEGREE = 2 * MAX_GENUS
 
 
-def _check_genus(g: int) -> None:
+def _check_genus(g: int) -> int:
     """Refuse a genus outside ``1..MAX_GENUS``; the graph lifts and
     ``verify-all`` check through here too."""
-    check_integer("genus", g)
-    if g < 1:
-        raise InvalidArgumentError(f"need genus >= 1, got {g}")
-    if g > MAX_GENUS:
+    if (g := check_integer("genus", g, least=1)) > MAX_GENUS:
         raise ResourceLimitError(f"genus {g} exceeds the genus cap {MAX_GENUS}")
+    return g
 
 
-def _check_degree_bound(d_max: int) -> None:
+def _check_degree_bound(d_max: int) -> int:
     """Refuse a degree (bound) outside ``1..MAX_DEGREE``: a sweep over no
     degree checks nothing."""
-    check_integer("degree", d_max)
-    if d_max < 1:
-        raise InvalidArgumentError(f"need degree bound >= 1, got {d_max}")
-    if d_max > MAX_DEGREE:
+    if (d_max := check_integer("degree", d_max, least=1)) > MAX_DEGREE:
         raise ResourceLimitError(f"degree {d_max} exceeds the Hodge degree cap {MAX_DEGREE}")
+    return d_max
 
 
 def _partition_weights(g: int, d: int) -> list[int]:
@@ -176,8 +172,7 @@ def hodge_linear_form(g: int, d: int, method: str = "resummed") -> LinearForm:
     ``1..MAX_DEGREE``; no form the caps admit is empty, as its value (the
     log-sine target) is nonzero.
     """
-    _check_genus(g)
-    _check_degree_bound(d)
+    g, d = _check_genus(g), _check_degree_bound(d)
     routes = {"resummed": _edge_weights, "partitions": _partition_weights}
     if not isinstance(method, str) or method not in routes:
         raise InvalidArgumentError(f"unknown method {method!r}")
@@ -188,7 +183,7 @@ def evaluate_form(form: Mapping[int, Fraction], values: Sequence[Fraction]) -> F
     """Evaluate a linear form at concrete values of the unknowns."""
     total = Fraction(0)
     for j, coeff in form.items():
-        if not 0 <= j < len(values):
+        if (j := check_integer("unknown index", j, least=0)) >= len(values):
             raise InvalidArgumentError(f"form mentions unknown index {j}")
         total += coeff * values[j]
     return total
@@ -196,7 +191,7 @@ def evaluate_form(form: Mapping[int, Fraction], values: Sequence[Fraction]) -> F
 
 def n_target(g: int, d: int) -> Fraction:
     """Target value: coefficient of ``y^(2g)`` in the even log-sine series."""
-    _check_genus(g)
+    g = _check_genus(g)
     return series_log_sine(d, 2 * g).coefficient(2 * g)
 
 
@@ -234,7 +229,7 @@ class HodgeSolution:
     unique = True
 
     def value(self, j: int) -> Fraction:
-        if not 0 <= j < len(self.values):
+        if (j := check_integer("unknown index", j, least=0)) >= len(self.values):
             raise InvalidArgumentError(f"no unknown I({self.g}, {j})")
         return self.values[j]
 
@@ -257,9 +252,8 @@ def solve_hodge(g: int, d_max: int | None = None) -> HodgeSolution:
     series by :func:`verify_scaling`, ``verify-all`` and the tests.  An
     inconsistent system raises ``TheoremViolationError``.
     """
-    _check_genus(g)
-    d_max = g if d_max is None else d_max
-    _check_degree_bound(d_max)
+    g = _check_genus(g)
+    d_max = _check_degree_bound(g if d_max is None else d_max)
     degrees = tuple(range(1, max(g, d_max) + 1))
     rows = [_edge_weights(g, d) for d in degrees]
     rhs = [d ** (2 * g) * d ** (d - 1) * math.factorial(d) for d in degrees]
@@ -283,8 +277,7 @@ def verify_scaling(g: int, d_max: int) -> None:
     """Check ``target(g, d) = d^(2g) * target(g, 1)`` for all ``d <= d_max``,
     each target from its own log-sine series; ``d_max`` must lie in
     ``1..MAX_DEGREE``.  Raises ``TheoremViolationError`` at the first ``d`` that fails."""
-    _check_genus(g)
-    _check_degree_bound(d_max)
+    g, d_max = _check_genus(g), _check_degree_bound(d_max)
     base = n_target(g, 1)
     for d in range(1, d_max + 1):
         if n_target(g, d) != Fraction(d) ** (2 * g) * base:

@@ -50,14 +50,13 @@ degree, without a walk; the graph sums use that closed form without calling it.
 from __future__ import annotations
 
 import math
-import operator
 import threading
 from collections.abc import Iterator, Mapping, Sequence, Set
 from fractions import Fraction
 
 from .errors import InvalidArgumentError, ResourceLimitError
 from .partitions import aut, enumerate_partitions
-from .util import Table, check_integer
+from .util import Table, check_integer, check_integers
 
 __all__ = [
     "MAX_DEGREE",
@@ -98,13 +97,9 @@ _MERGES: dict[tuple[_Comp, _Comp], tuple[_Move, ...]] = Table(lambda pair: _summ
 def _validate_profile(name: str, profile: Sequence[int]) -> tuple[int, ...]:
     if isinstance(profile, (Set, Mapping)):
         raise InvalidArgumentError(f"{name} must be an ordered sequence of parts")
-    try:
-        parts = tuple(sorted((operator.index(p) for p in profile), reverse=True))
-    except TypeError:
-        raise InvalidArgumentError(f"{name} must be a sequence of integer parts") from None
-    if not parts or any(p < 1 for p in parts):
-        raise InvalidArgumentError(f"{name} must be a nonempty tuple of positive parts")
-    return parts
+    if not (parts := check_integers(f"{name} part", profile, least=1)):
+        raise InvalidArgumentError(f"{name} must have a part")
+    return tuple(sorted(parts, reverse=True))
 
 
 def _cuts(comp: _Comp) -> Iterator[_Move]:
@@ -216,8 +211,7 @@ def hurwitz_row(alpha: Sequence[int]) -> dict[tuple[int, ...], Fraction]:
 def hurwitz_one_part(nu: Sequence[int], d: int) -> Fraction:
     """Closed form ``(l - 1)! * d**(l - 2)`` for profiles ``nu`` against ``(d)``."""
     nu_t = _validate_profile("nu", nu)
-    check_integer("degree", d)
-    if sum(nu_t) != d:
+    if sum(nu_t) != (d := check_integer("degree", d)):
         raise InvalidArgumentError(f"partition {nu_t} does not sum to degree {d}")
     l = len(nu_t)
     return Fraction(math.factorial(l - 1)) * Fraction(d) ** (l - 2)

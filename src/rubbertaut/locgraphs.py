@@ -71,7 +71,7 @@ from .tautring import (
     section_pushforward,
     zero_class,
 )
-from .util import Table, check_integer, combine, combine_ints
+from .util import Table, check_integer, check_integers, combine, combine_ints
 
 __all__ = [
     "Monomial",
@@ -192,9 +192,10 @@ class LocGraph(_Graph):
     ``side`` is ``"zero"`` when the positive-genus vertex sits over zero and
     ``"infinity"`` when the genus is carried by the rubber.  A tuple that
     compares and hashes as ``(side, parts)``.  The constructor checks that
-    each part's marks are distinct positive integers ascending, on one part
-    only, and sorts the parts into a canonical display order, so equal graphs
-    compare equal; the graph tables skip both, their parts being canonical.
+    each part's size is an integer >= 1 and its marks are distinct integers
+    >= 1 ascending, on one part only, stores them as ``int`` and sorts the
+    parts into a canonical display order, so equal graphs compare equal; the
+    graph tables skip all of this, their parts being canonical.
     """
 
     __slots__ = ()
@@ -202,11 +203,14 @@ class LocGraph(_Graph):
     def __new__(cls, side: str, parts: tuple[Part, ...]) -> LocGraph:
         if side not in ("zero", "infinity") or not parts:
             raise InvalidArgumentError(f"need side 'zero' or 'infinity' and a part, got {side!r}, {parts!r}")
+        checked = []
         for p in parts:
-            if not (isinstance(p, Part) and type(p.size) is int and p.size >= 1 and type(p.genus) is bool
-                    and isinstance(p.marks, tuple) and all(type(m) is int and m >= 1 for m in p.marks)
-                    and all(a < b for a, b in zip(p.marks, p.marks[1:]))):
-                raise InvalidArgumentError(f"{p!r} is not a Part of size >= 1 with ascending distinct marks >= 1")
+            if not (isinstance(p, Part) and type(p.genus) is bool and isinstance(p.marks, tuple)):
+                raise InvalidArgumentError(f"{p!r} is not a Part with a tuple of marks and a bool genus flag")
+            if sorted(set(marks := check_integers("mark", p.marks, least=1))) != list(marks):
+                raise InvalidArgumentError(f"the marks of {p!r} must ascend and be distinct")
+            checked.append(Part(check_integer("part size", p.size, least=1), marks, p.genus))
+        parts = tuple(checked)
         marks = [m for p in parts for m in p.marks]
         if len(set(marks)) != len(marks):
             raise InvalidArgumentError(f"a mark sits on two parts of {parts!r}")
@@ -250,9 +254,9 @@ class Lift:
     divisor: bool = False
 
     def __post_init__(self) -> None:
-        if type(self.genus) is bool or type(self.divisor) is not bool:
-            raise InvalidArgumentError(f"need an integer genus and a bool divisor flag, got {self!r}")
-        _check_genus(self.genus)
+        object.__setattr__(self, "genus", _check_genus(self.genus))
+        if type(self.divisor) is not bool:
+            raise InvalidArgumentError(f"need a bool divisor flag, got {self.divisor!r}")
         if self.divisor and self.genus != 1:
             raise InvalidArgumentError(f"the divisor lift is genus one only, got {self.genus}")
 
@@ -347,13 +351,6 @@ def _partition_graphs(nu: tuple[int, ...], twist: int, labels: tuple[int, ...]) 
     return tuple(out)
 
 
-def _check_degree(d: int, least: int) -> None:
-    """Refuse a non-integer degree, then one below ``least``."""
-    check_integer("degree", d)
-    if d < least:
-        raise InvalidArgumentError(f"this lift needs degree >= {least}, got {d}")
-
-
 def _graph_data(d: int, lift: Lift) -> Iterator[tuple]:
     """Every contributing graph in display order, with its residue's scalars.
 
@@ -370,7 +367,7 @@ def _graph_data(d: int, lift: Lift) -> Iterator[tuple]:
     graphs with ``l <= twist`` are built.  Only ``B0`` and the infinity
     rubber's cap depend on the genus; the rest is read off the ``_GRAPHS``
     entry of the partition and the lift's twist and marks, built once."""
-    _check_degree(d, 1)
+    d = check_integer("degree", d, least=1)
     g, twist, labels = lift.genus, lift.branch_twist, lift.zero_marks
     for nu in enumerate_partitions(d, 2 * g + twist):
         l = len(nu)
@@ -652,7 +649,7 @@ def relation_extract(d: int, lift: Lift) -> Relation:
     ``t`` fixes the rubber node's ``b``, kept by :func:`_pole_sign`: the pair
     lift's zero-side rubber sits at its top power ``l - 2`` (``-1``, no
     rubber, for one part) and every infinity graph's at ``b = 0``."""
-    _check_degree(d, lift.branch_twist)
+    d = check_integer("degree", d, least=lift.branch_twist)
     k = d - lift.branch_twist
     walks: dict[tuple | None, list] = Table(lambda genus: _genus_walk(lift, *genus))
     walks[None] = [(0, None, 1, 0)]
@@ -710,7 +707,7 @@ def hodge_form_from_graphs(g: int, d: int) -> LinearForm:
     weight, which spreads once through the part's :func:`_genus_walk`.
     """
     lift = lift_pair(g)
-    _check_degree(d, lift.branch_twist)
+    d = check_integer("degree", d, least=lift.branch_twist)
     pairs = []
     for l in range(1, min(2 * g + 1, d) + 1):
         common, sums = _ZERO_SUMS[d, l]
@@ -897,8 +894,7 @@ def evaluate_and_solve(d: int) -> Degree2Solution | Degree3Report:
     coefficient from its own relation, given the degree-2 solution, and
     returns the exact residual of the full relation.
     """
-    check_integer("degree", d)
-    if d not in (2, 3):
+    if (d := check_integer("degree", d)) not in (2, 3):
         raise InvalidArgumentError(
             f"the divisor pipeline is implemented for degrees 2 and 3, not {d}"
         )

@@ -16,7 +16,7 @@ from typing import Hashable, Iterable, Sequence
 
 from .errors import InvalidArgumentError, ResourceLimitError
 from .series import MAX_SERIES_ORDER
-from .util import Table, check_integer
+from .util import Table, check_integer, check_integers
 
 __all__ = [
     "MAX_PARTITION_DEGREE",
@@ -59,15 +59,10 @@ def enumerate_partitions(n: int, max_length: int | None = None) -> list[tuple[in
     listed in descending lexicographic order, so ``(n,)`` comes first.  An
     ``n`` past :data:`MAX_PARTITION_DEGREE` is refused before any is listed.
     """
-    check_integer("degree", n)
-    if n < 0:
-        raise InvalidArgumentError(f"cannot partition {n}")
-    _check_partition_degree(n)
-    if max_length is not None:
-        check_integer("max_length", max_length)
-        if max_length < 0:
-            raise InvalidArgumentError(f"max_length must be >= 0, got {max_length}")
-    return list(_PARTITIONS[n, n if max_length is None else min(max_length, n)])
+    _check_partition_degree(n := check_integer("degree", n, least=0))
+    if max_length is None:
+        return list(_PARTITIONS[n, n])
+    return list(_PARTITIONS[n, min(check_integer("max_length", max_length, least=0), n)])
 
 
 def _list_partitions(n: int, limit: int) -> tuple[tuple[int, ...], ...]:
@@ -115,14 +110,14 @@ def enumerate_marked(nu: Sequence[int], labels: Sequence[int]) -> list[tuple[_Sl
     to ``len(nu) ** len(labels)``, refused past :data:`MAX_MARKED_ASSIGNMENTS`
     before any marking is built.  Each label in turn goes into each distinct
     slot (equal slots stay side by side) and multiplies the orbit by that
-    slot's multiplicity: one path per marking.
+    slot's multiplicity: one path per marking.  Parts and labels are
+    integers of at least 1.
     """
     if len(set(labels)) != len(labels):
         raise InvalidArgumentError(f"labels must be distinct, got {labels!r}")
     if (count := len(nu) ** len(labels)) > MAX_MARKED_ASSIGNMENTS:
         raise ResourceLimitError(f"{count} label assignments exceed the cap {MAX_MARKED_ASSIGNMENTS}")
-    for what, value in [("part", part) for part in nu] + [("label", label) for label in labels]:
-        check_integer(what, value)
+    nu, labels = check_integers("part", nu, least=1), check_integers("label", labels, least=1)
     markings: list[tuple[_Slots, int]] = [(tuple((size, ()) for size in sorted(nu, reverse=True)), 1)]
     for label in sorted(labels):
         markings = [
@@ -142,10 +137,7 @@ def tau_power_coefficient(n: int, l: int) -> Fraction:
     ``l = n``).  An ``n`` past :data:`rubbertaut.series.MAX_SERIES_ORDER`
     is refused before any power is computed.
     """
-    check_integer("n", n)
-    check_integer("l", l)
-    if n < 0 or l < 0:
-        raise InvalidArgumentError(f"need n, l >= 0, got n={n}, l={l}")
+    n, l = check_integer("n", n, least=0), check_integer("l", l, least=0)
     if n > MAX_SERIES_ORDER:
         raise ResourceLimitError(f"order {n} exceeds the series-order cap {MAX_SERIES_ORDER}")
     if n == 0:

@@ -11,7 +11,6 @@ polynomials of either kind.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
@@ -19,7 +18,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from .errors import InvalidArgumentError, ResourceLimitError, TheoremViolationError
 from .tautring import RingContext, TautClass, linear_combination, psi1_minus, pullback_forget, relabel
-from .util import check_integer, combine, fraction_str
+from .util import check_integer, check_integers, combine, fraction_str
 
 __all__ = [
     "MAX_MARKS",
@@ -51,11 +50,7 @@ def _combine_values(pairs: Sequence[tuple[Fraction | int, Any]]) -> Any:
 def _exponent_key(exponents: Sequence[int], nvars: int) -> tuple[int, ...]:
     """``exponents`` as a tuple of ``nvars`` non-negative ints; anything else
     (a float exponent too, which ``int`` would truncate) raises."""
-    try:
-        key = tuple(map(operator.index, exponents))
-    except TypeError:
-        key = None
-    if key is None or len(key) != nvars or any(e < 0 for e in key):
+    if len(key := check_integers("exponent", exponents, least=0)) != nvars:
         raise InvalidArgumentError(f"bad exponent tuple {exponents!r}")
     return key
 
@@ -74,6 +69,7 @@ class MultiPoly:
     coeffs: Mapping[tuple[int, ...], Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "nvars", check_integer("number of variables", self.nvars, least=0))
         cleaned: dict[tuple[int, ...], Any] = {}
         for exponents, value in self.coeffs.items():
             key = _exponent_key(exponents, self.nvars)
@@ -135,10 +131,7 @@ def genus1_polynomial(t: int) -> MultiPoly:
     1 but not i, and ``alpha_i alpha_j`` those whose genus-zero side holds 1
     but neither i nor j, or both i and j but not 1.
     """
-    check_integer("number of marks", t)
-    if t < 3:
-        raise InvalidArgumentError(f"need at least 3 marks, got {t}")
-    if t > MAX_MARKS:
+    if (t := check_integer("number of marks", t, least=3)) > MAX_MARKS:
         raise ResourceLimitError(f"{t} marks exceed the weight-polynomial cap {MAX_MARKS}")
     ctx = RingContext.standard(t)
     free_marks = range(2, t + 1)
@@ -159,9 +152,7 @@ def check_pullback_stability(t: int) -> None:
     coefficient one level down, in reduced normal form.  Raises
     ``TheoremViolationError`` at the first exponents missing, extra or different.
     """
-    if t < 4:
-        raise InvalidArgumentError(f"stability needs at least 4 marks, got {t}")
-    big = genus1_polynomial(t)
+    big = genus1_polynomial(t := check_integer("number of marks", t, least=4))
     lifted = {e + (0,): value for e, value in genus1_polynomial(t - 1).coeffs.items()}
     for exponents in sorted(lifted.keys() | {e for e in big.coeffs if e[-1] == 0}):
         value, counterpart = lifted.get(exponents), big.coefficient(exponents)
@@ -259,12 +250,10 @@ def interpolate(fn: Callable[[tuple[Fraction, ...]], Any], degrees: Sequence[int
     along the axis is interpolated by forward differences, and its grid
     index turns into the exponent of that variable.
     """
-    for d in degrees:
-        check_integer("degree", d)
-    if not degrees or any(d < 0 for d in degrees):
-        raise InvalidArgumentError(f"need one degree >= 0 per variable, got {tuple(degrees)!r}")
+    if not (degrees := check_integers("degree", degrees, least=0)):
+        raise InvalidArgumentError("need one degree per variable, got none")
     if math.prod(d + 1 for d in degrees) > MAX_INTERP_POINTS:
-        raise ResourceLimitError(f"degrees {tuple(degrees)} need more than {MAX_INTERP_POINTS} grid points")
+        raise ResourceLimitError(f"degrees {degrees} need more than {MAX_INTERP_POINTS} grid points")
     weights = _stirling_weights(max(degrees))
     grid = {
         index: fn(tuple(Fraction(i) for i in index))
@@ -346,12 +335,7 @@ def hain_expand(
     carries integer numerators over the one denominator
     ``(2 c q**2)**g * g!`` and makes one ``Fraction`` per distinct numerator.
     """
-    check_integer("genus", g)
-    check_integer("number of marks", t)
-    if g < 2:
-        raise InvalidArgumentError(f"need genus >= 2, got {g}")
-    if t < 2:
-        raise InvalidArgumentError(f"need at least 2 marks, got {t}")
+    g, t = check_integer("genus", g, least=2), check_integer("number of marks", t, least=2)
     k = [Fraction(w) for w in weights]
     if len(k) != t:
         raise InvalidArgumentError(f"need {t} weights, got {len(k)}")

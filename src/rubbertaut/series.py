@@ -65,10 +65,7 @@ class PowerSeries:
 
     def coefficient(self, n: int) -> Fraction:
         """Coefficient of ``x**n``; errors outside the stored range."""
-        check_integer("coefficient index", n)
-        if n < 0:
-            raise InvalidArgumentError(f"coefficient index must be >= 0, got {n}")
-        if n > self.order:
+        if (n := check_integer("coefficient index", n, least=0)) > self.order:
             raise TruncationExceededError(
                 f"coefficient {n} requested but series is truncated at order {self.order}"
             )
@@ -82,9 +79,7 @@ def series(coeffs: Iterable[Fraction | int], order: int | None = None) -> PowerS
         if not values:
             raise InvalidArgumentError("empty series needs an explicit order")
         order = len(values) - 1
-    check_integer("order", order)
-    if order < 0:
-        raise InvalidArgumentError(f"order must be >= 0, got {order}")
+    order = check_integer("order", order, least=0)
     if len(values) > order + 1:
         raise InvalidArgumentError("more coefficients than the requested order allows")
     values.extend([Fraction(0)] * (order + 1 - len(values)))
@@ -149,10 +144,7 @@ def series_tau(order: int) -> PowerSeries:
     It is the unique power-series solution of ``tau = x * exp(tau)`` with
     zero constant term.
     """
-    check_integer("order", order)
-    if order < 1:
-        raise InvalidArgumentError(f"order must be >= 1, got {order}")
-    if order > MAX_SERIES_ORDER:
+    if (order := check_integer("order", order, least=1)) > MAX_SERIES_ORDER:
         raise ResourceLimitError(f"order {order} exceeds the series-order cap {MAX_SERIES_ORDER}")
     coeffs = [Fraction(0)]
     for r in range(1, order + 1):
@@ -168,13 +160,8 @@ def series_log_sine(d: int, order: int) -> PowerSeries:
     spread back onto the even powers of ``y``, so every coefficient is an
     exact rational and the odd ones are exact zeros.
     """
-    check_integer("scale d", d)
-    check_integer("order", order)
-    if d < 1:
-        raise InvalidArgumentError(f"scale d must be >= 1, got {d}")
-    if order < 0:
-        raise InvalidArgumentError(f"order must be >= 0, got {order}")
-    if order > MAX_SERIES_ORDER:
+    d = check_integer("scale d", d, least=1)
+    if (order := check_integer("order", order, least=0)) > MAX_SERIES_ORDER:
         raise ResourceLimitError(f"order {order} exceeds the series-order cap {MAX_SERIES_ORDER}")
     step = Fraction(-d * d, 4)
     sinc = PowerSeries(

@@ -25,7 +25,6 @@ commas separate them, as in ``D(1,2|12,21)``.  ``repr(cls)`` is
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -33,7 +32,7 @@ from itertools import combinations
 from typing import Iterable, Mapping
 
 from .errors import InvalidArgumentError
-from .util import check_integer, combine_ints, fraction_str
+from .util import check_integer, check_integers, combine_ints, fraction_str
 
 __all__ = [
     "RingContext",
@@ -61,30 +60,31 @@ class RingContext:
     marks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        try:
-            marks = tuple(sorted(set(map(operator.index, self.marks))))
-        except TypeError:
-            raise InvalidArgumentError(f"marks are integers, got {self.marks}") from None
-        if marks != self.marks:
+        marks = check_integers("mark", self.marks, least=1)
+        if marks != tuple(sorted(set(marks))):
             raise InvalidArgumentError(f"marks must be sorted and distinct, got {self.marks}")
         if len(marks) < 2:
             raise InvalidArgumentError("need at least two marks")
-        if 1 not in marks:
+        if marks[0] != 1:
             raise InvalidArgumentError("mark 1 (the reference mark) must be present")
-        if marks[0] < 1:
-            raise InvalidArgumentError(f"marks are positive integers, got {marks}")
+        object.__setattr__(self, "marks", marks)
 
     @staticmethod
     def standard(t: int) -> "RingContext":
         """Marks ``1..t``."""
-        check_integer("number of marks", t)
-        if t < 2:
-            raise InvalidArgumentError(f"need T >= 2, got {t}")
-        return RingContext(tuple(range(1, t + 1)))
+        return _context(tuple(range(1, check_integer("number of marks", t, least=2) + 1)))
 
     @property
     def t(self) -> int:
         return len(self.marks)
+
+
+def _context(marks: tuple[int, ...]) -> RingContext:
+    """The context on ``marks``, already integers from 1 up, ascending and
+    at least two, built without checking them again."""
+    ctx = object.__new__(RingContext)
+    object.__setattr__(ctx, "marks", marks)
+    return ctx
 
 
 def _mask(marks: Iterable[int]) -> int:
@@ -93,11 +93,7 @@ def _mask(marks: Iterable[int]) -> int:
 
 def _ctx_marks(ctx: RingContext, marks: Iterable[int]) -> set[int]:
     """``marks`` as a set of integers, each a mark of ``ctx``."""
-    try:
-        out = set(map(operator.index, marks))
-    except TypeError:
-        raise InvalidArgumentError(f"marks must be integers, got {marks!r}") from None
-    if not out <= set(ctx.marks):
+    if not (out := set(check_integers("mark", marks))) <= set(ctx.marks):
         raise InvalidArgumentError(f"marks {sorted(out)} are not all in {ctx.marks}")
     return out
 
@@ -302,9 +298,9 @@ def pullback_forget(cls: TautClass, new_mark: int) -> TautClass:
     picks up the comparison divisor separating marks 1 and ``new_mark``.
     """
     ctx = cls.ctx
-    if new_mark in ctx.marks:
+    if (new_mark := check_integer("mark", new_mark, least=1)) in ctx.marks:
         raise InvalidArgumentError(f"mark {new_mark} already present in {ctx.marks}")
-    big = RingContext(tuple(sorted(ctx.marks + (new_mark,))))
+    big = _context(tuple(sorted(ctx.marks + (new_mark,))))
     bit, nums = 1 << new_mark, cls._nums
     # Both lifts of a valid side are valid, and no two lifts coincide: one
     # side holds the new mark, the other does not, and neither is the
@@ -342,11 +338,11 @@ def section_pushforward(scalar: Fraction | int, i: int, j: int, ctx: RingContext
 
 
 @lru_cache(maxsize=32)
-def _relabel_tables(pairs: tuple[tuple[int, int], ...]) -> list[list[int]]:
+def _relabel_tables(marks: tuple[int, ...], images: tuple[int, ...]) -> list[list[int]]:
     """Entry ``e`` of table ``c`` is the image of the mask ``e << 12 * c``
-    under the relabeling ``pairs``; bit 0, the ``psi1`` key, maps to itself.
-    Up to the mark cap of 11, one table holds every mark."""
-    image = {0: 0, **dict(pairs)}
+    under the relabeling of ``marks`` to ``images``; bit 0, the ``psi1`` key,
+    maps to itself.  Up to the mark cap of 11, one table holds every mark."""
+    image = {0: 0, **dict(zip(marks, images))}
     top, tables = max(image) + 1, []
     for low in range(0, top, 12):
         table = [0]
@@ -361,15 +357,14 @@ def relabel(cls: TautClass, mapping: Mapping[int, int]) -> TautClass:
     ctx = cls.ctx
     if sorted(mapping.keys()) != list(ctx.marks):
         raise InvalidArgumentError(f"relabeling must cover exactly {ctx.marks}")
-    images = sorted(mapping.values())
+    images = check_integers("mark", mapping.values(), least=1)
     if len(set(images)) != len(images):
         raise InvalidArgumentError("relabeling must be a bijection")
     if mapping.get(1) != 1:
         raise InvalidArgumentError("relabeling must fix the reference mark 1")
-    new_ctx = RingContext(tuple(images))
     # A bijection sends distinct sides to distinct sides: no key collides.
-    nums = cls._nums
-    first, *rest = _relabel_tables(tuple(mapping.items()))
+    new_ctx, nums = _context(tuple(sorted(images))), cls._nums
+    first, *rest = _relabel_tables(tuple(mapping), images)
     moved = [first[mask & 4095] for mask in nums]
     for c, table in enumerate(rest, 1):  # marks past 11
         moved = [image | table[mask >> 12 * c & 4095] for image, mask in zip(moved, nums)]

@@ -1,5 +1,11 @@
-"""Small shared helpers: the integer check, rational formatting, sparse sums
+"""Small shared helpers: the integer checks, rational formatting, sparse sums
 and :class:`Table`, the one place where a process-wide memo fills itself.
+
+:func:`check_integer` and :func:`check_integers` are the one place that
+decides what an integer argument is: an ``int`` or an object with
+``__index__``, never a bool, and at least a given lower bound.  Every entry
+point checks its integer data through them; only the resource caps, whose
+errors name their own cap, are compared where they are kept.
 
 :func:`combine_ints` is the one place that adds sparse key -> rational maps
 and drops the keys that cancel: divisor classes store its integer result
@@ -20,6 +26,7 @@ from .errors import InvalidArgumentError, ResourceLimitError
 
 __all__ = [
     "check_integer",
+    "check_integers",
     "too_long_to_print",
     "fraction_str",
     "parse_fraction",
@@ -29,6 +36,8 @@ __all__ = [
 ]
 
 K = TypeVar("K", bound=Hashable)
+
+_INT = frozenset({int})
 
 
 class Table(dict):
@@ -47,12 +56,35 @@ class Table(dict):
         return self.setdefault(key, self.build(key))
 
 
-def check_integer(what: str, value: object) -> None:
-    """Refuse a non-integer argument (a float too) with ``InvalidArgumentError``."""
+def check_integer(what: str, value: object, least: int | None = None) -> int:
+    """``value`` as an ``int``; a non-integer (a float too), a bool, or a value
+    below ``least`` raises ``InvalidArgumentError``, as ``<what> must be an
+    integer, got ...`` or ``<what> must be >= <least>, got ...``."""
+    if type(value) is not int:
+        try:
+            if type(value) is bool:
+                raise TypeError
+            value = operator.index(value)
+        except TypeError:
+            raise InvalidArgumentError(f"{what} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise InvalidArgumentError(f"{what} must be >= {least}, got {value}")
+    return value
+
+
+def check_integers(what: str, values: Iterable[object], least: int | None = None) -> tuple[int, ...]:
+    """``values`` as a tuple of ``int``, each checked as by :func:`check_integer`
+    (``what`` names one element); the error names the first bad element.
+
+    A tuple of plain ``int`` at or above ``least`` passes in one pass over
+    the element types and one ``min``, with no call per element."""
     try:
-        operator.index(value)
+        values = tuple(values)
     except TypeError:
-        raise InvalidArgumentError(f"{what} must be an integer, got {value!r}") from None
+        raise InvalidArgumentError(f"need a sequence of {what} values, got {values!r}") from None
+    if _INT.issuperset(map(type, values)) and (least is None or not values or min(values) >= least):
+        return values
+    return tuple(check_integer(what, value, least) for value in values)
 
 
 def too_long_to_print() -> ResourceLimitError:

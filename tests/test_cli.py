@@ -177,6 +177,16 @@ def test_localize_golden_refuses_a_machine_format(fmt: str) -> None:
     assert result.stderr == f"error[invalid-argument]: --golden prints a plain diff, not --format {fmt}\n"
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_series_tau_refuses_a_scaling_degree(fmt: str) -> None:
+    # --d scales the log-sine series only; with --tau it is refused instead
+    # of silently ignored.
+    result = _run_process(["series", "--tau", "--d", "3", "--order", "3", "--format", fmt])
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == "error[invalid-argument]: --d scales --log-sine only, not --tau\n"
+
+
 def test_localize_golden_flags_a_doctored_table(
     capsys: pytest.CaptureFixture[str], monkeypatch: pytest.MonkeyPatch
 ) -> None:
@@ -675,7 +685,7 @@ def test_interp_refuses_zero_trials_in_process(capsys: pytest.CaptureFixture[str
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err == "error[invalid-argument]: --trials must be at least 1, got 0\n"
+    assert captured.err == "error[invalid-argument]: --trials must be >= 1, got 0\n"
 
 
 def test_a_theorem_violation_in_a_command_exits_two(
@@ -769,8 +779,8 @@ def _run_process(argv: list[str]) -> subprocess.CompletedProcess:
         (["hurwitz", "--alpha", "2,,1", "--beta", "3"], "bad profile '2,,1'"),
         (["hurwitz", "--alpha", "2,1,", "--beta", "3"], "bad profile '2,1,'"),
         (["interp", "--degrees", "2,,2"], "bad degrees '2,,2'"),
-        (["interp", "--trials", "0"], "--trials must be at least 1, got 0"),
-        (["interp", "--trials", "-3"], "--trials must be at least 1, got -3"),
+        (["interp", "--trials", "0"], "--trials must be >= 1, got 0"),
+        (["interp", "--trials", "-3"], "--trials must be >= 1, got -3"),
     ],
     ids=[
         "hain-word",
@@ -885,7 +895,7 @@ def test_verify_all_rejects_a_vacuous_sweep(
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert "must be at least 1" in captured.err
+    assert "must be >= 1" in captured.err
 
 
 def test_verify_all_is_byte_identical_across_runs() -> None:

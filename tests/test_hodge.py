@@ -280,7 +280,7 @@ def test_scaling_check_refuses_an_empty_or_unbounded_degree_range(
 
     monkeypatch.setattr(hodge, "series_log_sine", no_series)
     for d_max in (0, -5):
-        with pytest.raises(InvalidArgumentError, match=f"need degree bound >= 1, got {d_max}"):
+        with pytest.raises(InvalidArgumentError, match=f"degree must be >= 1, got {d_max}"):
             verify_scaling(2, d_max)
     with pytest.raises(
         ResourceLimitError,
@@ -447,7 +447,7 @@ def test_degree_bound_outside_range_is_refused_before_any_work(
 
     monkeypatch.setattr(hodge, "_edge_weights", no_weights)
     for d_max in (0, -4):
-        with pytest.raises(InvalidArgumentError, match=f"need degree bound >= 1, got {d_max}"):
+        with pytest.raises(InvalidArgumentError, match=f"degree must be >= 1, got {d_max}"):
             solve_hodge(3, d_max)
     with pytest.raises(
         ResourceLimitError,
@@ -490,7 +490,7 @@ def test_linear_form_is_refused_past_the_degree_cap_before_any_work(
                 ResourceLimitError, match=f"degree {d} exceeds the Hodge degree cap {MAX_DEGREE}"
             ):
                 hodge_linear_form(MAX_GENUS, d, method)
-        with pytest.raises(InvalidArgumentError, match="need degree bound >= 1, got 0"):
+        with pytest.raises(InvalidArgumentError, match="degree must be >= 1, got 0"):
             hodge_linear_form(1, 0, method)
 
 

@@ -777,9 +777,9 @@ def test_the_graph_layer_never_walks_the_hurwitz_state_graph(
 
 
 def test_relation_extract_rejects_degrees_below_the_twist() -> None:
-    with pytest.raises(InvalidArgumentError, match="needs degree >= 2, got 1"):
+    with pytest.raises(InvalidArgumentError, match="degree must be >= 2, got 1"):
         relation_extract(1, LIFT_DIVISOR)
-    with pytest.raises(InvalidArgumentError, match="needs degree >= 1, got 0"):
+    with pytest.raises(InvalidArgumentError, match="degree must be >= 1, got 0"):
         relation_extract(0, lift_pair(2))
     assert relation_extract(2, LIFT_DIVISOR).terms
 

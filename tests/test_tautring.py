@@ -71,21 +71,21 @@ def test_standard_context_refuses_a_non_integer_mark_count(t: object) -> None:
 
 def test_marks_must_be_integers() -> None:
     for marks in ((1, 2.0, 3), (1, "2", 3), (1, Fraction(2), 3)):
-        with pytest.raises(InvalidArgumentError, match="marks are integers"):
+        with pytest.raises(InvalidArgumentError, match="mark must be an integer"):
             RingContext(marks)
     ctx = RingContext.standard(3)
     for side in ((2.0,), ("2",), (Fraction(3),)):
-        with pytest.raises(InvalidArgumentError, match="must be integers"):
+        with pytest.raises(InvalidArgumentError, match="mark must be an integer"):
             boundary(ctx, side)
-        with pytest.raises(InvalidArgumentError, match="must be integers"):
+        with pytest.raises(InvalidArgumentError, match="mark must be an integer"):
             TautClass(ctx, {("D", side): 1})
         # 2.0 == 2 passes a membership test, so only the type check stops it
         # (section_pushforward(1, 1, 2.0, ctx) would return D(3|12)).
-        with pytest.raises(InvalidArgumentError, match="must be integers"):
+        with pytest.raises(InvalidArgumentError, match="mark must be an integer"):
             psi1_minus(ctx, [(side, ())])
-        with pytest.raises(InvalidArgumentError, match="must be integers"):
+        with pytest.raises(InvalidArgumentError, match="mark must be an integer"):
             pushforward_forget(psi1(ctx), *side)
-        with pytest.raises(InvalidArgumentError, match="must be integers"):
+        with pytest.raises(InvalidArgumentError, match="mark must be an integer"):
             section_pushforward(1, 1, *side, ctx)
 
 
@@ -497,14 +497,14 @@ def test_psi1_minus_subtracts_each_matching_divisor_once() -> None:
 
 def test_marks_below_one_are_refused() -> None:
     for marks in ((0, 1, 2), (-3, 1), (-1, 0, 1, 2)):
-        with pytest.raises(InvalidArgumentError, match="positive"):
+        with pytest.raises(InvalidArgumentError, match="mark must be >= 1"):
             RingContext(marks)
     ctx = RingContext.standard(3)
     for mapping in ({1: 1, 2: 0, 3: -4}, {1: 1, 2: 3, 3: -1}):
-        with pytest.raises(InvalidArgumentError, match="positive"):
+        with pytest.raises(InvalidArgumentError, match="mark must be >= 1"):
             relabel(psi1(ctx), mapping)
     for new_mark in (0, -2):
-        with pytest.raises(InvalidArgumentError, match="positive"):
+        with pytest.raises(InvalidArgumentError, match="mark must be >= 1"):
             pullback_forget(psi1(ctx), new_mark)
 
 

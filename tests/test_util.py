@@ -1,22 +1,41 @@
 """The exact sparse-sum kernel against a term-by-term ``Fraction`` oracle,
-rational formatting, and the self-filling table."""
+rational formatting, the self-filling table, and the one integer check
+that every entry point's integer arguments pass through."""
 
 from __future__ import annotations
 
 import ast
 import random
+import re
 import threading
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
 import rubbertaut
 from rubbertaut import hodge, hurwitz, locgraphs, partitions
-from rubbertaut.errors import ResourceLimitError
-from rubbertaut.locgraphs import Monomial
-from rubbertaut.util import Table, combine, fraction_str
+from rubbertaut.errors import InvalidArgumentError, ResourceLimitError
+from rubbertaut.hodge import evaluate_form, hodge_linear_form, n_target, solve_hodge, verify_scaling
+from rubbertaut.hurwitz import hurwitz_one_part, hurwitz_oracle, hurwitz_row, rubber_psi_integral
+from rubbertaut.locgraphs import (
+    Lift,
+    LocGraph,
+    Monomial,
+    Part,
+    enumerate_graphs,
+    evaluate_and_solve,
+    hodge_form_from_graphs,
+    lift_pair,
+    relation_extract,
+)
+from rubbertaut.partitions import enumerate_marked, enumerate_partitions, tau_power_coefficient
+from rubbertaut.polyclasses import MultiPoly, genus1_polynomial, hain_expand, interpolate
+from rubbertaut.series import series, series_log_sine, series_tau
+from rubbertaut.tautring import RingContext, boundary
+from rubbertaut.util import Table, check_integer, check_integers, combine, fraction_str
 
 
 def _oracle(pairs) -> dict:
@@ -175,3 +194,115 @@ def test_every_process_wide_memo_is_a_table() -> None:
             ):
                 missing.append(f"{path.stem}.{node.name}")
     assert missing == ["polyclasses._SharedFractions", "util.Table"]
+
+
+class _Index:
+    """An integer type that is not ``int``: it has ``__index__`` only."""
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+
+def test_an_index_object_comes_back_as_an_int() -> None:
+    assert type(check_integer("n", _Index(2))) is int and check_integer("n", _Index(2)) == 2
+    checked = check_integers("n", [_Index(2), 3])
+    assert checked == (2, 3) and all(type(value) is int for value in checked)
+
+
+def test_an_index_argument_acts_as_its_int() -> None:
+    two, three = _Index(2), _Index(3)
+    assert Lift(two) == Lift(2)
+    assert LocGraph("zero", (Part(two, (two,), True),)) == LocGraph("zero", (Part(2, (2,), True),))
+    assert solve_hodge(two, three) == solve_hodge(2, 3)
+    assert genus1_polynomial(three) == genus1_polynomial(3)
+    assert enumerate_marked((two, 1), (two,)) == enumerate_marked((2, 1), (2,))
+    assert hurwitz_oracle((two, 1), (three,)) == hurwitz_oracle((2, 1), (3,))
+
+
+def test_the_lower_bound_itself_is_accepted() -> None:
+    assert check_integer("n", 0, least=0) == 0
+    assert check_integer("n", 1, least=1) == 1
+    assert check_integers("n", (1, 1, 4), least=1) == (1, 1, 4)
+    assert check_integers("n", (), least=1) == ()
+    with pytest.raises(InvalidArgumentError, match="^n must be >= 1, got 0$"):
+        check_integer("n", 0, least=1)
+
+
+@pytest.mark.parametrize("value", [True, False, 2.0, "2", Fraction(2), None])
+def test_a_bool_or_non_integer_is_refused(value: object) -> None:
+    with pytest.raises(InvalidArgumentError, match=f"^n must be an integer, got {re.escape(repr(value))}$"):
+        check_integer("n", value)
+
+
+def test_a_sequence_error_names_the_first_bad_element() -> None:
+    with pytest.raises(InvalidArgumentError, match="^part must be an integer, got 2.5$"):
+        check_integers("part", (3, 2.5, "x", True), least=1)
+    with pytest.raises(InvalidArgumentError, match="^part must be an integer, got True$"):
+        check_integers("part", (3, True, 2.5))
+    with pytest.raises(InvalidArgumentError, match="^part must be >= 1, got 0$"):
+        check_integers("part", (3, 0, -1), least=1)
+    with pytest.raises(InvalidArgumentError, match="^need a sequence of part values, got 5$"):
+        check_integers("part", 5)
+
+
+_CTX = RingContext.standard(3)
+
+#: Every library entry point with an integer argument, that argument given as ``x``.
+_INTEGER_ARGUMENTS: dict[str, Callable[[object], object]] = {
+    "solve_hodge-genus": lambda x: solve_hodge(x),
+    "solve_hodge-degree": lambda x: solve_hodge(2, x),
+    "HodgeSolution.value": lambda x: solve_hodge(3).value(x),
+    "hodge_linear_form-genus": lambda x: hodge_linear_form(x, 2),
+    "hodge_linear_form-degree": lambda x: hodge_linear_form(2, x),
+    "evaluate_form-index": lambda x: evaluate_form({x: Fraction(1)}, [Fraction(1)] * 3),
+    "n_target-genus": lambda x: n_target(x, 2),
+    "n_target-degree": lambda x: n_target(2, x),
+    "verify_scaling-genus": lambda x: verify_scaling(x, 2),
+    "verify_scaling-degree": lambda x: verify_scaling(2, x),
+    "enumerate_partitions-degree": lambda x: enumerate_partitions(x),
+    "enumerate_partitions-max_length": lambda x: enumerate_partitions(4, x),
+    "enumerate_marked-part": lambda x: enumerate_marked((x, 1), (1,)),
+    "enumerate_marked-label": lambda x: enumerate_marked((2, 1), (x,)),
+    "tau_power_coefficient-n": lambda x: tau_power_coefficient(x, 1),
+    "tau_power_coefficient-l": lambda x: tau_power_coefficient(3, x),
+    "series-order": lambda x: series([1], x),
+    "series_tau-order": lambda x: series_tau(x),
+    "series_log_sine-scale": lambda x: series_log_sine(x, 4),
+    "series_log_sine-order": lambda x: series_log_sine(2, x),
+    "PowerSeries.coefficient": lambda x: series_tau(3).coefficient(x),
+    "genus1_polynomial-marks": lambda x: genus1_polynomial(x),
+    "hain_expand-genus": lambda x: hain_expand(x, 2, (1, -1)),
+    "hain_expand-marks": lambda x: hain_expand(2, x, (1, -1)),
+    "interpolate-degree": lambda x: interpolate(lambda point: 1, (x,)),
+    "MultiPoly-nvars": lambda x: MultiPoly(x),
+    "MultiPoly-exponent": lambda x: MultiPoly(2, {(x, 0): 1}),
+    "RingContext-mark": lambda x: RingContext((x, 2)),
+    "RingContext.standard-marks": lambda x: RingContext.standard(x),
+    "boundary-mark": lambda x: boundary(_CTX, (x,)),
+    "hurwitz_oracle-alpha": lambda x: hurwitz_oracle((x, 1), (2,)),
+    "hurwitz_oracle-beta": lambda x: hurwitz_oracle((2,), (x, 1)),
+    "hurwitz_row-alpha": lambda x: hurwitz_row((x, 1)),
+    "hurwitz_one_part-nu": lambda x: hurwitz_one_part((x, 1), 3),
+    "hurwitz_one_part-degree": lambda x: hurwitz_one_part((2,), x),
+    "rubber_psi_integral-alpha": lambda x: rubber_psi_integral((x, 1), (2,)),
+    "relation_extract-degree": lambda x: relation_extract(x, lift_pair(1)),
+    "enumerate_graphs-degree": lambda x: enumerate_graphs(x, lift_pair(1)),
+    "hodge_form_from_graphs-genus": lambda x: hodge_form_from_graphs(x, 2),
+    "hodge_form_from_graphs-degree": lambda x: hodge_form_from_graphs(2, x),
+    "evaluate_and_solve-degree": lambda x: evaluate_and_solve(x),
+    "Lift-genus": lambda x: Lift(x),
+    "LocGraph-part-size": lambda x: LocGraph("zero", (Part(x, (), True),)),
+    "LocGraph-mark": lambda x: LocGraph("zero", (Part(2, (x,), True),)),
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.0, "2"], ids=["bool", "float", "str"])
+@pytest.mark.parametrize("call", list(_INTEGER_ARGUMENTS.values()), ids=list(_INTEGER_ARGUMENTS))
+def test_every_integer_argument_refuses_a_bool_float_or_string(
+    call: Callable[[object], object], value: object
+) -> None:
+    with pytest.raises(InvalidArgumentError, match=f"must be an integer, got {re.escape(repr(value))}"):
+        call(value)
