@@ -12,13 +12,13 @@ equivariant weight ``t`` with coefficients in a small symbol algebra (powers
 of three cotangent symbols and one Hodge symbol).  Only the ``1/t``
 coefficient of the graph sum in the relation's own degree carries the
 relation, and all but three factors of a graph are a scalar times a power of
-``t``: :func:`_graph_data` reads each graph in display order, with that
-scalar, off tables built once per process and keyed by partition and lift
-shape, never by genus (1,272 entries at the cap), and :func:`relation_extract`
-walks just the genus-node cotangent powers and Hodge indices the degree
-allows.  :func:`hodge_form_from_graphs` sums the pair lift's genus-free part
-once per degree and part count and adds the genus per call.  Only the tests
-and the benchmark tracer run the full Laurent product
+``t``: tables built once per process and keyed by partition and lift shape,
+never by genus (1,272 entries at the cap), hold each partition's graphs in
+display order with that scalar, and :func:`relation_extract` walks them
+partition by partition over just the genus-node cotangent powers and Hodge
+indices the degree allows.  :func:`hodge_form_from_graphs` sums the pair
+lift's genus-free part once per degree and part count and adds the genus per
+call.  Only the tests and the benchmark tracer run the full Laurent product
 (:func:`assemble_contribution`), their oracle for the relation and the frozen
 factor cells.  Evaluating the relation's terms through the boundary catalogue
 and solving gives the divisor-class coefficients of the genus-one weight
@@ -45,7 +45,6 @@ lift.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -57,7 +56,7 @@ from .errors import (
     UnsupportedGraphError,
 )
 from .hodge import LinearForm, _check_genus, n_target, solve_hodge
-from .partitions import decorated_aut, enumerate_partitions
+from .partitions import _place_labels, decorated_aut, enumerate_partitions
 from .series import LaurentPoly, RingOps
 from .tautring import (
     RingContext,
@@ -288,19 +287,23 @@ def _slot_factor(size: int, marks: tuple) -> tuple:
 def _part_marks(tied: tuple[bool, ...], labels: tuple[int, ...]) -> list[list]:
     """Every distinct placement of the ascending ``labels`` on ``len(tied)``
     parts, as each part's marks, in display order: by mark counts (more on
-    earlier parts first), then by the labels read part by part, repeats
-    skipped.  ``tied[i]`` flags part ``i`` as part ``i - 1`` but for marks
-    (one size, neither the genus part); tied parts ascend by ``(-count,
-    marks)``, the canonical part order, which only a marked part can break."""
-    out = []
-    for spots in itertools.combinations_with_replacement(range(len(tied)), len(labels)):
-        for word in itertools.permutations(labels):
-            marks = [()] * len(tied)
-            for spot, label in sorted(zip(spots, word)):
-                marks[spot] += (label,)
-            keys = [(-len(ms), ms) for ms in marks]
-            if marks not in out and all(keys[s - 1] <= keys[s] for s in spots if tied[s]):
-                out.append(marks)
+    earlier parts first), then by the labels read part by part.  ``tied[i]``
+    flags part ``i`` as part ``i - 1`` but for marks (one size, neither the
+    genus part); tied parts ascend by ``(-count, marks)``, the canonical part
+    order.  :func:`rubbertaut.partitions._place_labels`, the walk under
+    ``enumerate_marked``, builds each placement once, keyed by the run of
+    tied parts.  Its runs are canonical up to two labels, since a part of a
+    run takes its first label only after the part before it took a smaller
+    one; past two they are sorted."""
+    run, slots = 0, []
+    for tie in tied:
+        run += not tie
+        slots.append((run, ()))
+    placements = [slots for slots, _ in _place_labels(tuple(slots), labels)]
+    if len(labels) > 2:
+        placements = [sorted(slots, key=lambda s: (s[0], -len(s[1]), s[1])) for slots in placements]
+    out = [[marks for _, marks in slots] for slots in placements]
+    out.sort(key=lambda marks: ([i for i, ms in enumerate(marks) for _ in ms], [m for ms in marks for m in ms]))
     return out
 
 
@@ -329,26 +332,61 @@ def _rubber_integral(l: int, d: int) -> int:
 
 def _partition_graphs(nu: tuple[int, ...], twist: int, labels: tuple[int, ...]) -> tuple[tuple, ...]:
     """The graph-table entry of ``nu``: over zero by descending genus size (on
-    the first part of that size), then over infinity, each by :func:`_part_marks`."""
+    the first part of that size), then over infinity, each by :func:`_part_marks`.
+
+    The scalars of the unmarked partition are built once: edge factors, each
+    part's unmarked :func:`_slot_factor`, and ``r!`` automorphisms per run of
+    ``r`` equal parts, the ``i``-th part of a run from its end counting ``i``.
+    Each genus position then trades the factor of its genus part for none,
+    and each placement that of each marked part for its own; the genus part
+    and the marked parts of a run come first, so what is left of each run
+    counts ``r'!`` for its ``r'`` unmarked parts.  Every trade divides out
+    factors of the product it is taken from, so the integers are those of
+    a part-by-part product."""
     d, l = sum(nu), len(nu)
-    edge_num, edge_den = math.prod(s**s for s in nu), math.prod(math.factorial(s) for s in nu)
+    num0, den0 = math.prod(s**s for s in nu), math.prod(math.factorial(s) for s in nu)
+    power0, run, unmarked = len(labels) - twist, 0, [None] * l
+    for i in reversed(range(l)):
+        run = run + 1 if i + 1 < l and nu[i + 1] == nu[i] else 1
+        slot_num, slot_den, slot_power = _slot_factor(nu[i], ())
+        unmarked[i] = slot_num, slot_den * run, slot_power
+        num0, den0, power0 = num0 * slot_num, den0 * slot_den * run, power0 + slot_power
+    equal = [i > 0 and nu[i] == nu[i - 1] for i in range(l)]
+    free = [_PARTS[size, (), False] for size in nu]
     out = []
-    for genus in [i for i in range(l) if not i or nu[i] != nu[i - 1]] + [None] * (l <= twist):
-        flags = [i == genus for i in range(l)]
-        tied = tuple(i > 0 and i - 1 != genus and nu[i] == nu[i - 1] for i in range(l))
-        zero = genus is not None
-        for marks in _MARKINGS[tied, labels]:
-            num, den, power, run = edge_num, edge_den * (d if zero and l == 1 else 1), len(labels) - twist, 1
-            for i, ms in enumerate(marks):
-                if i != genus:
-                    # equal parts sit side by side: a run of r gives r! automorphisms
-                    run = run + 1 if tied[i] and ms == marks[i - 1] else 1
-                    slot_num, slot_den, slot_power = _slot_factor(nu[i], ms)
-                    num, den, power = num * slot_num, den * slot_den * run, power + slot_power
-            parts = tuple(map(_PARTS.__getitem__, zip(nu, marks, flags)))
-            graph = tuple.__new__(LocGraph, ("zero" if zero else "infinity", parts))  # canonical: no checks
+    for genus in [i for i in range(l) if not equal[i]] + [None] * (l <= twist):
+        tied, parts0, base = equal.copy(), free.copy(), (num0, den0, power0)
+        if zero := genus is not None:
+            parts0[genus] = _PARTS[nu[genus], (), True]
+            if genus + 1 < l:
+                tied[genus + 1] = False
+            # no slot factor on the genus part, and 1/d without rubber
+            cut_num, cut_den, cut_power = unmarked[genus]
+            base = num0 // cut_num, den0 // cut_den * (d if l == 1 else 1), power0 - cut_power
+        for marks in _MARKINGS[tuple(tied), labels]:
+            (num, den, power), parts = base, parts0
+            if labels:
+                parts = parts0.copy()
+                for i, ms in enumerate(marks):
+                    if ms:
+                        parts[i] = _PARTS[nu[i], ms, i == genus]
+                        if i != genus:
+                            slot_num, slot_den, slot_power = _slot_factor(nu[i], ms)
+                            cut_num, cut_den, cut_power = unmarked[i]
+                            num, den = num // cut_num * slot_num, den // cut_den * slot_den
+                            power += slot_power - cut_power
+            graph = tuple.__new__(LocGraph, ("zero" if zero else "infinity", tuple(parts)))  # canonical: no checks
             out.append((graph, num, den, power, (nu[genus], len(marks[genus])) if zero else None))
     return tuple(out)
+
+
+def _branch_weights(d: int, l: int, g: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """``(B0, rubber cap)`` of the ``l``-part graphs of degree ``d`` at genus
+    ``g``, over infinity then over zero (index ``genus part is not None``):
+    ``B0 = d - l`` and the genus-``g`` rubber's top cotangent power ``2g - 2 +
+    l`` over infinity, ``B0 = 2g + d - l`` and the genus-zero rubber's ``l -
+    2`` over zero (-1 for one part, which has no rubber)."""
+    return (d - l, 2 * g - 2 + l), (2 * g + d - l, l - 2)
 
 
 def _graph_data(d: int, lift: Lift) -> Iterator[tuple]:
@@ -360,19 +398,20 @@ def _graph_data(d: int, lift: Lift) -> Iterator[tuple]:
     off the genus by :func:`_slot_factor`, ``t`` per lifted mark, ``t**k``,
     automorphisms, ``1/d`` without rubber); the genus part's ``(size, mark
     count)``, ``None`` over infinity; and the rubber's top cotangent power
-    ``2h - 2 + l``, -1 for the one-part graph over zero, which has no rubber.
-    A graph contributes only when ``B0 >= k``: with ``l`` parts, ``B0 = 2g +
-    d - l`` over zero and ``d - l`` over infinity, while ``k = d - twist``,
-    so only partitions with ``l <= 2g + twist`` parts and only infinity
-    graphs with ``l <= twist`` are built.  Only ``B0`` and the infinity
-    rubber's cap depend on the genus; the rest is read off the ``_GRAPHS``
-    entry of the partition and the lift's twist and marks, built once."""
+    ``2h - 2 + l``, -1 for the one-part graph over zero, which has no rubber
+    (both by :func:`_branch_weights`, once per partition).  A graph
+    contributes only when ``B0 >= k``: with ``l`` parts, ``B0 = 2g + d - l``
+    over zero and ``d - l`` over infinity, while ``k = d - twist``, so only
+    partitions with ``l <= 2g + twist`` parts and only infinity graphs with
+    ``l <= twist`` are built.  Only ``B0`` and the infinity rubber's cap
+    depend on the genus; the rest is read off the ``_GRAPHS`` entry of the
+    partition and the lift's twist and marks, built once."""
     d = check_integer("degree", d, least=1)
     g, twist, labels = lift.genus, lift.branch_twist, lift.zero_marks
     for nu in enumerate_partitions(d, 2 * g + twist):
-        l = len(nu)
+        sides = _branch_weights(d, len(nu), g)
         for graph, num, den, power, genus in _GRAPHS[nu, twist, labels]:
-            b0, cap = (d - l, 2 * g - 2 + l) if genus is None else (2 * g + d - l, l - 2)
+            b0, cap = sides[genus is not None]
             yield graph, b0, num, den, power, genus, cap
 
 
@@ -643,27 +682,36 @@ def _pole_sign(b: int, rubber_cap: int) -> int:
 def relation_extract(d: int, lift: Lift) -> Relation:
     """The exact relation carried by the ``1/t`` coefficients: of every graph
     in :func:`_graph_data`'s order that keeps one, the kept part of
-    ``assemble_contribution(graph, lift).total().coefficient(-1)``.  The genus
-    node's and Hodge class's series (powers ``a``, ``j``) take the terms of
-    :func:`_genus_walk`, built once per genus part and call, and the power of
-    ``t`` fixes the rubber node's ``b``, kept by :func:`_pole_sign`: the pair
-    lift's zero-side rubber sits at its top power ``l - 2`` (``-1``, no
-    rubber, for one part) and every infinity graph's at ``b = 0``."""
+    ``assemble_contribution(graph, lift).total().coefficient(-1)``.  It walks
+    each partition's ``_GRAPHS`` entry itself, with ``B0! / (B0 - k)!`` and
+    the rubber cap (:func:`_branch_weights`) once per partition and side.
+    The genus node's and Hodge class's series (powers ``a``, ``j``) take the
+    terms of :func:`_genus_walk`, built once per genus part and call, and the
+    power of ``t`` fixes the rubber node's ``b``, kept by :func:`_pole_sign`
+    once per graph and genus power: the pair lift's zero-side rubber sits at
+    its top power ``l - 2`` (``-1``, no rubber, for one part) and every
+    infinity graph's at ``b = 0``."""
     d = check_integer("degree", d, least=lift.branch_twist)
-    k = d - lift.branch_twist
+    g, twist, labels, k = lift.genus, lift.branch_twist, lift.zero_marks, d - lift.branch_twist
     walks: dict[tuple | None, list] = Table(lambda genus: _genus_walk(lift, *genus))
     walks[None] = [(0, None, 1, 0)]
     monomials: dict[tuple, Monomial] = Table(Monomial._make)
     terms = {}
-    for graph, b0, num, den, power, genus, rubber_cap in _graph_data(d, lift):
-        num *= math.perm(b0, k)
-        kept = {}
-        for a, j, coeff, genus_power in walks[genus]:
-            b = power + genus_power
-            if sign := _pole_sign(b, rubber_cap):
-                kept[monomials[a, max(b, 0), j]] = Fraction(num * coeff * sign, den)
-        if kept:
-            terms[graph] = kept
+    for nu in enumerate_partitions(d, 2 * g + twist):
+        (b0_infinity, cap_infinity), (b0_zero, cap_zero) = _branch_weights(d, len(nu), g)
+        sides = (math.perm(b0_infinity, k), cap_infinity), (math.perm(b0_zero, k), cap_zero)
+        for graph, num, den, power, genus in _GRAPHS[nu, twist, labels]:
+            perm, rubber_cap = sides[genus is not None]
+            num *= perm
+            kept, shift = {}, None
+            for a, j, coeff, genus_power in walks[genus]:
+                if genus_power != shift:  # one sign per run of equal genus powers
+                    shift, b = genus_power, power + genus_power
+                    sign = _pole_sign(b, rubber_cap)
+                if sign:
+                    kept[monomials[a, max(b, 0), j]] = Fraction(num * coeff * sign, den)
+            if kept:
+                terms[graph] = kept
     return Relation(d, lift, terms)
 
 

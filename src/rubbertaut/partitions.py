@@ -30,9 +30,10 @@ __all__ = [
 
 #: Highest ``n`` :func:`enumerate_partitions` lists (231 partitions), checked
 #: before any is listed, so it caps every partition sum of the package:
-#: ``relation_extract(16, lift_pair(24))`` takes about 0.03 s (0.024 s once its
-#: graphs are built), ``verify-all --g-max 24 --d-max 16`` 0.9-1.05 s and
-#: listing the partitions of 60 about 3 s (2-vCPU VM).
+#: ``relation_extract(16, lift_pair(24))`` takes about 0.028 s (0.022 s once
+#: its graphs are built), ``verify-all --g-max 24 --d-max 16`` 0.7-1.05 s and
+#: listing the partitions of 60 about 3 s (2-vCPU VM whose speed varies
+#: between runs).
 MAX_PARTITION_DEGREE = 16
 
 #: Most label assignments ``len(nu) ** len(labels)`` :func:`enumerate_marked` counts, checked first:
@@ -102,30 +103,43 @@ def decorated_aut(items: Iterable[Hashable]) -> int:
 _Slots = tuple[tuple[int, tuple[int, ...]], ...]
 
 
+def _place_labels(slots: _Slots, labels: Iterable[int]) -> list[tuple[_Slots, int]]:
+    """Every placement of ``labels`` on the ``(key, marks)`` slots once, with
+    its orbit size: the walk under :func:`enumerate_marked` and the graph
+    layer's ``_part_marks``.  Slots of one key sit side by side and are
+    interchangeable while their marks agree.  Each label in turn goes into
+    each slot that is not equal to the slot before it and multiplies the
+    orbit by that slot's multiplicity: one path per placement up to swapping
+    equal slots, in the order of ``labels``."""
+    placements = [(slots, 1)]
+    for label in labels:
+        placements = [
+            (slots[:i] + ((key, marks + (label,)),) + slots[i + 1 :], orbit * slots.count(slots[i]))
+            for slots, orbit in placements
+            for i, (key, marks) in enumerate(slots)
+            if not i or slots[i] != slots[i - 1]
+        ]
+    return placements
+
+
 def enumerate_marked(nu: Sequence[int], labels: Sequence[int]) -> list[tuple[_Slots, int]]:
     """Distinct markings of ``nu`` by ``labels``, each with its orbit size.
 
     Each marking is its tuple of ``(size, marks)`` slots; its orbit size counts
     the raw assignments (maps ``label -> part``) giving it, so orbit sizes sum
     to ``len(nu) ** len(labels)``, refused past :data:`MAX_MARKED_ASSIGNMENTS`
-    before any marking is built.  Each label in turn goes into each distinct
-    slot (equal slots stay side by side) and multiplies the orbit by that
-    slot's multiplicity: one path per marking.  Parts and labels are
-    integers of at least 1.
+    before any marking is built.  The ascending labels walk the descending
+    parts by :func:`_place_labels`, the parts' sizes as keys, so each label
+    goes into each distinct slot once.  Parts and labels are integers of at
+    least 1.
     """
     if len(set(labels)) != len(labels):
         raise InvalidArgumentError(f"labels must be distinct, got {labels!r}")
     if (count := len(nu) ** len(labels)) > MAX_MARKED_ASSIGNMENTS:
         raise ResourceLimitError(f"{count} label assignments exceed the cap {MAX_MARKED_ASSIGNMENTS}")
     nu, labels = check_integers("part", nu, least=1), check_integers("label", labels, least=1)
-    markings: list[tuple[_Slots, int]] = [(tuple((size, ()) for size in sorted(nu, reverse=True)), 1)]
-    for label in sorted(labels):
-        markings = [
-            (slots[:i] + ((size, marks + (label,)),) + slots[i + 1 :], orbit * slots.count(slots[i]))
-            for slots, orbit in markings
-            for i, (size, marks) in enumerate(slots)
-            if not i or slots[i] != slots[i - 1]
-        ]
+    slots = tuple((size, ()) for size in sorted(nu, reverse=True))
+    markings = _place_labels(slots, sorted(labels))
     return sorted((tuple(sorted(slots, key=lambda s: (-s[0], s[1]))), orbit) for slots, orbit in markings)
 
 

@@ -37,10 +37,11 @@ __all__ = [
 
 C = TypeVar("C")
 
-#: Highest order :func:`series_tau` and :func:`series_log_sine` build, checked
-#: before any coefficient.  The Hodge layer needs at most ``2 * MAX_GENUS =
-#: 48``; ``series_log_sine`` at ``d = 10`` takes about 0.1 s at order 200,
-#: 0.74 s at 400 and 7.3 s at 800 (2-vCPU VM, Python 3.11).
+#: Highest order :func:`series`, :func:`series_tau` and :func:`series_log_sine`
+#: build, checked before any coefficient is computed or padded.  The Hodge
+#: layer needs at most ``2 * MAX_GENUS = 48``; ``series_log_sine`` at ``d =
+#: 10`` takes about 0.1 s at order 200, 0.74 s at 400 and 7.3 s at 800
+#: (2-vCPU VM, Python 3.11).
 MAX_SERIES_ORDER = 200
 
 
@@ -73,13 +74,15 @@ class PowerSeries:
 
 
 def series(coeffs: Iterable[Fraction | int], order: int | None = None) -> PowerSeries:
-    """Build a series from leading coefficients, zero-padded to ``order``."""
+    """Build a series from leading coefficients, zero-padded to ``order``; an
+    order past :data:`MAX_SERIES_ORDER` is refused before any padding."""
     values = [Fraction(c) for c in coeffs]
     if order is None:
         if not values:
             raise InvalidArgumentError("empty series needs an explicit order")
         order = len(values) - 1
-    order = check_integer("order", order, least=0)
+    if (order := check_integer("order", order, least=0)) > MAX_SERIES_ORDER:
+        raise ResourceLimitError(f"order {order} exceeds the series-order cap {MAX_SERIES_ORDER}")
     if len(values) > order + 1:
         raise InvalidArgumentError("more coefficients than the requested order allows")
     values.extend([Fraction(0)] * (order + 1 - len(values)))

@@ -355,16 +355,16 @@ def _relabel_tables(marks: tuple[int, ...], images: tuple[int, ...]) -> list[lis
 def relabel(cls: TautClass, mapping: Mapping[int, int]) -> TautClass:
     """Apply a bijective relabeling of marks (must fix the reference mark)."""
     ctx = cls.ctx
-    if sorted(mapping.keys()) != list(ctx.marks):
+    if sorted(keys := check_integers("mark", mapping.keys())) != list(ctx.marks):
         raise InvalidArgumentError(f"relabeling must cover exactly {ctx.marks}")
     images = check_integers("mark", mapping.values(), least=1)
     if len(set(images)) != len(images):
         raise InvalidArgumentError("relabeling must be a bijection")
-    if mapping.get(1) != 1:
+    if images[keys.index(1)] != 1:
         raise InvalidArgumentError("relabeling must fix the reference mark 1")
     # A bijection sends distinct sides to distinct sides: no key collides.
     new_ctx, nums = _context(tuple(sorted(images))), cls._nums
-    first, *rest = _relabel_tables(tuple(mapping), images)
+    first, *rest = _relabel_tables(keys, images)
     moved = [first[mask & 4095] for mask in nums]
     for c, table in enumerate(rest, 1):  # marks past 11
         moved = [image | table[mask >> 12 * c & 4095] for image, mask in zip(moved, nums)]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import itertools
 import math
 import random
 import re
@@ -127,6 +129,29 @@ def test_built_graphs_are_canonical_and_in_display_order() -> None:
         assert graphs == sorted(graphs, key=_display_key), (lift, d)
         checked += len(graphs)
     assert checked == 5443
+
+
+def test_part_marks_are_every_canonical_placement_once() -> None:
+    """Every map of up to three labels to the parts, with each run of tied
+    parts put in canonical order, gives one placement of ``_part_marks``,
+    which lists each once in display order: three labels are the first
+    count whose walk leaves a tied run out of order."""
+    for l in range(1, 5):
+        for ties in itertools.product((False, True), repeat=l - 1):
+            tied = (False, *ties)
+            for labels in ((), (2,), (2, 3), (2, 3, 4)):
+                expected = set()
+                for spots in itertools.product(range(l), repeat=len(labels)):
+                    marks = [tuple(m for m, spot in zip(labels, spots) if spot == i) for i in range(l)]
+                    for i in range(1, l):  # insertion sort within each tied run
+                        j = i
+                        while j and tied[j] and (-len(marks[j]), marks[j]) < (-len(marks[j - 1]), marks[j - 1]):
+                            marks[j - 1], marks[j] = marks[j], marks[j - 1]
+                            j -= 1
+                    expected.add(tuple(marks))
+                placements = locgraphs._part_marks(tied, labels)
+                assert len(placements) == len(expected) and set(map(tuple, placements)) == expected, (tied, labels)
+                assert placements == sorted(placements, key=lambda ms: (tuple(-len(m) for m in ms), ms))
 
 
 def _residue(graph: LocGraph, lift: Lift) -> tuple[dict[Monomial, int], int]:
@@ -322,6 +347,31 @@ def test_the_graph_tables_stay_within_their_bound(fresh_graph_tables: None) -> N
     # the cross-check's zero-side sums: one entry per degree and part count
     assert set(locgraphs._ZERO_SUMS) == {(d, l) for d in degrees for l in range(1, d + 1)}
     assert len(locgraphs._ZERO_SUMS) == 136
+
+
+def _sha256_of_reprs(items: Iterator) -> str:
+    digest = hashlib.sha256()
+    for item in items:
+        digest.update(repr(item).encode())
+    return digest.hexdigest()
+
+
+def test_the_graph_layer_outputs_are_frozen(fresh_graph_tables: None) -> None:
+    """The graph-table entries at the partition cap, the placements they fill
+    and the relations read off them hash to frozen values (sha256 over the
+    ``repr`` of each item in turn), so any rebuild of how the tables are
+    filled or walked must reproduce them byte for byte."""
+    keys = [(nu, 1, ()) for d in range(1, 17) for nu in enumerate_partitions(d)]
+    keys += [(nu, 2, (2, 3)) for d in range(2, 17) for nu in enumerate_partitions(d, 4)]
+    entries = [locgraphs._GRAPHS[key] for key in keys]
+    assert (len(entries), sum(map(len, entries))) == (1271, 11138)
+    assert _sha256_of_reprs(entries) == "e2704f087bebc8ba5079f3e9c3c2f3ce7be2f94f4253297e525b83262dc2e324"
+    markings = [(key, locgraphs._MARKINGS[key]) for key in sorted(locgraphs._MARKINGS)]
+    assert len(markings) == 221
+    assert _sha256_of_reprs(markings) == "70eef76c51a4b51e54699ca0f083c10f12348c0ded093fffd50dfdc01f513fce"
+    relations = [relation_extract(d, lift_pair(g)).terms for g in range(1, 6) for d in range(1, 14)]
+    relations += [relation_extract(d, LIFT_DIVISOR).terms for d in range(2, 14)]
+    assert _sha256_of_reprs(relations) == "0d09b808aa800df7a6848a44b94a9c2b14920f965e22632cb53125551bdeb60b"
 
 
 def test_table_graphs_are_the_constructors_graphs(fresh_graph_tables: None) -> None:

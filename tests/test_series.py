@@ -175,8 +175,9 @@ def test_series_refuses_a_non_integer_order_or_index() -> None:
 def test_series_order_cap_is_checked_before_any_coefficient() -> None:
     assert series_tau(MAX_SERIES_ORDER).order == MAX_SERIES_ORDER
     assert series_log_sine(1, MAX_SERIES_ORDER).order == MAX_SERIES_ORDER
+    assert series([1], order=MAX_SERIES_ORDER).order == MAX_SERIES_ORDER
     cap = f"exceeds the series-order cap {MAX_SERIES_ORDER}"
-    for build in (series_tau, lambda order: series_log_sine(2, order)):
+    for build in (series_tau, lambda order: series_log_sine(2, order), lambda order: series([1], order=order)):
         for order in (MAX_SERIES_ORDER + 1, 10**9):
             with pytest.raises(ResourceLimitError, match=f"order {order} {cap}"):
                 build(order)

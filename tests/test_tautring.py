@@ -456,6 +456,10 @@ def test_relabel_validates_the_mapping() -> None:
         relabel(psi1(ctx), {1: 1, 2: 3, 3: 3})
     with pytest.raises(InvalidArgumentError):
         relabel(psi1(ctx), {1: 2, 2: 1, 3: 3})
+    # keys are marks as the values are: a float or bool equal to a mark is refused
+    for mapping in ({1: 1, 2.0: 3, 3: 2}, {True: 1, 2: 3, 3: 2}):
+        with pytest.raises(InvalidArgumentError, match="^mark must be an integer, got "):
+            relabel(boundary(ctx, (2,)), mapping)
 
 
 # ---------------------------------------------------------------------------
