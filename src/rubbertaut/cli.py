@@ -345,6 +345,8 @@ def _check_scaling(g_max: int, d_max: int) -> None:
 
 
 def _check_hurwitz(d_max: int) -> None:
+    """Rows against the one-part closed form and their symmetry, and what the
+    ``hurwitz`` command prints (pair counts, rubber integrals) against the rows."""
     for d in _degrees(d_max):
         rows = {alpha: hurwitz_row(alpha) for alpha in enumerate_partitions(d)}
         for nu in rows:
@@ -352,9 +354,15 @@ def _check_hurwitz(d_max: int) -> None:
             closed = hurwitz_one_part(nu, d)
             if rows[(d,)][nu] != closed or rows[nu][(d,)] != closed:
                 raise TheoremViolationError(f"one-part count fails at {nu}")
+            if hurwitz_oracle(nu, (d,)) != closed:
+                raise TheoremViolationError(f"pair count fails at {nu}/{(d,)}")
         for alpha, beta in itertools.combinations(rows, 2):
             if rows[alpha][beta] != rows[beta][alpha]:
                 raise TheoremViolationError(f"symmetry fails at {alpha}/{beta}")
+        if d > 1:  # a multi-part pair, its sides' automorphisms unequal from d = 3
+            alpha, beta = (d - 1, 1), (1,) * d
+            if rubber_psi_integral(alpha, beta) != rows[alpha][beta] / math.factorial(d):
+                raise TheoremViolationError(f"rubber integral fails at {alpha}/{beta}")
 
 
 def _check_hodge(g_max: int, d_max: int) -> None:

@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .errors import (
     InvalidArgumentError,
@@ -309,7 +309,9 @@ def _part_marks(tied: tuple[bool, ...], labels: tuple[int, ...]) -> list[list]:
 
 #: The graph tables, shared by every call and never keyed by genus: per
 #: ``(nu, twist, labels)`` the partition's graphs in display order, each
-#: ``(graph, num, den, power, genus part)``, 1,272 entries (914 pair, 358
+#: ``(graph, num, den, power, genus part)``: every factor but the three series
+#: and ``B0! / (B0 - k)!`` as ``num / den * t**power``, and the genus part's
+#: ``(size, mark count)``, ``None`` over infinity; 1,272 entries (914 pair, 358
 #: divisor) and 11,140 graphs at the partition-sum cap; per ``(tied, labels)``
 #: the :func:`_part_marks` placements, 221 entries; one :class:`Part` per
 #: distinct part, 124 of them; per ``(d, l)``, one :func:`_zero_side_sums`,
@@ -385,39 +387,21 @@ def _branch_weights(d: int, l: int, g: int) -> tuple[tuple[int, int], tuple[int,
     ``g``, over infinity then over zero (index ``genus part is not None``):
     ``B0 = d - l`` and the genus-``g`` rubber's top cotangent power ``2g - 2 +
     l`` over infinity, ``B0 = 2g + d - l`` and the genus-zero rubber's ``l -
-    2`` over zero (-1 for one part, which has no rubber)."""
+    2`` over zero (-1 for one part, which has no rubber).  A graph keeps a
+    ``1/t`` term only when ``B0 >= k = d - twist``, so only partitions with
+    ``l <= 2g + twist`` parts and infinity graphs with ``l <= twist`` are
+    built.  The one statement of the rule, read by :func:`relation_extract`
+    and :func:`hodge_form_from_graphs`; :func:`_zero_side_sums`' genus-free
+    ``l - 2`` is the same zero-side cap."""
     return (d - l, 2 * g - 2 + l), (2 * g + d - l, l - 2)
 
 
-def _graph_data(d: int, lift: Lift) -> Iterator[tuple]:
-    """Every contributing graph in display order, with its residue's scalars.
-
-    Yields ``(graph, b0, num, den, power, genus, rubber_cap)``: the branch
-    weight ``B0``; all factors but the three series and ``B0! / (B0 - k)!``
-    as ``num / den * t**power`` (edge factors ``s**s / s! t**-s``, each part
-    off the genus by :func:`_slot_factor`, ``t`` per lifted mark, ``t**k``,
-    automorphisms, ``1/d`` without rubber); the genus part's ``(size, mark
-    count)``, ``None`` over infinity; and the rubber's top cotangent power
-    ``2h - 2 + l``, -1 for the one-part graph over zero, which has no rubber
-    (both by :func:`_branch_weights`, once per partition).  A graph
-    contributes only when ``B0 >= k``: with ``l`` parts, ``B0 = 2g + d - l``
-    over zero and ``d - l`` over infinity, while ``k = d - twist``, so only
-    partitions with ``l <= 2g + twist`` parts and only infinity graphs with
-    ``l <= twist`` are built.  Only ``B0`` and the infinity rubber's cap
-    depend on the genus; the rest is read off the ``_GRAPHS`` entry of the
-    partition and the lift's twist and marks, built once."""
-    d = check_integer("degree", d, least=1)
-    g, twist, labels = lift.genus, lift.branch_twist, lift.zero_marks
-    for nu in enumerate_partitions(d, 2 * g + twist):
-        sides = _branch_weights(d, len(nu), g)
-        for graph, num, den, power, genus in _GRAPHS[nu, twist, labels]:
-            b0, cap = sides[genus is not None]
-            yield graph, b0, num, den, power, genus, cap
-
-
 def enumerate_graphs(d: int, lift: Lift) -> list[LocGraph]:
-    """Contributing graphs, one per isomorphism class, in :func:`_graph_data`'s order."""
-    return [data[0] for data in _graph_data(d, lift)]
+    """Contributing graphs, one per isomorphism class, in display order: the
+    ``_GRAPHS`` entries of the partitions of ``d`` into at most ``2g +
+    twist`` parts (:func:`_branch_weights`)."""
+    d, twist, labels = check_integer("degree", d, least=1), lift.branch_twist, lift.zero_marks
+    return [entry[0] for nu in enumerate_partitions(d, 2 * lift.genus + twist) for entry in _GRAPHS[nu, twist, labels]]
 
 
 def mirror_swap(graph: LocGraph, lift: Lift) -> LocGraph:
@@ -681,7 +665,7 @@ def _pole_sign(b: int, rubber_cap: int) -> int:
 
 def relation_extract(d: int, lift: Lift) -> Relation:
     """The exact relation carried by the ``1/t`` coefficients: of every graph
-    in :func:`_graph_data`'s order that keeps one, the kept part of
+    in :func:`enumerate_graphs`' order that keeps one, the kept part of
     ``assemble_contribution(graph, lift).total().coefficient(-1)``.  It walks
     each partition's ``_GRAPHS`` entry itself, with ``B0! / (B0 - k)!`` and
     the rubber cap (:func:`_branch_weights`) once per partition and side.
@@ -749,19 +733,21 @@ def hodge_form_from_graphs(g: int, d: int) -> LinearForm:
     the rubber graph's coefficient, all from the graphs' integers.  Every
     pair-walk term has genus power 0, so :func:`_pole_sign` keeps a graph's
     whole walk or none of it, with one sign; the genus enters a zero-side
-    graph only through ``perm(2g + d - l, d - 1)`` (0 past ``2g + 1`` parts)
-    and the walk.  So each part count's ``_ZERO_SUMS`` entry, times that and
-    :func:`_rubber_integral` (1 without rubber), adds to each genus part's
-    weight, which spreads once through the part's :func:`_genus_walk`.
+    graph only through ``perm(B0, d - 1)`` (:func:`_branch_weights`, 0 past
+    ``2g + 1`` parts) and the walk.  So each part count's ``_ZERO_SUMS``
+    entry, times that and :func:`_rubber_integral` (1 without rubber), adds to
+    each genus part's weight, which spreads once through :func:`_genus_walk`.
     """
     lift = lift_pair(g)
     d = check_integer("degree", d, least=lift.branch_twist)
     pairs = []
     for l in range(1, min(2 * g + 1, d) + 1):
         common, sums = _ZERO_SUMS[d, l]
-        pairs.append((math.perm(2 * g + d - l, d - 1) * (_rubber_integral(l, d) if l > 1 else 1), common, sums))
+        b0 = _branch_weights(d, l, g)[1][0]
+        pairs.append((math.perm(b0, d - 1) * (_rubber_integral(l, d) if l > 1 else 1), common, sums))
+    (b0, cap), _ = _branch_weights(d, 1, g)
     _, num, den, power, _ = _GRAPHS[(d,), 1, ()][-1]  # the one graph over infinity
-    if not (rubber := _pole_sign(power, 2 * g - 1) * num * math.factorial(d - 1)):
+    if not (rubber := _pole_sign(power, cap) * num * math.perm(b0, d - 1)):
         raise TheoremViolationError(f"no rubber term in the degree-{d} pair relation")
     common, weights = combine_ints(pairs)
     _, sums = combine_ints(

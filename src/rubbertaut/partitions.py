@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Hashable, Iterable, Sequence
 
 from .errors import InvalidArgumentError, ResourceLimitError
-from .series import MAX_SERIES_ORDER
+from .series import _check_order
 from .util import Table, check_integer, check_integers
 
 __all__ = [
@@ -152,8 +152,7 @@ def tau_power_coefficient(n: int, l: int) -> Fraction:
     is refused before any power is computed.
     """
     n, l = check_integer("n", n, least=0), check_integer("l", l, least=0)
-    if n > MAX_SERIES_ORDER:
-        raise ResourceLimitError(f"order {n} exceeds the series-order cap {MAX_SERIES_ORDER}")
+    _check_order(n, 0)
     if n == 0:
         return Fraction(1 if l == 0 else 0)
     if l == 0 or l > n:

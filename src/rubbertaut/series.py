@@ -45,6 +45,13 @@ C = TypeVar("C")
 MAX_SERIES_ORDER = 200
 
 
+def _check_order(order: object, least: int) -> int:
+    """``order`` checked as an integer >= ``least`` and against :data:`MAX_SERIES_ORDER`."""
+    if (order := check_integer("order", order, least=least)) > MAX_SERIES_ORDER:
+        raise ResourceLimitError(f"order {order} exceeds the series-order cap {MAX_SERIES_ORDER}")
+    return order
+
+
 # ---------------------------------------------------------------------------
 # Truncated power series over Fraction
 # ---------------------------------------------------------------------------
@@ -81,8 +88,7 @@ def series(coeffs: Iterable[Fraction | int], order: int | None = None) -> PowerS
         if not values:
             raise InvalidArgumentError("empty series needs an explicit order")
         order = len(values) - 1
-    if (order := check_integer("order", order, least=0)) > MAX_SERIES_ORDER:
-        raise ResourceLimitError(f"order {order} exceeds the series-order cap {MAX_SERIES_ORDER}")
+    order = _check_order(order, 0)
     if len(values) > order + 1:
         raise InvalidArgumentError("more coefficients than the requested order allows")
     values.extend([Fraction(0)] * (order + 1 - len(values)))
@@ -147,8 +153,7 @@ def series_tau(order: int) -> PowerSeries:
     It is the unique power-series solution of ``tau = x * exp(tau)`` with
     zero constant term.
     """
-    if (order := check_integer("order", order, least=1)) > MAX_SERIES_ORDER:
-        raise ResourceLimitError(f"order {order} exceeds the series-order cap {MAX_SERIES_ORDER}")
+    order = _check_order(order, 1)
     coeffs = [Fraction(0)]
     for r in range(1, order + 1):
         coeffs.append(Fraction(r ** (r - 1), math.factorial(r)))
@@ -164,8 +169,7 @@ def series_log_sine(d: int, order: int) -> PowerSeries:
     exact rational and the odd ones are exact zeros.
     """
     d = check_integer("scale d", d, least=1)
-    if (order := check_integer("order", order, least=0)) > MAX_SERIES_ORDER:
-        raise ResourceLimitError(f"order {order} exceeds the series-order cap {MAX_SERIES_ORDER}")
+    order = _check_order(order, 0)
     step = Fraction(-d * d, 4)
     sinc = PowerSeries(
         tuple(step**k / math.factorial(2 * k + 1) for k in range(order // 2 + 1))

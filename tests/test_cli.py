@@ -19,7 +19,7 @@ import pytest
 from rubbertaut import cli, goldentables, hodge, locgraphs, polyclasses
 from rubbertaut.errors import TheoremViolationError
 from rubbertaut.hodge import MAX_GENUS
-from rubbertaut.partitions import MAX_PARTITION_DEGREE
+from rubbertaut.partitions import MAX_PARTITION_DEGREE, aut
 from rubbertaut.polyclasses import MultiPoly
 from rubbertaut.series import MAX_SERIES_ORDER, LaurentPoly, series, series_log_sine, series_to_json
 from rubbertaut.tautring import linear_combination
@@ -592,6 +592,40 @@ def test_verify_all_checks_hurwitz_symmetry_on_every_pair(
     assert failures == [
         f"FAIL hurwitz: one-part-and-symmetry-d<={d_max} — symmetry fails at {pair}"
     ]
+
+
+@pytest.mark.parametrize(
+    "name, doctor, failure",
+    [
+        # the pair normalization by aut(alpha) instead of aut(beta)
+        (
+            "hurwitz_oracle",
+            lambda honest: lambda alpha, beta: honest(alpha, beta) * aut(alpha) / aut(beta),
+            "pair count fails at (1, 1)/(2,)",
+        ),
+        # the rubber integral divided by (r - 1)! instead of r!
+        (
+            "rubber_psi_integral",
+            lambda honest: lambda alpha, beta: honest(alpha, beta) * (len(alpha) + len(beta) - 2),
+            "rubber integral fails at (1, 1)/(1, 1)",
+        ),
+    ],
+    ids=["oracle-normalization", "rubber-integral"],
+)
+def test_verify_all_checks_what_the_hurwitz_command_prints(
+    name: str,
+    doctor: Callable,
+    failure: str,
+    capsys: pytest.CaptureFixture[str],
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    """The default sweep fails, in its Hurwitz check alone, when a count the
+    ``hurwitz`` command prints, and the rows do not, is wrong."""
+    monkeypatch.setattr(cli, name, doctor(getattr(cli, name)))
+    code, out = _run(["verify-all"], capsys)
+    assert code == 2
+    failures = [line for line in out.splitlines() if not line.startswith("PASS ")]
+    assert failures == [f"FAIL hurwitz: one-part-and-symmetry-d<=5 — {failure}"]
 
 
 def test_verify_all_checks_the_pair_totals_at_every_degree(

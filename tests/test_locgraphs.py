@@ -112,6 +112,22 @@ def test_enumeration_matches_the_unbounded_oracle() -> None:
         assert enumerate_graphs(d, lift) == _oracle_graphs(d, lift), (lift, d)
 
 
+def _table_walk(d: int, lift: Lift) -> Iterator[tuple]:
+    """Every ``_GRAPHS`` entry of degree ``d`` under ``lift``, partition by
+    partition, as ``(graph, b0, num, den, power, genus, rubber_cap)``, with
+    ``B0`` and the rubber cap by their own formula, as ``_residue`` and
+    ``_oracle_graphs`` take them, not production's ``_branch_weights``:
+    ``B0 = (2g if zero side else 0) + d - l``, and the cap ``l - 2`` (-1 for
+    one part, no rubber) over zero, ``2g - 2 + l`` over infinity."""
+    g, twist = lift.genus, lift.branch_twist
+    for nu in enumerate_partitions(d, 2 * g + twist):
+        l = len(nu)
+        for graph, num, den, power, genus in locgraphs._GRAPHS[nu, twist, lift.zero_marks]:
+            zero = genus is not None
+            b0, rubber_cap = (2 * g if zero else 0) + d - l, l - 2 if zero else 2 * g - 2 + l
+            yield graph, b0, num, den, power, genus, rubber_cap
+
+
 _CANONICAL_CASES = [(lift_pair(g), d) for g in range(1, 6) for d in range(1, 13)]
 _CANONICAL_CASES += [(LIFT_DIVISOR, d) for d in range(1, 13)]
 
@@ -122,7 +138,7 @@ def test_built_graphs_are_canonical_and_in_display_order() -> None:
     and the graphs come in the retired display sort's order (``_display_key``)."""
     checked = 0
     for lift, d in _CANONICAL_CASES:
-        graphs = [data[0] for data in locgraphs._graph_data(d, lift)]
+        graphs = [data[0] for data in _table_walk(d, lift)]
         for graph in graphs:
             rebuilt = LocGraph(graph.side, graph.parts)
             assert graph == rebuilt and hash(graph) == hash(rebuilt), render_graph(graph)
@@ -542,7 +558,7 @@ def _retired_pole_terms(d: int, lift: Lift) -> Iterator[tuple]:
         raise InvalidArgumentError(f"this lift needs degree >= {lift.branch_twist}, got {d}")
     k = d - lift.branch_twist
     walks = {None: [(0, None, 1, 0)]}
-    for graph, b0, num, den, power, genus, rubber_cap in locgraphs._graph_data(d, lift):
+    for graph, b0, num, den, power, genus, rubber_cap in _table_walk(d, lift):
         if genus not in walks:
             walks[genus] = locgraphs._genus_walk(lift, *genus)
         num *= math.perm(b0, k)
@@ -568,7 +584,7 @@ def _retired_hodge_form_from_graphs(g: int, d: int) -> dict[int, Fraction]:
     k = d - lift.branch_twist
     pairs: list[tuple] = []
     rubber_coeff = Fraction(0)
-    for graph, b0, num, den, power, genus, rubber_cap in locgraphs._graph_data(d, lift):
+    for graph, b0, num, den, power, genus, rubber_cap in _table_walk(d, lift):
         sign = locgraphs._pole_sign(power, rubber_cap)
         if not sign:
             continue
